@@ -9,13 +9,17 @@
 #include "codegen/SideInfoValidator.h"
 #include "oat/Serialize.h"
 #include "support/BinaryStream.h"
-#include "support/MappedFile.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace calibro;
 using namespace calibro::cache;
@@ -55,15 +59,41 @@ Digest payloadChecksum(std::span<const uint8_t> Buf, std::size_t End) {
   return H.finish();
 }
 
-std::optional<std::vector<uint8_t>> readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+/// Reads the whole file at \p Path with one open/fstat/read/close into a
+/// reusable per-thread buffer. The span stays valid until the calling
+/// thread's next readWholeFile; decode before reading again. The buffer
+/// keeps the capacity of the largest blob its thread has read (a group
+/// blob of Kuaishou at scale 16 in one partition is ~220 KB).
+///
+/// Cache blobs are a few hundred bytes, so they are read, not mapped: an
+/// mmap + munmap per blob serializes the compile pool on the address-space
+/// lock and shoots down every pool thread's TLB, which made 4-thread warm
+/// loads slower than 1-thread ones (DESIGN.md §8).
+std::optional<std::span<const uint8_t>>
+readWholeFile(const std::string &Path) {
+  thread_local std::vector<uint8_t> Buf;
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return std::nullopt;
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
-  if (!In.good() && !In.eof())
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode);
+  std::size_t Got = 0;
+  if (Ok) {
+    Buf.resize(static_cast<std::size_t>(St.st_size));
+    while (Got < Buf.size()) {
+      ssize_t N = ::read(Fd, Buf.data() + Got, Buf.size() - Got);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        break;
+      Got += static_cast<std::size_t>(N);
+    }
+  }
+  ::close(Fd);
+  // A short read means the file changed under us: report it as unreadable.
+  if (!Ok || Got != Buf.size())
     return std::nullopt;
-  return Bytes;
+  return std::span<const uint8_t>(Buf.data(), Buf.size());
 }
 
 /// Writes \p Bytes to \p Path via a unique sibling temp file + rename, so a
@@ -72,10 +102,12 @@ std::optional<std::vector<uint8_t>> readFileBytes(const std::string &Path) {
 bool writeFileAtomic(const std::string &Path,
                      const std::vector<uint8_t> &Bytes) {
   static std::atomic<uint64_t> TempCounter{0};
+  // The pid keeps two processes apart even when their counters agree (a
+  // fork, or two runs of one binary); the counter keeps this process's
+  // threads apart.
   std::string Tmp = Path + ".tmp." +
-                    std::to_string(TempCounter.fetch_add(1)) + "." +
-                    std::to_string(static_cast<uint64_t>(
-                        reinterpret_cast<uintptr_t>(&TempCounter) >> 4));
+                    std::to_string(static_cast<uint64_t>(::getpid())) + "." +
+                    std::to_string(TempCounter.fetch_add(1));
   {
     std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
     if (!Out)
@@ -96,8 +128,8 @@ bool writeFileAtomic(const std::string &Path,
 
 /// Seals a blob: verifies magic + version + trailing checksum and returns
 /// the payload span (between the 8-byte header and the checksum trailer).
-/// Span in, span out — the caller hands the mmap'd file image straight in
-/// and decodes straight out of it; no copy anywhere on the load path.
+/// Span in, span out — the caller hands the file image straight in and
+/// decodes straight out of it.
 std::optional<std::span<const uint8_t>>
 openBlob(std::span<const uint8_t> Bytes, uint32_t Magic) {
   if (Bytes.size() < 8 + ChecksumBytes)
@@ -302,7 +334,7 @@ BuildCache::open(const std::string &Dir) {
   std::string StampPath = Dir + "/VERSION";
   std::string Want = versionStamp();
   bool Stamped = false;
-  if (auto Bytes = readFileBytes(StampPath))
+  if (auto Bytes = readWholeFile(StampPath))
     Stamped = std::string(Bytes->begin(), Bytes->end()) == Want;
 
   if (!Stamped) {
@@ -322,12 +354,12 @@ BuildCache::open(const std::string &Dir) {
 }
 
 std::optional<CachedMethod> BuildCache::loadMethod(const Digest &Key) const {
-  // Zero-copy load: checksum and decode straight out of the mapping. The
-  // decoded CachedMethod owns its data, so the mapping's scope ends here.
-  auto Map = support::MappedFile::open(methodPath(Key));
-  if (!Map)
+  // Checksum and decode straight out of this thread's read buffer; the
+  // decoded CachedMethod owns its data, so the buffer is free to reuse.
+  auto Bytes = readWholeFile(methodPath(Key));
+  if (!Bytes)
     return std::nullopt;
-  auto Payload = openBlob(Map->bytes(), MethodBlobMagic);
+  auto Payload = openBlob(*Bytes, MethodBlobMagic);
   if (!Payload)
     return std::nullopt;
   return decodeMethodBlob(*Payload);
@@ -342,10 +374,10 @@ void BuildCache::storeMethod(const Digest &Key,
 }
 
 std::optional<GroupSelections> BuildCache::loadGroup(const Digest &Key) const {
-  auto Map = support::MappedFile::open(groupPath(Key));
-  if (!Map)
+  auto Bytes = readWholeFile(groupPath(Key));
+  if (!Bytes)
     return std::nullopt;
-  auto Payload = openBlob(Map->bytes(), GroupBlobMagic);
+  auto Payload = openBlob(*Bytes, GroupBlobMagic);
   if (!Payload)
     return std::nullopt;
   return decodeGroupBlob(*Payload);
@@ -364,10 +396,9 @@ CacheAudit BuildCache::audit() const {
       continue;
     ++A.MethodEntries;
     A.TotalBytes += Entry.file_size(Ec);
-    auto Map = support::MappedFile::open(Entry.path().string());
     bool Ok = false;
-    if (Map)
-      if (auto Payload = openBlob(Map->bytes(), MethodBlobMagic))
+    if (auto Bytes = readWholeFile(Entry.path().string()))
+      if (auto Payload = openBlob(*Bytes, MethodBlobMagic))
         Ok = decodeMethodBlob(*Payload).has_value();
     if (!Ok)
       ++A.MethodCorrupt;
@@ -377,10 +408,9 @@ CacheAudit BuildCache::audit() const {
       continue;
     ++A.GroupEntries;
     A.TotalBytes += Entry.file_size(Ec);
-    auto Map = support::MappedFile::open(Entry.path().string());
     bool Ok = false;
-    if (Map)
-      if (auto Payload = openBlob(Map->bytes(), GroupBlobMagic))
+    if (auto Bytes = readWholeFile(Entry.path().string()))
+      if (auto Payload = openBlob(*Bytes, GroupBlobMagic))
         Ok = decodeGroupBlob(*Payload).has_value();
     if (!Ok)
       ++A.GroupCorrupt;

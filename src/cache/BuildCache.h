@@ -53,7 +53,7 @@ namespace cache {
 /// Version of every on-disk encoding this subsystem owns (blob layouts,
 /// digest recipes, the VERSION stamp). Bump on any change; old caches are
 /// then discarded wholesale rather than misread.
-inline constexpr uint32_t CacheFormatVersion = 1;
+inline constexpr uint32_t CacheFormatVersion = 2;
 
 /// A compiled-method blob recovered from the store.
 struct CachedMethod {

@@ -78,17 +78,23 @@ Digest methodSourceKey(const dex::Method &M, bool EnableCto) {
   H.u8(M.ReturnsValue ? 1 : 0);
   H.u8(M.IsNative ? 1 : 0);
   H.u64(M.Code.size());
+  // Four packed words per instruction instead of one per field. Every field
+  // owns a fixed, non-overlapping bit slot, so the key stays injective.
+  static_assert(sizeof(dex::Op) == 1 && sizeof(dex::Insn::A) == 2 &&
+                    sizeof(dex::Insn::B) == 2 && sizeof(dex::Insn::C) == 2 &&
+                    sizeof(dex::Insn::NumArgs) == 1 &&
+                    sizeof(dex::Insn::Target) == 4 &&
+                    sizeof(dex::Insn::Idx) == 4 &&
+                    sizeof(dex::Insn::Args) == 8,
+                "packed source-key slots no longer fit the dex::Insn fields");
   for (const dex::Insn &I : M.Code) {
-    H.u8(static_cast<uint8_t>(I.Opcode));
-    H.u32(I.A);
-    H.u32(I.B);
-    H.u32(I.C);
+    H.u64(uint64_t{static_cast<uint8_t>(I.Opcode)} | uint64_t{I.A} << 8 |
+          uint64_t{I.B} << 24 | uint64_t{I.C} << 40 |
+          uint64_t{I.NumArgs} << 56);
     H.i64(I.Imm);
-    H.u32(I.Target);
-    H.u32(I.Idx);
-    H.u8(I.NumArgs);
-    for (uint16_t Arg : I.Args)
-      H.u32(Arg);
+    H.u64(uint64_t{I.Target} | uint64_t{I.Idx} << 32);
+    H.u64(uint64_t{I.Args[0]} | uint64_t{I.Args[1]} << 16 |
+          uint64_t{I.Args[2]} << 32 | uint64_t{I.Args[3]} << 48);
   }
   H.u64(M.SwitchTables.size());
   for (const auto &Table : M.SwitchTables) {

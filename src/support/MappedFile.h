@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A read-only, memory-mapped view of a file. Both consumers of whole-file
-/// bytes — the OAT reader and the build-cache blob loader — parse straight
-/// out of the mapping through std::span, so opening a file no longer copies
-/// its image into a heap vector first (the zero-copy read path, DESIGN.md
+/// A read-only, memory-mapped view of a file. The OAT reader parses straight
+/// out of the mapping through std::span, so opening an image no longer
+/// copies it into a heap vector first (the zero-copy read path, DESIGN.md
 /// §9). Where mmap is unavailable or fails, open() silently falls back to a
-/// buffered read; callers only ever see a span.
+/// buffered read; callers only ever see a span. Mapping pays off for large
+/// files read once; the build cache's few-hundred-byte blobs are read with
+/// plain read() instead (DESIGN.md §8).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -26,14 +26,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace calibro;
@@ -140,6 +143,96 @@ TEST(CacheDigest, SourceKeyIsDeterministicAndInputSensitive) {
     EXPECT_FALSE(cache::methodSourceKey(Edited, true) ==
                  cache::methodSourceKey(*M, true));
   }
+
+  // Every dex field the compiler reads must move the key, each edit to a
+  // key of its own.
+  dex::Method Base;
+  Base.Idx = 3;
+  Base.Name = "Lapp/K;->m";
+  Base.NumRegs = 8;
+  Base.NumArgs = 2;
+  dex::Insn I;
+  I.Opcode = dex::Op::Add;
+  I.A = 1;
+  I.B = 2;
+  I.C = 3;
+  I.Imm = 5;
+  I.Target = 6;
+  I.Idx = 7;
+  I.Args = {4, 5, 6, 7};
+  I.NumArgs = 4;
+  Base.Code = {I, I};
+  Base.SwitchTables = {{0, 1}};
+
+  using Edit = std::function<void(dex::Method &)>;
+  const std::vector<std::pair<const char *, Edit>> Edits = {
+      {"Opcode", [](dex::Method &E) { E.Code[1].Opcode = dex::Op::Mul; }},
+      {"A", [](dex::Method &E) { E.Code[1].A = 9; }},
+      {"B", [](dex::Method &E) { E.Code[1].B = 9; }},
+      {"C", [](dex::Method &E) { E.Code[1].C = 9; }},
+      {"B<->C", [](dex::Method &E) { std::swap(E.Code[1].B, E.Code[1].C); }},
+      {"Imm", [](dex::Method &E) { E.Code[1].Imm = -5; }},
+      {"Target", [](dex::Method &E) { E.Code[1].Target = 9; }},
+      {"Idx", [](dex::Method &E) { E.Code[1].Idx = 9; }},
+      {"Args[0]", [](dex::Method &E) { E.Code[1].Args[0] = 9; }},
+      {"Args[1]", [](dex::Method &E) { E.Code[1].Args[1] = 9; }},
+      {"Args[2]", [](dex::Method &E) { E.Code[1].Args[2] = 9; }},
+      {"Args[3]", [](dex::Method &E) { E.Code[1].Args[3] = 9; }},
+      {"Insn.NumArgs", [](dex::Method &E) { E.Code[1].NumArgs = 3; }},
+      {"NumRegs", [](dex::Method &E) { E.NumRegs = 9; }},
+      {"Method.NumArgs", [](dex::Method &E) { E.NumArgs = 3; }},
+      {"ReturnsValue", [](dex::Method &E) { E.ReturnsValue = true; }},
+      {"IsNative", [](dex::Method &E) { E.IsNative = true; }},
+      {"switch entry", [](dex::Method &E) { E.SwitchTables[0][1] = 2; }},
+  };
+  std::set<std::string> Keys = {cache::methodSourceKey(Base, true).hex()};
+  for (const auto &[Name, Apply] : Edits) {
+    dex::Method E = Base;
+    Apply(E);
+    EXPECT_TRUE(Keys.insert(cache::methodSourceKey(E, true).hex()).second)
+        << Name << " edit does not change the source key";
+  }
+
+  // Slot disjointness: with every packed field all ones, clearing the lowest
+  // or highest bit of one field is lost when its slot overlaps another's or
+  // runs off the word, because the other field's bit there is still one.
+  dex::Method Ones = Base;
+  dex::Insn &O = Ones.Code[1];
+  O.Opcode = static_cast<dex::Op>(0xff);
+  O.A = O.B = O.C = 0xffff;
+  O.Imm = -1;
+  O.Target = O.Idx = 0xffffffffu;
+  O.Args = {0xffff, 0xffff, 0xffff, 0xffff};
+  O.NumArgs = 0xff;
+  const cache::Digest OnesKey = cache::methodSourceKey(Ones, true);
+  auto ExpectEachEndBitCounts = [&](const char *Name, auto Field) {
+    using T = std::remove_reference_t<decltype(Field(O))>;
+    for (T Bit : {T(1), T(T(1) << (8 * sizeof(T) - 1))}) {
+      dex::Method E = Ones;
+      Field(E.Code[1]) &= static_cast<T>(~Bit);
+      EXPECT_FALSE(cache::methodSourceKey(E, true) == OnesKey)
+          << Name << " bit " << uint64_t(Bit) << " shares a slot";
+    }
+  };
+  dex::Method OpEdit = Ones;
+  OpEdit.Code[1].Opcode = static_cast<dex::Op>(0xfe);
+  EXPECT_FALSE(cache::methodSourceKey(OpEdit, true) == OnesKey);
+  OpEdit.Code[1].Opcode = static_cast<dex::Op>(0x7f);
+  EXPECT_FALSE(cache::methodSourceKey(OpEdit, true) == OnesKey);
+  ExpectEachEndBitCounts("A", [](dex::Insn &X) -> uint16_t & { return X.A; });
+  ExpectEachEndBitCounts("B", [](dex::Insn &X) -> uint16_t & { return X.B; });
+  ExpectEachEndBitCounts("C", [](dex::Insn &X) -> uint16_t & { return X.C; });
+  ExpectEachEndBitCounts("Imm",
+                         [](dex::Insn &X) -> int64_t & { return X.Imm; });
+  ExpectEachEndBitCounts("Target",
+                         [](dex::Insn &X) -> uint32_t & { return X.Target; });
+  ExpectEachEndBitCounts("Idx",
+                         [](dex::Insn &X) -> uint32_t & { return X.Idx; });
+  ExpectEachEndBitCounts(
+      "NumArgs", [](dex::Insn &X) -> uint8_t & { return X.NumArgs; });
+  for (std::size_t K = 0; K < 4; ++K)
+    ExpectEachEndBitCounts(
+        "Args[k]", [K](dex::Insn &X) -> uint16_t & { return X.Args[K]; });
 }
 
 TEST(CacheStore, MethodBlobRoundtripAndAudit) {
@@ -353,23 +446,168 @@ TEST(CacheDamage, FormatVersionMismatchPurgesTheStore) {
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   ASSERT_GT(listBlobs(Dir.Path / "m").size(), 0u);
 
-  {
-    std::ofstream V(Dir.Path / "VERSION", std::ios::trunc);
-    V << "calibro-cache 999\n";
+  // Reopening a stale-format store discards every entry and restamps: a
+  // store from a future build, and one from the v1 key recipe alike.
+  for (const char *Stamp : {"calibro-cache 999\n", "calibro-cache 1\n"}) {
+    auto Warm = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Warm)) << Warm.message();
+    (*Warm)->storeGroup({5, 5}, cache::GroupSelections{});
+    {
+      std::ofstream V(Dir.Path / "VERSION", std::ios::trunc);
+      V << Stamp;
+    }
+    auto Cache = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Cache)) << Cache.message();
+    cache::CacheAudit A = (*Cache)->audit();
+    EXPECT_EQ(A.MethodEntries, 0u) << Stamp;
+    EXPECT_EQ(A.GroupEntries, 0u) << Stamp;
   }
-
-  // Reopening a stale-format store discards every entry and restamps.
-  auto Cache = cache::BuildCache::open(Dir.str());
-  ASSERT_TRUE(bool(Cache)) << Cache.message();
-  cache::CacheAudit A = (*Cache)->audit();
-  EXPECT_EQ(A.MethodEntries, 0u);
-  EXPECT_EQ(A.GroupEntries, 0u);
 
   auto Rebuild = core::buildApp(App, Opts);
   ASSERT_TRUE(bool(Rebuild)) << Rebuild.message();
   EXPECT_EQ(Rebuild->Stats.CacheHits, 0u);
   EXPECT_EQ(Rebuild->Stats.CacheMisses, App.numMethods());
   EXPECT_EQ(oat::serializeOat(Rebuild->Oat), oat::serializeOat(Cold->Oat));
+}
+
+TEST(CacheStore, ConcurrentLoadsMatchTheColdCompile) {
+  // Every loader thread reads through its own reusable buffer: eight
+  // threads loading the whole store at once must each see exactly what the
+  // cold compile produced.
+  TempCacheDir Dir("concurrent");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  auto Cold = core::compileApp(App, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.message();
+  std::vector<cache::Digest> Keys;
+  App.forEachMethod([&](const dex::Method &M) {
+    Keys.push_back(cache::methodSourceKey(M, Opts.EnableCto));
+  });
+  ASSERT_EQ(Keys.size(), Cold->Methods.size());
+
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  constexpr std::size_t NumThreads = 8;
+  std::atomic<std::size_t> Bad{0};
+  std::vector<std::thread> Threads;
+  for (std::size_t T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      // Staggered starting points, so threads read different blobs at once.
+      for (std::size_t K = 0; K < Keys.size(); ++K) {
+        std::size_t Row = (K + T * Keys.size() / NumThreads) % Keys.size();
+        auto E = (*Cache)->loadMethod(Keys[Row]);
+        if (!E || !(E->Method == Cold->Methods[Row]))
+          ++Bad;
+      }
+    });
+  for (auto &T : Threads)
+    T.join();
+  EXPECT_EQ(Bad.load(), 0u);
+}
+
+TEST(CacheDamage, EmptyAndUndersizedBlobsAreMisses) {
+  TempCacheDir Dir("undersized");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  ASSERT_TRUE(bool(core::compileApp(App, Opts)));
+  std::vector<cache::Digest> Keys;
+  App.forEachMethod([&](const dex::Method &M) {
+    Keys.push_back(cache::methodSourceKey(M, Opts.EnableCto));
+  });
+  ASSERT_GE(Keys.size(), 3u);
+
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  cache::Digest GroupKey{77, 88};
+  (*Cache)->storeGroup(GroupKey, cache::GroupSelections{});
+  ASSERT_TRUE((*Cache)->loadGroup(GroupKey).has_value());
+
+  // Empty, one byte, and one byte short of the 8-byte header plus the
+  // 16-byte checksum.
+  const std::size_t Sizes[] = {0, 1, 8 + 16 - 1};
+  for (std::size_t I = 0; I < 3; ++I) {
+    fs::resize_file((*Cache)->methodPath(Keys[I]), Sizes[I]);
+    EXPECT_FALSE((*Cache)->loadMethod(Keys[I]).has_value()) << Sizes[I];
+  }
+  fs::resize_file((*Cache)->groupPath(GroupKey), 0);
+  EXPECT_FALSE((*Cache)->loadGroup(GroupKey).has_value());
+
+  cache::CacheAudit A = (*Cache)->audit();
+  EXPECT_EQ(A.MethodEntries, Keys.size());
+  EXPECT_EQ(A.MethodCorrupt, 3u);
+  EXPECT_EQ(A.GroupCorrupt, 1u);
+}
+
+TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
+  // fork() hands the child the parent's address space and temp-file
+  // counter, so temp names built from those alone collide across the two
+  // processes, and both then write through one temp file. The child stores
+  // a different method (of a different size) under each key, so such a
+  // shared temp file ends up holding a mix of both blobs: every entry must
+  // instead hold one writer's blob whole.
+  TempCacheDir Dir("fork");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts("");
+  Opts.CacheDir.clear();
+  Opts.CompileThreads = 1;
+  auto Compiled = core::compileApp(App, Opts);
+  ASSERT_TRUE(bool(Compiled)) << Compiled.message();
+  const std::vector<codegen::CompiledMethod> &Methods = Compiled->Methods;
+  std::vector<cache::Digest> Keys;
+  App.forEachMethod([&](const dex::Method &M) {
+    Keys.push_back(cache::methodSourceKey(M, Opts.EnableCto));
+  });
+  ASSERT_GT(Keys.size(), 1u);
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  auto ParentMethod = [&](std::size_t I) -> const auto & { return Methods[I]; };
+  auto ChildMethod = [&](std::size_t I) -> const auto & {
+    return Methods[(I + 1) % Methods.size()];
+  };
+  auto LoadsWhole = [&](std::size_t I) {
+    auto E = (*Cache)->loadMethod(Keys[I]);
+    return E && (E->Method == ParentMethod(I) || E->Method == ChildMethod(I));
+  };
+
+  // The two processes meet at a pipe barrier before each store, so they
+  // write the same key with the same counter value at the same time, then
+  // each reads the key back. Returns the number of bad reads.
+  int ToChild[2], ToParent[2];
+  ASSERT_EQ(::pipe(ToChild), 0);
+  ASSERT_EQ(::pipe(ToParent), 0);
+  auto Hammer = [&](int Out, int In, auto Mine) {
+    std::size_t Bad = 0;
+    char Token = 0;
+    for (int Round = 0; Round < 10; ++Round)
+      for (std::size_t I = 0; I < Keys.size(); ++I) {
+        if (::write(Out, &Token, 1) != 1 || ::read(In, &Token, 1) != 1)
+          return Bad + 1;
+        (*Cache)->storeMethod(Keys[I], Mine(I), 0);
+        Bad += !LoadsWhole(I);
+      }
+    return Bad;
+  };
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0)
+    ::_exit(Hammer(ToParent[1], ToChild[0], ChildMethod) == 0 ? 0 : 1);
+  std::size_t ParentBad = Hammer(ToChild[1], ToParent[0], ParentMethod);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
+  for (int Fd : {ToChild[0], ToChild[1], ToParent[0], ToParent[1]})
+    ::close(Fd);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+      << "the child read a mixed or partial entry";
+  EXPECT_EQ(ParentBad, 0u);
+
+  for (std::size_t I = 0; I < Keys.size(); ++I)
+    EXPECT_TRUE(LoadsWhole(I)) << I;
+  cache::CacheAudit A = (*Cache)->audit();
+  EXPECT_EQ(A.MethodEntries, Keys.size());
+  EXPECT_EQ(A.MethodCorrupt, 0u);
+  // No writer left a temp file behind.
+  for (const auto &E : fs::directory_iterator(Dir.Path / "m"))
+    EXPECT_EQ(E.path().extension(), ".bin") << E.path();
 }
 
 //===----------------------------------------------------------------------===//
