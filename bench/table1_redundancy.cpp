@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Regenerates Table 1: "Estimated code size reduction ratios in popular
-/// apps" — the §2.2 analysis (instruction mapping, suffix tree, repeat
+/// apps" — the §2.2 analysis (instruction mapping, suffix array, repeat
 /// detection, Fig. 2 benefit model) over each app's baseline-compiled
 /// binary code. Paper: 24.3%-27.7%, average 25.4%.
 ///

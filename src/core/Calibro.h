@@ -62,7 +62,8 @@ struct CalibroOptions {
   /// selections to the build cache (or an ephemeral temp store), with
   /// byte-identical output.
   uint64_t MemoryBudgetBytes = 0;
-  DetectorKind LtboDetector = DetectorKind::SuffixTree;
+  /// Unused by the library: see core::DetectorKind.
+  DetectorKind LtboDetector = DetectorKind::SuffixArray;
   uint32_t MinSeqLen = 2;
   uint32_t MaxSeqLen = 64;
   /// When set, hot-function filtering (HfOpti) is applied with this

@@ -12,7 +12,6 @@
 #include "cache/SpillStore.h"
 #include "core/BenefitModel.h"
 #include "suffixtree/SuffixArray.h"
-#include "suffixtree/SuffixTree.h"
 #include "support/Arena.h"
 #include "support/Compiler.h"
 #include "support/ThreadPool.h"
@@ -21,13 +20,20 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <type_traits>
 
 using namespace calibro;
 using namespace calibro::core;
 using namespace calibro::codegen;
 
 namespace {
+
+/// Estimated peak detect-phase bytes per sequence word: 8 B text + 12 B
+/// PosInfo provenance + the suffix array's SA-IS arrays and interval table
+/// at their construction peak. Calibrated against table5_memory's
+/// DetectPeakBytes on the paper-app corpus; deliberately a little high so
+/// a window's real peak lands under, not over, its estimate. The window
+/// planner and the auto-partition chooser size groups with it.
+constexpr std::size_t DetectBytesPerWord = 64;
 
 /// True when executing \p I inside an outlined function would observe or
 /// destroy the return address the outlining `bl` produced. Unused register
@@ -235,18 +241,17 @@ struct RewriteWork {
 };
 
 /// Phase B for one partition: sequence assembly from the precomputed
-/// separators, detection (suffix tree or suffix array, per options), and
-/// candidate selection. Produces this group's outlined functions and the
-/// per-method rewrite work; it mutates nothing, so groups run concurrently.
-template <typename DetectorT>
-void runGroupImpl(const std::vector<CompiledMethod> &Methods,
-                  const std::vector<std::size_t> &Rows,
-                  const std::vector<const MethodPrep *> &Preps,
-                  uint32_t GroupIdx, const OutlinerOptions &Opts,
-                  std::vector<OutlinedFunc> &FuncsOut,
-                  std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
-                  cache::GroupSelections *StoreOut, support::Arena *Scratch,
-                  bool ViewText) {
+/// separators, suffix-array detection, and candidate selection. Produces
+/// this group's outlined functions and the per-method rewrite work; it
+/// mutates nothing, so groups run concurrently.
+void runGroup(const std::vector<CompiledMethod> &Methods,
+              const std::vector<std::size_t> &Rows,
+              const std::vector<const MethodPrep *> &Preps,
+              uint32_t GroupIdx, const OutlinerOptions &Opts,
+              std::vector<OutlinedFunc> &FuncsOut,
+              std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
+              cache::GroupSelections *StoreOut, support::Arena *Scratch,
+              bool ViewText) {
   Timer BuildTimer;
 
   // Step 2 (paper §3.3.2): map this group's binary code to one symbol
@@ -276,33 +281,21 @@ void runGroupImpl(const std::vector<CompiledMethod> &Methods,
   const std::size_t TextSize = Seq.size();
   Stats.SymbolCount += TextSize;
 
-  // The suffix array takes a construction-scratch arena (dead once the
-  // constructor returns); the suffix tree allocates its own structures.
-  // Windowed (ViewText) mode hands the detector a non-owning view instead
-  // of moving the vector in: the sequence stays where it was assembled and
-  // is freed explicitly right after the detector releases its working set,
-  // so no second text copy ever exists. Output is identical either way.
-  auto MakeDetector = [&] {
-    if constexpr (std::is_constructible_v<DetectorT, std::vector<st::Symbol>,
-                                          support::Arena *>) {
-      if (ViewText)
-        return DetectorT(std::span<const st::Symbol>(Seq), Scratch);
-      return DetectorT(std::move(Seq), Scratch);
-    } else {
-      if (ViewText)
-        return DetectorT(std::span<const st::Symbol>(Seq));
-      return DetectorT(std::move(Seq));
-    }
-  };
-  DetectorT Tree = MakeDetector();
-  Stats.TreeNodes += Tree.numNodes();
-  Stats.BuildTreeSeconds += BuildTimer.seconds();
-  if constexpr (std::is_same_v<DetectorT, st::SuffixArray>) {
-    if (Tree.constructionBackend() == st::SaBackend::SaIs)
-      ++Stats.GroupsSaIs;
-    else
-      ++Stats.GroupsPrefixDoubling;
-  }
+  // Construction scratch comes from the arena (dead once the constructor
+  // returns). Windowed (ViewText) mode hands the array a non-owning view
+  // instead of moving the vector in: the sequence stays where it was
+  // assembled and is freed explicitly right after the array releases its
+  // working set, so no second text copy ever exists. Output is identical
+  // either way.
+  st::SuffixArray Array =
+      ViewText ? st::SuffixArray(std::span<const st::Symbol>(Seq), Scratch)
+               : st::SuffixArray(std::move(Seq), Scratch);
+  Stats.LcpIntervals += Array.numNodes();
+  Stats.DetectBuildSeconds += BuildTimer.seconds();
+  if (Array.constructionBackend() == st::SaBackend::SaIs)
+    ++Stats.GroupsSaIs;
+  else
+    ++Stats.GroupsPrefixDoubling;
 
   // Step 3 (paper §3.3.3): rank candidates by the Fig. 2 benefit model and
   // claim occurrences greedily.
@@ -315,40 +308,38 @@ void runGroupImpl(const std::vector<CompiledMethod> &Methods,
     int64_t Ben;
   };
   std::vector<Cand> Cands;
-  Tree.forEachRepeat(Opts.MinSeqLen, Opts.MaxSeqLen, 2,
-                     [&](const typename DetectorT::RepeatInfo &R) {
-                       int64_t Ben = benefit(R.Length, R.Count);
-                       if (Ben > 0)
-                         Cands.push_back({R.Node, R.Length, R.Count, 0, Ben});
-                     });
+  Array.forEachRepeat(Opts.MinSeqLen, Opts.MaxSeqLen, 2,
+                      [&](const st::SuffixArray::RepeatInfo &R) {
+                        int64_t Ben = benefit(R.Length, R.Count);
+                        if (Ben > 0)
+                          Cands.push_back({R.Node, R.Length, R.Count, 0, Ben});
+                      });
   Stats.CandidatesEvaluated += Cands.size();
   // One O(count) scan per candidate — no occurrence copy, no sort. The
   // old positionsOf()-per-candidate pass here was the k=32 select spike:
   // copying and sorting every candidate's full occurrence list just to
   // read its minimum made this loop superlinear in the candidate count.
   for (Cand &C : Cands)
-    C.First = Tree.firstPositionOf(C.Node);
+    C.First = Array.firstPositionOf(C.Node);
   const double EnumerateSeconds = SelectTimer.seconds();
 
-  // The detect-phase working set peaks here: the full suffix structure
-  // plus this group's sequence/provenance arrays. Record it, then drop the
-  // structure's scratch — selection below reads occurrence positions and
-  // method words only, never the stored text. Neither the sampling nor the
-  // release is selection work, so both stay outside the selection timers
-  // (releasing a multi-megabyte transition map is what made SelectSeconds
-  // spike intermittently at high K).
+  // The detect-phase working set peaks here: the full suffix array plus
+  // this group's sequence/provenance arrays. Record it, then drop the
+  // stored text — selection below reads occurrence positions and method
+  // words only. Neither the sampling nor the release is selection work,
+  // so both stay outside the selection timers.
   Stats.DetectPeakBytes =
       std::max(Stats.DetectPeakBytes,
-               Tree.workingSetBytes() + Pos.capacity() * sizeof(PosInfo) +
+               Array.workingSetBytes() + Pos.capacity() * sizeof(PosInfo) +
                    Cands.capacity() * sizeof(Cand));
-  Tree.releaseWorkingSet();
-  // In view mode the sequence is still ours; the detector no longer reads
-  // it, so drop it now (selection reads method words through Pos only).
+  Array.releaseWorkingSet();
+  // In view mode the sequence is still ours; the array no longer reads it,
+  // so drop it now (selection reads method words through Pos only).
   std::vector<st::Symbol>().swap(Seq);
 
   Timer ClaimTimer;
   // The tie-break is content-based ((first occurrence, length) names the
-  // sequence uniquely), so every detection backend selects identically.
+  // sequence uniquely), so selection never depends on interval numbering.
   std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
     if (A.Ben != B.Ben)
       return A.Ben > B.Ben;
@@ -366,7 +357,7 @@ void runGroupImpl(const std::vector<CompiledMethod> &Methods,
   for (const Cand &C : Cands) {
     Selected.clear();
     uint32_t LastEnd = 0;
-    Tree.positionsOf(C.Node, PosBuf);
+    Array.positionsOf(C.Node, PosBuf);
     for (uint32_t P : PosBuf) {
       if (!Selected.empty() && P < LastEnd)
         continue; // Overlaps the previous selection of this candidate.
@@ -398,7 +389,7 @@ void runGroupImpl(const std::vector<CompiledMethod> &Methods,
     Fn.SeqLength = C.Len;
     Fn.Occurrences = static_cast<uint32_t>(Selected.size());
     // The preserved copy comes from the first occurrence's method words
-    // (the detector's stored text is already released). Each word emitted
+    // (the array's stored text is already released). Each word emitted
     // exactly one sequence position, so the occurrence maps to contiguous
     // words of one method.
     uint32_t P0 = Selected.front();
@@ -466,7 +457,7 @@ bool replayGroup(const std::vector<CompiledMethod> &Methods,
     return false;
 
   // Re-assemble the position provenance only (no symbols, no suffix
-  // structure): separator-ness and word content are read through Pos.
+  // array): separator-ness and word content are read through Pos.
   std::size_t TotalWords = 0;
   for (std::size_t Row : Rows)
     TotalWords += Methods[Row].Code.size() + 1;
@@ -564,16 +555,6 @@ bool replayGroup(const std::vector<CompiledMethod> &Methods,
 }
 
 } // namespace
-
-std::size_t core::detectBytesPerWord(DetectorKind Kind) {
-  // Per sequence word: 8 B text + 12 B PosInfo provenance, plus the suffix
-  // structure at its construction peak — the SA-IS arrays and interval
-  // table for the array backend, the node table and transition hash map
-  // for the tree. Calibrated against table5_memory's DetectPeakBytes on
-  // the paper-app corpus; deliberately a little high so a window's real
-  // peak lands under, not over, its estimate.
-  return Kind == DetectorKind::SuffixArray ? 64 : 224;
-}
 
 Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
                                       const OutlinerOptions &Opts) {
@@ -684,14 +665,13 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // whose estimated per-group detect working set fits the budget — the
   // round-robin split is near-even in words, so TotalWords / K estimates a
   // group. Capped at 2^12: group index occupies the FuncId bits above 20.
-  const std::size_t BytesPerWord = detectBytesPerWord(Opts.Detector);
   uint32_t K = Opts.Partitions;
   if (K == 0) {
     uint64_t TotalWords = 0;
     for (std::size_t I : Accepted)
       TotalWords += Methods[Candidates[I]].Code.size() + 1;
     uint64_t Need =
-        (TotalWords * BytesPerWord + Opts.MemoryBudgetBytes - 1) /
+        (TotalWords * DetectBytesPerWord + Opts.MemoryBudgetBytes - 1) /
         Opts.MemoryBudgetBytes;
     K = static_cast<uint32_t>(std::clamp<uint64_t>(Need, 1, 1u << 12));
   }
@@ -706,9 +686,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // stored selections are prefetched BEFORE Phase B, which makes hit/miss
   // a pure function of pre-existing cache state: two identically-keyed
   // groups in one run both replay or neither does, regardless of how Phase
-  // B tasks interleave with this run's own stores. The detector kind is
-  // deliberately absent from the key — both backends are required (and
-  // tested) to select identically.
+  // B tasks interleave with this run's own stores.
   std::vector<cache::Digest> GroupKeys(Opts.Cache || Windowed ? K : 0);
   std::vector<std::unique_ptr<cache::GroupSelections>> GroupCached(
       Opts.Cache ? K : 0);
@@ -752,9 +730,9 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   std::vector<std::vector<OutlinedFunc>> GroupFuncs(K);
   std::vector<std::vector<RewriteWork>> GroupWork(K);
 
-  // Construction-scratch arenas for the suffix-array detector, shared
-  // across groups through a pool: a worker that finishes one group hands
-  // its (already-grown, coalesced) arena to the next, so steady-state
+  // Suffix-array construction-scratch arenas, shared across groups
+  // through a pool: a worker that finishes one group hands its
+  // (already-grown, coalesced) arena to the next, so steady-state
   // detection allocates nothing. The arena only shapes WHERE scratch
   // lives, never what is computed — output stays byte-identical.
   support::ArenaPool DetectArenas;
@@ -785,19 +763,11 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     ++GroupStats[G].GroupsDetected;
     cache::GroupSelections Store;
     cache::GroupSelections *StorePtr = SpillTarget ? &Store : nullptr;
-    if (Opts.Detector == DetectorKind::SuffixTree) {
-      runGroupImpl<st::SuffixTree>(Methods, Rows, GroupPreps,
-                                   static_cast<uint32_t>(G), Opts,
-                                   GroupFuncs[G], GroupWork[G], GroupStats[G],
-                                   StorePtr, nullptr, Windowed);
-    } else {
-      support::ArenaPool::Handle Scratch = DetectArenas.acquire();
-      runGroupImpl<st::SuffixArray>(Methods, Rows, GroupPreps,
-                                    static_cast<uint32_t>(G), Opts,
-                                    GroupFuncs[G], GroupWork[G], GroupStats[G],
-                                    StorePtr, Scratch.get(), Windowed);
-      GroupStats[G].DetectScratchBytes = Scratch->bytesReserved();
-    }
+    support::ArenaPool::Handle Scratch = DetectArenas.acquire();
+    runGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
+             GroupFuncs[G], GroupWork[G], GroupStats[G], StorePtr,
+             Scratch.get(), Windowed);
+    GroupStats[G].DetectScratchBytes = Scratch->bytesReserved();
     // Store even an empty selection: "this group outlines nothing" is as
     // reusable as any other result.
     if (SpillTarget)
@@ -829,7 +799,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
       uint64_t Words = 0;
       for (std::size_t I : Groups[G])
         Words += Methods[Candidates[I]].Code.size() + 1;
-      uint64_t Est = Words * BytesPerWord;
+      uint64_t Est = Words * DetectBytesPerWord;
       if (!Windows.empty() && CurBytes + Est <= Opts.MemoryBudgetBytes) {
         Windows.back().push_back(G);
         CurBytes += Est;
@@ -891,16 +861,9 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
                           GroupFuncs[G], GroupWork[G], Discard))
             continue;
       }
-      if (Opts.Detector == DetectorKind::SuffixTree) {
-        runGroupImpl<st::SuffixTree>(Methods, Rows, GroupPreps, G, Opts,
-                                     GroupFuncs[G], GroupWork[G], Discard,
-                                     nullptr, nullptr, true);
-      } else {
-        support::ArenaPool::Handle Scratch = DetectArenas.acquire();
-        runGroupImpl<st::SuffixArray>(Methods, Rows, GroupPreps, G, Opts,
-                                      GroupFuncs[G], GroupWork[G], Discard,
-                                      nullptr, Scratch.get(), true);
-      }
+      support::ArenaPool::Handle Scratch = DetectArenas.acquire();
+      runGroup(Methods, Rows, GroupPreps, G, Opts, GroupFuncs[G],
+               GroupWork[G], Discard, nullptr, Scratch.get(), true);
     }
     Result.Stats.MergeSeconds = MergeTimer.seconds();
   }
@@ -912,8 +875,8 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Result.Stats.CandidatesEvaluated += S.CandidatesEvaluated;
     Result.Stats.InsnsRemoved += S.InsnsRemoved;
     Result.Stats.SymbolCount += S.SymbolCount;
-    Result.Stats.TreeNodes += S.TreeNodes;
-    Result.Stats.BuildTreeSeconds += S.BuildTreeSeconds;
+    Result.Stats.LcpIntervals += S.LcpIntervals;
+    Result.Stats.DetectBuildSeconds += S.DetectBuildSeconds;
     Result.Stats.SelectSeconds += S.SelectSeconds;
     Result.Stats.GroupsReused += S.GroupsReused;
     Result.Stats.GroupsDetected += S.GroupsDetected;

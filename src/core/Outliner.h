@@ -18,8 +18,9 @@
 ///     PC-relative instructions (their target is position-dependent, so a
 ///     shared outlined copy cannot be correct for every occurrence), and
 ///     instructions that read or write x30 (an outlined body must preserve
-///     the return address its `bl` just produced). A suffix tree over the
-///     sequence yields every repeated candidate with its occurrences.
+///     the return address its `bl` just produced). A suffix array over the
+///     sequence yields every repeated candidate (one per LCP interval, the
+///     paper's suffix-tree internal node) with its occurrences.
 ///  3. Outlining (§3.3.3): candidates are ranked by the Fig. 2 benefit
 ///     model; occurrences are claimed greedily and non-overlapping, each
 ///     selected sequence becomes one OutlinedFunc ending in `br x30`, and
@@ -31,10 +32,10 @@
 ///     terminator/embedded-data/slow-path metadata are remapped in the same
 ///     pass (§3.5's consistency obligation).
 ///
-/// The paralleled-suffix-tree optimization (§3.4.1) partitions candidate
-/// methods into K groups and runs detection + outlining per group on a
-/// thread pool; hot-function filtering (§3.4.2) restricts outlining in hot
-/// methods to their recorded slow-path ranges.
+/// The paralleled-suffix-tree optimization (§3.4.1, PlOpti) partitions
+/// candidate methods into K groups and runs detection + outlining per
+/// group on a thread pool; hot-function filtering (§3.4.2) restricts
+/// outlining in hot methods to their recorded slow-path ranges.
 ///
 /// Independent of the partition knob, the stage itself runs as a parallel
 /// three-phase pipeline whenever Threads > 1 (even with Partitions == 1):
@@ -69,17 +70,18 @@
 namespace calibro {
 namespace core {
 
-/// Which repeated-sequence detection backend LTBO uses. The paper (and
-/// prior outlining work) uses suffix trees; the suffix-array backend finds
-/// exactly the same repeats with a smaller working set and exists for
-/// cross-validation and the build-time ablation.
-enum class DetectorKind : uint8_t { SuffixTree, SuffixArray };
+/// LTBO's repeat detector. The suffix array is the only one; the library
+/// never reads this enum. It survives, with OutlinerOptions::Detector and
+/// CalibroOptions::LtboDetector, only because perfbench
+/// (perfbench/src/TracedBuild.cpp) still copies one field into the other,
+/// and goes once that copy does.
+enum class DetectorKind : uint8_t { SuffixArray };
 
 /// LTBO.2 options.
 struct OutlinerOptions {
   uint32_t MinSeqLen = 2;  ///< Minimum candidate length (instructions).
   uint32_t MaxSeqLen = 64; ///< Maximum candidate length (instructions).
-  /// K suffix trees (PlOpti when > 1). 0 = choose K automatically from
+  /// K detection groups (PlOpti when > 1). 0 = choose K automatically from
   /// MemoryBudgetBytes (legal only when a budget is set): the smallest K
   /// whose estimated per-group detect working set fits the budget.
   uint32_t Partitions = 1;
@@ -87,7 +89,8 @@ struct OutlinerOptions {
   /// detection/selection, and the rewrite fan-out all run on one pool of
   /// this size (not just the K-partition build). 1 = fully serial.
   uint32_t Threads = 1;
-  DetectorKind Detector = DetectorKind::SuffixTree;
+  /// Unused by the library: see DetectorKind.
+  DetectorKind Detector = DetectorKind::SuffixArray;
   /// Hot methods (HfOpti): outlining inside them is restricted to their
   /// slow-path ranges. Null disables filtering. Sorted (it comes straight
   /// from profile::selectHotMethods) so that any iteration over it is
@@ -106,7 +109,7 @@ struct OutlinerOptions {
   /// keyed by the content digests of its member methods (recomputed here
   /// from the methods actually being linked — never trusted from an earlier
   /// stage); a group whose key has a stored selection replays it instead of
-  /// building a suffix structure. Selection order, OutlinedFunc id
+  /// building a suffix array. Selection order, OutlinedFunc id
   /// assignment, and rewriting are unchanged, so the result is
   /// byte-identical to a cold run — a replay that fails any validation
   /// check silently falls back to detection. Null disables reuse.
@@ -137,12 +140,6 @@ struct OutlinerOptions {
   ThreadPool::GroupId PoolGroup = 0;
 };
 
-/// Estimated peak detect-phase bytes per sequence word for \p Kind: text +
-/// provenance + the suffix structure at its construction peak. Calibrated
-/// against bench/table5_memory's measured DetectPeakBytes; the window
-/// planner and the auto-partition chooser size groups with it.
-std::size_t detectBytesPerWord(DetectorKind Kind);
-
 /// What LTBO.2 did, for the build-time and ablation experiments.
 struct OutlineStats {
   std::size_t CandidateMethods = 0;
@@ -157,10 +154,10 @@ struct OutlineStats {
   /// identical while this count stays minimal.
   std::size_t CandidatesEvaluated = 0;
   uint64_t InsnsRemoved = 0;       ///< Net instruction-count saving.
-  uint64_t SymbolCount = 0;        ///< Total sequence length fed to trees.
-  uint64_t TreeNodes = 0;          ///< Sum of node counts over all trees.
+  uint64_t SymbolCount = 0;  ///< Total sequence length fed to detection.
+  uint64_t LcpIntervals = 0; ///< Sum of LCP-interval counts over groups.
   double PreprocessSeconds = 0; ///< Phase A: separators + branch targets.
-  double BuildTreeSeconds = 0;
+  double DetectBuildSeconds = 0; ///< Phase B: suffix-array construction.
   double SelectSeconds = 0;
   double RewriteSeconds = 0;
   /// Worker counts actually used per phase (1 when that phase ran inline on
@@ -170,20 +167,19 @@ struct OutlineStats {
   std::size_t DetectThreads = 1;
   std::size_t RewriteThreads = 1;
   /// Non-empty partition groups whose selection was replayed from the
-  /// cache (no suffix structure built). Decided purely by pre-existing
+  /// cache (no suffix array built). Decided purely by pre-existing
   /// cache state — all group blobs are prefetched before Phase B — so the
   /// split is deterministic for any Threads.
   std::size_t GroupsReused = 0;
   /// Non-empty partition groups that ran detection (cold or fallback).
   std::size_t GroupsDetected = 0;
   /// Detected groups split by the suffix-array construction backend the
-  /// hybrid auto-pick chose (see st::SaBackend). Both zero under the
-  /// suffix-tree detector. Deterministic: the pick is a pure function of
-  /// the group's assembled symbol sequence.
+  /// hybrid auto-pick chose (see st::SaBackend). Deterministic: the pick
+  /// is a pure function of the group's assembled symbol sequence.
   std::size_t GroupsSaIs = 0;
   std::size_t GroupsPrefixDoubling = 0;
   /// Largest single-group detect-phase working set in bytes: suffix
-  /// structure plus the assembled sequence/provenance arrays, sampled at
+  /// array plus the assembled sequence/provenance arrays, sampled at
   /// its peak (before scratch release). Deterministic for any Threads.
   std::size_t DetectPeakBytes = 0;
   /// Largest construction-scratch arena footprint (bytesReserved) seen in

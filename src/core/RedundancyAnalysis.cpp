@@ -8,7 +8,7 @@
 
 #include "aarch64/Decoder.h"
 #include "core/BenefitModel.h"
-#include "suffixtree/SuffixTree.h"
+#include "suffixtree/SuffixArray.h"
 
 #include <algorithm>
 
@@ -65,39 +65,48 @@ RedundancyReport core::analyzeRedundancy(
     Seq.push_back(st::SeparatorBase + SepCounter++);
   }
 
-  // Steps 2+3 (§2.2): suffix tree and repetitive-sequence detection.
-  st::SuffixTree Tree(std::move(Seq));
+  // Steps 2+3 (§2.2): suffix array (one LCP interval per suffix-tree
+  // internal node) and repetitive-sequence detection.
+  st::SuffixArray Array(std::move(Seq));
 
   struct Cand {
     int32_t Node;
     uint32_t Len;
     uint32_t Count;
+    uint32_t First; ///< Earliest occurrence, for content-based ordering.
     int64_t Ben;
   };
   std::vector<Cand> Cands;
-  Tree.forEachRepeat(2, Opts.MaxSeqLen, 2,
-                     [&](const st::SuffixTree::RepeatInfo &R) {
-                       int64_t Ben = benefit(R.Length, R.Count);
-                       if (Ben > 0)
-                         Cands.push_back({R.Node, R.Length, R.Count, Ben});
-                     });
+  Array.forEachRepeat(2, Opts.MaxSeqLen, 2,
+                      [&](const st::SuffixArray::RepeatInfo &R) {
+                        int64_t Ben = benefit(R.Length, R.Count);
+                        if (Ben > 0)
+                          Cands.push_back({R.Node, R.Length, R.Count,
+                                           Array.firstPositionOf(R.Node),
+                                           Ben});
+                      });
+  // Same content-based tie-break as LTBO's selector: (first occurrence,
+  // length) names a sequence uniquely, so the report does not depend on
+  // how the detector numbers its repeats.
   std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
     if (A.Ben != B.Ben)
       return A.Ben > B.Ben;
-    return A.Node < B.Node;
+    if (A.Len != B.Len)
+      return A.Len > B.Len;
+    return A.First < B.First;
   });
 
   // Step 4 (§2.2): estimate the saving with the Fig. 2 model, greedily and
   // without double counting (non-overlapping occurrences only).
-  std::vector<bool> Claimed(Tree.textSize(), false);
-  auto Text = Tree.text();
+  std::vector<bool> Claimed(Array.textSize(), false);
+  auto Text = Array.text();
   std::vector<TopPattern> Patterns;
 
   for (const Cand &C : Cands) {
     uint32_t Taken = 0;
     uint32_t LastEnd = 0;
     uint32_t FirstPos = 0;
-    for (uint32_t P : Tree.positionsOf(C.Node)) {
+    for (uint32_t P : Array.positionsOf(C.Node)) {
       if (Taken && P < LastEnd)
         continue;
       bool Ok = true;
@@ -115,7 +124,7 @@ RedundancyReport core::analyzeRedundancy(
     // Claim in a second pass (cheap; candidate lists are position-sorted).
     uint32_t Reclaimed = 0;
     LastEnd = 0;
-    for (uint32_t P : Tree.positionsOf(C.Node)) {
+    for (uint32_t P : Array.positionsOf(C.Node)) {
       if (Reclaimed && P < LastEnd)
         continue;
       bool Ok = true;

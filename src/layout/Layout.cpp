@@ -192,8 +192,13 @@ struct Range {
 };
 
 /// State shared by all subproblems of one solve. Ranges are disjoint, and
-/// every per-node array cell is owned by exactly one range per level, so
-/// the parallel fan-out is race-free and order-independent.
+/// each bisect writes only the Order and Side cells of its own range. Pos
+/// is different: gainOf reads the Pos of neighbours in OTHER ranges to
+/// test whether they lie inside its own, so bisect never writes Pos —
+/// solve refreshes it for every bisected range after the level's fan-out.
+/// Within a level every node stays inside its range, so the stale Pos a
+/// bisect reads gives the same inside/outside answer, and the parallel
+/// fan-out is race-free and order-independent.
 struct Solver {
   const AffinityGraph &G;
   const Adjacency Adj;
@@ -295,10 +300,7 @@ struct Solver {
     for (uint32_t I = B; I < E; ++I)
       if (Side[Order[I]])
         Tmp.push_back(Order[I]);
-    for (uint32_t I = B; I < E; ++I) {
-      Order[I] = Tmp[I - B];
-      Pos[Order[I]] = I;
-    }
+    std::copy(Tmp.begin(), Tmp.end(), Order.begin() + B);
     return NewMid;
   }
 
@@ -330,6 +332,8 @@ struct Solver {
       }
       Level.clear();
       for (std::size_t I = 0; I < Work.size(); ++I) {
+        for (uint32_t P = Work[I].Begin; P < Work[I].End; ++P)
+          Pos[Order[P]] = P;
         Level.push_back({Work[I].Begin, Mids[I]});
         Level.push_back({Mids[I], Work[I].End});
       }

@@ -417,7 +417,7 @@ void SuffixArray::build(support::Arena *Scratch) {
     }
   }
 
-  // Enumerate LCP intervals (the suffix tree's internal nodes) with the
+  // Enumerate LCP intervals (a suffix tree's internal nodes) with the
   // classic stack sweep (Abouelhoda et al.).
   struct Open {
     uint32_t LcpVal;
@@ -452,9 +452,9 @@ void SuffixArray::forEachRepeat(
     uint32_t Count = IV.Hi - IV.Lo + 1;
     if (Count < MinCount || IV.Len < MinLen)
       continue;
-    // Clamped-candidate dedup (mirrors SuffixTree::forEachRepeat): the
-    // parent interval reports the same length-MaxLen prefix over a
-    // superset of rows, so this interval would be a duplicate.
+    // Clamped-candidate dedup: the parent interval reports the same
+    // length-MaxLen prefix over a superset of rows, so this interval would
+    // be a duplicate.
     if (IV.ParentLen >= MaxLen)
       continue;
     RepeatInfo R;

@@ -70,7 +70,6 @@ verify::runDifferential(const workload::AppSpec &Spec,
   Cto.EnableCto = true;
   core::CalibroOptions Ltbo = Cto;
   Ltbo.EnableLtbo = true;
-  Ltbo.LtboDetector = Opts.Detector;
   core::CalibroOptions Pl = Ltbo;
   Pl.LtboPartitions = Opts.Partitions;
   Pl.LtboThreads = Opts.Threads;
@@ -236,8 +235,6 @@ Expected<DifferentialReport> verify::runRandomDifferential(uint64_t Seed) {
   core::CalibroOptions Full;
   Full.EnableCto = true;
   Full.EnableLtbo = true;
-  Full.LtboDetector = R.nextBool(0.5) ? core::DetectorKind::SuffixTree
-                                      : core::DetectorKind::SuffixArray;
   Full.LtboPartitions = static_cast<uint32_t>(R.nextInRange(1, 6));
   Full.LtboThreads = static_cast<uint32_t>(R.nextInRange(1, 3));
   // Half the corpus runs memory-budgeted (windowed) linking; a quarter of

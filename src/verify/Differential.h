@@ -75,7 +75,6 @@ struct DifferentialOptions {
   /// happens afterwards in fixed stage order, so results and error
   /// reporting are identical for any value. 1 = serial ladder.
   uint32_t LadderThreads = 2;
-  core::DetectorKind Detector = core::DetectorKind::SuffixTree;
   /// When non-zero and WithPlOpti is set, add a memory-budgeted (windowed)
   /// PlOpti stage to the ladder: the same build with
   /// OutlinerOptions::MemoryBudgetBytes set. Beyond behavioural
@@ -108,7 +107,8 @@ Expected<DifferentialReport> runDifferential(const workload::AppSpec &Spec,
 workload::AppSpec randomAppSpec(uint64_t Seed);
 
 /// One fuzz iteration: a random app, Baseline vs CTO+LTBO with a
-/// seed-chosen detector backend and partition count, equivalence-only.
+/// seed-chosen partition count, thread count and memory budget,
+/// equivalence-only.
 Expected<DifferentialReport> runRandomDifferential(uint64_t Seed);
 
 /// Runs runRandomDifferential for every seed in [FirstSeed, FirstSeed +

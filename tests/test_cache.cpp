@@ -301,8 +301,8 @@ TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 0u);
   EXPECT_EQ(Warm->Stats.GroupsReused, NumGroups);
   EXPECT_EQ(oat::serializeOat(Warm->Oat), RefBytes);
-  // Replayed groups build no suffix structure.
-  EXPECT_EQ(Warm->Stats.Ltbo.TreeNodes, 0u);
+  // Replayed groups build no suffix array.
+  EXPECT_EQ(Warm->Stats.Ltbo.LcpIntervals, 0u);
   EXPECT_EQ(Warm->Stats.Ltbo.CandidatesEvaluated, 0u);
   // But the invariant outlining counters must match the cold run exactly.
   EXPECT_EQ(Warm->Stats.Ltbo.SequencesOutlined,

@@ -87,7 +87,7 @@ TEST_P(Pipeline, AllConfigurationsBehaveIdentically) {
   RunDigest CtoRun = runScript(CtoBuild->Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(CtoRun));
 
-  // CTO + LTBO (single global suffix tree).
+  // CTO + LTBO (one global detection group).
   core::CalibroOptions Full = Cto;
   Full.EnableLtbo = true;
   auto FullBuild = core::buildApp(App, Full);
@@ -98,7 +98,7 @@ TEST_P(Pipeline, AllConfigurationsBehaveIdentically) {
   RunDigest FullRun = runScript(FullBuild->Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(FullRun));
 
-  // + PlOpti (partitioned parallel suffix trees).
+  // + PlOpti (partitioned parallel detection groups).
   core::CalibroOptions Par = Full;
   Par.LtboPartitions = 8;
   Par.LtboThreads = 2;

@@ -8,9 +8,9 @@
 /// The determinism contract of the parallel link stage: the OutlineResult
 /// — outlined functions, rewritten method bodies, relocations, side info
 /// and every scheduling-invariant statistic — must be byte-identical for
-/// every Threads value and for both detection backends, and worker errors
-/// must surface as the same Error regardless of scheduling. Also covers the
-/// parallel differential ladder and the batched fuzz entry point.
+/// every Threads value, and worker errors must surface as the same Error
+/// regardless of scheduling. Also covers the parallel differential ladder
+/// and the batched fuzz entry point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -167,7 +167,6 @@ TEST(ParallelOutliner, EightThreadLinkNotSlowerThanOneThread) {
       OutlinerOptions Opts;
       Opts.Partitions = 4;
       Opts.Threads = Threads;
-      Opts.Detector = DetectorKind::SuffixArray;
       auto Methods = Reference;
       Timer T;
       auto Result = runLtbo(Methods, Opts);
@@ -182,35 +181,6 @@ TEST(ParallelOutliner, EightThreadLinkNotSlowerThanOneThread) {
   double T8 = MedianLinkSeconds(8);
   EXPECT_LE(T8, T1 * 1.5 + 0.005)
       << "8-thread link (" << T8 << "s) slower than 1-thread (" << T1 << "s)";
-}
-
-//===----------------------------------------------------------------------===//
-// Byte-identical OutlineResult across detection backends
-//===----------------------------------------------------------------------===//
-
-TEST(ParallelOutliner, ByteIdenticalAcrossDetectorBackends) {
-  for (uint64_t Seed : {5u, 29u}) {
-    auto Spec = verify::randomAppSpec(Seed);
-    auto Reference = compileApp(Spec);
-    for (uint32_t Partitions : {1u, 3u}) {
-      OutlinerOptions TreeOpts;
-      TreeOpts.Partitions = Partitions;
-      TreeOpts.Threads = 8;
-      TreeOpts.Detector = DetectorKind::SuffixTree;
-      OutlinerOptions ArrayOpts = TreeOpts;
-      ArrayOpts.Detector = DetectorKind::SuffixArray;
-
-      auto TreeMethods = Reference;
-      auto TreeResult = runLtbo(TreeMethods, TreeOpts);
-      ASSERT_TRUE(bool(TreeResult)) << TreeResult.message();
-      auto ArrayMethods = Reference;
-      auto ArrayResult = runLtbo(ArrayMethods, ArrayOpts);
-      ASSERT_TRUE(bool(ArrayResult)) << ArrayResult.message();
-      expectSameOutcome(TreeMethods, *TreeResult, ArrayMethods, *ArrayResult,
-                        "seed " + std::to_string(Seed) + " K=" +
-                            std::to_string(Partitions));
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

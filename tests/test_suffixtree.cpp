@@ -1,10 +1,10 @@
-//===- tests/test_suffixtree.cpp - Suffix tree property tests --------------===//
+//===- tests/test_suffixtree.cpp - Repeat-detector property tests ---------===//
 //
 // Part of the Calibro project.
 //
 //===----------------------------------------------------------------------===//
 
-#include "suffixtree/SuffixTree.h"
+#include "suffixtree/SuffixArray.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -43,14 +43,14 @@ naiveRepeats(const std::vector<Symbol> &T, uint32_t MinLen, uint32_t MaxLen) {
   return Out;
 }
 
-TEST(SuffixTree, Banana) {
+TEST(SuffixArray, Banana) {
   // The paper's §2.1.2 example: "banana" has repeats "a" (x3), "an"/"ana"
   // (x2), "n"/"na" (x2).
-  SuffixTree T(fromString("banana"));
+  SuffixArray T(fromString("banana"));
   EXPECT_EQ(T.textSize(), 6u);
 
   std::map<std::vector<Symbol>, uint32_t> Found;
-  T.forEachRepeat(1, 100, 2, [&](const SuffixTree::RepeatInfo &R) {
+  T.forEachRepeat(1, 100, 2, [&](const SuffixArray::RepeatInfo &R) {
     auto Pos = T.positionsOf(R.Node);
     EXPECT_EQ(Pos.size(), R.Count);
     std::vector<Symbol> Key(T.text().begin() + Pos[0],
@@ -61,189 +61,140 @@ TEST(SuffixTree, Banana) {
   EXPECT_EQ(Found[fromString("a")], 3u);
   EXPECT_EQ(Found[fromString("ana")], 2u);
   EXPECT_EQ(Found[fromString("na")], 2u);
-  // "an" is not maximal (every "an" extends to "ana"), so it appears as a
-  // node only if the tree splits there; the maximal-node enumeration need
-  // not report it. "ana"'s occurrences overlap, which is fine here: the
-  // non-overlap rule is applied by the outliner, not the tree.
+  // "an" is not maximal (every "an" extends to "ana"), so no LCP interval
+  // has it as its length; the maximal-repeat enumeration need not report
+  // it. "ana"'s occurrences overlap, which is fine here: the non-overlap
+  // rule is applied by the outliner, not the detector.
 }
 
-TEST(SuffixTree, NoRepeatsInUniqueText) {
+TEST(SuffixArray, NoRepeatsInUniqueText) {
   std::vector<Symbol> T;
   for (uint32_t I = 0; I < 100; ++I)
     T.push_back(SeparatorBase + I);
-  SuffixTree Tree(std::move(T));
+  SuffixArray Array(std::move(T));
   std::size_t Count = 0;
-  Tree.forEachRepeat(1, 100, 2,
-                     [&](const SuffixTree::RepeatInfo &) { ++Count; });
+  Array.forEachRepeat(1, 100, 2,
+                      [&](const SuffixArray::RepeatInfo &) { ++Count; });
   EXPECT_EQ(Count, 0u);
 }
 
-TEST(SuffixTree, SeparatorsConfineRepeats) {
+TEST(SuffixArray, SeparatorsConfineRepeats) {
   // "abc | abc" with a unique separator: "abc" repeats, nothing longer.
   std::vector<Symbol> T = {'a', 'b', 'c', SeparatorBase, 'a', 'b', 'c'};
-  SuffixTree Tree(std::move(T));
+  SuffixArray Array(std::move(T));
   uint32_t MaxLen = 0;
-  Tree.forEachRepeat(1, 100, 2, [&](const SuffixTree::RepeatInfo &R) {
+  Array.forEachRepeat(1, 100, 2, [&](const SuffixArray::RepeatInfo &R) {
     MaxLen = std::max(MaxLen, R.Length);
   });
   EXPECT_EQ(MaxLen, 3u);
 }
 
-class SuffixTreeRandom : public ::testing::TestWithParam<uint64_t> {};
+class SuffixArrayRandom : public ::testing::TestWithParam<uint64_t> {};
 
-/// Property: every maximal node the tree reports is a genuine repeat with
+/// Property: every LCP interval the array reports is a genuine repeat with
 /// exactly the naive finder's positions; and every naive repeat is covered
-/// by some reported node (at node granularity: for each repeated substring
-/// S, the tree has a node whose string has S as a prefix and whose
-/// positions equal S's).
-TEST_P(SuffixTreeRandom, MatchesNaiveFinder) {
+/// by some reported interval (at interval granularity: for each repeated
+/// substring S, some interval's string has S as a prefix and its positions
+/// equal S's). Odd rounds mix in unique separators, like LTBO's sequences.
+TEST_P(SuffixArrayRandom, MatchesNaiveFinder) {
   Rng R(GetParam());
   for (int Round = 0; Round < 20; ++Round) {
     std::size_t N = 30 + R.nextBelow(120);
     unsigned Alphabet = 2 + static_cast<unsigned>(R.nextBelow(5));
     std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I)
-      T.push_back('a' + R.nextBelow(Alphabet));
+    for (std::size_t I = 0; I < N; ++I) {
+      if (Round % 2 && R.nextBool(0.05))
+        T.push_back(SeparatorBase + I);
+      else
+        T.push_back('a' + R.nextBelow(Alphabet));
+    }
 
     auto Naive = naiveRepeats(T, 1, static_cast<uint32_t>(N));
     std::vector<Symbol> Copy = T;
-    SuffixTree Tree(std::move(Copy));
+    SuffixArray Array(std::move(Copy));
 
-    std::map<std::vector<Symbol>, std::vector<uint32_t>> FromTree;
-    Tree.forEachRepeat(1, static_cast<uint32_t>(N), 2,
-                       [&](const SuffixTree::RepeatInfo &Rep) {
-                         auto Pos = Tree.positionsOf(Rep.Node);
-                         std::vector<Symbol> Key(T.begin() + Pos[0],
-                                                 T.begin() + Pos[0] +
-                                                     Rep.Length);
-                         FromTree[Key] = Pos;
-                       });
+    std::map<std::vector<Symbol>, std::vector<uint32_t>> Found;
+    Array.forEachRepeat(1, static_cast<uint32_t>(N), 2,
+                        [&](const SuffixArray::RepeatInfo &Rep) {
+                          auto Pos = Array.positionsOf(Rep.Node);
+                          std::vector<Symbol> Key(T.begin() + Pos[0],
+                                                  T.begin() + Pos[0] +
+                                                      Rep.Length);
+                          EXPECT_TRUE(Found.emplace(Key, Pos).second)
+                              << "repeat reported twice";
+                        });
 
-    // Soundness: each reported node is a naive repeat with equal positions.
-    for (const auto &[Key, Pos] : FromTree) {
+    // Soundness: each reported interval is a naive repeat with equal
+    // positions.
+    for (const auto &[Key, Pos] : Found) {
       auto It = Naive.find(Key);
-      ASSERT_NE(It, Naive.end()) << "tree reported a non-repeat";
+      ASSERT_NE(It, Naive.end()) << "array reported a non-repeat";
       EXPECT_EQ(It->second, Pos);
     }
-    // Completeness at node granularity: every naive repeat's position set
-    // is reported by the node it corresponds to (its shortest maximal
-    // extension).
+    // Completeness at interval granularity: every naive repeat's position
+    // set is reported by the interval it corresponds to (its shortest
+    // maximal extension).
     for (const auto &[Key, Pos] : Naive) {
       bool Covered = false;
-      for (const auto &[TKey, TPos] : FromTree) {
-        if (TKey.size() >= Key.size() &&
-            std::equal(Key.begin(), Key.end(), TKey.begin()) &&
-            TPos == Pos) {
+      for (const auto &[FKey, FPos] : Found) {
+        if (FKey.size() >= Key.size() &&
+            std::equal(Key.begin(), Key.end(), FKey.begin()) &&
+            FPos == Pos) {
           Covered = true;
           break;
         }
       }
-      EXPECT_TRUE(Covered) << "naive repeat not covered by any node";
+      EXPECT_TRUE(Covered) << "naive repeat not covered by any interval";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SuffixTreeRandom,
+INSTANTIATE_TEST_SUITE_P(Seeds, SuffixArrayRandom,
                          ::testing::Values(7, 99, 1234, 0xabcdef, 31337));
 
-TEST(SuffixTree, LargePeriodicText) {
-  // Heavily periodic input stresses Ukkonen's implicit-extension path.
+TEST(SuffixArray, LargePeriodicText) {
+  // Heavily periodic input: one deep chain of nested LCP intervals.
   std::vector<Symbol> T;
   for (int I = 0; I < 5000; ++I)
     T.push_back('a' + (I % 3));
-  SuffixTree Tree(std::move(T));
+  SuffixArray Array(std::move(T));
   // "abcabc...": the length-3 repeat "abc" occurs floor(n/3)-ish times
   // (overlapping suffix positions).
   bool FoundLong = false;
-  Tree.forEachRepeat(100, 200, 2, [&](const SuffixTree::RepeatInfo &R) {
+  Array.forEachRepeat(100, 200, 2, [&](const SuffixArray::RepeatInfo &R) {
     FoundLong |= R.Length >= 100 && R.Count >= 2;
   });
   EXPECT_TRUE(FoundLong);
-  EXPECT_GT(Tree.numNodes(), 5000u);
+  // Nearly one nested interval per repeat length.
+  EXPECT_GT(Array.numNodes(), 4900u);
 }
 
-TEST(SuffixTree, PositionsSorted) {
+TEST(SuffixArray, PositionsSorted) {
   std::vector<Symbol> T = fromString("xyxyxyxyxy");
-  SuffixTree Tree(std::move(T));
-  Tree.forEachRepeat(1, 10, 2, [&](const SuffixTree::RepeatInfo &R) {
-    auto Pos = Tree.positionsOf(R.Node);
+  SuffixArray Array(std::move(T));
+  Array.forEachRepeat(1, 10, 2, [&](const SuffixArray::RepeatInfo &R) {
+    auto Pos = Array.positionsOf(R.Node);
     EXPECT_TRUE(std::is_sorted(Pos.begin(), Pos.end()));
     EXPECT_EQ(Pos.size(), R.Count);
   });
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// SuffixArray cross-validation
-//===----------------------------------------------------------------------===//
-
-#include "suffixtree/SuffixArray.h"
-
-namespace {
-
-/// The two backends must report the same repeats (keyed by substring) with
-/// the same occurrence sets: LCP intervals are exactly the suffix tree's
-/// internal nodes.
-class BackendEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BackendEquivalence, TreeAndArrayAgree) {
-  Rng R(GetParam());
-  for (int Round = 0; Round < 15; ++Round) {
-    std::size_t N = 40 + R.nextBelow(200);
-    unsigned Alphabet = 2 + static_cast<unsigned>(R.nextBelow(6));
-    std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I) {
-      if (R.nextBool(0.05))
-        T.push_back(SeparatorBase + I); // Unique separators, like LTBO.
-      else
-        T.push_back('a' + R.nextBelow(Alphabet));
-    }
-
-    std::vector<Symbol> C1 = T, C2 = T;
-    SuffixTree Tree(std::move(C1));
-    SuffixArray Array(std::move(C2));
-
-    using Key = std::vector<Symbol>;
-    std::map<Key, std::vector<uint32_t>> FromTree, FromArray;
-    Tree.forEachRepeat(1, static_cast<uint32_t>(N), 2,
-                       [&](const SuffixTree::RepeatInfo &Rep) {
-                         auto Pos = Tree.positionsOf(Rep.Node);
-                         Key K(T.begin() + Pos[0],
-                               T.begin() + Pos[0] + Rep.Length);
-                         FromTree[K] = Pos;
-                       });
-    Array.forEachRepeat(1, static_cast<uint32_t>(N), 2,
-                        [&](const SuffixArray::RepeatInfo &Rep) {
-                          auto Pos = Array.positionsOf(Rep.Node);
-                          Key K(T.begin() + Pos[0],
-                                T.begin() + Pos[0] + Rep.Length);
-                          FromArray[K] = Pos;
-                        });
-    EXPECT_EQ(FromTree, FromArray) << "backends diverged (N=" << N << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalence,
-                         ::testing::Values(3, 17, 2718, 31415));
-
 /// Clamped-candidate dedup property, checked against the naive finder:
 ///  - no content (the length-R.Length prefix at the reported positions) is
-///    reported twice — deep nodes collapse onto the shallowest node of
-///    depth >= MaxLen on their root path;
+///    reported twice — deep intervals collapse onto the shallowest
+///    enclosing interval of length >= MaxLen;
 ///  - every clamped report carries the FULL occurrence set of its
 ///    length-MaxLen content (the deeper duplicates it replaced only held
 ///    subsets);
 ///  - every distinct length-MaxLen repeat is still reported (dedup loses
 ///    no candidate).
-template <typename DetectorT>
 void checkClampedDedup(const std::vector<Symbol> &T, uint32_t MaxLen) {
   std::vector<Symbol> Copy = T;
-  DetectorT D(std::move(Copy));
+  SuffixArray D(std::move(Copy));
   auto Naive = naiveRepeats(T, MaxLen, MaxLen);
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Reported;
   D.forEachRepeat(1, MaxLen, 2,
-                  [&](const typename DetectorT::RepeatInfo &R) {
+                  [&](const SuffixArray::RepeatInfo &R) {
                     ASSERT_LE(R.Length, MaxLen);
                     auto Pos = D.positionsOf(R.Node);
                     std::vector<Symbol> Key(T.begin() + Pos[0],
@@ -272,19 +223,14 @@ std::vector<Symbol> periodicText(std::size_t Period, std::size_t Len) {
   return T;
 }
 
-TEST(ClampedDedup, PeriodicTextTree) {
-  // "ababab...": the worst case — one deep chain of nodes, all clamping to
-  // the same two length-5 contents ("ababa"/"babab").
-  checkClampedDedup<SuffixTree>(periodicText(2, 80), 5);
-  checkClampedDedup<SuffixTree>(periodicText(3, 90), 7);
-}
-
 TEST(ClampedDedup, PeriodicTextArray) {
-  checkClampedDedup<SuffixArray>(periodicText(2, 80), 5);
-  checkClampedDedup<SuffixArray>(periodicText(3, 90), 7);
+  // "ababab...": the worst case — one deep chain of intervals, all
+  // clamping to the same two length-5 contents ("ababa"/"babab").
+  checkClampedDedup(periodicText(2, 80), 5);
+  checkClampedDedup(periodicText(3, 90), 7);
 }
 
-TEST(ClampedDedup, RandomTextsBothBackendsAgree) {
+TEST(ClampedDedup, RandomTexts) {
   Rng R(0xc0ffee);
   for (int Round = 0; Round < 20; ++Round) {
     std::size_t N = 60 + R.nextBelow(120);
@@ -293,27 +239,7 @@ TEST(ClampedDedup, RandomTextsBothBackendsAgree) {
     std::vector<Symbol> T;
     for (std::size_t I = 0; I < N; ++I)
       T.push_back('a' + R.nextBelow(Alphabet));
-    checkClampedDedup<SuffixTree>(T, MaxLen);
-    checkClampedDedup<SuffixArray>(T, MaxLen);
-
-    // Under clamping the two backends must still report identical
-    // (content -> positions) maps.
-    std::vector<Symbol> C1 = T, C2 = T;
-    SuffixTree Tree(std::move(C1));
-    SuffixArray Array(std::move(C2));
-    std::map<std::vector<Symbol>, std::vector<uint32_t>> FromTree, FromArray;
-    Tree.forEachRepeat(1, MaxLen, 2, [&](const SuffixTree::RepeatInfo &Rep) {
-      auto Pos = Tree.positionsOf(Rep.Node);
-      FromTree[{T.begin() + Pos[0], T.begin() + Pos[0] + Rep.Length}] = Pos;
-    });
-    Array.forEachRepeat(1, MaxLen, 2,
-                        [&](const SuffixArray::RepeatInfo &Rep) {
-                          auto Pos = Array.positionsOf(Rep.Node);
-                          FromArray[{T.begin() + Pos[0],
-                                     T.begin() + Pos[0] + Rep.Length}] = Pos;
-                        });
-    EXPECT_EQ(FromTree, FromArray)
-        << "backends diverged under clamping (N=" << N << ")";
+    checkClampedDedup(T, MaxLen);
   }
 }
 
@@ -471,13 +397,7 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
     std::size_t N = 20 + R.nextBelow(200);
     for (std::size_t I = 0; I < N; ++I)
       T.push_back('a' + R.nextBelow(4));
-    std::vector<Symbol> C1 = T, C2 = T;
-    SuffixTree Tree(std::move(C1));
-    SuffixArray Array(std::move(C2));
-    Tree.forEachRepeat(1, 64, 2, [&](const SuffixTree::RepeatInfo &Rep) {
-      EXPECT_EQ(Tree.firstPositionOf(Rep.Node),
-                Tree.positionsOf(Rep.Node).front());
-    });
+    SuffixArray Array(std::move(T));
     Array.forEachRepeat(1, 64, 2, [&](const SuffixArray::RepeatInfo &Rep) {
       EXPECT_EQ(Array.firstPositionOf(Rep.Node),
                 Array.positionsOf(Rep.Node).front());
@@ -485,32 +405,18 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
   }
 }
 
-TEST(SuffixArray, BananaIntervals) {
-  SuffixArray A(fromString("banana"));
-  std::map<std::vector<Symbol>, uint32_t> Found;
-  A.forEachRepeat(1, 100, 2, [&](const SuffixArray::RepeatInfo &R) {
-    auto Pos = A.positionsOf(R.Node);
-    std::vector<Symbol> Key(A.text().begin() + Pos[0],
-                            A.text().begin() + Pos[0] + R.Length);
-    Found[Key] = R.Count;
-  });
-  EXPECT_EQ(Found[fromString("a")], 3u);
-  EXPECT_EQ(Found[fromString("ana")], 2u);
-  EXPECT_EQ(Found[fromString("na")], 2u);
-}
-
 //===----------------------------------------------------------------------===//
-// View (non-owning) construction: windowed linking builds suffix structures
-// over spans of caller-held text. A view-built detector must be
+// View (non-owning) construction: windowed linking builds suffix arrays
+// over spans of caller-held text. A view-built array must be
 // indistinguishable from an owned one over the same bytes.
 //===----------------------------------------------------------------------===//
 
-template <typename DetectorT>
 std::map<std::vector<Symbol>, std::vector<uint32_t>>
-enumerateRepeats(DetectorT &D, const std::vector<Symbol> &T, uint32_t MaxLen) {
+enumerateRepeats(const SuffixArray &D, const std::vector<Symbol> &T,
+                 uint32_t MaxLen) {
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Out;
   D.forEachRepeat(1, MaxLen, 2,
-                  [&](const typename DetectorT::RepeatInfo &R) {
+                  [&](const SuffixArray::RepeatInfo &R) {
                     auto Pos = D.positionsOf(R.Node);
                     Out[{T.begin() + Pos[0], T.begin() + Pos[0] + R.Length}] =
                         Pos;
@@ -518,11 +424,10 @@ enumerateRepeats(DetectorT &D, const std::vector<Symbol> &T, uint32_t MaxLen) {
   return Out;
 }
 
-template <typename DetectorT>
 void checkViewMatchesOwned(const std::vector<Symbol> &T) {
   const uint32_t MaxLen = static_cast<uint32_t>(T.size()) + 1;
-  DetectorT Owned{std::vector<Symbol>(T)};
-  DetectorT Viewed{std::span<const Symbol>(T)};
+  SuffixArray Owned{std::vector<Symbol>(T)};
+  SuffixArray Viewed{std::span<const Symbol>(T)};
 
   EXPECT_EQ(Owned.textSize(), Viewed.textSize());
   EXPECT_EQ(Owned.numNodes(), Viewed.numNodes());
@@ -535,16 +440,13 @@ void checkViewMatchesOwned(const std::vector<Symbol> &T) {
 }
 
 TEST(ViewConstruction, EdgeShapes) {
-  for (const char *S : {"", "x", "aaaaaaaa", "banana", "mississippi"}) {
-    checkViewMatchesOwned<SuffixTree>(fromString(S));
-    checkViewMatchesOwned<SuffixArray>(fromString(S));
-  }
-  // Symbols around the separator range and the all-ones value the tree
-  // uses as its virtual sentinel: legal text, never confused with it.
+  for (const char *S : {"", "x", "aaaaaaaa", "banana", "mississippi"})
+    checkViewMatchesOwned(fromString(S));
+  // Symbols around the separator range and the all-ones value: legal text,
+  // never confused with the virtual sentinel.
   std::vector<Symbol> Hostile = {SeparatorBase, 0, ~uint64_t(0), 0,
                                  ~uint64_t(0), SeparatorBase + 1};
-  checkViewMatchesOwned<SuffixTree>(Hostile);
-  checkViewMatchesOwned<SuffixArray>(Hostile);
+  checkViewMatchesOwned(Hostile);
 }
 
 TEST(ViewConstruction, RandomTextsDifferential) {
@@ -559,14 +461,13 @@ TEST(ViewConstruction, RandomTextsDifferential) {
       else
         T.push_back('a' + R.nextBelow(Alphabet));
     }
-    checkViewMatchesOwned<SuffixTree>(T);
-    checkViewMatchesOwned<SuffixArray>(T);
+    checkViewMatchesOwned(T);
   }
 }
 
 TEST(ViewConstruction, TandemRepeatTextsDifferential) {
   // Repeat-heavy corpora (tandem blocks with occasional separators): the
-  // shapes that stress deep tree chains and the SA-IS recursion.
+  // shapes that stress deep interval chains and the SA-IS recursion.
   Rng R(0x7a2d);
   for (int Case = 0; Case < 20; ++Case) {
     std::vector<Symbol> Block;
@@ -581,15 +482,14 @@ TEST(ViewConstruction, TandemRepeatTextsDifferential) {
       if (R.nextBelow(4) == 0)
         T.push_back(SeparatorBase + Sep++);
     }
-    checkViewMatchesOwned<SuffixTree>(T);
-    checkViewMatchesOwned<SuffixArray>(T);
+    checkViewMatchesOwned(T);
   }
 }
 
 TEST(ViewConstruction, WindowedSlicesMatchWholeCopies) {
   // The windowed pipeline's actual usage: views over sub-ranges of one big
-  // caller-held buffer. Each slice's view detector must equal an owned
-  // detector over a private copy of that slice.
+  // caller-held buffer. Each slice's view array must equal an owned array
+  // over a private copy of that slice.
   Rng R(0x5117);
   std::vector<Symbol> Whole;
   for (std::size_t I = 0; I < 400; ++I)
@@ -601,11 +501,6 @@ TEST(ViewConstruction, WindowedSlicesMatchWholeCopies) {
     std::vector<Symbol> Copy(Slice.begin(), Slice.end());
     const uint32_t MaxLen = static_cast<uint32_t>(Len) + 1;
 
-    SuffixTree TreeView{Slice};
-    SuffixTree TreeCopy{std::vector<Symbol>(Copy)};
-    EXPECT_EQ(enumerateRepeats(TreeView, Copy, MaxLen),
-              enumerateRepeats(TreeCopy, Copy, MaxLen));
-
     SuffixArray ArrView{Slice};
     SuffixArray ArrCopy{std::vector<Symbol>(Copy)};
     EXPECT_EQ(enumerateRepeats(ArrView, Copy, MaxLen),
@@ -613,11 +508,14 @@ TEST(ViewConstruction, WindowedSlicesMatchWholeCopies) {
   }
 }
 
-template <typename DetectorT>
-void checkReleaseAccounting(const std::vector<Symbol> &T) {
+TEST(ViewConstruction, ReleaseWorkingSetAccounting) {
+  Rng R(0x4e1e);
+  std::vector<Symbol> T;
+  for (std::size_t I = 0; I < 300; ++I)
+    T.push_back('a' + R.nextBelow(3));
   const std::size_t TextBytes = T.size() * sizeof(Symbol);
-  DetectorT Owned{std::vector<Symbol>(T)};
-  DetectorT Viewed{std::span<const Symbol>(T)};
+  SuffixArray Owned{std::vector<Symbol>(T)};
+  SuffixArray Viewed{std::span<const Symbol>(T)};
   auto Repeats = enumerateRepeats(Owned, T, 16);
 
   const std::size_t Before = Owned.workingSetBytes();
@@ -631,15 +529,6 @@ void checkReleaseAccounting(const std::vector<Symbol> &T) {
   EXPECT_LE(Owned.workingSetBytes(), Before - TextBytes);
   // Enumeration survives release (it reads only the retained structure).
   EXPECT_EQ(enumerateRepeats(Viewed, T, 16), Repeats);
-}
-
-TEST(ViewConstruction, ReleaseWorkingSetAccounting) {
-  Rng R(0x4e1e);
-  std::vector<Symbol> T;
-  for (std::size_t I = 0; I < 300; ++I)
-    T.push_back('a' + R.nextBelow(3));
-  checkReleaseAccounting<SuffixTree>(T);
-  checkReleaseAccounting<SuffixArray>(T);
 }
 
 } // namespace

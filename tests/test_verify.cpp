@@ -186,7 +186,7 @@ TEST(Linker, RejectsDuplicateOutlinedFunctionIds) {
 //===----------------------------------------------------------------------===//
 
 TEST(Differential, FullLadderOnWorkloadApps) {
-  for (uint64_t Seed : {21u, 42u}) {
+  for (uint64_t Seed : {21u, 23u, 42u}) {
     auto Spec = smallSpec(Seed);
     verify::DifferentialOptions Opts;
     auto R = verify::runDifferential(Spec, Opts);
@@ -209,19 +209,10 @@ TEST(Differential, PaperAppsAllStagesVerifyAndAgree) {
   }
 }
 
-TEST(Differential, SuffixArrayDetectorLadder) {
-  auto Spec = smallSpec(23);
-  verify::DifferentialOptions Opts;
-  Opts.Detector = core::DetectorKind::SuffixArray;
-  auto R = verify::runDifferential(Spec, Opts);
-  ASSERT_TRUE(bool(R)) << R.message();
-  EXPECT_EQ(R->StagesCompared, 4u);
-}
-
 TEST(Differential, HundredRandomizedApps) {
   // The acceptance bar: >= 100 independently shaped random apps, each
   // proven behaviourally identical between Baseline and CTO+LTBO (with a
-  // seed-chosen detector backend and partition count), and every image
+  // seed-chosen partition count), and every image
   // statically verified. The batch entry point fans the seeds out across a
   // thread pool; reports still come back in seed order.
   auto Batch = verify::runRandomDifferentialBatch(1, 100, 4);

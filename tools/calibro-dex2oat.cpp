@@ -38,7 +38,7 @@ void usage() {
       "  --seed <n>         override the app seed\n"
       "  --cto              enable compilation-time outlining (paper 3.1)\n"
       "  --ltbo             enable link-time binary outlining (paper 3.3)\n"
-      "  --partitions <k>   paralleled suffix trees (paper 3.4.1)\n"
+      "  --partitions <k>   detection groups, PlOpti (paper 3.4.1)\n"
       "  --threads <n>      LTBO worker threads\n"
       "  --memory-budget <bytes>  bound LTBO's peak detection working set:\n"
       "                     detection streams in budget-sized windows,\n"
