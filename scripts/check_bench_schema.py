@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Structural diff for bench JSON artifacts.
+"""Structural (and optionally exact) diff for bench JSON artifacts.
 
-Bench *values* are machine- and load-dependent, so CI cannot pin them. The
-*shape* — which fields each table emits, and of what kind — is part of the
-bench's contract with downstream tooling, and a refactor that silently
+Many bench *values* are machine- and load-dependent, so CI cannot pin them.
+The *shape* — which fields each table emits, and of what kind — is part of
+the bench's contract with downstream tooling, and a refactor that silently
 drops or renames a field should fail the build. This script reduces a JSON
 document to its recursive shape and diffs two shapes:
 
@@ -12,11 +12,20 @@ document to its recursive shape and diffs two shapes:
              count but not in structure)
   - scalar -> its type name (bool before int: bool is an int in Python)
 
-Usage: check_bench_schema.py GOLDEN.json CANDIDATE.json [GOLDEN CANDIDATE]...
+With --exact, every value must also be equal, except at the paths named by
+--ignore (repeatable). A path joins keys with '.' and marks list elements
+with '[]', e.g. 'detect_peak[].scratch_bytes' or 'rss'; an ignored path
+skips its whole subtree. Use it for artifacts whose values are
+deterministic by construction (bytes, counts, flags), ignoring the fields
+that depend on scheduling or the host.
+
+Usage: check_bench_schema.py [--exact [--ignore PATH]...]
+                             GOLDEN.json CANDIDATE.json [GOLDEN CANDIDATE]...
 Each GOLDEN/CANDIDATE pair is diffed independently. Exits 0 when every
-pair's shapes match, 1 with a per-path report for each pair that differs.
+pair matches, 1 with a per-path report for each pair that differs.
 """
 
+import argparse
 import json
 import sys
 
@@ -70,31 +79,63 @@ def diff(golden, candidate, path, out):
         out.append(f"type changed at {path}: {golden!r} -> {candidate!r}")
 
 
-def check_pair(golden_path, candidate_path):
+def value_diff(golden, candidate, path, ignore, out):
+    if path in ignore:
+        return
+    if isinstance(golden, dict) and isinstance(candidate, dict):
+        for key in sorted(set(golden) & set(candidate)):
+            here = f"{path}.{key}" if path else key
+            value_diff(golden[key], candidate[key], here, ignore, out)
+        return
+    if isinstance(golden, list) and isinstance(candidate, list):
+        if len(golden) != len(candidate):
+            out.append(f"length changed at {path}: "
+                       f"{len(golden)} -> {len(candidate)}")
+        for g, c in zip(golden, candidate):
+            value_diff(g, c, path + "[]", ignore, out)
+        return
+    if golden != candidate:
+        out.append(f"value changed at {path}: {golden!r} -> {candidate!r}")
+
+
+def check_pair(golden_path, candidate_path, exact, ignore):
     with open(golden_path) as f:
-        golden = shape(json.load(f))
+        golden = json.load(f)
     with open(candidate_path) as f:
-        candidate = shape(json.load(f))
+        candidate = json.load(f)
     problems = []
-    diff(golden, candidate, "", problems)
+    diff(shape(golden), shape(candidate), "", problems)
+    if exact:
+        value_diff(golden, candidate, "", ignore, problems)
+    what = "values" if exact else "schema"
     if problems:
-        print(f"bench schema drift ({golden_path} vs {candidate_path}):")
+        print(f"bench {what} drift ({golden_path} vs {candidate_path}):")
         for p in problems:
             print(f"  {p}")
         return False
-    print(f"bench schema OK: {candidate_path} matches {golden_path}")
+    print(f"bench {what} OK: {candidate_path} matches {golden_path}")
     return True
 
 
 def main(argv):
-    if len(argv) < 3 or len(argv) % 2 != 1:
-        print("usage: check_bench_schema.py GOLDEN.json CANDIDATE.json "
-              "[GOLDEN CANDIDATE]...",
-              file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        description="Diff bench JSON artifacts by shape, or exactly.")
+    parser.add_argument("--exact", action="store_true",
+                        help="also require equal values")
+    parser.add_argument("--ignore", action="append", default=[],
+                        metavar="PATH",
+                        help="with --exact, a path whose values may differ")
+    parser.add_argument("files", nargs="+",
+                        metavar="GOLDEN CANDIDATE")
+    args = parser.parse_args(argv[1:])
+    if len(args.files) % 2 != 0:
+        parser.error("files must come in GOLDEN CANDIDATE pairs")
+    if args.ignore and not args.exact:
+        parser.error("--ignore needs --exact")
     ok = True
-    for i in range(1, len(argv), 2):
-        ok &= check_pair(argv[i], argv[i + 1])
+    for i in range(0, len(args.files), 2):
+        ok &= check_pair(args.files[i], args.files[i + 1], args.exact,
+                         set(args.ignore))
     return 0 if ok else 1
 
 

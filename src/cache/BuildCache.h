@@ -91,8 +91,8 @@ struct CacheAudit {
 ///
 /// The entry operations are virtual so drop-in wrappers — the daemon's
 /// sharded, size-bounded ShardedBuildCache — can stand in anywhere a
-/// BuildCache flows (compile-stage method probes, LTBO group replay, the
-/// windowed spill path) without those stages knowing about sharding.
+/// BuildCache flows (compile-stage method probes, LTBO group replay and
+/// group stores) without those stages knowing about sharding.
 class BuildCache {
 public:
   /// Opens (creating if needed) the store at \p Dir. A missing or

@@ -86,10 +86,9 @@ public:
   CacheAudit audit() const override;
 
   /// RAII eviction pin: while alive, the pinned entry cannot be evicted
-  /// (loads of it still hit, stores still dedup). The windowed-link replay
-  /// path pins a group blob for exactly the span between deciding to replay
-  /// it and finishing the reload, so a concurrent job's stores can never
-  /// evict a selection out from under an in-flight replay.
+  /// (loads of it still hit, stores still dedup). loadGroup and loadMethod
+  /// pin their blob for exactly the span of the read, so a concurrent job's
+  /// stores can never evict an entry out from under an in-flight load.
   class Pin {
   public:
     Pin() = default;

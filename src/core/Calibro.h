@@ -58,9 +58,8 @@ struct CalibroOptions {
   /// Detect-phase memory budget in bytes (`calibro-dex2oat
   /// --memory-budget`); 0 = unbudgeted. See
   /// OutlinerOptions::MemoryBudgetBytes: bounds LTBO's peak working set by
-  /// streaming detection in budget-sized windows, spilling finished group
-  /// selections to the build cache (or an ephemeral temp store), with
-  /// byte-identical output.
+  /// running detection in budget-sized windows, with byte-identical
+  /// output.
   uint64_t MemoryBudgetBytes = 0;
   /// Unused by the library: see core::DetectorKind.
   DetectorKind LtboDetector = DetectorKind::SuffixArray;
@@ -116,7 +115,7 @@ struct CalibroOptions {
   ThreadPool::GroupId PoolGroup = 0;
   /// Externally-owned build cache (the daemon's sharded store). When set it
   /// overrides CacheDir: both the compile-stage method probes and LTBO
-  /// group replay go through this store, and windowed links spill into it.
+  /// group replay go through this store.
   cache::BuildCache *SharedCache = nullptr;
 };
 

@@ -9,7 +9,6 @@
 #include "aarch64/Decoder.h"
 #include "aarch64/Encoder.h"
 #include "aarch64/PcRel.h"
-#include "cache/SpillStore.h"
 #include "core/BenefitModel.h"
 #include "suffixtree/SuffixArray.h"
 #include "support/Arena.h"
@@ -250,8 +249,7 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
               uint32_t GroupIdx, const OutlinerOptions &Opts,
               std::vector<OutlinedFunc> &FuncsOut,
               std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
-              cache::GroupSelections *StoreOut, support::Arena *Scratch,
-              bool ViewText) {
+              cache::GroupSelections *StoreOut, support::Arena *Scratch) {
   Timer BuildTimer;
 
   // Step 2 (paper §3.3.2): map this group's binary code to one symbol
@@ -282,14 +280,9 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
   Stats.SymbolCount += TextSize;
 
   // Construction scratch comes from the arena (dead once the constructor
-  // returns). Windowed (ViewText) mode hands the array a non-owning view
-  // instead of moving the vector in: the sequence stays where it was
-  // assembled and is freed explicitly right after the array releases its
-  // working set, so no second text copy ever exists. Output is identical
-  // either way.
-  st::SuffixArray Array =
-      ViewText ? st::SuffixArray(std::span<const st::Symbol>(Seq), Scratch)
-               : st::SuffixArray(std::move(Seq), Scratch);
+  // returns). The sequence moves into the array, so no second text copy
+  // ever exists; releaseWorkingSet() below frees it.
+  st::SuffixArray Array(std::move(Seq), Scratch);
   Stats.LcpIntervals += Array.numNodes();
   Stats.DetectBuildSeconds += BuildTimer.seconds();
   if (Array.constructionBackend() == st::SaBackend::SaIs)
@@ -333,9 +326,6 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
                Array.workingSetBytes() + Pos.capacity() * sizeof(PosInfo) +
                    Cands.capacity() * sizeof(Cand));
   Array.releaseWorkingSet();
-  // In view mode the sequence is still ours; the array no longer reads it,
-  // so drop it now (selection reads method words through Pos only).
-  std::vector<st::Symbol>().swap(Seq);
 
   Timer ClaimTimer;
   // The tie-break is content-based ((first occurrence, length) names the
@@ -621,9 +611,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
       return; // Invalid: never fed to detection, links verbatim.
     P.Sep = computeSeparators(M, Hot);
     P.Targets = computeBranchTargets(M);
-    // Windowed mode keys every group for the spill store even without a
-    // user-configured cache.
-    if (Opts.Cache || Windowed)
+    if (Opts.Cache)
       P.Content = cache::methodContentDigest(M);
   };
   if (Pool) {
@@ -687,10 +675,10 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // a pure function of pre-existing cache state: two identically-keyed
   // groups in one run both replay or neither does, regardless of how Phase
   // B tasks interleave with this run's own stores.
-  std::vector<cache::Digest> GroupKeys(Opts.Cache || Windowed ? K : 0);
+  std::vector<cache::Digest> GroupKeys(Opts.Cache ? K : 0);
   std::vector<std::unique_ptr<cache::GroupSelections>> GroupCached(
       Opts.Cache ? K : 0);
-  if (Opts.Cache || Windowed) {
+  if (Opts.Cache) {
     for (uint32_t G = 0; G < K; ++G) {
       if (Groups[G].empty())
         continue;
@@ -704,31 +692,49 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
         H.u8(Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx) ? 1 : 0);
       }
       GroupKeys[G] = H.finish();
-      if (Opts.Cache)
-        if (auto Sel = Opts.Cache->loadGroup(GroupKeys[G]))
-          GroupCached[G] =
-              std::make_unique<cache::GroupSelections>(std::move(*Sel));
+      if (auto Sel = Opts.Cache->loadGroup(GroupKeys[G]))
+        GroupCached[G] =
+            std::make_unique<cache::GroupSelections>(std::move(*Sel));
     }
   }
 
-  // Spill target of windowed mode: the user's cache when configured (the
-  // blobs are ordinary group entries, so the next warm build reuses them),
-  // else a private temp-dir store that dies with this run. Failing to
-  // create one is not fatal — the merge pass then falls back to
-  // re-detecting every group, which costs time but changes nothing.
-  std::unique_ptr<cache::SpillStore> Spill;
-  cache::BuildCache *SpillTarget = Opts.Cache;
-  if (Windowed && !SpillTarget) {
-    if (auto S = cache::SpillStore::create(Opts.SpillDir))
-      SpillTarget = &(Spill = std::move(*S))->store();
-  }
-
-  // Phase B: detection + selection per group, concurrently across groups.
-  // Each task touches only its own output slots and reads shared state, so
-  // results are identical for any thread count.
+  // Phase B: detection + selection per group, window by window. The
+  // non-empty groups are packed, in ascending index order, into windows:
+  // unbudgeted, one window holds them all; with a budget, each window's
+  // summed estimated working set fits it (greedy first-fit-in-order, so the
+  // packing is a pure function of groups + budget, never of scheduling). A
+  // single group that alone exceeds the budget still runs, by itself, and
+  // is counted as an overrun instead of failing the link. Windows run one
+  // after another; the groups of one window run concurrently, and each task
+  // touches only its own output slots, so results are identical for any
+  // thread count. Finished groups keep their outputs in memory: Phase C
+  // needs every group's functions and rewrite work at once anyway.
   std::vector<OutlineStats> GroupStats(K);
   std::vector<std::vector<OutlinedFunc>> GroupFuncs(K);
   std::vector<std::vector<RewriteWork>> GroupWork(K);
+
+  std::vector<std::vector<std::size_t>> Windows;
+  uint64_t CurBytes = 0;
+  std::size_t MaxWindowGroups = 0;
+  for (uint32_t G = 0; G < K; ++G) {
+    if (Groups[G].empty())
+      continue;
+    uint64_t Words = 0;
+    for (std::size_t I : Groups[G])
+      Words += Methods[Candidates[I]].Code.size() + 1;
+    uint64_t Est = Words * DetectBytesPerWord;
+    if (!Windows.empty() &&
+        (!Windowed || CurBytes + Est <= Opts.MemoryBudgetBytes)) {
+      Windows.back().push_back(G);
+      CurBytes += Est;
+    } else {
+      Windows.push_back({G});
+      CurBytes = Est;
+      if (Windowed && Est > Opts.MemoryBudgetBytes)
+        ++Result.Stats.DetectBudgetOverruns;
+    }
+    MaxWindowGroups = std::max(MaxWindowGroups, Windows.back().size());
+  }
 
   // Suffix-array construction-scratch arenas, shared across groups
   // through a pool: a worker that finishes one group hands its
@@ -737,22 +743,15 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // lives, never what is computed — output stays byte-identical.
   support::ArenaPool DetectArenas;
 
-  auto GatherGroup = [&](std::size_t G, std::vector<std::size_t> &Rows,
-                         std::vector<const MethodPrep *> &GroupPreps) {
+  auto RunOne = [&](std::size_t G) {
+    std::vector<std::size_t> Rows;
+    std::vector<const MethodPrep *> GroupPreps;
     Rows.reserve(Groups[G].size());
     GroupPreps.reserve(Groups[G].size());
     for (std::size_t I : Groups[G]) {
       Rows.push_back(Candidates[I]);
       GroupPreps.push_back(&Preps[I]);
     }
-  };
-
-  auto RunOne = [&](std::size_t G) {
-    if (Groups[G].empty())
-      return;
-    std::vector<std::size_t> Rows;
-    std::vector<const MethodPrep *> GroupPreps;
-    GatherGroup(G, Rows, GroupPreps);
     if (Opts.Cache && GroupCached[G] &&
         replayGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
                     *GroupCached[G], GroupFuncs[G], GroupWork[G],
@@ -762,111 +761,39 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     }
     ++GroupStats[G].GroupsDetected;
     cache::GroupSelections Store;
-    cache::GroupSelections *StorePtr = SpillTarget ? &Store : nullptr;
     support::ArenaPool::Handle Scratch = DetectArenas.acquire();
     runGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
-             GroupFuncs[G], GroupWork[G], GroupStats[G], StorePtr,
-             Scratch.get(), Windowed);
+             GroupFuncs[G], GroupWork[G], GroupStats[G],
+             Opts.Cache ? &Store : nullptr, Scratch.get());
     GroupStats[G].DetectScratchBytes = Scratch->bytesReserved();
     // Store even an empty selection: "this group outlines nothing" is as
     // reusable as any other result.
-    if (SpillTarget)
-      SpillTarget->storeGroup(GroupKeys[G], Store);
+    if (Opts.Cache)
+      Opts.Cache->storeGroup(GroupKeys[G], Store);
   };
 
-  if (!Windowed) {
-    if (Pool && K > 1) {
-      Pool->parallelForIn(PoolGroup, K, RunOne);
-      Result.Stats.DetectThreads =
-          std::min<std::size_t>(Pool->numThreads(), K);
+  for (const std::vector<std::size_t> &W : Windows) {
+    if (Pool && W.size() > 1) {
+      Pool->parallelForIn(PoolGroup, W.size(),
+                          [&](std::size_t I) { RunOne(W[I]); });
     } else {
-      for (std::size_t G = 0; G < K; ++G)
+      for (std::size_t G : W)
         RunOne(G);
     }
-  } else {
-    // Streamed Phase B: pack the non-empty groups, in ascending index
-    // order, into windows whose summed estimated working set fits the
-    // budget (greedy first-fit-in-order — order must be preserved so the
-    // packing is a pure function of groups + budget, never of scheduling).
-    // A single group that alone exceeds the budget still runs, by itself,
-    // and is counted as an overrun instead of failing the link.
-    std::vector<std::vector<std::size_t>> Windows;
-    uint64_t CurBytes = 0;
-    std::size_t MaxWindowGroups = 0;
-    for (uint32_t G = 0; G < K; ++G) {
-      if (Groups[G].empty())
-        continue;
-      uint64_t Words = 0;
-      for (std::size_t I : Groups[G])
-        Words += Methods[Candidates[I]].Code.size() + 1;
-      uint64_t Est = Words * DetectBytesPerWord;
-      if (!Windows.empty() && CurBytes + Est <= Opts.MemoryBudgetBytes) {
-        Windows.back().push_back(G);
-        CurBytes += Est;
-      } else {
-        Windows.push_back({G});
-        CurBytes = Est;
-        if (Est > Opts.MemoryBudgetBytes)
-          ++Result.Stats.DetectBudgetOverruns;
-      }
-      MaxWindowGroups = std::max(MaxWindowGroups, Windows.back().size());
-    }
-    Result.Stats.DetectWindows = Windows.size();
-
-    for (const std::vector<std::size_t> &W : Windows) {
-      if (Pool && W.size() > 1) {
-        Pool->parallelForIn(PoolGroup, W.size(),
-                            [&](std::size_t I) { RunOne(W[I]); });
-      } else {
-        for (std::size_t G : W)
-          RunOne(G);
-      }
-      // The window is done: its selections are in the spill store, so the
-      // in-memory outputs can go — the merge pass below reconstitutes them
-      // one group at a time. Summed member peaks bound what this window
-      // held at once (groups in one window run concurrently).
-      std::size_t WindowPeak = 0;
-      for (std::size_t G : W) {
-        WindowPeak += GroupStats[G].DetectPeakBytes;
-        std::vector<OutlinedFunc>().swap(GroupFuncs[G]);
-        std::vector<RewriteWork>().swap(GroupWork[G]);
-        ++Result.Stats.GroupsSpilled;
-      }
-      Result.Stats.DetectWindowPeakBytes =
-          std::max(Result.Stats.DetectWindowPeakBytes, WindowPeak);
-    }
-    if (Pool)
-      Result.Stats.DetectThreads =
-          std::min<std::size_t>(Pool->numThreads(),
-                                std::max<std::size_t>(MaxWindowGroups, 1));
-
-    // Merge pass: reload every group's spilled selection and replay it —
-    // serial and in ascending group index, so FuncId assignment and every
-    // tie-break follow the same lowest-index rules as the unwindowed path.
-    // Replay re-validates everything against the live methods; a missing
-    // or rejected blob falls back to deterministic re-detection. Stats
-    // were already counted when the group first ran in its window, so both
-    // paths here discard theirs.
-    Timer MergeTimer;
-    for (uint32_t G = 0; G < K; ++G) {
-      if (Groups[G].empty())
-        continue;
-      std::vector<std::size_t> Rows;
-      std::vector<const MethodPrep *> GroupPreps;
-      GatherGroup(G, Rows, GroupPreps);
-      OutlineStats Discard;
-      if (SpillTarget) {
-        if (auto Sel = SpillTarget->loadGroup(GroupKeys[G]))
-          if (replayGroup(Methods, Rows, GroupPreps, G, Opts, *Sel,
-                          GroupFuncs[G], GroupWork[G], Discard))
-            continue;
-      }
-      support::ArenaPool::Handle Scratch = DetectArenas.acquire();
-      runGroup(Methods, Rows, GroupPreps, G, Opts, GroupFuncs[G],
-               GroupWork[G], Discard, nullptr, Scratch.get(), true);
-    }
-    Result.Stats.MergeSeconds = MergeTimer.seconds();
+    if (!Windowed)
+      continue;
+    // Summed member peaks bound what this window held at once (groups in
+    // one window run concurrently).
+    std::size_t WindowPeak = 0;
+    for (std::size_t G : W)
+      WindowPeak += GroupStats[G].DetectPeakBytes;
+    Result.Stats.DetectWindowPeakBytes =
+        std::max(Result.Stats.DetectWindowPeakBytes, WindowPeak);
   }
+  Result.Stats.DetectWindows = Windowed ? Windows.size() : 0;
+  if (Pool)
+    Result.Stats.DetectThreads = std::min<std::size_t>(
+        Pool->numThreads(), std::max<std::size_t>(MaxWindowGroups, 1));
 
   for (std::size_t G = 0; G < K; ++G) {
     auto &S = GroupStats[G];

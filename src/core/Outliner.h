@@ -114,24 +114,17 @@ struct OutlinerOptions {
   /// byte-identical to a cold run — a replay that fails any validation
   /// check silently falls back to detection. Null disables reuse.
   cache::BuildCache *Cache = nullptr;
-  /// Peak detect-phase memory budget in bytes; 0 = unbudgeted (the classic
-  /// single-pass Phase B over all K groups at once). When set, Phase B
-  /// streams: the K groups are packed into windows whose summed estimated
-  /// detect working set fits the budget, windows run one after another
-  /// (groups within a window still run on the pool), and each finished
-  /// group's canonical selection is spilled to the content-addressed store
-  /// — Cache when configured, else an ephemeral temp-dir SpillStore — so
-  /// peak memory tracks the budget, not the image size. A final serial
-  /// merge pass reloads and replays every group in ascending group index;
-  /// replay re-validates everything and falls back to re-detection, so the
-  /// OutlineResult stays byte-identical to the unbudgeted pipeline for any
-  /// budget, window packing, and thread count.
+  /// Peak detect-phase memory budget in bytes; 0 = unbudgeted (all K
+  /// groups run in one Phase B window). When set, the K groups are packed
+  /// into windows whose summed estimated detect working set fits the
+  /// budget, and windows run one after another (groups within a window
+  /// still run on the pool), so the suffix arrays alive at once track the
+  /// budget, not the image size. Each finished group keeps its selection
+  /// in memory, because Phase C rewrites every group's methods at once.
+  /// Window packing never reaches the output: the OutlineResult is
+  /// byte-identical to the unbudgeted pipeline for any budget and thread
+  /// count.
   uint64_t MemoryBudgetBytes = 0;
-  /// Directory for the ephemeral spill store (windowed mode with no Cache).
-  /// Empty = a unique directory under the system temp root, removed when
-  /// the run finishes; non-empty directories are kept (tests use this to
-  /// inspect the spill format).
-  std::string SpillDir;
   /// Externally-owned worker pool (the compile daemon's shared pool). When
   /// set, every phase fans out on it — under fairness group PoolGroup —
   /// instead of constructing a private pool, and Threads is ignored. The
@@ -202,12 +195,10 @@ struct OutlineStats {
   /// Windows holding a single group whose estimate alone exceeds the
   /// budget; such a group still runs (alone) rather than failing the link.
   std::size_t DetectBudgetOverruns = 0;
-  /// Groups whose selection was spilled to the store and whose in-memory
-  /// outputs were dropped between their window and the merge pass.
+  /// Always 0: windowed linking keeps every group's selection in memory
+  /// and spills nothing. Kept only because perfbench still reports it as
+  /// core.groups_spilled; it goes at the next benchmark change.
   std::size_t GroupsSpilled = 0;
-  /// Merge-pass wall time (reload + replay of every group). Timing
-  /// metadata like the other *Seconds fields.
-  double MergeSeconds = 0;
   /// Candidate methods whose side info failed validation and were excluded
   /// from outlining (graceful degradation). Deterministic for any Threads.
   std::size_t MethodsRejected = 0;

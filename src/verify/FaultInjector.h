@@ -100,8 +100,8 @@ struct FaultInjectorOptions {
   uint32_t LtboThreads = 1; ///< Worker threads for the mutated LTBO runs.
   /// Detect-phase memory budget for every LTBO run the harness performs
   /// (see OutlinerOptions::MemoryBudgetBytes); 0 = unbudgeted. Sweeping
-  /// the fault corpus through windowed mode proves the spill/merge path
-  /// degrades (and rejects) exactly like the single-pass pipeline.
+  /// the fault corpus through windowed mode proves that window packing
+  /// degrades (and rejects) exactly like the single-window pipeline.
   uint64_t MemoryBudgetBytes = 0;
   bool Strict = false;      ///< Run LTBO in fail-fast (--strict) mode.
   /// Build-cache directory for the cache-mutation kinds. When set, create()

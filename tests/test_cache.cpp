@@ -19,7 +19,6 @@
 #include "cache/BuildCache.h"
 #include "cache/Digest.h"
 #include "cache/ShardedCache.h"
-#include "cache/SpillStore.h"
 #include "core/Calibro.h"
 #include "oat/Serialize.h"
 #include "workload/Workload.h"
@@ -611,111 +610,6 @@ TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
 }
 
 //===----------------------------------------------------------------------===//
-// SpillStore (windowed linking's ephemeral spill target)
-//===----------------------------------------------------------------------===//
-
-TEST(SpillStore, EphemeralStoreRoundTripsAndSelfDestructs) {
-  cache::Digest Key{0x1234, 0xabcd};
-  cache::GroupSelections G;
-  G.Funcs.push_back({4, 77, {0, 12, 40}});
-  G.Funcs.push_back({2, 9, {5, 19}});
-
-  std::string Dir;
-  {
-    auto S = cache::SpillStore::create();
-    ASSERT_TRUE(bool(S)) << S.message();
-    Dir = (*S)->dir();
-    EXPECT_TRUE(fs::exists(Dir));
-
-    (*S)->store().storeGroup(Key, G);
-    auto Back = (*S)->store().loadGroup(Key);
-    ASSERT_TRUE(Back.has_value());
-    ASSERT_EQ(Back->Funcs.size(), 2u);
-    EXPECT_EQ(Back->Funcs[0].SeqLen, 4u);
-    EXPECT_EQ(Back->Funcs[0].Benefit, 77u);
-    EXPECT_EQ(Back->Funcs[0].Positions, (std::vector<uint32_t>{0, 12, 40}));
-    EXPECT_EQ(Back->Funcs[1].Positions, (std::vector<uint32_t>{5, 19}));
-  } // RAII: the temp directory goes with the store.
-  EXPECT_FALSE(fs::exists(Dir));
-}
-
-TEST(SpillStore, DistinctStoresGetDistinctDirectories) {
-  auto A = cache::SpillStore::create();
-  auto B = cache::SpillStore::create();
-  ASSERT_TRUE(bool(A) && bool(B));
-  EXPECT_NE((*A)->dir(), (*B)->dir());
-}
-
-TEST(SpillStore, DirOverrideIsKeptForInspection) {
-  TempCacheDir Dir("spill-keep");
-  std::string Kept;
-  {
-    auto S = cache::SpillStore::create(Dir.str());
-    ASSERT_TRUE(bool(S)) << S.message();
-    Kept = (*S)->dir();
-    (*S)->store().storeGroup({1, 2}, cache::GroupSelections{});
-  }
-  // An explicit directory is the user's: it must survive the store.
-  EXPECT_TRUE(fs::exists(Kept));
-  auto Reopened = cache::BuildCache::open(Kept);
-  ASSERT_TRUE(bool(Reopened));
-  EXPECT_TRUE((*Reopened)->loadGroup({1, 2}).has_value());
-}
-
-TEST(SpillStore, ConcurrentCreatesClaimDistinctDirectories) {
-  // The daemon regression: many same-process links spin up ephemeral spill
-  // stores concurrently. Every store must CLAIM its own fresh directory —
-  // a shared or adopted root would let two links overwrite each other's
-  // group blobs.
-  constexpr std::size_t NumStores = 16;
-  std::vector<std::unique_ptr<cache::SpillStore>> Stores(NumStores);
-  std::vector<std::thread> Threads;
-  for (std::size_t T = 0; T < 4; ++T)
-    Threads.emplace_back([&Stores, T] {
-      for (std::size_t I = T; I < NumStores; I += 4) {
-        auto S = cache::SpillStore::create();
-        ASSERT_TRUE(bool(S)) << S.message();
-        Stores[I] = std::move(*S);
-      }
-    });
-  for (auto &T : Threads)
-    T.join();
-  std::set<std::string> Dirs;
-  for (const auto &S : Stores) {
-    ASSERT_NE(S, nullptr);
-    EXPECT_TRUE(Dirs.insert(S->dir()).second) << "duplicate dir " << S->dir();
-    EXPECT_TRUE(fs::exists(S->dir()));
-  }
-}
-
-TEST(SpillStore, OccupiedCandidateNameIsSkippedNotAdopted) {
-  // A crash-leaked directory (or a recycled pid's leftovers) can occupy the
-  // next pid+counter candidate name. The exclusive-create claim must SKIP
-  // it — adopting a foreign directory would replay someone else's blobs and
-  // then delete them on destruction.
-  auto Probe = cache::SpillStore::create();
-  ASSERT_TRUE(bool(Probe)) << Probe.message();
-  std::string ProbeDir = (*Probe)->dir();
-  auto Dash = ProbeDir.find_last_of('-');
-  ASSERT_NE(Dash, std::string::npos);
-  uint64_t Counter = std::stoull(ProbeDir.substr(Dash + 1));
-
-  // Occupy the next candidate name with a sentinel inside.
-  fs::path Leaked = ProbeDir.substr(0, Dash + 1) + std::to_string(Counter + 1);
-  fs::create_directories(Leaked);
-  { std::ofstream(Leaked / "sentinel.txt") << "leaked"; }
-
-  {
-    auto Next = cache::SpillStore::create();
-    ASSERT_TRUE(bool(Next)) << Next.message();
-    EXPECT_NE((*Next)->dir(), Leaked.string());
-  } // The new store's RAII cleanup runs here...
-  // ...and the occupied directory and its contents were never touched.
-  EXPECT_TRUE(fs::exists(Leaked / "sentinel.txt"));
-  fs::remove_all(Leaked);
-}
-
-//===----------------------------------------------------------------------===//
 // ShardedBuildCache (the daemon's shared store)
 //===----------------------------------------------------------------------===//
 
@@ -782,8 +676,8 @@ TEST(ShardedCache, PinnedEntryIsNeverEvicted) {
   (*C)->storeGroup(Replayed, testGroup(10));
 
   {
-    // The windowed-link merge pass's shape: pin the group for the span of
-    // the replay, while other jobs' stores hammer the same shard.
+    // An in-flight load's shape: pin the group for the span of the read,
+    // while other jobs' stores hammer the same shard.
     cache::ShardedBuildCache::Pin P = (*C)->pinGroup(Replayed);
     for (uint32_t I = 0; I < 8; ++I)
       (*C)->storeGroup({100 + I, 0}, testGroup(100 + I));
@@ -844,27 +738,36 @@ TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
   EXPECT_EQ(A.GroupCorrupt, 0u);
 }
 
-TEST(SpillStore, WindowedBuildSpillsIntoConfiguredCache) {
-  // With both a cache and a budget, spilled groups ARE ordinary cache
-  // entries: the next windowed build replays every group warm, and both
-  // images match the unbudgeted build byte for byte.
-  TempCacheDir Dir("spill-cache");
+TEST(ShardedCache, ColdWindowedBuildNeverReloadsItsOwnGroups) {
+  // A windowed build through the daemon's sharded store keeps every
+  // finished group's selection in memory: the cold build stores each group
+  // once and loads none back. The stored groups are ordinary entries, so a
+  // warm rerun replays every one, and both images match the unbudgeted
+  // build byte for byte.
+  TempCacheDir Dir("windowed-sharded");
+  auto Shared = cache::ShardedBuildCache::open(Dir.str(), 4);
+  ASSERT_TRUE(bool(Shared)) << Shared.message();
   dex::App App = workload::makeApp(testSpec());
-  auto Opts = cacheOpts(Dir.str());
+  auto Opts = cacheOpts("");
+  Opts.SharedCache = Shared->get();
   Opts.MemoryBudgetBytes = 1 << 14;
 
   auto Cold = core::buildApp(App, Opts);
   ASSERT_TRUE(bool(Cold)) << Cold.message();
-  EXPECT_GT(Cold->Stats.Ltbo.GroupsSpilled, 0u);
   EXPECT_GT(Cold->Stats.Ltbo.DetectWindows, 1u);
+  const std::size_t NonEmpty = Cold->Stats.Ltbo.GroupsDetected;
+  EXPECT_GT(NonEmpty, 0u);
+  EXPECT_EQ(Cold->Stats.Ltbo.GroupsReused, 0u);
+  EXPECT_EQ((*Shared)->stats().GroupHits, 0u)
+      << "the cold build read its own group selections back";
 
   auto Warm = core::buildApp(App, Opts);
   ASSERT_TRUE(bool(Warm)) << Warm.message();
-  EXPECT_GT(Warm->Stats.Ltbo.GroupsReused, 0u);
+  EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NonEmpty);
+  EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 0u);
+  EXPECT_EQ((*Shared)->stats().GroupHits, NonEmpty);
 
-  core::CalibroOptions Mono = cacheOpts("");
-  Mono.CacheDir.clear();
-  auto Unbudgeted = core::buildApp(App, Mono);
+  auto Unbudgeted = core::buildApp(App, cacheOpts(""));
   ASSERT_TRUE(bool(Unbudgeted)) << Unbudgeted.message();
   EXPECT_EQ(oat::serializeOat(Cold->Oat), oat::serializeOat(Unbudgeted->Oat));
   EXPECT_EQ(oat::serializeOat(Warm->Oat), oat::serializeOat(Unbudgeted->Oat));

@@ -205,8 +205,8 @@ TEST_F(FaultInjectTest, ClassificationIndependentOfThreadCount) {
 TEST(FaultInjectWindowed, SweepHoldsUnderMemoryBudget) {
   // The same fault-tolerance contract with the windowed (memory-budgeted)
   // pipeline in the loop: mutations over a streaming build land in the
-  // identical trichotomy, proving the spill/merge path neither masks
-  // corruption nor introduces divergence of its own.
+  // identical trichotomy, proving window packing neither masks corruption
+  // nor introduces divergence of its own.
   workload::AppSpec Spec;
   Spec.Name = "faultapp-windowed";
   Spec.Seed = 2229;

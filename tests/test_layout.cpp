@@ -21,6 +21,7 @@
 #include "core/Calibro.h"
 #include "layout/Layout.h"
 #include "oat/Linker.h"
+#include "oat/Serialize.h"
 #include "sim/Simulator.h"
 #include "workload/Workload.h"
 
@@ -219,6 +220,35 @@ TEST(Layout, OpenWorldIsByteIdenticalNoOp) {
   ASSERT_TRUE(bool(B)) << B.message();
   EXPECT_FALSE(A->Stats.LayoutApplied);
   EXPECT_EQ(A->Oat.Text, B->Oat.Text);
+}
+
+TEST(Layout, OneCompileLinkedTwiceMatchesTwoBuilds) {
+  // The CLI's --profile flow: compile once, link a copy for the profiling
+  // pre-build, then link the original with the profile. Compilation never
+  // reads the profile, so both images equal those of two full builds.
+  auto Spec = closedSpec(71);
+  dex::App App = workload::makeApp(Spec);
+  auto Script = workload::makeScript(Spec, 16, 99);
+  auto Opts = plOpts();
+  auto Compiled = core::compileApp(App, Opts);
+  ASSERT_TRUE(bool(Compiled)) << Compiled.message();
+
+  auto Pre = core::linkApp(*Compiled, Opts);
+  auto PreBuilt = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Pre)) << Pre.message();
+  ASSERT_TRUE(bool(PreBuilt)) << PreBuilt.message();
+  EXPECT_EQ(oat::serializeOat(Pre->Oat), oat::serializeOat(PreBuilt->Oat));
+
+  profile::Profile Prof =
+      runScript(Pre->Oat, Script, /*CollectProfile=*/true).Prof;
+  ASSERT_GT(Prof.totalCycles(), 0u);
+  Opts.Profile = &Prof;
+  auto Linked = core::linkApp(std::move(*Compiled), Opts);
+  auto Built = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Linked)) << Linked.message();
+  ASSERT_TRUE(bool(Built)) << Built.message();
+  EXPECT_TRUE(Linked->Stats.LayoutApplied);
+  EXPECT_EQ(oat::serializeOat(Linked->Oat), oat::serializeOat(Built->Oat));
 }
 
 // --- Direct solver unit coverage ----------------------------------------

@@ -457,7 +457,6 @@ TEST(Outliner, WindowedSmallestBudgetUsesOneWindowPerGroup) {
   const auto &S = R->Stats;
   EXPECT_EQ(S.DetectWindows, S.PartitionsUsed);
   EXPECT_EQ(S.DetectBudgetOverruns, S.DetectWindows);
-  EXPECT_GT(S.GroupsSpilled, 0u);
 }
 
 TEST(Outliner, AutoPartitionsDerivedFromBudget) {

@@ -41,12 +41,10 @@ void usage() {
       "  --partitions <k>   detection groups, PlOpti (paper 3.4.1)\n"
       "  --threads <n>      LTBO worker threads\n"
       "  --memory-budget <bytes>  bound LTBO's peak detection working set:\n"
-      "                     detection streams in budget-sized windows,\n"
-      "                     spilling finished groups to the build cache (or\n"
-      "                     an ephemeral temp store); output is\n"
-      "                     byte-identical to an unbudgeted build. Without\n"
-      "                     an explicit --partitions, K is derived from the\n"
-      "                     budget\n"
+      "                     detection runs in budget-sized windows of\n"
+      "                     groups; output is byte-identical to an\n"
+      "                     unbudgeted build. Without an explicit\n"
+      "                     --partitions, K is derived from the budget\n"
       "  --hf               hot-function filtering: profile a scripted run\n"
       "                     of the unfiltered build first (paper 3.4.2)\n"
       "  --profile          collect the same scripted runtime profile and\n"
@@ -170,11 +168,20 @@ int main(int argc, char **argv) {
   std::fprintf(stderr, "compiling %s: %zu methods, %zu dex files\n",
                AppName.c_str(), App.numMethods(), App.Files.size());
 
+  // Compilation never reads the profile, so one compile serves both the
+  // profiling pre-build and the real link.
+  auto Compiled = core::compileApp(App, Opts);
+  if (!Compiled) {
+    std::fprintf(stderr, "build failed [%s]: %s\n",
+                 errCatName(Compiled.category()), Compiled.message().c_str());
+    return 1;
+  }
+
   profile::Profile Prof;
   if (Hf) {
-    // Fig. 6: build unfiltered, run the script under the profiler, then
-    // let the profile guide the real build.
-    auto Pre = core::buildApp(App, Opts);
+    // Fig. 6: link unfiltered, run the script under the profiler, then
+    // let the profile guide the real link.
+    auto Pre = core::linkApp(*Compiled, Opts);
     if (!Pre) {
       std::fprintf(stderr, "build failed: %s\n", Pre.message().c_str());
       return 1;
@@ -194,7 +201,7 @@ int main(int argc, char **argv) {
     Opts.Profile = &Prof;
   }
 
-  auto B = core::buildApp(App, Opts);
+  auto B = core::linkApp(std::move(*Compiled), Opts);
   if (!B) {
     std::fprintf(stderr, "build failed [%s]: %s\n",
                  errCatName(B.category()), B.message().c_str());
@@ -221,13 +228,11 @@ int main(int argc, char **argv) {
   if (Opts.MemoryBudgetBytes && St.Ltbo.DetectWindows)
     std::fprintf(stderr,
                  "  windowed: %zu partitions, %zu windows, window peak %zu "
-                 "bytes (budget %llu), %zu groups spilled, %zu overruns, "
-                 "merge %.3fs\n",
+                 "bytes (budget %llu), %zu overruns\n",
                  St.Ltbo.PartitionsUsed, St.Ltbo.DetectWindows,
                  St.Ltbo.DetectWindowPeakBytes,
                  (unsigned long long)Opts.MemoryBudgetBytes,
-                 St.Ltbo.GroupsSpilled, St.Ltbo.DetectBudgetOverruns,
-                 St.Ltbo.MergeSeconds);
+                 St.Ltbo.DetectBudgetOverruns);
   if (CacheStats && !Opts.CacheDir.empty())
     std::fprintf(stderr,
                  "  cache: %zu method hits, %zu misses, %zu/%zu LTBO groups "
