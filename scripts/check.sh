@@ -22,15 +22,18 @@ if [[ "$MODE" == all || "$MODE" == tier1 ]]; then
 fi
 
 if [[ "$MODE" == all || "$MODE" == asan ]]; then
-  echo "== sanitizers: ASan+UBSan build of the verification suite =="
+  # A Debug build, so assert() and the HGraph verifier that runPipeline
+  # runs after every pass are live here; the tier-1 build defines NDEBUG.
+  echo "== sanitizers: ASan+UBSan asserts-on build of the verification suite =="
   SAN_BUILD="${BUILD}-asan"
-  cmake -B "$SAN_BUILD" -S . -DCALIBRO_SANITIZE=address,undefined
+  cmake -B "$SAN_BUILD" -S . -DCALIBRO_SANITIZE=address,undefined \
+        -DCMAKE_BUILD_TYPE=Debug
   cmake --build "$SAN_BUILD" -j \
         --target test_verify test_outliner test_suffixtree \
                  test_serialize test_faultinject test_cache test_analysis \
-                 test_service test_layout
+                 test_service test_layout test_hir test_codegen
   ctest --test-dir "$SAN_BUILD" --output-on-failure \
-        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout)$'
+        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_hir|test_codegen)$'
 fi
 
 if [[ "$MODE" == all || "$MODE" == tsan ]]; then
@@ -40,9 +43,9 @@ if [[ "$MODE" == all || "$MODE" == tsan ]]; then
   cmake --build "$TSAN_BUILD" -j --target test_parallel test_support \
                                           test_faultinject test_cache \
                                           test_analysis test_service \
-                                          test_layout
+                                          test_layout test_codegen
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-        -R '^(test_parallel|test_support|test_faultinject|test_cache|test_analysis|test_service|test_layout)$'
+        -R '^(test_parallel|test_support|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_codegen)$'
 fi
 
 echo "check.sh ($MODE): all green"

@@ -12,7 +12,9 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <map>
 
 using namespace calibro;
 using namespace calibro::codegen;
@@ -71,14 +73,11 @@ std::vector<uint32_t> codegen::buildCtoStubCode(CtoStubKind Kind,
 
 uint32_t CtoStubCache::getOrCreate(CtoStubKind Kind, uint32_t Imm) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto Key = std::make_pair(static_cast<uint8_t>(Kind), Imm);
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(Stubs.size());
+  for (uint32_t Id = 0; Id < Stubs.size(); ++Id)
+    if (Stubs[Id].Kind == Kind && Stubs[Id].Imm == Imm)
+      return Id;
   Stubs.push_back(CtoStub{Kind, Imm, buildCtoStubCode(Kind, Imm)});
-  Cache.emplace(Key, Id);
-  return Id;
+  return static_cast<uint32_t>(Stubs.size() - 1);
 }
 
 std::vector<CtoStub> CtoStubCache::takeStubs() {
@@ -107,8 +106,8 @@ public:
   /// \p NumSavedHomes is how many home registers (x20..) the prologue must
   /// preserve — only the ones the method really uses, like a register
   /// allocator under per-method pressure.
-  Emitter(const CodeGenOptions &Opts, CtoStubCache &Stubs, uint16_t NumRegs,
-          uint16_t NumSavedHomes)
+  Emitter(const CodeGenOptions &Opts, const CtoStubIds &Stubs,
+          uint16_t NumRegs, uint16_t NumSavedHomes)
       : Opts(Opts), Stubs(Stubs), NumRegs(NumRegs) {
     NumSaved = std::min<uint16_t>(NumSavedHomes, NumHomeRegs);
     NumSpills = NumRegs > NumHomeRegs ? NumRegs - NumHomeRegs : 0;
@@ -279,8 +278,7 @@ public:
   void emitRuntimeCall(art::Entrypoint E, uint32_t DexPc) {
     uint32_t Off = art::entrypointOffset(E);
     if (Opts.EnableCto) {
-      emitBl(RelocKind::CtoStub,
-             Stubs.getOrCreate(CtoStubKind::RtCall, Off));
+      emitBl(RelocKind::CtoStub, Stubs.RtCall[static_cast<uint32_t>(E)]);
     } else {
       Insn Ld{.Op = Opcode::LdrImm, .Rd = LR, .Rn = ThreadReg};
       Ld.Imm = Off;
@@ -296,9 +294,7 @@ public:
   /// in x0.
   void emitJavaCallTail(uint32_t DexPc) {
     if (Opts.EnableCto) {
-      emitBl(RelocKind::CtoStub,
-             Stubs.getOrCreate(CtoStubKind::JavaCall,
-                               art::ArtMethodEntryPointOffset));
+      emitBl(RelocKind::CtoStub, Stubs.JavaCall);
     } else {
       Insn Ld{.Op = Opcode::LdrImm, .Rd = LR, .Rn = ArtMethodReg};
       Ld.Imm = art::ArtMethodEntryPointOffset;
@@ -370,8 +366,7 @@ public:
 
   void emitStackCheck() {
     if (Opts.EnableCto) {
-      emitBl(RelocKind::CtoStub,
-             Stubs.getOrCreate(CtoStubKind::StackCheck, 0));
+      emitBl(RelocKind::CtoStub, Stubs.StackCheck);
       return;
     }
     Insn SubSp{.Op = Opcode::SubImm, .Rd = IP0, .Rn = SP};
@@ -452,7 +447,7 @@ public:
   }
 
   const CodeGenOptions &Opts;
-  CtoStubCache &Stubs;
+  const CtoStubIds &Stubs;
   uint16_t NumRegs;
   uint16_t NumSaved = 0;
   uint16_t NumSpills = 0;
@@ -525,17 +520,19 @@ bool isLeafGraph(const hir::HGraph &G) {
 //===----------------------------------------------------------------------===//
 
 CodeGenerator::CodeGenerator(CodeGenOptions Opts, CtoStubCache &Stubs)
-    : Opts(Opts), Stubs(Stubs) {
+    : Opts(Opts) {
   // Pre-register every stub the generator can ever emit so that stub ids
   // do not depend on method compilation order — parallel compilation then
-  // produces bit-identical images.
+  // produces bit-identical images — and compile() needs no lock.
   if (!Opts.EnableCto)
     return;
-  Stubs.getOrCreate(CtoStubKind::StackCheck, 0);
-  Stubs.getOrCreate(CtoStubKind::JavaCall, art::ArtMethodEntryPointOffset);
+  Ids.StackCheck = Stubs.getOrCreate(CtoStubKind::StackCheck, 0);
+  Ids.JavaCall =
+      Stubs.getOrCreate(CtoStubKind::JavaCall, art::ArtMethodEntryPointOffset);
   for (uint32_t E = 0; E < art::NumEntrypoints; ++E)
-    Stubs.getOrCreate(CtoStubKind::RtCall,
-                      art::entrypointOffset(static_cast<art::Entrypoint>(E)));
+    Ids.RtCall[E] = Stubs.getOrCreate(
+        CtoStubKind::RtCall,
+        art::entrypointOffset(static_cast<art::Entrypoint>(E)));
 }
 
 CompiledMethod CodeGenerator::compile(const hir::HGraph &G) const {
@@ -543,28 +540,18 @@ CompiledMethod CodeGenerator::compile(const hir::HGraph &G) const {
   Out.MethodIdx = G.MethodIdx;
   Out.Name = G.Name;
 
-  // Preserve only the home registers this method touches.
-  uint16_t NumSavedHomes = 0;
-  {
-    std::vector<uint16_t> Regs;
-    auto Note = [&](uint16_t V) {
-      if (V < NumHomeRegs && V + 1 > NumSavedHomes)
-        NumSavedHomes = V + 1;
-    };
-    for (uint16_t A = 0; A < G.NumArgs; ++A)
-      Note(A);
-    for (const auto &B : G.Blocks)
-      for (const auto &I : B.Insns) {
-        if (auto D = hir::defOf(I))
-          Note(*D);
-        Regs.clear();
-        hir::usesOf(I, Regs);
-        for (uint16_t V : Regs)
-          Note(V);
-      }
-  }
+  // Preserve only the home registers this method touches: all of v0 up to
+  // the highest home register that is an argument, read or written.
+  uint64_t Touched = G.NumArgs >= NumHomeRegs
+                         ? ~uint64_t(0)
+                         : (uint64_t(1) << G.NumArgs) - 1;
+  for (const auto &B : G.Blocks)
+    for (const auto &I : B.Insns)
+      Touched |= hir::defMask(I) | hir::useMask(I);
+  Touched &= (uint64_t(1) << NumHomeRegs) - 1;
+  auto NumSavedHomes = static_cast<uint16_t>(std::bit_width(Touched));
 
-  Emitter E(Opts, Stubs, G.NumRegs, NumSavedHomes);
+  Emitter E(Opts, Ids, G.NumRegs, NumSavedHomes);
 
   // One label per block, plus the shared epilogue and lazy slow paths.
   std::vector<uint32_t> BlockLabel(G.Blocks.size());
@@ -901,7 +888,7 @@ CompiledMethod CodeGenerator::compileNative(const dex::Method &M) const {
   Out.MethodIdx = M.Idx;
   Out.Name = M.Name;
 
-  Emitter E(Opts, Stubs, /*NumRegs=*/0, /*NumSavedHomes=*/0);
+  Emitter E(Opts, Ids, /*NumRegs=*/0, /*NumSavedHomes=*/0);
   // Minimal JNI transition trampoline. Marked IsNative: the outliner skips
   // it entirely (paper §3.2, "Java native methods").
   Insn Push{.Op = Opcode::Stp, .Rd = FP, .Rn = SP, .Ra = LR};

@@ -26,11 +26,12 @@
 #ifndef CALIBRO_CODEGEN_CODEGENERATOR_H
 #define CALIBRO_CODEGEN_CODEGENERATOR_H
 
+#include "codegen/ArtAbi.h"
 #include "codegen/CompiledMethod.h"
 #include "dex/Dex.h"
 #include "hir/HGraph.h"
 
-#include <map>
+#include <array>
 #include <mutex>
 
 namespace calibro {
@@ -39,7 +40,8 @@ namespace codegen {
 /// The shared, concurrency-safe cache of CTO stubs for one compilation
 /// session (one per app build). Deduplicates stubs by (kind, immediate) —
 /// e.g. all Java calls through the same ArtMethod entry offset share one
-/// stub.
+/// stub. Stubs are registered when a CodeGenerator is constructed; method
+/// compilation only reads the ids the generator recorded then.
 class CtoStubCache {
 public:
   /// Returns the stub id for (\p Kind, \p Imm), creating the stub body on
@@ -54,7 +56,6 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::map<std::pair<uint8_t, uint32_t>, uint32_t> Cache;
   std::vector<CtoStub> Stubs;
 };
 
@@ -63,11 +64,20 @@ struct CodeGenOptions {
   bool EnableCto = false; ///< Outline the three ART patterns at compile time.
 };
 
+/// The id of every CTO stub the generator can call.
+struct CtoStubIds {
+  uint32_t StackCheck = 0;
+  uint32_t JavaCall = 0;
+  std::array<uint32_t, art::NumEntrypoints> RtCall = {};
+};
+
 /// Lowers optimized HGraphs (and native-method trampolines) to
 /// CompiledMethods. Thread-safe: compile() may run concurrently for
 /// different methods (dex2oat compiles methods in parallel, Fig. 5).
 class CodeGenerator {
 public:
+  /// With CTO enabled, registers every stub in \p Stubs up front, so stub
+  /// ids do not depend on which methods are compiled or in what order.
   CodeGenerator(CodeGenOptions Opts, CtoStubCache &Stubs);
 
   /// Compiles one optimized HGraph.
@@ -78,7 +88,7 @@ public:
 
 private:
   CodeGenOptions Opts;
-  CtoStubCache &Stubs;
+  CtoStubIds Ids;
 };
 
 /// Builds the machine code of one CTO stub body (shared with tests).

@@ -9,7 +9,6 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace calibro;
 using namespace calibro::hir;
@@ -130,36 +129,35 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
 
   std::size_t N = M.Code.size();
 
-  // Pass 1: find block leaders.
-  std::vector<bool> Leader(N, false);
-  Leader[0] = true;
+  // Pass 1: find block leaders. BlockOf[pc] is the id of the block a leader
+  // pc starts, NoBlock for every other pc.
+  constexpr uint32_t NoBlock = ~uint32_t(0);
+  std::vector<uint32_t> BlockOf(N, NoBlock);
+  auto markLeader = [&](std::size_t Pc) {
+    if (Pc < N)
+      BlockOf[Pc] = 0;
+  };
+  markLeader(0);
   for (std::size_t Pc = 0; Pc < N; ++Pc) {
     const dex::Insn &I = M.Code[Pc];
-    if (isDexBranch(I.Opcode)) {
-      Leader[I.Target] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
-    } else if (I.Opcode == dex::Op::Goto) {
-      Leader[I.Target] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
+    if (isDexBranch(I.Opcode) || I.Opcode == dex::Op::Goto) {
+      markLeader(I.Target);
+      markLeader(Pc + 1);
     } else if (I.Opcode == dex::Op::Switch) {
       for (uint32_t T : M.SwitchTables[static_cast<std::size_t>(I.Imm)])
-        Leader[T] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
+        markLeader(T);
+      markLeader(Pc + 1);
     } else if (dex::endsBlock(I.Opcode)) {
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
+      markLeader(Pc + 1);
     }
   }
 
-  // Map every leader pc to its block id.
-  std::map<uint32_t, uint32_t> BlockOf;
+  // Number the leaders in pc order.
   uint32_t NumBlocks = 0;
-  for (std::size_t Pc = 0; Pc < N; ++Pc)
-    if (Leader[Pc])
-      BlockOf[static_cast<uint32_t>(Pc)] = NumBlocks++;
+  for (uint32_t &B : BlockOf)
+    if (B != NoBlock)
+      B = NumBlocks++;
+  auto isLeader = [&](std::size_t Pc) { return BlockOf[Pc] != NoBlock; };
 
   HGraph G;
   G.MethodIdx = M.Idx;
@@ -170,12 +168,19 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
   G.Blocks.resize(NumBlocks);
   for (uint32_t B = 0; B < NumBlocks; ++B)
     G.Blocks[B].Id = B;
+  // Size each block's instruction list up front: one per pc it spans, plus
+  // a possible fallthrough Goto.
+  for (std::size_t Pc = 0, Start = 0; Pc <= N; ++Pc)
+    if (Pc == N || (Pc > 0 && isLeader(Pc))) {
+      G.Blocks[BlockOf[Start]].Insns.reserve(Pc - Start + 1);
+      Start = Pc;
+    }
 
   // Pass 2: translate instructions block by block.
   uint32_t Cur = ~uint32_t(0);
   for (std::size_t Pc = 0; Pc < N; ++Pc) {
-    if (Leader[Pc])
-      Cur = BlockOf.at(static_cast<uint32_t>(Pc));
+    if (isLeader(Pc))
+      Cur = BlockOf[Pc];
     HBlock &BB = G.Blocks[Cur];
     const dex::Insn &I = M.Code[Pc];
     HInsn H;
@@ -234,15 +239,15 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
       H.A = I.A;
       H.B = Zero ? dex::NoReg : I.B;
       BB.Insns.push_back(H);
-      BB.Succs.push_back(BlockOf.at(I.Target));                 // Taken.
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1)); // Fall.
+      BB.Succs.push_back(BlockOf[I.Target]); // Taken.
+      BB.Succs.push_back(BlockOf[Pc + 1]);   // Fall.
       continue;
     }
 
     case dex::Op::Goto:
       H.Op = HOp::Goto;
       BB.Insns.push_back(H);
-      BB.Succs.push_back(BlockOf.at(I.Target));
+      BB.Succs.push_back(BlockOf[I.Target]);
       continue;
 
     case dex::Op::Switch: {
@@ -250,8 +255,8 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
       H.A = I.A;
       BB.Insns.push_back(H);
       for (uint32_t T : M.SwitchTables[static_cast<std::size_t>(I.Imm)])
-        BB.Succs.push_back(BlockOf.at(T));
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1)); // Default.
+        BB.Succs.push_back(BlockOf[T]);
+      BB.Succs.push_back(BlockOf[Pc + 1]); // Default.
       continue;
     }
 
@@ -303,12 +308,12 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
     BB.Insns.push_back(H);
     // A non-terminating instruction right before a leader needs an explicit
     // fallthrough Goto to keep blocks self-contained.
-    if (Pc + 1 < N && Leader[Pc + 1]) {
+    if (Pc + 1 < N && isLeader(Pc + 1)) {
       HInsn Jump;
       Jump.Op = HOp::Goto;
       Jump.DexPc = static_cast<uint32_t>(Pc);
       BB.Insns.push_back(Jump);
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1));
+      BB.Succs.push_back(BlockOf[Pc + 1]);
     }
   }
 
@@ -329,6 +334,9 @@ Error hir::verifyHGraph(const HGraph &G) {
   };
   if (G.Blocks.empty())
     return makeError("HGraph '" + G.Name + "': no blocks");
+  if (G.NumRegs > MaxRegs)
+    return makeError("HGraph '" + G.Name + "': more than " +
+                     std::to_string(MaxRegs) + " registers");
 
   for (const auto &B : G.Blocks) {
     if (B.Insns.empty())
@@ -336,6 +344,15 @@ Error hir::verifyHGraph(const HGraph &G) {
     for (std::size_t K = 0; K + 1 < B.Insns.size(); ++K)
       if (isBlockTerminator(B.Insns[K].Op))
         return Fail(B.Id, "terminator before the end of the block");
+    for (const HInsn &I : B.Insns) {
+      if (I.NumArgs > I.Args.size())
+        return Fail(B.Id, "more invoke arguments than argument slots");
+      auto D = defOf(I);
+      bool InRange = !D || *D < G.NumRegs;
+      forEachUse(I, [&](uint16_t R) { InRange &= R < G.NumRegs; });
+      if (!InRange)
+        return Fail(B.Id, "register operand out of range");
+    }
     const HInsn &Last = B.Insns.back();
     if (!isBlockTerminator(Last.Op))
       return Fail(B.Id, "block does not end with a terminator");

@@ -33,6 +33,10 @@
 namespace calibro {
 namespace hir {
 
+/// The largest register file an HGraph may have: the passes keep register
+/// sets in one uint64_t. dex::verifyMethod enforces the same bound.
+inline constexpr uint16_t MaxRegs = 64;
+
 /// HGraph operations. Mostly 1:1 with dex ops; conditional branches are
 /// unified under HOp::If with a condition kind.
 enum class HOp : uint8_t {
@@ -89,10 +93,95 @@ bool isBlockTerminator(HOp Op);
 bool isRemovableIfDead(HOp Op);
 
 /// Returns the virtual register defined by \p I, if any.
-std::optional<uint16_t> defOf(const HInsn &I);
+inline std::optional<uint16_t> defOf(const HInsn &I) {
+  switch (I.Op) {
+  case HOp::Const:
+  case HOp::Move:
+  case HOp::Add:
+  case HOp::Sub:
+  case HOp::Mul:
+  case HOp::Div:
+  case HOp::And:
+  case HOp::Or:
+  case HOp::Xor:
+  case HOp::Shl:
+  case HOp::Shr:
+  case HOp::AddImm:
+  case HOp::NewInstance:
+  case HOp::IGet:
+    return I.A;
+  case HOp::InvokeStatic:
+  case HOp::InvokeVirtual:
+    if (I.A != dex::NoReg)
+      return I.A;
+    return std::nullopt;
+  default:
+    return std::nullopt;
+  }
+}
 
-/// Appends the virtual registers read by \p I to \p Uses.
-void usesOf(const HInsn &I, std::vector<uint16_t> &Uses);
+/// Calls \p Fn on every register operand \p I reads, in operand order. With
+/// a non-const \p I, \p Fn receives a mutable reference and may rewrite the
+/// operand. This is the one table of register uses; useMask derives from it.
+template <typename HInsnT, typename FnT> void forEachUse(HInsnT &I, FnT &&Fn) {
+  switch (I.Op) {
+  case HOp::Const:
+  case HOp::Goto:
+  case HOp::ReturnVoid:
+  case HOp::NewInstance:
+    return;
+  case HOp::Move:
+  case HOp::AddImm:
+  case HOp::IGet:
+    Fn(I.B);
+    return;
+  case HOp::Add:
+  case HOp::Sub:
+  case HOp::Mul:
+  case HOp::Div:
+  case HOp::And:
+  case HOp::Or:
+  case HOp::Xor:
+  case HOp::Shl:
+  case HOp::Shr:
+    Fn(I.B);
+    Fn(I.C);
+    return;
+  case HOp::If:
+    Fn(I.A);
+    if (I.B != dex::NoReg)
+      Fn(I.B);
+    return;
+  case HOp::Switch:
+  case HOp::Return:
+  case HOp::Throw:
+    Fn(I.A);
+    return;
+  case HOp::InvokeStatic:
+  case HOp::InvokeVirtual:
+    for (uint8_t K = 0; K < I.NumArgs; ++K)
+      Fn(I.Args[K]);
+    return;
+  case HOp::IPut:
+    Fn(I.A);
+    Fn(I.B);
+    return;
+  }
+}
+
+/// The registers read by \p I as a bitmask (bit r = register r). Requires
+/// every operand below MaxRegs, which verifyHGraph guarantees.
+inline uint64_t useMask(const HInsn &I) {
+  uint64_t Mask = 0;
+  forEachUse(I, [&](uint16_t R) { Mask |= uint64_t(1) << R; });
+  return Mask;
+}
+
+/// The register written by \p I as a bitmask; 0 when it writes none.
+inline uint64_t defMask(const HInsn &I) {
+  auto D = defOf(I);
+  return D ? uint64_t(1) << *D : 0;
+}
 
 /// A basic block: straight-line instructions ending in a terminator, plus
 /// explicit successor edges.
@@ -130,8 +219,9 @@ struct HGraph {
 /// bytecode; code generation handles them directly).
 Expected<HGraph> buildHGraph(const dex::Method &M);
 
-/// Checks HGraph invariants: terminator placement, successor-shape per
-/// terminator kind, and Pred/Succ symmetry.
+/// Checks HGraph invariants: a register file of at most MaxRegs registers
+/// with every register operand inside it, terminator placement, successor-shape per terminator kind, and
+/// Pred/Succ symmetry.
 Error verifyHGraph(const HGraph &G);
 
 } // namespace hir

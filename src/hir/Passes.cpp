@@ -9,92 +9,21 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
+#include <array>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <optional>
-#include <tuple>
-#include <unordered_map>
 
 using namespace calibro;
 using namespace calibro::hir;
 
-std::optional<uint16_t> hir::defOf(const HInsn &I) {
-  switch (I.Op) {
-  case HOp::Const:
-  case HOp::Move:
-  case HOp::Add:
-  case HOp::Sub:
-  case HOp::Mul:
-  case HOp::Div:
-  case HOp::And:
-  case HOp::Or:
-  case HOp::Xor:
-  case HOp::Shl:
-  case HOp::Shr:
-  case HOp::AddImm:
-  case HOp::NewInstance:
-  case HOp::IGet:
-    return I.A;
-  case HOp::InvokeStatic:
-  case HOp::InvokeVirtual:
-    if (I.A != dex::NoReg)
-      return I.A;
-    return std::nullopt;
-  default:
-    return std::nullopt;
-  }
-}
-
-void hir::usesOf(const HInsn &I, std::vector<uint16_t> &Uses) {
-  switch (I.Op) {
-  case HOp::Const:
-  case HOp::Goto:
-  case HOp::ReturnVoid:
-  case HOp::NewInstance:
-    return;
-  case HOp::Move:
-  case HOp::AddImm:
-    Uses.push_back(I.B);
-    return;
-  case HOp::Add:
-  case HOp::Sub:
-  case HOp::Mul:
-  case HOp::Div:
-  case HOp::And:
-  case HOp::Or:
-  case HOp::Xor:
-  case HOp::Shl:
-  case HOp::Shr:
-    Uses.push_back(I.B);
-    Uses.push_back(I.C);
-    return;
-  case HOp::If:
-    Uses.push_back(I.A);
-    if (I.B != dex::NoReg)
-      Uses.push_back(I.B);
-    return;
-  case HOp::Switch:
-  case HOp::Return:
-  case HOp::Throw:
-    Uses.push_back(I.A);
-    return;
-  case HOp::InvokeStatic:
-  case HOp::InvokeVirtual:
-    for (uint8_t K = 0; K < I.NumArgs; ++K)
-      Uses.push_back(I.Args[K]);
-    return;
-  case HOp::IGet:
-    Uses.push_back(I.B);
-    return;
-  case HOp::IPut:
-    Uses.push_back(I.A);
-    Uses.push_back(I.B);
-    return;
-  }
-  CALIBRO_UNREACHABLE("unknown HOp in usesOf");
-}
-
 namespace {
+
+constexpr uint32_t NoBlock = ~uint32_t(0);
+
+uint64_t bit(uint16_t R) { return uint64_t(1) << R; }
 
 /// AArch64-consistent evaluation of a folded binary op. Returns nullopt when
 /// folding must be suppressed (division by zero keeps its throwing check).
@@ -130,35 +59,37 @@ std::optional<int64_t> evalBinOp(HOp Op, int64_t L, int64_t R) {
   }
 }
 
-/// Removes unreachable blocks, renumbers the survivors and rebuilds
-/// predecessor lists. Returns the number of blocks removed.
+/// Removes blocks unreachable from the entry, renumbers the survivors in
+/// place and rebuilds predecessor lists. Returns the number of blocks
+/// removed.
 std::size_t compactAndRemap(HGraph &G) {
-  std::vector<bool> Reachable(G.Blocks.size(), false);
+  std::size_t NB = G.Blocks.size();
+  // Remap[b] is b's new id; NoBlock marks a block not (yet) reached.
+  std::vector<uint32_t> Remap(NB, NoBlock);
   std::vector<uint32_t> Work = {0};
-  Reachable[0] = true;
+  Remap[0] = 0;
   while (!Work.empty()) {
     uint32_t B = Work.back();
     Work.pop_back();
     for (uint32_t S : G.Blocks[B].Succs)
-      if (!Reachable[S]) {
-        Reachable[S] = true;
+      if (Remap[S] == NoBlock) {
+        Remap[S] = 0;
         Work.push_back(S);
       }
   }
 
-  std::vector<uint32_t> Remap(G.Blocks.size(), ~uint32_t(0));
-  std::vector<HBlock> Kept;
-  Kept.reserve(G.Blocks.size());
-  for (uint32_t B = 0; B < G.Blocks.size(); ++B) {
-    if (!Reachable[B])
+  uint32_t Kept = 0;
+  for (uint32_t B = 0; B < NB; ++B) {
+    if (Remap[B] == NoBlock)
       continue;
-    Remap[B] = static_cast<uint32_t>(Kept.size());
-    Kept.push_back(std::move(G.Blocks[B]));
+    Remap[B] = Kept;
+    if (Kept != B)
+      G.Blocks[Kept] = std::move(G.Blocks[B]);
+    ++Kept;
   }
-  std::size_t Removed = G.Blocks.size() - Kept.size();
-  G.Blocks = std::move(Kept);
+  G.Blocks.erase(G.Blocks.begin() + Kept, G.Blocks.end());
 
-  for (uint32_t B = 0; B < G.Blocks.size(); ++B) {
+  for (uint32_t B = 0; B < Kept; ++B) {
     HBlock &BB = G.Blocks[B];
     BB.Id = B;
     for (uint32_t &S : BB.Succs)
@@ -168,50 +99,46 @@ std::size_t compactAndRemap(HGraph &G) {
   for (const auto &BB : G.Blocks)
     for (uint32_t S : BB.Succs)
       G.Blocks[S].Preds.push_back(BB.Id);
-  return Removed;
+  return NB - Kept;
 }
 
 } // namespace
 
 std::size_t hir::runConstantFolding(HGraph &G) {
-  assert(G.NumRegs <= 64 && "register file too large for bitmask liveness");
   std::size_t Simplified = 0;
+  int64_t Val[MaxRegs] = {};
   for (auto &B : G.Blocks) {
-    std::unordered_map<uint16_t, int64_t> Known;
-    // Arguments arrive in v0..vNumArgs-1 of the entry block; they are not
-    // constants. Everything else starts unknown too, so no seeding needed.
+    // Bit r of Known: register r holds the constant Val[r]. Every block,
+    // the entry's arguments included, starts with nothing known.
+    uint64_t Known = 0;
+    auto isKnown = [&](uint16_t R) { return (Known & bit(R)) != 0; };
+    auto fold = [&](HInsn &I, int64_t V) {
+      I.Op = HOp::Const;
+      I.Imm = V;
+      I.B = 0;
+      Known |= bit(I.A);
+      Val[I.A] = V;
+      ++Simplified;
+    };
     for (auto &I : B.Insns) {
       switch (I.Op) {
       case HOp::Const:
-        Known[I.A] = I.Imm;
+        Known |= bit(I.A);
+        Val[I.A] = I.Imm;
         continue;
-      case HOp::Move: {
-        auto It = Known.find(I.B);
-        if (It != Known.end()) {
-          I.Op = HOp::Const;
-          I.Imm = It->second;
-          I.B = 0;
-          Known[I.A] = I.Imm;
-          ++Simplified;
-        } else {
-          Known.erase(I.A);
-        }
+      case HOp::Move:
+        if (isKnown(I.B))
+          fold(I, Val[I.B]);
+        else
+          Known &= ~bit(I.A);
         continue;
-      }
-      case HOp::AddImm: {
-        auto It = Known.find(I.B);
-        if (It != Known.end()) {
-          I.Op = HOp::Const;
-          I.Imm = static_cast<int64_t>(static_cast<uint64_t>(It->second) +
-                                       static_cast<uint64_t>(I.Imm));
-          I.B = 0;
-          Known[I.A] = I.Imm;
-          ++Simplified;
-        } else {
-          Known.erase(I.A);
-        }
+      case HOp::AddImm:
+        if (isKnown(I.B))
+          fold(I, static_cast<int64_t>(static_cast<uint64_t>(Val[I.B]) +
+                                       static_cast<uint64_t>(I.Imm)));
+        else
+          Known &= ~bit(I.A);
         continue;
-      }
       case HOp::Add:
       case HOp::Sub:
       case HOp::Mul:
@@ -220,25 +147,17 @@ std::size_t hir::runConstantFolding(HGraph &G) {
       case HOp::Or:
       case HOp::Xor:
       case HOp::Shl:
-      case HOp::Shr: {
-        auto ItB = Known.find(I.B);
-        auto ItC = Known.find(I.C);
-        if (ItB != Known.end() && ItC != Known.end()) {
-          if (auto Val = evalBinOp(I.Op, ItB->second, ItC->second)) {
-            I.Op = HOp::Const;
-            I.Imm = *Val;
-            I.B = I.C = 0;
-            Known[I.A] = *Val;
-            ++Simplified;
+      case HOp::Shr:
+        if (isKnown(I.B) && isKnown(I.C))
+          if (auto V = evalBinOp(I.Op, Val[I.B], Val[I.C])) {
+            I.C = 0;
+            fold(I, *V);
             continue;
           }
-        }
-        Known.erase(I.A);
+        Known &= ~bit(I.A);
         continue;
-      }
       default:
-        if (auto D = defOf(I))
-          Known.erase(*D);
+        Known &= ~defMask(I);
         continue;
       }
     }
@@ -247,22 +166,21 @@ std::size_t hir::runConstantFolding(HGraph &G) {
 }
 
 std::size_t hir::runDeadCodeElim(HGraph &G) {
-  assert(G.NumRegs <= 64 && "register file too large for bitmask liveness");
-  std::size_t NB = G.Blocks.size();
-  std::vector<uint64_t> LiveIn(NB, 0), LiveOut(NB, 0);
-
-  auto transfer = [&](const HBlock &B, uint64_t Live) {
-    std::vector<uint16_t> Uses;
-    for (auto It = B.Insns.rbegin(); It != B.Insns.rend(); ++It) {
-      if (auto D = defOf(*It))
-        Live &= ~(uint64_t(1) << *D);
-      Uses.clear();
-      usesOf(*It, Uses);
-      for (uint16_t U : Uses)
-        Live |= uint64_t(1) << U;
-    }
-    return Live;
+  // Per block: the registers read before any write (Use), the registers
+  // written (Def), and the live sets at entry and exit.
+  struct LiveSets {
+    uint64_t Use = 0, Def = 0, In = 0, Out = 0;
   };
+  std::size_t NB = G.Blocks.size();
+  std::vector<LiveSets> L(NB);
+  for (std::size_t B = 0; B < NB; ++B) {
+    const auto &Insns = G.Blocks[B].Insns;
+    for (auto It = Insns.rbegin(); It != Insns.rend(); ++It) {
+      uint64_t D = defMask(*It);
+      L[B].Use = (L[B].Use & ~D) | useMask(*It);
+      L[B].Def |= D;
+    }
+  }
 
   // Backward fixpoint.
   bool Changed = true;
@@ -271,119 +189,63 @@ std::size_t hir::runDeadCodeElim(HGraph &G) {
     for (std::size_t B = NB; B-- > 0;) {
       uint64_t Out = 0;
       for (uint32_t S : G.Blocks[B].Succs)
-        Out |= LiveIn[S];
-      uint64_t In = transfer(G.Blocks[B], Out);
-      if (Out != LiveOut[B] || In != LiveIn[B]) {
-        LiveOut[B] = Out;
-        LiveIn[B] = In;
+        Out |= L[S].In;
+      uint64_t In = L[B].Use | (Out & ~L[B].Def);
+      if (Out != L[B].Out || In != L[B].In) {
+        L[B].Out = Out;
+        L[B].In = In;
         Changed = true;
       }
     }
   }
 
-  // Sweep: delete removable instructions with dead destinations.
+  // Sweep each block backwards, deleting removable instructions with dead
+  // destinations and packing the survivors against the block's end.
   std::size_t Removed = 0;
-  std::vector<uint16_t> Uses;
   for (std::size_t B = 0; B < NB; ++B) {
-    HBlock &BB = G.Blocks[B];
-    uint64_t Live = LiveOut[B];
-    std::vector<HInsn> Kept;
-    Kept.reserve(BB.Insns.size());
-    for (auto It = BB.Insns.rbegin(); It != BB.Insns.rend(); ++It) {
-      auto D = defOf(*It);
-      bool Dead = D && isRemovableIfDead(It->Op) &&
-                  (Live & (uint64_t(1) << *D)) == 0;
-      if (Dead) {
+    auto &Insns = G.Blocks[B].Insns;
+    uint64_t Live = L[B].Out;
+    std::size_t Keep = Insns.size();
+    for (std::size_t K = Insns.size(); K-- > 0;) {
+      const HInsn &I = Insns[K];
+      uint64_t D = defMask(I);
+      if (D && isRemovableIfDead(I.Op) && (Live & D) == 0) {
         ++Removed;
         continue;
       }
-      if (D)
-        Live &= ~(uint64_t(1) << *D);
-      Uses.clear();
-      usesOf(*It, Uses);
-      for (uint16_t U : Uses)
-        Live |= uint64_t(1) << U;
-      Kept.push_back(*It);
+      Live = (Live & ~D) | useMask(I);
+      if (--Keep != K)
+        Insns[Keep] = I;
     }
-    std::reverse(Kept.begin(), Kept.end());
-    BB.Insns = std::move(Kept);
+    Insns.erase(Insns.begin(), Insns.begin() + Keep);
   }
   return Removed;
 }
 
-namespace {
-
-/// Applies \p Fn to every register-use field of \p I (mutable).
-template <typename FnT> void forEachUseReg(HInsn &I, FnT &&Fn) {
-  switch (I.Op) {
-  case HOp::Const:
-  case HOp::Goto:
-  case HOp::ReturnVoid:
-  case HOp::NewInstance:
-    return;
-  case HOp::Move:
-  case HOp::AddImm:
-    Fn(I.B);
-    return;
-  case HOp::Add:
-  case HOp::Sub:
-  case HOp::Mul:
-  case HOp::Div:
-  case HOp::And:
-  case HOp::Or:
-  case HOp::Xor:
-  case HOp::Shl:
-  case HOp::Shr:
-    Fn(I.B);
-    Fn(I.C);
-    return;
-  case HOp::If:
-    Fn(I.A);
-    if (I.B != dex::NoReg)
-      Fn(I.B);
-    return;
-  case HOp::Switch:
-  case HOp::Return:
-  case HOp::Throw:
-    Fn(I.A);
-    return;
-  case HOp::InvokeStatic:
-  case HOp::InvokeVirtual:
-    for (uint8_t K = 0; K < I.NumArgs; ++K)
-      Fn(I.Args[K]);
-    return;
-  case HOp::IGet:
-    Fn(I.B);
-    return;
-  case HOp::IPut:
-    Fn(I.A);
-    Fn(I.B);
-    return;
-  }
-  CALIBRO_UNREACHABLE("unknown HOp in forEachUseReg");
-}
-
-} // namespace
-
 std::size_t hir::runCopyPropagation(HGraph &G) {
   std::size_t Changed = 0;
+  // CopyOf[r] is the register r currently mirrors, valid while bit r of
+  // Copies is set.
+  uint16_t CopyOf[MaxRegs] = {};
   for (auto &B : G.Blocks) {
-    // CopyOf[r] = the register r currently mirrors; NoReg = none.
-    std::vector<uint16_t> CopyOf(G.NumRegs, dex::NoReg);
+    uint64_t Copies = 0;
     auto resolve = [&](uint16_t R) {
-      return CopyOf[R] != dex::NoReg ? CopyOf[R] : R;
+      return (Copies & bit(R)) != 0 ? CopyOf[R] : R;
     };
     auto killReg = [&](uint16_t R) {
-      CopyOf[R] = dex::NoReg;
-      for (auto &C : CopyOf)
-        if (C == R)
-          C = dex::NoReg;
+      Copies &= ~bit(R);
+      for (uint64_t M = Copies; M != 0; M &= M - 1) {
+        auto C = static_cast<uint16_t>(std::countr_zero(M));
+        if (CopyOf[C] == R)
+          Copies &= ~bit(C);
+      }
     };
 
-    std::vector<HInsn> Kept;
-    Kept.reserve(B.Insns.size());
-    for (HInsn &I : B.Insns) {
-      forEachUseReg(I, [&](uint16_t &R) {
+    auto &Insns = B.Insns;
+    std::size_t Keep = 0;
+    for (std::size_t K = 0; K < Insns.size(); ++K) {
+      HInsn &I = Insns[K];
+      forEachUse(I, [&](uint16_t &R) {
         uint16_t Src = resolve(R);
         if (Src != R) {
           R = Src;
@@ -397,43 +259,75 @@ std::size_t hir::runCopyPropagation(HGraph &G) {
         }
         killReg(I.A);
         CopyOf[I.A] = I.B;
+        Copies |= bit(I.A);
       } else if (auto D = defOf(I)) {
         killReg(*D);
       }
-      Kept.push_back(I);
+      if (Keep != K)
+        Insns[Keep] = I;
+      ++Keep;
     }
-    B.Insns = std::move(Kept);
+    Insns.erase(Insns.begin() + Keep, Insns.end());
   }
   return Changed;
 }
 
+namespace {
+
+/// One available expression in runLocalCse's table: the key (op and
+/// operand value numbers or immediate), the register holding the value and
+/// that register's value number when it was computed. Valid only while Gen
+/// equals the table's current block generation.
+struct ExprSlot {
+  uint32_t Gen = 0;
+  uint8_t Op = 0;
+  uint32_t VnB = 0, VnC = 0;
+  int64_t Imm = 0;
+  uint16_t Reg = 0;
+  uint32_t RegVnAtDef = 0;
+};
+
+uint64_t hashExpr(uint8_t Op, uint32_t VnB, uint32_t VnC, int64_t Imm) {
+  uint64_t H = (uint64_t(Op) << 56) ^ (uint64_t(VnB) << 28) ^ VnC ^
+               static_cast<uint64_t>(Imm) * 0x9e3779b97f4a7c15ull;
+  H ^= H >> 29;
+  H *= 0xbf58476d1ce4e5b9ull;
+  return H ^ (H >> 32);
+}
+
+} // namespace
+
 std::size_t hir::runLocalCse(HGraph &G) {
+  // Every key a block inserts comes from one of its instructions, so a
+  // table of twice the largest block never fills. Bumping Gen per block
+  // empties it without touching the slots.
+  std::size_t MaxInsns = 0;
+  for (const auto &B : G.Blocks)
+    MaxInsns = std::max(MaxInsns, B.Insns.size());
+  std::vector<ExprSlot> Table(std::bit_ceil(2 * MaxInsns));
+  std::size_t Mask = Table.size() - 1;
+  uint32_t Gen = 0;
+
   std::size_t Eliminated = 0;
+  uint32_t RegVn[MaxRegs] = {};
   for (auto &B : G.Blocks) {
     // Classic local value numbering. A register's value number changes on
     // every definition, so stale expression entries self-invalidate.
-    std::vector<uint32_t> RegVn(G.NumRegs, 0);
-    uint32_t NextVn = G.NumRegs;
-    struct Available {
-      uint16_t Reg;
-      uint32_t RegVnAtDef;
-    };
-    std::map<std::tuple<uint8_t, uint32_t, uint32_t, int64_t>, Available>
-        Exprs;
+    ++Gen;
     for (uint16_t R = 0; R < G.NumRegs; ++R)
       RegVn[R] = R; // Initial distinct value numbers.
+    uint32_t NextVn = G.NumRegs;
 
     for (HInsn &I : B.Insns) {
-      bool Pure = false;
-      std::tuple<uint8_t, uint32_t, uint32_t, int64_t> Key;
+      uint32_t VnB = 0, VnC = 0;
+      int64_t Imm = 0;
       switch (I.Op) {
       case HOp::Const:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), 0, 0, I.Imm};
+        Imm = I.Imm;
         break;
       case HOp::AddImm:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), RegVn[I.B], 0, I.Imm};
+        VnB = RegVn[I.B];
+        Imm = I.Imm;
         break;
       case HOp::Add:
       case HOp::Sub:
@@ -444,39 +338,40 @@ std::size_t hir::runLocalCse(HGraph &G) {
       case HOp::Xor:
       case HOp::Shl:
       case HOp::Shr:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), RegVn[I.B], RegVn[I.C], 0};
+        VnB = RegVn[I.B];
+        VnC = RegVn[I.C];
         break;
-      default:
-        break;
-      }
-
-      if (Pure) {
-        auto It = Exprs.find(Key);
-        if (It != Exprs.end() &&
-            RegVn[It->second.Reg] == It->second.RegVnAtDef &&
-            It->second.Reg != I.A) {
-          // Same value is live in another register: reuse it.
-          uint16_t Holder = It->second.Reg;
-          I.Op = HOp::Move;
-          I.B = Holder;
-          I.C = 0;
-          I.Imm = 0;
-          ++Eliminated;
-          // The destination now shares the holder's value number.
-          RegVn[I.A] = RegVn[Holder];
-          continue;
-        }
-        RegVn[I.A] = NextVn++;
-        Exprs[Key] = {I.A, RegVn[I.A]};
-        continue;
-      }
-      if (I.Op == HOp::Move) {
+      case HOp::Move:
         RegVn[I.A] = RegVn[I.B]; // Copies share a value number.
         continue;
+      default:
+        if (auto D = defOf(I))
+          RegVn[*D] = NextVn++;
+        continue;
       }
-      if (auto D = defOf(I))
-        RegVn[*D] = NextVn++;
+
+      // A pure expression: look it up.
+      auto Op = static_cast<uint8_t>(I.Op);
+      std::size_t H = hashExpr(Op, VnB, VnC, Imm) & Mask;
+      while (Table[H].Gen == Gen &&
+             !(Table[H].Op == Op && Table[H].VnB == VnB &&
+               Table[H].VnC == VnC && Table[H].Imm == Imm))
+        H = (H + 1) & Mask;
+      ExprSlot &S = Table[H];
+      if (S.Gen == Gen && RegVn[S.Reg] == S.RegVnAtDef && S.Reg != I.A) {
+        // Same value is live in another register: reuse it.
+        uint16_t Holder = S.Reg;
+        I.Op = HOp::Move;
+        I.B = Holder;
+        I.C = 0;
+        I.Imm = 0;
+        ++Eliminated;
+        // The destination now shares the holder's value number.
+        RegVn[I.A] = RegVn[Holder];
+        continue;
+      }
+      RegVn[I.A] = NextVn++;
+      S = {Gen, Op, VnB, VnC, Imm, I.A, RegVn[I.A]};
     }
   }
   return Eliminated;
@@ -501,7 +396,7 @@ std::size_t hir::runBlockMerge(HGraph &G) {
       // Splice SB into B.
       B.Insns.pop_back();
       B.Insns.insert(B.Insns.end(), SB.Insns.begin(), SB.Insns.end());
-      B.Succs = SB.Succs;
+      B.Succs = std::move(SB.Succs);
       for (uint32_t SS : B.Succs) {
         for (uint32_t &P : G.Blocks[SS].Preds)
           if (P == S)
@@ -518,11 +413,10 @@ std::size_t hir::runBlockMerge(HGraph &G) {
 }
 
 std::size_t hir::runReturnMerge(HGraph &G) {
-  // Group single-instruction return blocks by (kind, register).
-  std::unordered_map<uint32_t, uint32_t> Canonical; // Key -> block id.
-  auto keyOf = [](const HInsn &I) {
-    return (I.Op == HOp::ReturnVoid ? 0x10000u : 0u) | I.A;
-  };
+  // The first single-instruction return block of each kind: Canonical[r]
+  // for `return vr`, Canonical[MaxRegs] for `return-void`.
+  std::array<uint32_t, MaxRegs + 1> Canonical;
+  Canonical.fill(NoBlock);
   bool Redirected = false;
   for (auto &B : G.Blocks) {
     if (B.Insns.size() != 1)
@@ -530,14 +424,16 @@ std::size_t hir::runReturnMerge(HGraph &G) {
     const HInsn &I = B.Insns[0];
     if (I.Op != HOp::Return && I.Op != HOp::ReturnVoid)
       continue;
-    auto [It, Inserted] = Canonical.emplace(keyOf(I), B.Id);
-    if (Inserted || It->second == B.Id)
+    uint32_t &Canon = Canonical[I.Op == HOp::ReturnVoid ? MaxRegs : I.A];
+    if (Canon == NoBlock || Canon == B.Id) {
+      Canon = B.Id;
       continue;
+    }
     // Redirect every predecessor edge to the canonical block.
     for (uint32_t P : B.Preds)
       for (uint32_t &S : G.Blocks[P].Succs)
         if (S == B.Id)
-          S = It->second;
+          S = Canon;
     Redirected = true;
   }
   if (!Redirected)
@@ -551,15 +447,21 @@ std::size_t hir::runReturnMerge(HGraph &G) {
   return compactAndRemap(G);
 }
 
+namespace {
+
+constexpr Pass DefaultPasses[] = {
+    {"constant-folding", runConstantFolding},
+    {"local-cse", runLocalCse},
+    {"copy-propagation", runCopyPropagation},
+    {"dead-code-elim", runDeadCodeElim},
+    {"block-merge", runBlockMerge},
+    {"return-merge", runReturnMerge},
+};
+
+} // namespace
+
 std::vector<Pass> hir::defaultPipeline() {
-  return {
-      {"constant-folding", runConstantFolding},
-      {"local-cse", runLocalCse},
-      {"copy-propagation", runCopyPropagation},
-      {"dead-code-elim", runDeadCodeElim},
-      {"block-merge", runBlockMerge},
-      {"return-merge", runReturnMerge},
-  };
+  return {std::begin(DefaultPasses), std::end(DefaultPasses)};
 }
 
 std::vector<PassStats> hir::runPipeline(HGraph &G,
@@ -567,13 +469,11 @@ std::vector<PassStats> hir::runPipeline(HGraph &G,
   std::vector<PassStats> Stats;
   Stats.reserve(Pipeline.size());
   for (const auto &P : Pipeline) {
-    PassStats S;
-    S.Name = P.Name;
-    S.Simplified = P.Run(G);
-    Stats.push_back(std::move(S));
+    Stats.push_back({P.Name, P.Run(G)});
 #ifndef NDEBUG
     if (auto E = verifyHGraph(G)) {
-      std::fprintf(stderr, "pass '%s' broke '%s': %s\n", P.Name.c_str(),
+      std::fprintf(stderr, "pass '%.*s' broke '%s': %s\n",
+                   static_cast<int>(P.Name.size()), P.Name.data(),
                    G.Name.c_str(), E.message().c_str());
       std::abort();
     }

@@ -24,7 +24,7 @@
 #include "hir/HGraph.h"
 
 #include <cstddef>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace calibro {
@@ -63,15 +63,16 @@ std::size_t runBlockMerge(HGraph &G);
 /// Returns the number of blocks eliminated.
 std::size_t runReturnMerge(HGraph &G);
 
-/// One pipeline entry: a named pass.
+/// One pipeline entry: a named pass. The name must outlive the pipeline;
+/// defaultPipeline's point into a static table.
 struct Pass {
-  std::string Name;
+  std::string_view Name;
   std::size_t (*Run)(HGraph &);
 };
 
-/// Per-pass statistics from one pipeline run.
+/// Per-pass statistics from one pipeline run. Name views the pass's name.
 struct PassStats {
-  std::string Name;
+  std::string_view Name;
   std::size_t Simplified = 0;
 };
 

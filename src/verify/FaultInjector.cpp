@@ -360,9 +360,11 @@ FaultInjector::classifyLinkRun(std::vector<CompiledMethod> Methods,
   L.Profile = ProfileOverride; // Arms HfOpti (+ layout when closed-world).
   auto Build = core::linkApp(std::move(A), L);
   if (!Build) {
+    Error E = Build.takeError();
     Rep.Outcome = FaultOutcome::Rejected;
-    Rep.RejectStage = stageOfCategory(Build.category());
-    Rep.RejectMessage = Build.message();
+    Rep.RejectStage = stageOfCategory(E.category());
+    Rep.RejectMessage = E.message();
+    consumeError(std::move(E));
     return Rep;
   }
   Rep.MethodsRejected = Build->Stats.Ltbo.MethodsRejected;
@@ -429,6 +431,7 @@ Expected<FaultReport> FaultInjector::run(uint64_t Seed, MutationKind Kind,
     Rep.Outcome = FaultOutcome::Rejected;
     Rep.RejectStage = "parse";
     Rep.RejectMessage = Parsed.message();
+    consumeError(Parsed.takeError());
     return Rep;
   }
 
@@ -454,6 +457,7 @@ Expected<FaultReport> FaultInjector::run(uint64_t Seed, MutationKind Kind,
     Rep.Outcome = FaultOutcome::Rejected;
     Rep.RejectStage = "link";
     Rep.RejectMessage = Linked.message();
+    consumeError(Linked.takeError());
     return Rep;
   }
 

@@ -205,10 +205,14 @@ TEST(CallGraphBuild, StrictModeFailsOnAnomaly) {
   dex::App Bad = appOf({caller(0, "La/E;->run", {})}, {5});
   CallGraphOptions Strict;
   Strict.Strict = true;
-  EXPECT_FALSE(bool(buildCallGraph(Bad, Strict)));
+  auto G = buildCallGraph(Bad, Strict);
+  EXPECT_FALSE(bool(G));
+  consumeError(G.takeError());
 
   dex::App BadCallee = appOf({caller(0, "La/E;->run", {3})}, {0});
-  EXPECT_FALSE(bool(buildCallGraph(BadCallee, Strict)));
+  auto GCallee = buildCallGraph(BadCallee, Strict);
+  EXPECT_FALSE(bool(GCallee));
+  consumeError(GCallee.takeError());
 }
 
 TEST(CallGraphBuild, EdgeInsertAndDrop) {

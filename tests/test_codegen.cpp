@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 using namespace calibro;
 using namespace calibro::codegen;
@@ -170,6 +171,42 @@ TEST(CodeGen, CtoCacheSharesAcrossMethods) {
   std::size_t After1 = Cache.size();
   compileOne(allocMethod(), true, &Cache);
   EXPECT_EQ(Cache.size(), After1) << "same patterns must reuse stubs";
+}
+
+TEST(CodeGen, ConcurrentCompileReadsFrozenStubIds) {
+  // compile() runs concurrently on one generator (the compile fan-out) and
+  // reads only the stub ids fixed at construction; under TSan this is the
+  // check that it takes no unguarded path into the shared cache.
+  CtoStubCache Cache;
+  CodeGenerator Gen({.EnableCto = true}, Cache);
+  std::size_t Registered = Cache.size();
+  auto G = hir::buildHGraph(allocMethod());
+  ASSERT_TRUE(bool(G)) << G.message();
+  dex::Method Native;
+  Native.Name = "native";
+  Native.IsNative = true;
+  CompiledMethod Ref = Gen.compile(*G);
+  CompiledMethod RefNative = Gen.compileNative(Native);
+
+  constexpr int NumThreads = 4;
+  std::vector<CompiledMethod> Out(NumThreads), NativeOut(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (int K = 0; K < 50; ++K) {
+        Out[T] = Gen.compile(*G);
+        NativeOut[T] = Gen.compileNative(Native);
+      }
+    });
+  for (auto &Th : Threads)
+    Th.join();
+  for (int T = 0; T < NumThreads; ++T) {
+    EXPECT_EQ(Out[T].Code, Ref.Code);
+    EXPECT_EQ(Out[T].Relocs, Ref.Relocs);
+    EXPECT_EQ(NativeOut[T].Code, RefNative.Code);
+    EXPECT_EQ(NativeOut[T].Relocs, RefNative.Relocs);
+  }
+  EXPECT_EQ(Cache.size(), Registered);
 }
 
 TEST(CodeGen, CtoStubBodies) {

@@ -289,6 +289,7 @@ TEST(Outliner, FailureInjectionCorruptSideInfo) {
     std::string Message = R.message();
     EXPECT_NE(Message.find("f0"), std::string::npos) << Message;
     EXPECT_EQ(R.category(), ErrCat::SideInfo);
+    consumeError(R.takeError());
   }
 
   // Default mode: every corrupt method is rejected and left untouched.

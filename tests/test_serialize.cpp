@@ -442,6 +442,7 @@ TEST(MappedOat, MissingFileFails) {
   auto M = oat::MappedOat::open(::testing::TempDir() + "/calibro_nope.oat");
   EXPECT_FALSE(bool(M));
   EXPECT_FALSE(M.message().empty());
+  consumeError(M.takeError());
 }
 
 TEST(SectionPayload, LocatesSectionsWithoutParsing) {

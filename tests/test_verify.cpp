@@ -178,6 +178,7 @@ TEST(Linker, RejectsDuplicateOutlinedFunctionIds) {
   auto O = oat::link(In);
   ASSERT_FALSE(bool(O)) << "duplicate outlined ids must not link";
   auto E = O.takeError();
+  ASSERT_TRUE(bool(E));
   EXPECT_NE(E.message().find("duplicate"), std::string::npos) << E.message();
 }
 
