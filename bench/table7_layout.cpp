@@ -11,14 +11,19 @@
 /// the closed-world paper corpus, and gates the stage's contract:
 ///
 ///   * outline+layout touches strictly fewer startup pages than outline
-///     alone, summed over the corpus (per app it may only tie, never grow —
-///     computeLayout falls back to the identity order when the realized
-///     page cut does not improve);
-///   * the emitted image is byte-identical for any layout thread count;
+///     alone, summed over the corpus, and no more on any app. The stage
+///     puts warm code first and optimizes no page metric itself, so this
+///     is a measured property of the corpus, not a guarantee;
+///   * the emitted image is byte-identical for any build thread count;
 ///   * without a profile the stage is a byte-identical no-op.
 ///
-/// Emits BENCH_layout.json (schema-pinned in CI) and exits nonzero when
-/// any gate fails.
+/// Pages are measured twice: on the script the profile was collected
+/// from (seed 2024, in-sample) and on a second script the profile never
+/// saw (seed 7777, held-out). The held-out columns are reported, not
+/// gated.
+///
+/// Emits BENCH_layout.json (pinned exactly in CI at scale 2) and exits
+/// nonzero when any gate fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,9 +81,11 @@ int main(int argc, char **argv) {
     std::size_t Nodes = 0, Edges = 0, WarmNodes = 0;
     uint64_t CutBefore = 0, CutAfter = 0;
     std::size_t PagesOutline = 0, PagesLayout = 0;
+    std::size_t HeldOutline = 0, HeldLayout = 0; ///< Held-out script.
   };
   std::vector<AppRow> Rows;
   std::size_t TotalOutline = 0, TotalLayout = 0;
+  std::size_t TotalHeldOutline = 0, TotalHeldLayout = 0;
   bool ThreadsIdentical = true;
   bool NoProfileIdentical = true;
   bool PerAppNeverWorse = true;
@@ -87,6 +94,7 @@ int main(int argc, char **argv) {
     workload::enableDeadCode(Spec); // Closed world: the stage's gate.
     dex::App App = workload::makeApp(Spec);
     auto Script = workload::makeScript(Spec, 20, 2024);
+    auto HeldOut = workload::makeScript(Spec, 20, 7777);
 
     // Fig. 6 workflow: profile the unlaid build, then rebuild twice from
     // the same profile — once outline-only, once outline+layout. The only
@@ -112,12 +120,16 @@ int main(int argc, char **argv) {
     R.CutAfter = Laid.Stats.LayoutCutAfter;
     R.PagesOutline = startupPages(Outline.Oat, Script);
     R.PagesLayout = startupPages(Laid.Oat, Script);
+    R.HeldOutline = startupPages(Outline.Oat, HeldOut);
+    R.HeldLayout = startupPages(Laid.Oat, HeldOut);
     TotalOutline += R.PagesOutline;
     TotalLayout += R.PagesLayout;
+    TotalHeldOutline += R.HeldOutline;
+    TotalHeldLayout += R.HeldLayout;
     PerAppNeverWorse &= R.PagesLayout <= R.PagesOutline;
 
-    // Byte-determinism: the plan — and therefore the image — must not
-    // depend on how many workers the bisection fans out on.
+    // Byte-determinism: the image must not depend on how many workers the
+    // build fans out on.
     std::vector<uint8_t> Ref = oat::serializeOat(Laid.Oat);
     for (uint32_t Threads : {1u, 8u}) {
       auto Again = build(App, layoutOpts(&PreRun.Prof, true, Threads));
@@ -133,14 +145,20 @@ int main(int argc, char **argv) {
     Rows.push_back(std::move(R));
   }
 
-  std::vector<std::string> Names, OutlineRow, LayoutRow, SavedRow, CutRow;
+  auto SavedPct = [](std::size_t Outline, std::size_t Layout) {
+    return fmtPct(100.0 * (1.0 - static_cast<double>(Layout) /
+                                     static_cast<double>(Outline)));
+  };
+  std::vector<std::string> Names, OutlineRow, LayoutRow, SavedRow,
+      HeldOutlineRow, HeldLayoutRow, HeldSavedRow, CutRow;
   for (const AppRow &R : Rows) {
     Names.push_back(R.Name);
     OutlineRow.push_back(fmtU64(R.PagesOutline));
     LayoutRow.push_back(fmtU64(R.PagesLayout));
-    SavedRow.push_back(fmtPct(
-        100.0 * (1.0 - static_cast<double>(R.PagesLayout) /
-                           static_cast<double>(R.PagesOutline))));
+    SavedRow.push_back(SavedPct(R.PagesOutline, R.PagesLayout));
+    HeldOutlineRow.push_back(fmtU64(R.HeldOutline));
+    HeldLayoutRow.push_back(fmtU64(R.HeldLayout));
+    HeldSavedRow.push_back(SavedPct(R.HeldOutline, R.HeldLayout));
     CutRow.push_back(fmtPct(
         100.0 * (1.0 - static_cast<double>(R.CutAfter) /
                            static_cast<double>(R.CutBefore ? R.CutBefore
@@ -150,14 +168,17 @@ int main(int argc, char **argv) {
   printRow("startup pages, outline", OutlineRow);
   printRow("+layout", LayoutRow);
   printRow("pages saved", SavedRow);
+  printRow("held-out pages, outline", HeldOutlineRow);
+  printRow("+layout", HeldLayoutRow);
+  printRow("held-out pages saved", HeldSavedRow);
   printRow("affinity cut reduced", CutRow);
 
   const bool FewerPages = TotalLayout < TotalOutline && PerAppNeverWorse;
-  std::printf("\ncorpus startup pages: %zu -> %zu\n", TotalOutline,
-              TotalLayout);
+  std::printf("\ncorpus startup pages: %zu -> %zu (held-out %zu -> %zu)\n",
+              TotalOutline, TotalLayout, TotalHeldOutline, TotalHeldLayout);
   std::printf("\n  outline+layout touches fewer startup pages  : %s\n",
               FewerPages ? "PASS" : "FAIL");
-  std::printf("  byte-identical for any layout thread count  : %s\n",
+  std::printf("  byte-identical for any build thread count   : %s\n",
               ThreadsIdentical ? "PASS" : "FAIL");
   std::printf("  no profile => byte-identical no-op          : %s\n",
               NoProfileIdentical ? "PASS" : "FAIL");
@@ -178,18 +199,23 @@ int main(int argc, char **argv) {
         "\"layout_nodes\": %zu, \"layout_edges\": %zu, "
         "\"warm_nodes\": %zu,\n     \"cut_before\": %llu, \"cut_after\": "
         "%llu, \"startup_pages_outline\": %zu, \"startup_pages_layout\": "
-        "%zu}",
+        "%zu,\n     \"startup_pages_outline_heldout\": %zu, "
+        "\"startup_pages_layout_heldout\": %zu}",
         I ? "," : "", R.Name.c_str(), (unsigned long long)R.TextBytes,
         R.Nodes, R.Edges, R.WarmNodes, (unsigned long long)R.CutBefore,
-        (unsigned long long)R.CutAfter, R.PagesOutline, R.PagesLayout);
+        (unsigned long long)R.CutAfter, R.PagesOutline, R.PagesLayout,
+        R.HeldOutline, R.HeldLayout);
   }
   std::fprintf(J,
                "\n  ],\n  \"total_pages_outline\": %zu,\n"
-               "  \"total_pages_layout\": %zu,\n  \"gates\": {\n"
+               "  \"total_pages_layout\": %zu,\n"
+               "  \"total_pages_outline_heldout\": %zu,\n"
+               "  \"total_pages_layout_heldout\": %zu,\n  \"gates\": {\n"
                "    \"fewer_pages_with_layout\": %s,\n"
                "    \"thread_count_byte_identical\": %s,\n"
                "    \"no_profile_byte_identical\": %s\n  }\n}\n",
-               TotalOutline, TotalLayout, FewerPages ? "true" : "false",
+               TotalOutline, TotalLayout, TotalHeldOutline, TotalHeldLayout,
+               FewerPages ? "true" : "false",
                ThreadsIdentical ? "true" : "false",
                NoProfileIdentical ? "true" : "false");
   std::fclose(J);

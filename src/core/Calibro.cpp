@@ -304,9 +304,6 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
     Timer LayoutTimer;
     layout::LayoutOptions LOpts;
     LOpts.PageSize = Opts.LayoutPageSize;
-    LOpts.Threads = Opts.LtboThreads;
-    LOpts.Pool = Opts.Pool;
-    LOpts.PoolGroup = Opts.PoolGroup;
     layout::AffinityGraph AG =
         layout::buildAffinityGraph(In, App.Graph, *Opts.Profile);
     layout::LayoutResult LR = layout::computeLayout(AG, LOpts);

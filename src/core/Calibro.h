@@ -97,12 +97,14 @@ struct CalibroOptions {
   bool StrictCallGraph = false;
   /// Profile-driven function layout (`--no-layout` clears it): after GC,
   /// merge and outlining, reorder the .text section by co-execution
-  /// affinity (recursive balanced partitioning) so profiled startups touch
-  /// fewer code pages. Self-gating: the stage only arms when a Profile is
-  /// set AND the app is closed-world (declared entrypoints); otherwise the
-  /// build is byte-identical to one without the stage.
+  /// affinity (warm code first, cold code after it in its original order)
+  /// so profiled startups touch fewer code pages. Self-gating: the stage
+  /// only arms when a Profile is set AND the app is closed-world (declared
+  /// entrypoints); otherwise the build is byte-identical to one without
+  /// the stage.
   bool EnableLayout = true;
-  /// Page granularity the layout stage optimizes for. The default matches
+  /// Page granularity the layout stage reports its affinity cut at
+  /// (BuildStats::LayoutCutBefore/LayoutCutAfter). The default matches
   /// ART's 4 KiB OAT text pages; benches shrink it to match the
   /// simulator's page size at small scales.
   uint32_t LayoutPageSize = 4096;
@@ -132,10 +134,10 @@ struct BuildStats {
   double LinkSeconds = 0;
   /// Layout-stage outputs (all zero when the stage did not arm).
   bool LayoutApplied = false;   ///< A reordering plan reached the linker.
-  double LayoutSeconds = 0;     ///< Affinity graph + bisection wall time.
+  double LayoutSeconds = 0;     ///< Affinity graph + warm-first wall time.
   std::size_t LayoutNodes = 0;  ///< Placeable items in the affinity graph.
   std::size_t LayoutEdges = 0;  ///< Distinct affinity edges.
-  std::size_t LayoutWarmNodes = 0; ///< Nodes the bisection ordered.
+  std::size_t LayoutWarmNodes = 0; ///< Nodes placed in the warm prefix.
   uint64_t LayoutCutBefore = 0; ///< Page-crossing affinity, input order.
   uint64_t LayoutCutAfter = 0;  ///< Same metric under the emitted plan.
   double TotalSeconds = 0;

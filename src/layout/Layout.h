@@ -19,24 +19,21 @@
 ///
 /// Pipeline position: GC -> merge -> outline -> **layout** -> link.
 ///
-/// Algorithm: recursive balanced (graph) bisection over a weighted
-/// affinity graph.
+/// Algorithm: a stable warm-first partition of a weighted affinity graph.
 ///
 ///  * Nodes: one per compiled method, CTO stub and outlined function.
 ///  * Edges: static call-graph adjacency (weight 1 + min of the endpoint
 ///    heats) plus every symbolic relocation site (caller -> stub/outlined
 ///    fn/merge canonical, weight 1 + caller heat). Heat is the method's
 ///    profiled cycle count.
-///  * Solve: split the warm subgraph in two size-balanced halves, refine
-///    with deterministic gain-sorted pair swaps to shrink the cross-half
-///    affinity weight, recurse on both halves until a half fits a page.
-///    Cold nodes (no heat, no warm neighbor) keep their original relative
-///    order after the warm block.
+///  * Order: warm nodes (heat > 0, or an edge to such a node) first in
+///    node-index order, every other node after them in its original
+///    order. Grouping the warm code is where the startup page savings
+///    come from; a balanced bisection of the heat-weighted cut on top of
+///    it touched more startup pages, not fewer (DESIGN.md §13).
 ///
-/// Determinism: every tie breaks on node index, refinement runs a fixed
-/// number of passes, and the parallel solver is level-synchronous —
-/// each level's subproblems touch disjoint ranges of the order array, so
-/// the plan is byte-identical for any thread count.
+/// Determinism: the plan is a pure function of the graph — no ties to
+/// break and no threads, so it is byte-identical for any configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,26 +43,21 @@
 #include "analysis/CallGraph.h"
 #include "oat/Linker.h"
 #include "profile/Profile.h"
-#include "support/ThreadPool.h"
 
 namespace calibro {
 namespace layout {
 
 /// Layout-stage configuration.
 struct LayoutOptions {
-  /// Page granularity the bisection optimizes for (and the cut metric is
-  /// reported at). The default matches the 4 KiB pages ART maps OAT text
+  /// Page granularity the affinity cut (LayoutResult::CutBefore/CutAfter)
+  /// is reported at. The default matches the 4 KiB pages ART maps OAT text
   /// with; benches use the simulator's smaller page to exercise the
   /// machinery at small scales.
   uint32_t PageSize = 4096;
-  /// Deterministic refinement passes per bisection step.
-  uint32_t RefinePasses = 8;
-  /// Worker threads for the level-synchronous solve (ignored when Pool is
-  /// set). 1 = fully serial. The plan is identical for any value.
+  /// Unused by the library: the layout is serial. It survives only because
+  /// perfbench (perfbench/src/TracedBuild.cpp) still sets it, and goes once
+  /// that copy does.
   uint32_t Threads = 1;
-  /// Externally-owned pool (daemon mode); overrides Threads.
-  ThreadPool *Pool = nullptr;
-  ThreadPool::GroupId PoolGroup = 0;
 };
 
 /// One placeable text item with its profile heat.
@@ -100,13 +92,14 @@ struct LayoutResult {
   std::vector<oat::LayoutItem> Plan; ///< Covers every item exactly once.
   std::size_t Nodes = 0;
   std::size_t Edges = 0;
-  std::size_t WarmNodes = 0; ///< Nodes the bisection actually ordered.
+  std::size_t WarmNodes = 0; ///< Nodes placed in the warm prefix.
   uint64_t CutBefore = 0;    ///< Page-crossing affinity weight, input order.
-  uint64_t CutAfter = 0;     ///< Same metric under Plan.
+  uint64_t CutAfter = 0;     ///< Same metric under Plan (reported, not
+                             ///< optimized: it may exceed CutBefore).
 };
 
-/// Runs recursive balanced bisection over \p G and returns the placement
-/// plan. Byte-deterministic for any Threads / Pool configuration.
+/// Places \p G's warm nodes first, in node-index order, and every other
+/// node after them in its original order; returns that placement plan.
 LayoutResult computeLayout(const AffinityGraph &G, const LayoutOptions &Opts);
 
 /// The page-cut metric both CutBefore/CutAfter report: total weight of
