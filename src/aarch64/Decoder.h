@@ -27,6 +27,14 @@ namespace a64 {
 /// Decodes \p Word. Returns std::nullopt for words outside the subset.
 std::optional<Insn> decode(uint32_t Word);
 
+/// True exactly for the words decode() returns as MovZ, MovN or MovK: the
+/// move-wide immediate class minus its unallocated opc (01) and the 32-bit
+/// forms with hw >= 2. Rd is bits [4:0] and Is64 bit 31, as decoded.
+inline bool isMovWide(uint32_t Word) {
+  return (Word & 0x1F800000u) == 0x12800000u &&
+         ((Word >> 29) & 3u) != 1u && ((Word >> 31) || !((Word >> 22) & 1u));
+}
+
 } // namespace a64
 } // namespace calibro
 

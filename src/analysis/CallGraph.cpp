@@ -7,7 +7,6 @@
 #include "analysis/CallGraph.h"
 
 #include "aarch64/Decoder.h"
-#include "codegen/ArtAbi.h"
 #include "support/Compiler.h"
 
 #include <algorithm>
@@ -234,36 +233,37 @@ Expected<BindStats> analysis::bindBinaryEdges(
   for (const codegen::CompiledMethod &M : Methods) {
     if (M.MethodIdx >= G.NumMethods || M.Side.IsNative)
       continue;
-    IsData.assign(M.Code.size(), 0);
+    // Data words are marked only for the few methods that embed data.
+    IsData.assign(M.Side.EmbeddedData.empty() ? 0 : M.Code.size(), 0);
     for (const codegen::EmbeddedDataRange &R : M.Side.EmbeddedData)
       for (uint32_t W = R.Offset / 4;
            W < (R.Offset + R.Size) / 4 && W < M.Code.size(); ++W)
         IsData[W] = 1;
-
+    auto isCode = [&](std::size_t W) {
+      return W < M.Code.size() && (IsData.empty() || !IsData[W]);
+    };
     auto decodeAt = [&](std::size_t W) -> std::optional<a64::Insn> {
-      if (W >= M.Code.size() || IsData[W])
+      if (!isCode(W))
         return std::nullopt;
       return a64::decode(M.Code[W]);
     };
 
     for (std::size_t W = 0; W < M.Code.size(); ++W) {
       // Anchor: ldr x0, [x19, #ThreadMethodTableOffset] — emitted only by
-      // emitResolveMethod (entrypoint loads sit at offset >= 8).
-      auto Table = decodeAt(W);
-      if (!Table || Table->Op != a64::Opcode::LdrImm || !Table->Is64 ||
-          Table->Rd != a64::ArtMethodReg || Table->Rn != a64::ThreadReg ||
-          Table->Imm != art::ThreadMethodTableOffset)
+      // emitResolveMethod (entrypoint loads sit at offset >= 8). It has one
+      // encoding, so a word compare stands in for a decode; only the one or
+      // two words after an anchor are decoded.
+      if (M.Code[W] != ResolveAnchorWord || !isCode(W))
         continue;
       std::size_t Next = W + 1;
       uint64_t ByteOff = 0;
-      auto Hi = decodeAt(Next);
-      if (Hi && Hi->Op == a64::Opcode::AddImm &&
-          Hi->Rd == a64::ArtMethodReg && Hi->Rn == a64::ArtMethodReg &&
-          Hi->Shift == 12) {
-        ByteOff = static_cast<uint64_t>(Hi->Imm) << 12;
-        ++Next;
-      }
       auto Lo = decodeAt(Next);
+      if (Lo && Lo->Op == a64::Opcode::AddImm &&
+          Lo->Rd == a64::ArtMethodReg && Lo->Rn == a64::ArtMethodReg &&
+          Lo->Shift == 12) {
+        ByteOff = static_cast<uint64_t>(Lo->Imm) << 12; // The high part.
+        Lo = decodeAt(++Next);
+      }
       if (!Lo || Lo->Op != a64::Opcode::LdrImm || !Lo->Is64 ||
           Lo->Rd != a64::ArtMethodReg || Lo->Rn != a64::ArtMethodReg)
         continue;

@@ -105,6 +105,11 @@ struct BindStats {
   uint64_t NewAnomalies = 0;  ///< Anomalies recorded by this pass.
 };
 
+/// The one encoding of the resolve sequence's anchor, `ldr x0, [x19,
+/// #ThreadMethodTableOffset]`. bindBinaryEdges compares words against it
+/// instead of decoding every word.
+inline constexpr uint32_t ResolveAnchorWord = 0xf9400260;
+
 /// Cross-references the compiled methods against \p G: pattern-matches the
 /// method-table resolve sequence (ldr x0, [x19]; add?; ldr x0, [x0, #off])
 /// in every method body, skipping embedded-data words, and checks each

@@ -8,21 +8,14 @@
 
 #include "aarch64/Decoder.h"
 #include "aarch64/Encoder.h"
-#include "cache/Digest.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <tuple>
 
 using namespace calibro;
 using namespace calibro::analysis;
 
 namespace {
-
-bool isMovImm(a64::Opcode Op) {
-  return Op == a64::Opcode::MovZ || Op == a64::Opcode::MovN ||
-         Op == a64::Opcode::MovK;
-}
 
 bool isDirectBranch(a64::Opcode Op) {
   switch (Op) {
@@ -38,44 +31,50 @@ bool isDirectBranch(a64::Opcode Op) {
   }
 }
 
-/// Marks the words of \p M covered by embedded-data ranges.
-std::vector<uint8_t> dataWords(const codegen::CompiledMethod &M) {
-  std::vector<uint8_t> IsData(M.Code.size(), 0);
+/// Whether word \p W of \p M lies in an embedded-data range.
+bool isDataWord(const codegen::CompiledMethod &M, std::size_t W) {
   for (const codegen::EmbeddedDataRange &R : M.Side.EmbeddedData)
-    for (uint32_t W = R.Offset / 4;
-         W < (R.Offset + R.Size) / 4 && W < M.Code.size(); ++W)
-      IsData[W] = 1;
-  return IsData;
+    if (W >= R.Offset / 4 && W < (R.Offset + R.Size) / 4)
+      return true;
+  return false;
 }
 
-/// The shape digest of \p M: its merge digest with every mov-immediate
-/// instruction word reduced to (class, Rd, width). Methods that differ only
-/// in mov immediates land in the same bucket.
-cache::Digest shapeDigest(const codegen::CompiledMethod &M,
-                          const std::vector<uint8_t> &IsData) {
-  cache::Hasher H;
-  H.u64(M.Code.size());
-  for (std::size_t W = 0; W < M.Code.size(); ++W) {
-    if (!IsData[W]) {
-      if (auto I = a64::decode(M.Code[W]); I && isMovImm(I->Op)) {
-        H.u8(1);
-        H.u8(I->Rd);
-        H.u8(I->Is64 ? 1 : 0);
-        continue;
-      }
-    }
-    H.u8(0);
-    H.u32(M.Code[W]);
+/// The bits of a move-wide immediate word a merge shape keeps: its width
+/// (sf, bit 31) and destination register (Rd, bits [4:0]).
+constexpr uint32_t MovShapeBits = 0x8000001Fu;
+
+/// The 64-bit bucket hash of \p M's merge shape, one step per code word: a
+/// move-wide immediate feeds only its class, any other word itself;
+/// relocations follow. Equal shapes hash equally (a data word that looks
+/// like a mov is reduced alike in both). Unequal shapes may collide, and
+/// movs to different registers or widths always do: sameShape splits them.
+uint64_t shapeHash(const codegen::CompiledMethod &M) {
+  uint64_t H = M.Code.size();
+  auto Step = [&H](uint64_t V) {
+    H = ((H << 26 | H >> 38) ^ V) * 0x9e3779b97f4a7c15ULL;
+  };
+  for (uint32_t Word : M.Code)
+    Step(a64::isMovWide(Word) ? 0x12800000u : Word);
+  for (const codegen::Relocation &R : M.Relocs)
+    Step(uint64_t{R.Offset} << 32 | R.TargetId);
+  return H;
+}
+
+/// Whether \p A and \p B have the same merge shape: equal side info, stack
+/// maps and relocations, and code that differs only in move-wide
+/// immediates, outside embedded data, to the same register and width.
+bool sameShape(const codegen::CompiledMethod &A,
+               const codegen::CompiledMethod &B) {
+  if (A.Code.size() != B.Code.size() || !(A.Side == B.Side) ||
+      !(A.Map == B.Map) || A.Relocs != B.Relocs)
+    return false;
+  for (std::size_t W = 0; W < A.Code.size(); ++W) {
+    uint32_t X = A.Code[W], Y = B.Code[W];
+    if (X != Y && (!a64::isMovWide(X) || !a64::isMovWide(Y) ||
+                   ((X ^ Y) & MovShapeBits) || isDataWord(A, W)))
+      return false;
   }
-  // Side info, stack map and relocations must match exactly, so they feed
-  // the bucket key verbatim via the structural merge digest of an
-  // immaterial copy with the code blanked out.
-  codegen::CompiledMethod Shape;
-  Shape.Side = M.Side;
-  Shape.Map = M.Map;
-  Shape.Relocs = M.Relocs;
-  H.digest(cache::methodMergeDigest(Shape));
-  return H.finish();
+  return true;
 }
 
 /// Structural equality over everything merging cares about (not index or
@@ -89,31 +88,18 @@ bool bodiesEqual(const codegen::CompiledMethod &A,
 /// Checks whether \p V can legally become a thunk into \p C, writing the
 /// cut (in words) to \p DWords. See the header comment for the rules.
 bool thunkLegal(const codegen::CompiledMethod &V,
-                const codegen::CompiledMethod &C,
-                const std::vector<uint8_t> &IsData, uint32_t MinTailWords,
+                const codegen::CompiledMethod &C, uint32_t MinTailWords,
                 uint32_t &DWords) {
-  if (V.Code.size() != C.Code.size() || !(V.Side == C.Side) ||
-      !(V.Map == C.Map) || V.Relocs != C.Relocs)
+  // Equal side info, stack maps and relocations; every differing word a
+  // mov immediate to the same register and width, outside embedded data.
+  if (!sameShape(V, C))
     return false;
-  uint32_t LastDiff = 0;
-  bool AnyDiff = false;
-  for (std::size_t W = 0; W < V.Code.size(); ++W) {
-    if (V.Code[W] == C.Code[W])
-      continue;
-    if (IsData[W])
-      return false;
-    auto VI = a64::decode(V.Code[W]);
-    auto CI = a64::decode(C.Code[W]);
-    if (!VI || !CI || !isMovImm(VI->Op) || !isMovImm(CI->Op) ||
-        VI->Rd != CI->Rd || VI->Is64 != CI->Is64)
-      return false;
-    LastDiff = static_cast<uint32_t>(W);
-    AnyDiff = true;
-  }
-  if (!AnyDiff)
-    return false; // Byte-identical: the alias tier's job, not a thunk.
-  uint32_t D = LastDiff + 1;
   uint32_t N = static_cast<uint32_t>(V.Code.size());
+  uint32_t D = N; // One past the last differing word.
+  while (D > 0 && V.Code[D - 1] == C.Code[D - 1])
+    --D;
+  if (D == 0)
+    return false; // Byte-identical: the alias tier's job, not a thunk.
   if (N < D + 1 || N - (D + 1) < MinTailWords)
     return false;
   uint32_t CutOff = D * 4;
@@ -154,89 +140,70 @@ analysis::planMerge(const std::vector<codegen::CompiledMethod> &Methods,
                     const MergeOptions &Opts) {
   MergePlan Plan;
 
-  // Candidate vector positions, ordered by method index so every bucket's
-  // canonical is the lowest index.
-  std::vector<std::size_t> Candidates;
+  // One hashing pass over the candidates. Sorting by (hash, method index)
+  // makes each hash bucket a contiguous run in index order.
+  struct Candidate {
+    uint64_t Hash;
+    uint32_t MethodIdx, Pos; ///< Pos: the position in Methods.
+    bool operator<(const Candidate &O) const {
+      return std::tie(Hash, MethodIdx, Pos) <
+             std::tie(O.Hash, O.MethodIdx, O.Pos);
+    }
+  };
+  std::vector<Candidate> Cands;
+  Cands.reserve(Methods.size());
   for (std::size_t I = 0; I < Methods.size(); ++I) {
     const codegen::CompiledMethod &M = Methods[I];
     if (!M.Side.IsNative && !M.Side.HasIndirectJump && !M.Code.empty())
-      Candidates.push_back(I);
+      Cands.push_back({shapeHash(M), M.MethodIdx, static_cast<uint32_t>(I)});
   }
-  std::sort(Candidates.begin(), Candidates.end(),
-            [&](std::size_t A, std::size_t B) {
-              return Methods[A].MethodIdx < Methods[B].MethodIdx;
-            });
+  std::sort(Cands.begin(), Cands.end());
 
-  // Tier 1: identical bodies -> aliases.
-  std::unordered_map<std::string, std::vector<std::size_t>> Identical;
-  std::vector<std::string> IdenticalKeys; // Insertion order for determinism.
-  for (std::size_t I : Candidates) {
-    std::string Key = cache::methodMergeDigest(Methods[I]).hex();
-    auto [It, New] = Identical.try_emplace(std::move(Key));
-    if (New)
-      IdenticalKeys.push_back(It->first);
-    It->second.push_back(I);
-  }
-  // Alias victims leave the candidate pool; alias canonicals stay in it
-  // but may only serve the thunk tier as canonicals — turning one into a
-  // thunk would cut the body its aliases share.
-  std::unordered_set<std::size_t> AliasVictims, AliasCanons;
-  for (const std::string &Key : IdenticalKeys) {
-    const std::vector<std::size_t> &Bucket = Identical[Key];
-    if (Bucket.size() < 2)
-      continue;
-    std::size_t Canon = Bucket.front();
-    for (std::size_t K = 1; K < Bucket.size(); ++K) {
-      std::size_t V = Bucket[K];
-      if (!bodiesEqual(Methods[V], Methods[Canon]))
-        continue; // Digest collision: leave it for the thunk tier.
-      Plan.Aliases.push_back(
-          {Methods[V].MethodIdx, Methods[Canon].MethodIdx});
-      Plan.SavedBytes += Methods[V].codeSizeBytes();
-      AliasVictims.insert(V);
-      AliasCanons.insert(Canon);
-    }
-  }
-
-  // Tier 2: mov-immediate variants -> thunks.
-  if (Opts.EnableThunks) {
-    std::unordered_map<std::string, std::vector<std::size_t>> Shapes;
-    std::vector<std::string> ShapeKeys;
-    std::unordered_map<std::size_t, std::vector<uint8_t>> DataCache;
-    for (std::size_t I : Candidates) {
-      if (AliasVictims.count(I))
+  // Within a bucket, each method either aliases the first identical body
+  // before it (tier 1) or becomes a leader in the exact shape class of the
+  // first leader it matches, so a hash collision never merges anything.
+  // Tier 2 thunks each leader into its class's first leader, unless
+  // aliases share the leader's body, which a thunk would cut.
+  struct Leader {
+    uint32_t Pos, Canon; ///< Canon: the Pos of the class's first leader.
+    bool HasAliases;
+  };
+  std::vector<Leader> Leaders;
+  for (std::size_t B = 0, E = 0; B < Cands.size(); B = E) {
+    for (E = B + 1; E < Cands.size() && Cands[E].Hash == Cands[B].Hash; ++E)
+      ;
+    Leaders.clear();
+    for (std::size_t K = B; K < E; ++K) {
+      const uint32_t Pos = Cands[K].Pos;
+      const codegen::CompiledMethod &M = Methods[Pos];
+      auto FirstLeader = [&](auto Equal) {
+        return std::find_if(Leaders.begin(), Leaders.end(),
+                            [&](const Leader &L) {
+                              return Equal(M, Methods[L.Pos]);
+                            });
+      };
+      if (auto L = FirstLeader(bodiesEqual); L != Leaders.end()) {
+        Plan.Aliases.push_back({M.MethodIdx, Methods[L->Pos].MethodIdx});
+        Plan.SavedBytes += M.codeSizeBytes();
+        L->HasAliases = true;
         continue;
-      auto &IsData =
-          DataCache.try_emplace(I, dataWords(Methods[I])).first->second;
-      std::string Key = shapeDigest(Methods[I], IsData).hex();
-      auto [It, New] = Shapes.try_emplace(std::move(Key));
-      if (New)
-        ShapeKeys.push_back(It->first);
-      It->second.push_back(I);
-    }
-    for (const std::string &Key : ShapeKeys) {
-      const std::vector<std::size_t> &Bucket = Shapes[Key];
-      if (Bucket.size() < 2)
-        continue;
-      std::size_t Canon = Bucket.front();
-      bool CanonUsed = false;
-      for (std::size_t K = 1; K < Bucket.size(); ++K) {
-        std::size_t V = Bucket[K];
-        if (AliasCanons.count(V))
-          continue; // Its aliases need the full body intact.
-        uint32_t DWords = 0;
-        if (!thunkLegal(Methods[V], Methods[Canon], DataCache[V],
-                        Opts.MinTailWords, DWords))
-          continue;
-        uint32_t N = static_cast<uint32_t>(Methods[V].Code.size());
-        Plan.Thunks.push_back(
-            {Methods[V].MethodIdx, Methods[Canon].MethodIdx, DWords * 4});
-        Plan.SavedBytes += static_cast<uint64_t>(N - (DWords + 1)) * 4;
-        Plan.Pinned.push_back(Methods[V].MethodIdx);
-        CanonUsed = true;
       }
-      if (CanonUsed)
-        Plan.Pinned.push_back(Methods[Canon].MethodIdx);
+      auto C = FirstLeader(sameShape);
+      uint32_t Canon = C == Leaders.end() ? Pos : C->Canon;
+      Leaders.push_back({Pos, Canon, false});
+    }
+    for (const Leader &L : Leaders) {
+      if (!Opts.EnableThunks || L.Pos == L.Canon || L.HasAliases)
+        continue;
+      const codegen::CompiledMethod &V = Methods[L.Pos], &C = Methods[L.Canon];
+      uint32_t DWords = 0;
+      if (!thunkLegal(V, C, Opts.MinTailWords, DWords))
+        continue;
+      uint32_t N = static_cast<uint32_t>(V.Code.size());
+      Plan.Thunks.push_back({V.MethodIdx, C.MethodIdx, DWords * 4});
+      Plan.SavedBytes += static_cast<uint64_t>(N - (DWords + 1)) * 4;
+      Plan.Pinned.push_back(V.MethodIdx);
+      Plan.Pinned.push_back(C.MethodIdx);
     }
   }
 

@@ -78,9 +78,12 @@ struct MergePlan {
   uint64_t SavedBytes = 0; ///< Alias bodies + thunk tail bytes dropped.
 };
 
-/// Plans merges over \p Methods (the post-GC set). Deterministic: bucketing
-/// keys on content digests, canonicals are the lowest method index per
-/// bucket, and all output vectors are index-sorted.
+/// Plans merges over \p Methods (the post-GC set) in one pass per method:
+/// a 64-bit shape hash (every mov-wide immediate reduced to its class)
+/// buckets the candidates, each bucket splits into exact shape classes by
+/// comparison, and identical bodies inside a class alias its lowest index.
+/// Deterministic: canonicals are the lowest method index per class, and
+/// all output vectors are index-sorted.
 MergePlan planMerge(const std::vector<codegen::CompiledMethod> &Methods,
                     const MergeOptions &Opts = {});
 

@@ -135,22 +135,5 @@ Digest methodContentDigest(const codegen::CompiledMethod &M) {
   return H.finish();
 }
 
-Digest methodMergeDigest(const codegen::CompiledMethod &M) {
-  Hasher H;
-  H.digest(methodContentDigest(M));
-  H.u64(M.Map.Entries.size());
-  for (const codegen::StackMapEntry &E : M.Map.Entries) {
-    H.u32(E.NativePcOffset);
-    H.u32(E.DexPc);
-  }
-  H.u64(M.Relocs.size());
-  for (const codegen::Relocation &R : M.Relocs) {
-    H.u32(R.Offset);
-    H.u8(static_cast<uint8_t>(R.Kind));
-    H.u32(R.TargetId);
-  }
-  return H.finish();
-}
-
 } // namespace cache
 } // namespace calibro

@@ -83,12 +83,6 @@ Digest methodSourceKey(const dex::Method &M, bool EnableCto);
 /// This is the unit digest LTBO group keys are combined from.
 Digest methodContentDigest(const codegen::CompiledMethod &M);
 
-/// The merge digest of a compiled method: the content digest's inputs plus
-/// stack maps and relocations. Two methods with equal merge digests are
-/// candidates for byte-identical body aliasing in the global method merger
-/// (which still confirms full structural equality before aliasing).
-Digest methodMergeDigest(const codegen::CompiledMethod &M);
-
 } // namespace cache
 } // namespace calibro
 

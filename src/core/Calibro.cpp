@@ -133,9 +133,11 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   Result.Stubs = StubCache.takeStubs();
   Result.MethodDigests = std::move(Digests);
 
-  // Dex-level call graph for the closed-world analyses. Built even for
-  // open-world apps (oatdump --callgraph wants it); the GC itself only
-  // arms when entrypoints were declared.
+  // Dex-level call graph for the closed-world analyses, which arm only
+  // when the app declares entrypoints: an open-world app skips it and
+  // leaves HasAnalysis false (calibro-oatdump --callgraph builds its own).
+  if (App.Entrypoints.empty())
+    return Result;
   analysis::CallGraphOptions GOpts;
   GOpts.Strict = Opts.StrictCallGraph;
   auto G = analysis::buildCallGraph(App, GOpts);
@@ -167,6 +169,7 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
 
   const bool ClosedWorld = App.HasAnalysis && !App.Graph.Entrypoints.empty();
   if (ClosedWorld && (Opts.EnableGc || Opts.EnableMerge)) {
+    Timer AnalysisTimer;
     auto B = analysis::bindBinaryEdges(App.Graph, App.Methods,
                                        Opts.StrictCallGraph);
     if (!B)
@@ -232,6 +235,7 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
         MergeSavedBytes = Plan.SavedBytes;
       }
     }
+    Stats.AnalysisSeconds = AnalysisTimer.seconds();
   }
 
   // LTBO.2: whole-program outlining before linking.
@@ -284,7 +288,6 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
   Stats.Ltbo.RepairedEdges = RepairedEdges;
 
   // Linking: bind every symbolic call, lay out the .text image.
-  Timer LinkTimer;
   oat::LinkInput In;
   In.AppName = App.AppName;
   In.BaseAddress = Opts.BaseAddress;
@@ -317,6 +320,7 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
     Stats.LayoutSeconds = LayoutTimer.seconds();
   }
 
+  Timer LinkTimer;
   auto O = oat::link(In);
   if (!O)
     return O.takeError();

@@ -93,7 +93,8 @@ struct CalibroOptions {
   /// declaration as the GC.
   bool EnableMerge = true;
   /// Fail the build on any call-graph anomaly (`--strict-gc`) instead of
-  /// degrading to conservative edges/roots.
+  /// degrading to conservative edges/roots. Checks closed-world builds
+  /// only: an app without entrypoints builds no call graph.
   bool StrictCallGraph = false;
   /// Profile-driven function layout (`--no-layout` clears it): after GC,
   /// merge and outlining, reorder the .text section by co-execution
@@ -131,7 +132,8 @@ struct BuildStats {
   OutlineStats Ltbo;
   double CompileSeconds = 0; ///< dex -> HGraph -> opt -> binary.
   double LtboSeconds = 0;    ///< Whole-program outlining (LTBO.2).
-  double LinkSeconds = 0;
+  double AnalysisSeconds = 0; ///< Binary-edge bind + GC + merge planning.
+  double LinkSeconds = 0;     ///< oat::link alone (layout excluded).
   /// Layout-stage outputs (all zero when the stage did not arm).
   bool LayoutApplied = false;   ///< A reordering plan reached the linker.
   double LayoutSeconds = 0;     ///< Affinity graph + warm-first wall time.
@@ -171,8 +173,9 @@ struct CompiledApp {
   /// entries.
   std::vector<cache::Digest> MethodDigests;
   /// The dex-level call graph (invoke sites + CHA virtual fan-out),
-  /// built by compileApp when HasAnalysis is set. linkApp refines it with
-  /// binary cross-references before the reachability pass.
+  /// built by compileApp only for closed worlds (declared entrypoints);
+  /// HasAnalysis says whether it was. linkApp refines it with binary
+  /// cross-references before the reachability pass.
   analysis::CallGraph Graph;
   bool HasAnalysis = false;
   /// Compile-stage statistics; LTBO/link fields are still zero.

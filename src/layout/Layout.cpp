@@ -9,7 +9,6 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <unordered_map>
 
@@ -33,9 +32,17 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
 
   // Node order mirrors the legacy plan: methods, stubs, outlined. That
   // makes "node index" and "pre-layout placement position" the same thing,
-  // which is what the deterministic tie-breaks key on.
-  std::unordered_map<uint32_t, uint32_t> MethodNode; // MethodIdx -> node
-  MethodNode.reserve(In.Methods.size());
+  // which is what the deterministic tie-breaks key on. Method indices are
+  // dense (dex::verifyApp), so MethodIdx -> node is a flat table; the
+  // first method with an index wins.
+  constexpr uint32_t NoNode = UINT32_MAX;
+  std::size_t IdxEnd = 0;
+  for (const auto &M : In.Methods)
+    IdxEnd = std::max<std::size_t>(IdxEnd, M.MethodIdx + std::size_t{1});
+  std::vector<uint32_t> MethodNode(IdxEnd, NoNode);
+  auto nodeOfMethod = [&](uint32_t Idx) {
+    return Idx < MethodNode.size() ? MethodNode[Idx] : NoNode;
+  };
   for (uint32_t I = 0; I < In.Methods.size(); ++I) {
     const auto &M = In.Methods[I];
     AffinityNode N;
@@ -43,7 +50,8 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
     N.SizeBytes = static_cast<uint32_t>(M.codeSizeBytes());
     auto It = P.CyclesByMethod.find(M.MethodIdx);
     N.Heat = It == P.CyclesByMethod.end() ? 0 : It->second;
-    MethodNode.emplace(M.MethodIdx, static_cast<uint32_t>(AG.Nodes.size()));
+    if (MethodNode[M.MethodIdx] == NoNode)
+      MethodNode[M.MethodIdx] = static_cast<uint32_t>(AG.Nodes.size());
     AG.Nodes.push_back(N);
   }
   const uint32_t StubBase = static_cast<uint32_t>(AG.Nodes.size());
@@ -64,15 +72,15 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
     AG.Nodes.push_back(N);
   }
 
-  // Accumulate undirected weights in an ordered map so the emitted edge
-  // list never depends on hash iteration order.
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> W;
+  // Every edge site lands in one flat list; sorting it by (A, B) and
+  // summing equal neighbours yields the unique, ordered edge list.
+  std::vector<AffinityEdge> Sites;
   auto AddEdge = [&](uint32_t A, uint32_t B, uint64_t Weight) {
     if (A == B)
       return;
     if (A > B)
       std::swap(A, B);
-    W[{A, B}] += Weight;
+    Sites.push_back({A, B, Weight});
   };
 
   // Static call-graph adjacency: callers and callees that survived GC and
@@ -83,11 +91,10 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
     if (Idx >= G.Succ.size())
       continue;
     for (uint32_t Callee : G.Succ[Idx]) {
-      auto It = MethodNode.find(Callee);
-      if (It == MethodNode.end())
+      uint32_t To = nodeOfMethod(Callee);
+      if (To == NoNode)
         continue;
-      AddEdge(I, It->second,
-              1 + std::min(AG.Nodes[I].Heat, AG.Nodes[It->second].Heat));
+      AddEdge(I, To, 1 + std::min(AG.Nodes[I].Heat, AG.Nodes[To].Heat));
     }
   }
 
@@ -112,9 +119,9 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
       case codegen::RelocKind::MergedBody: {
         if (R.TargetId >= In.MergeThunks.size())
           break;
-        auto It = MethodNode.find(In.MergeThunks[R.TargetId].CanonMethodIdx);
-        if (It != MethodNode.end())
-          AddEdge(FromNode, It->second, 1 + AG.Nodes[FromNode].Heat);
+        uint32_t To = nodeOfMethod(In.MergeThunks[R.TargetId].CanonMethodIdx);
+        if (To != NoNode)
+          AddEdge(FromNode, To, 1 + AG.Nodes[FromNode].Heat);
         break;
       }
       default:
@@ -127,9 +134,17 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
   for (uint32_t I = 0; I < In.Outlined.size(); ++I)
     AddRelocEdges(OutNodeById[In.Outlined[I].Id], In.Outlined[I].Relocs);
 
-  AG.Edges.reserve(W.size());
-  for (const auto &[Key, Weight] : W)
-    AG.Edges.push_back({Key.first, Key.second, Weight});
+  std::sort(Sites.begin(), Sites.end(),
+            [](const AffinityEdge &X, const AffinityEdge &Y) {
+              return X.A != Y.A ? X.A < Y.A : X.B < Y.B;
+            });
+  for (const AffinityEdge &E : Sites) {
+    if (!AG.Edges.empty() && AG.Edges.back().A == E.A &&
+        AG.Edges.back().B == E.B)
+      AG.Edges.back().Weight += E.Weight;
+    else
+      AG.Edges.push_back(E);
+  }
   return AG;
 }
 

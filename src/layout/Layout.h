@@ -82,7 +82,8 @@ struct AffinityGraph {
 
 /// Builds the affinity graph for \p In: static call adjacency from \p G
 /// weighted with \p P's cycles, plus one edge per symbolic relocation
-/// site. Deterministic (ordered accumulation, no hashing on output).
+/// site. Deterministic: the sites are sorted by (A, B) and equal pairs
+/// summed, so no hash order reaches the output.
 AffinityGraph buildAffinityGraph(const oat::LinkInput &In,
                                  const analysis::CallGraph &G,
                                  const profile::Profile &P);

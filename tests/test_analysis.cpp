@@ -6,19 +6,24 @@
 ///
 /// \file
 /// The closed-world analysis subsystem: call-graph construction (dex edges,
-/// CHA virtual fan-out, anomaly handling), entrypoint-rooted reachability,
-/// the global method merger (alias + thunk tiers), and the end-to-end
+/// CHA virtual fan-out, anomaly handling), binary-edge binding and its
+/// anchor word, entrypoint-rooted reachability, the global method merger
+/// (alias + thunk tiers, checked against an all-pairs reference planner,
+/// and its move-wide predicate), and the end-to-end
 /// pipeline properties — thread-count independence, the zero-dead no-op
 /// guarantee, and behavior preservation under merging.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "aarch64/Decoder.h"
 #include "aarch64/Encoder.h"
 #include "analysis/CallGraph.h"
 #include "analysis/Merge.h"
+#include "codegen/ArtAbi.h"
 #include "core/Calibro.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
+#include "verify/Differential.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
@@ -365,7 +370,8 @@ TEST(MergePlan, RejectsIllegalThunks) {
     EXPECT_TRUE(P.Aliases.empty());
     EXPECT_TRUE(P.Thunks.empty());
   }
-  // Mov to a different register: not a thunk pair.
+  // Mov to a different register: not a thunk pair. The shape hash puts
+  // the two in one bucket on purpose, so this is the collision case.
   {
     codegen::CompiledMethod A = body(10, 7), B = body(11, 7);
     B.Code[0] = movz(6, 7);
@@ -409,6 +415,281 @@ TEST(MergePlan, MakeThunkShape) {
   // terminator.
   EXPECT_EQ(M.Side.TerminatorOffsets, (std::vector<uint32_t>{4}));
   EXPECT_LT(M.Code.size(), FullWords);
+}
+
+TEST(MergePlan, EmbeddedDataWordsKeepTheirBits) {
+  // Word 2 is a literal-pool word that happens to encode a movz. Inside
+  // embedded data it is compared bit for bit, so a different immediate
+  // there blocks both tiers.
+  codegen::CompiledMethod A = body(10, 7), B = body(11, 7);
+  A.Code[2] = movz(1, 100);
+  B.Code[2] = movz(1, 200);
+  A.Side.EmbeddedData = B.Side.EmbeddedData = {{8, 4}};
+  MergePlan P = planMerge({A, B});
+  EXPECT_TRUE(P.Aliases.empty());
+  EXPECT_TRUE(P.Thunks.empty());
+  // Outside embedded data the same pair is a mov-immediate variant.
+  A.Side.EmbeddedData.clear();
+  B.Side.EmbeddedData.clear();
+  P = planMerge({A, B});
+  ASSERT_EQ(P.Thunks.size(), 1u);
+  EXPECT_EQ(P.Thunks[0].EntryByteOff, 12u);
+}
+
+/// The merge plan by definition, with every pair compared directly: no
+/// hashing, no buckets, and a64::decode for the mov-immediate test.
+MergePlan referencePlan(const std::vector<codegen::CompiledMethod> &Ms,
+                        const MergeOptions &Opts = {}) {
+  std::vector<const codegen::CompiledMethod *> C;
+  for (const auto &M : Ms)
+    if (!M.Side.IsNative && !M.Side.HasIndirectJump && !M.Code.empty())
+      C.push_back(&M);
+  std::stable_sort(C.begin(), C.end(), [](const auto *A, const auto *B) {
+    return A->MethodIdx < B->MethodIdx;
+  });
+  auto SameMeta = [](const codegen::CompiledMethod &A,
+                     const codegen::CompiledMethod &B) {
+    return A.Code.size() == B.Code.size() && A.Side == B.Side &&
+           A.Map == B.Map && A.Relocs == B.Relocs;
+  };
+  auto IsData = [](const codegen::CompiledMethod &M, std::size_t W) {
+    for (const auto &R : M.Side.EmbeddedData)
+      if (W * 4 >= R.Offset && W * 4 + 4 <= uint64_t{R.Offset} + R.Size)
+        return true;
+    return false;
+  };
+  auto MovTo = [](uint32_t Word) -> std::optional<std::pair<int, bool>> {
+    auto I = a64::decode(Word);
+    if (!I || (I->Op != a64::Opcode::MovZ && I->Op != a64::Opcode::MovN &&
+               I->Op != a64::Opcode::MovK))
+      return std::nullopt;
+    return std::pair<int, bool>{I->Rd, I->Is64};
+  };
+  auto SameShape = [&](const codegen::CompiledMethod &A,
+                       const codegen::CompiledMethod &B) {
+    if (!SameMeta(A, B))
+      return false;
+    for (std::size_t W = 0; W < A.Code.size(); ++W) {
+      if (A.Code[W] == B.Code[W])
+        continue;
+      auto MA = MovTo(A.Code[W]), MB = MovTo(B.Code[W]);
+      if (IsData(A, W) || !MA || !MB || *MA != *MB)
+        return false;
+    }
+    return true;
+  };
+  // The thunk legality rules of Merge.h, restated.
+  auto ThunkCut = [&](const codegen::CompiledMethod &V,
+                      const codegen::CompiledMethod &Canon) -> uint32_t {
+    uint32_t D = 0;
+    for (std::size_t W = 0; W < V.Code.size(); ++W)
+      if (V.Code[W] != Canon.Code[W])
+        D = static_cast<uint32_t>(W) + 1;
+    uint32_t N = static_cast<uint32_t>(V.Code.size());
+    if (D == 0 || N < D + 1 + Opts.MinTailWords)
+      return 0;
+    uint32_t Cut = D * 4;
+    for (const auto &R : V.Side.PcRelRecords) {
+      if (R.InsnOffset >= Cut ? R.TargetOffset < Cut : R.TargetOffset > Cut)
+        return 0;
+      if (R.InsnOffset < Cut && R.TargetOffset == Cut) {
+        auto I = a64::decode(V.Code[R.InsnOffset / 4]);
+        if (!I || (I->Op != a64::Opcode::B && I->Op != a64::Opcode::Bcond &&
+                   I->Op != a64::Opcode::Cbz && I->Op != a64::Opcode::Cbnz &&
+                   I->Op != a64::Opcode::Tbz && I->Op != a64::Opcode::Tbnz))
+          return 0;
+      }
+    }
+    for (const auto &R : V.Side.EmbeddedData)
+      if (R.Offset < Cut && R.Offset + R.Size > Cut)
+        return 0;
+    for (const auto &R : V.Side.SlowPathRanges)
+      if (R.Begin < Cut && R.End > Cut)
+        return 0;
+    return D;
+  };
+
+  MergePlan P;
+  std::vector<uint8_t> Victim(C.size(), 0), AliasCanon(C.size(), 0);
+  for (std::size_t I = 0; I < C.size(); ++I)
+    for (std::size_t J = 0; J < I; ++J)
+      if (SameMeta(*C[I], *C[J]) && C[I]->Code == C[J]->Code) {
+        P.Aliases.push_back({C[I]->MethodIdx, C[J]->MethodIdx});
+        P.SavedBytes += C[I]->codeSizeBytes();
+        Victim[I] = AliasCanon[J] = 1;
+        break;
+      }
+  for (std::size_t I = 0; Opts.EnableThunks && I < C.size(); ++I) {
+    if (Victim[I] || AliasCanon[I])
+      continue;
+    for (std::size_t J = 0; J < I; ++J) {
+      if (Victim[J] || !SameShape(*C[I], *C[J]))
+        continue;
+      // J is the lowest-index non-alias of I's shape: the canonical.
+      if (uint32_t D = ThunkCut(*C[I], *C[J])) {
+        P.Thunks.push_back({C[I]->MethodIdx, C[J]->MethodIdx, D * 4});
+        P.SavedBytes += uint64_t(C[I]->Code.size() - (D + 1)) * 4;
+        P.Pinned.push_back(C[I]->MethodIdx);
+        P.Pinned.push_back(C[J]->MethodIdx);
+      }
+      break;
+    }
+  }
+  auto ByIdx = [](const auto &A, const auto &B) {
+    return A.MethodIdx < B.MethodIdx;
+  };
+  std::sort(P.Aliases.begin(), P.Aliases.end(), ByIdx);
+  std::sort(P.Thunks.begin(), P.Thunks.end(), ByIdx);
+  std::sort(P.Pinned.begin(), P.Pinned.end());
+  P.Pinned.erase(std::unique(P.Pinned.begin(), P.Pinned.end()),
+                 P.Pinned.end());
+  return P;
+}
+
+void expectSamePlan(const MergePlan &Got, const MergePlan &Want,
+                    const std::string &What) {
+  ASSERT_EQ(Got.Aliases.size(), Want.Aliases.size()) << What;
+  for (std::size_t I = 0; I < Got.Aliases.size(); ++I) {
+    EXPECT_EQ(Got.Aliases[I].MethodIdx, Want.Aliases[I].MethodIdx) << What;
+    EXPECT_EQ(Got.Aliases[I].CanonMethodIdx, Want.Aliases[I].CanonMethodIdx)
+        << What;
+  }
+  ASSERT_EQ(Got.Thunks.size(), Want.Thunks.size()) << What;
+  for (std::size_t I = 0; I < Got.Thunks.size(); ++I) {
+    EXPECT_EQ(Got.Thunks[I].MethodIdx, Want.Thunks[I].MethodIdx) << What;
+    EXPECT_EQ(Got.Thunks[I].CanonMethodIdx, Want.Thunks[I].CanonMethodIdx)
+        << What;
+    EXPECT_EQ(Got.Thunks[I].EntryByteOff, Want.Thunks[I].EntryByteOff)
+        << What;
+  }
+  EXPECT_EQ(Got.Pinned, Want.Pinned) << What;
+  EXPECT_EQ(Got.SavedBytes, Want.SavedBytes) << What;
+}
+
+TEST(MergePlan, MatchesAllPairsReferenceOnUnitFamilies) {
+  // Two shape families interleaved by index, an identical pair inside
+  // each, a lone body and a data-word twin: every tier and exclusion.
+  std::vector<codegen::CompiledMethod> Ms = {
+      body(3, 9), body(1, 7), body(8, 7), body(2, 5, 6), body(5, 9),
+      body(4, 6, 6), body(6, 5, 6), body(7, 1, 2)};
+  Ms.push_back(body(9, 7));
+  Ms.back().Side.EmbeddedData = {{0, 4}};
+  for (bool Thunks : {true, false}) {
+    MergeOptions O;
+    O.EnableThunks = Thunks;
+    MergePlan P = planMerge(Ms, O);
+    expectSamePlan(P, referencePlan(Ms, O),
+                   Thunks ? "thunks on" : "thunks off");
+    EXPECT_FALSE(P.Aliases.empty());
+    EXPECT_EQ(P.Thunks.empty(), !Thunks);
+  }
+}
+
+TEST(MergePlan, MatchesAllPairsReferenceOnPaperAppsAndFuzzSeeds) {
+  std::size_t Aliases = 0, Thunks = 0;
+  auto Check = [&](workload::AppSpec Spec) {
+    dex::App App = workload::makeApp(Spec);
+    core::CalibroOptions O;
+    O.EnableCto = true;
+    auto C = core::compileApp(App, O);
+    ASSERT_TRUE(bool(C)) << C.message();
+    MergePlan P = planMerge(C->Methods);
+    expectSamePlan(P, referencePlan(C->Methods), Spec.Name);
+    Aliases += P.Aliases.size();
+    Thunks += P.Thunks.size();
+  };
+  for (workload::AppSpec Spec : workload::paperApps(0.5)) {
+    workload::enableDeadCode(Spec); // Clone families: merge fodder.
+    Check(Spec);
+  }
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    Check(verify::randomAppSpec(Seed));
+  // The corpus must exercise both tiers, or the comparison proves little.
+  EXPECT_GT(Aliases, 0u);
+  EXPECT_GT(Thunks, 0u);
+}
+
+TEST(MergePlan, MovWidePredicateMatchesDecoderOverTheWholeClass) {
+  // The class fixes bits [28:23] = 100101; the other 26 bits are free.
+  // Plain compares in the loop keep it fast; the first mismatch is named.
+  std::size_t Movs = 0;
+  for (uint32_t X = 0; X < (1u << 26); ++X) {
+    uint32_t W = 0x12800000u | (X & 0x7FFFFFu) | (X >> 23) << 29;
+    auto I = a64::decode(W);
+    bool Mov = I && (I->Op == a64::Opcode::MovZ ||
+                     I->Op == a64::Opcode::MovN || I->Op == a64::Opcode::MovK);
+    Movs += Mov;
+    if (a64::isMovWide(W) != Mov ||
+        (Mov && (I->Rd != (W & 31u) || I->Is64 != ((W >> 31) != 0))))
+      FAIL() << "predicate and decoder disagree on " << std::hex << W;
+  }
+  // 2 widths x 3 opcodes x hw (4 for 64-bit, 2 for 32-bit) x imm16 x Rd.
+  EXPECT_EQ(Movs, std::size_t{3} * (4 + 2) << 21);
+  // Outside the class the predicate is false and nothing decodes as a mov.
+  uint64_t X = 0x243f6a8885a308d3ULL;
+  for (int K = 0; K < 1000000; ++K) {
+    X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint32_t W = static_cast<uint32_t>(X >> 32);
+    if ((W & 0x1F800000u) == 0x12800000u)
+      continue;
+    auto I = a64::decode(W);
+    ASSERT_FALSE(a64::isMovWide(W)) << std::hex << W;
+    ASSERT_FALSE(I && (I->Op == a64::Opcode::MovZ ||
+                       I->Op == a64::Opcode::MovN ||
+                       I->Op == a64::Opcode::MovK))
+        << std::hex << W;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Binary-edge binding
+//===----------------------------------------------------------------------===//
+
+bool isAnchor(const std::optional<a64::Insn> &I) {
+  return I && I->Op == a64::Opcode::LdrImm && I->Is64 &&
+         I->Rd == a64::ArtMethodReg && I->Rn == a64::ThreadReg &&
+         I->Imm == art::ThreadMethodTableOffset;
+}
+
+TEST(BindBinaryEdges, AnchorWordIsTheOnlyEncodingOfTheAnchor) {
+  EXPECT_TRUE(isAnchor(a64::decode(ResolveAnchorWord)));
+  a64::Insn Ld{.Op = a64::Opcode::LdrImm, .Rd = a64::ArtMethodReg,
+               .Rn = a64::ThreadReg};
+  Ld.Imm = art::ThreadMethodTableOffset;
+  EXPECT_EQ(a64::encode(Ld), ResolveAnchorWord);
+  // The unsigned-offset load/store class fixes bits [29:24] = 111001.
+  for (uint32_t X = 0; X < (1u << 26); ++X) {
+    uint32_t W = 0x39000000u | (X & 0xFFFFFFu) | (X >> 24) << 30;
+    if (W != ResolveAnchorWord && isAnchor(a64::decode(W)))
+      FAIL() << "another word decodes to the anchor: " << std::hex << W;
+  }
+}
+
+TEST(BindBinaryEdges, AnchorInsideEmbeddedDataIsNotASite) {
+  // Method 0 resolves callee 1 twice. Declaring the second anchor word a
+  // literal-pool word must unmatch that site, even though the slot load
+  // after it is still code.
+  dex::App A = appOf({caller(0, "La/E;->run", {1}), caller(1, "La/U;->f", {})},
+                     {0});
+  auto G = buildCallGraph(A);
+  ASSERT_TRUE(bool(G)) << G.message();
+  a64::Insn Slot{.Op = a64::Opcode::LdrImm, .Rd = a64::ArtMethodReg,
+                 .Rn = a64::ArtMethodReg};
+  Slot.Imm = 8; // Table slot of method 1.
+  codegen::CompiledMethod M;
+  M.MethodIdx = 0;
+  M.Code = {ResolveAnchorWord, a64::encode(Slot), ResolveAnchorWord,
+            a64::encode(Slot), retInsn()};
+  auto Sites = [&](std::vector<codegen::EmbeddedDataRange> Data) {
+    M.Side.EmbeddedData = std::move(Data);
+    auto B = bindBinaryEdges(*G, {M}, /*Strict=*/true);
+    EXPECT_TRUE(bool(B)) << B.message();
+    return B ? B->SitesMatched : 0;
+  };
+  EXPECT_EQ(Sites({}), 2u);
+  EXPECT_EQ(Sites({{8, 4}}), 1u);
+  // A data word between the anchor and its slot load breaks the sequence.
+  EXPECT_EQ(Sites({{4, 4}}), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,8 @@
 ///    exactly once, validateOat clean, behaviour unchanged;
 ///  * the plan is byte-deterministic for any thread count;
 ///  * the plan puts warm nodes first and keeps both blocks in node order;
+///  * the affinity graph sums repeated edge sites exactly as an ordered-map
+///    reference does;
 ///  * without a profile, or on an open-world app, the stage is a
 ///    byte-identical no-op;
 ///  * the simulated startup working set never grows, and shrinks on the
@@ -28,6 +30,7 @@
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <map>
 
 using namespace calibro;
 
@@ -437,6 +440,132 @@ TEST(LayoutWarmFirst, SaturatedHeatsAndWeightsStayValid) {
   auto R = layout::computeLayout(G, Opts);
   expectPermutation(G, R);
   expectWarmPrefix(G, R);
+}
+
+// --- Affinity graph construction ----------------------------------------
+
+/// The affinity graph by its documented rules, accumulated in an ordered
+/// map: the reference the flat sort-and-reduce build must reproduce.
+std::vector<layout::AffinityEdge>
+referenceEdges(const oat::LinkInput &In, const analysis::CallGraph &G,
+               const std::vector<layout::AffinityNode> &Nodes) {
+  std::map<uint32_t, uint32_t> MethodNode, OutNode; // First wins.
+  for (uint32_t I = 0; I < In.Methods.size(); ++I)
+    MethodNode.emplace(In.Methods[I].MethodIdx, I);
+  const uint32_t StubBase = static_cast<uint32_t>(In.Methods.size());
+  const uint32_t OutBase = StubBase + static_cast<uint32_t>(In.Stubs.size());
+  for (uint32_t I = 0; I < In.Outlined.size(); ++I)
+    OutNode.emplace(In.Outlined[I].Id, OutBase + I);
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> W;
+  auto Add = [&](uint32_t A, uint32_t B, uint64_t Weight) {
+    if (A != B)
+      W[{std::min(A, B), std::max(A, B)}] += Weight;
+  };
+  for (uint32_t I = 0; I < In.Methods.size(); ++I) {
+    uint32_t Idx = In.Methods[I].MethodIdx;
+    if (Idx >= G.Succ.size())
+      continue;
+    for (uint32_t Callee : G.Succ[Idx])
+      if (auto It = MethodNode.find(Callee); It != MethodNode.end())
+        Add(I, It->second,
+            1 + std::min(Nodes[I].Heat, Nodes[It->second].Heat));
+  }
+  auto Relocs = [&](uint32_t From, const std::vector<codegen::Relocation> &Rs) {
+    for (const auto &R : Rs) {
+      uint64_t Weight = 1 + Nodes[From].Heat;
+      if (R.Kind == codegen::RelocKind::CtoStub && R.TargetId < In.Stubs.size())
+        Add(From, StubBase + R.TargetId, Weight);
+      if (R.Kind == codegen::RelocKind::OutlinedFunc)
+        if (auto It = OutNode.find(R.TargetId); It != OutNode.end())
+          Add(From, It->second, Weight);
+      if (R.Kind == codegen::RelocKind::MergedBody &&
+          R.TargetId < In.MergeThunks.size())
+        if (auto It = MethodNode.find(In.MergeThunks[R.TargetId].CanonMethodIdx);
+            It != MethodNode.end())
+          Add(From, It->second, Weight);
+    }
+  };
+  for (uint32_t I = 0; I < In.Methods.size(); ++I)
+    Relocs(I, In.Methods[I].Relocs);
+  for (uint32_t I = 0; I < In.Outlined.size(); ++I)
+    Relocs(OutNode[In.Outlined[I].Id], In.Outlined[I].Relocs);
+  std::vector<layout::AffinityEdge> Out;
+  for (const auto &[Key, Weight] : W)
+    Out.push_back({Key.first, Key.second, Weight});
+  return Out;
+}
+
+TEST(AffinityGraph, RepeatedSitesSumLikeAnOrderedMapReference) {
+  using RK = codegen::RelocKind;
+  auto Method = [](uint32_t Idx, std::size_t Words,
+                   std::vector<codegen::Relocation> Relocs) {
+    codegen::CompiledMethod M;
+    M.MethodIdx = Idx;
+    M.Code.assign(Words, 0xd503201f); // nop
+    M.Relocs = std::move(Relocs);
+    return M;
+  };
+  // Sparse method indices in non-index order. Call-graph edges run both
+  // ways between 4 and 0, and relocations repeat stub and outlined sites,
+  // so several pairs collect more than one contribution.
+  oat::LinkInput In;
+  In.Methods = {
+      Method(4, 3, {{0, RK::CtoStub, 1}, {4, RK::CtoStub, 1},
+                    {8, RK::OutlinedFunc, 7}}),
+      Method(0, 5, {{0, RK::CtoStub, 0}, {4, RK::MergedBody, 0},
+                    {8, RK::CtoStub, 5}}),          // Stub 5 is dangling.
+      Method(9, 2, {}),
+      Method(2, 4, {{0, RK::OutlinedFunc, 3},
+                    {4, RK::OutlinedFunc, 99}}),    // Outlined 99 is unknown.
+      Method(7, 1, {{0, RK::CtoStub, 1}}),
+  };
+  In.Stubs = {{codegen::CtoStubKind::StackCheck, 0, {1, 2, 3}},
+              {codegen::CtoStubKind::RtCall, 16, {4, 5}}};
+  In.Outlined.resize(2);
+  In.Outlined[0].Id = 7;
+  In.Outlined[0].Code = {1, 2};
+  In.Outlined[0].Relocs = {{0, RK::CtoStub, 1}};
+  In.Outlined[1].Id = 3;
+  In.Outlined[1].Code = {1, 2, 3};
+  In.Outlined[1].Relocs = {{0, RK::OutlinedFunc, 7}, {4, RK::OutlinedFunc, 7}};
+  In.MergeThunks = {{0, 9, 4}};
+
+  analysis::CallGraph G;
+  G.NumMethods = 10;
+  G.Succ.resize(10);
+  G.Succ[4] = {0, 9};
+  G.Succ[0] = {4, 9};
+  G.Succ[9] = {4};
+  G.Succ[2] = {3, 7}; // Method 3 is absent from the link input.
+  G.Succ[7] = {2};
+  profile::Profile P;
+  P.CyclesByMethod = {{4, 100}, {9, 7}, {2, 30}};
+
+  layout::AffinityGraph AG = layout::buildAffinityGraph(In, G, P);
+  ASSERT_EQ(AG.Nodes.size(), 9u);
+  EXPECT_EQ(AG.Nodes[0].Heat, 100u);
+  EXPECT_EQ(AG.Nodes[1].Heat, 0u);
+  auto Want = referenceEdges(In, G, AG.Nodes);
+  ASSERT_EQ(AG.Edges.size(), Want.size());
+  for (std::size_t I = 0; I < Want.size(); ++I) {
+    EXPECT_EQ(AG.Edges[I].A, Want[I].A) << "edge " << I;
+    EXPECT_EQ(AG.Edges[I].B, Want[I].B) << "edge " << I;
+    EXPECT_EQ(AG.Edges[I].Weight, Want[I].Weight) << "edge " << I;
+  }
+  // Spot-check the sums: 4 <-> 0 is two call edges of weight 1 + min(100,
+  // 0); 4 -> stub 1 (node 6) is two sites of weight 1 + 100; 0 -> 9 is a
+  // call edge (1 + 0) plus the merge-canonical site (1 + 0); outlined 3
+  // (node 8) -> outlined 7 (node 7) is two sites of weight 1.
+  auto WeightOf = [&](uint32_t A, uint32_t B) -> uint64_t {
+    for (const auto &E : AG.Edges)
+      if (E.A == A && E.B == B)
+        return E.Weight;
+    return 0;
+  };
+  EXPECT_EQ(WeightOf(0, 1), 2u);
+  EXPECT_EQ(WeightOf(0, 6), 202u);
+  EXPECT_EQ(WeightOf(1, 2), 2u);
+  EXPECT_EQ(WeightOf(7, 8), 2u);
 }
 
 // --- Linker-side plan validation ----------------------------------------

@@ -67,7 +67,8 @@ void usage() {
       "                     entrypoints, garbage methods, clone families\n"
       "  --no-gc            disable the closed-world reachability GC\n"
       "  --no-merge         disable global method merging\n"
-      "  --strict-gc        fail the build on any call-graph anomaly\n"
+      "  --strict-gc        fail a closed-world build on any call-graph\n"
+      "                     anomaly (open-world apps build no call graph)\n"
       "  -o <file>          output path (required)\n");
   std::exit(2);
 }
@@ -244,12 +245,13 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "  analysis: gc dropped %zu methods (%llu bytes), merged "
                  "%zu identical + %zu thunks (%llu bytes), %zu anomalies, "
-                 "%zu repaired edges\n",
+                 "%zu repaired edges, %.3fs\n",
                  St.Ltbo.MethodsGCed.size(),
                  (unsigned long long)St.Ltbo.GcBytes,
                  St.Ltbo.MethodsMergedIdentical, St.Ltbo.MethodsMergedThunk,
                  (unsigned long long)St.Ltbo.MergeSavedBytes,
-                 St.Ltbo.CallGraphAnomalies, St.Ltbo.RepairedEdges);
+                 St.Ltbo.CallGraphAnomalies, St.Ltbo.RepairedEdges,
+                 St.AnalysisSeconds);
   if (St.LayoutApplied)
     std::fprintf(stderr,
                  "  layout: %zu nodes (%zu warm), %zu edges, page-crossing "

@@ -126,7 +126,14 @@ int dumpCallGraph(const std::string &AppName, double Scale, uint64_t Seed,
     std::fprintf(stderr, "compile failed: %s\n", Compiled.message().c_str());
     return 1;
   }
-  analysis::CallGraph G = std::move(Compiled->Graph);
+  // compileApp builds the graph for closed worlds only; the dump wants it
+  // for every app.
+  auto Graph = analysis::buildCallGraph(App);
+  if (!Graph) {
+    std::fprintf(stderr, "call graph failed: %s\n", Graph.message().c_str());
+    return 1;
+  }
+  analysis::CallGraph &G = *Graph;
   auto Bind = analysis::bindBinaryEdges(G, Compiled->Methods, false);
   if (!Bind) {
     std::fprintf(stderr, "bind failed: %s\n", Bind.message().c_str());
