@@ -7,7 +7,8 @@
 /// \file
 /// Regenerates Table 6: building time per app for the baseline, the
 /// single-global-suffix-tree CTO+LTBO, and the paralleled-suffix-tree
-/// PlOpti variant, plus the growth ratios relative to the baseline.
+/// PlOpti variant (with the oat::link share of its build, `link_s`), plus
+/// the growth ratios relative to the baseline.
 ///
 /// Paper reference: CTO+LTBO slows the build by 489.5% on average (single
 /// thread, one global tree), PlOpti by 70.8% (8 trees). Also includes the
@@ -38,22 +39,28 @@ using namespace calibro::bench;
 namespace {
 
 /// Median-of-5 wall-clock build time (short builds on a small shared box
-/// are noisy; the median rejects scheduler hiccups).
+/// are noisy; the median rejects scheduler hiccups). \p LinkSeconds, when
+/// given, receives the median of the builds' BuildStats::LinkSeconds.
 double timedBuild(const dex::App &App, const core::CalibroOptions &Opts,
                   uint64_t *TextBytes = nullptr,
-                  core::BuildStats *StatsOut = nullptr) {
+                  core::BuildStats *StatsOut = nullptr,
+                  double *LinkSeconds = nullptr) {
   constexpr int Reps = 5;
-  double Times[Reps];
+  double Times[Reps], Links[Reps];
   for (int K = 0; K < Reps; ++K) {
     Timer T;
     auto B = build(App, Opts);
     Times[K] = T.seconds();
+    Links[K] = B.Stats.LinkSeconds;
     if (TextBytes)
       *TextBytes = B.Oat.textBytes();
     if (StatsOut)
       *StatsOut = B.Stats;
   }
   std::sort(Times, Times + Reps);
+  std::sort(Links, Links + Reps);
+  if (LinkSeconds)
+    *LinkSeconds = Links[Reps / 2];
   return Times[Reps / 2];
 }
 
@@ -138,8 +145,9 @@ int main(int argc, char **argv) {
               "+PlOpti +70.8%% avg (8 trees)\n\n",
               Scale);
 
-  std::vector<std::string> Names, BaseRow, FullRow, ParRow, FullPct, ParPct;
-  std::vector<double> BaseT, FullT, ParT;
+  std::vector<std::string> Names, BaseRow, FullRow, ParRow, ParLinkRow,
+      FullPct, ParPct;
+  std::vector<double> BaseT, FullT, ParT, ParLinkT;
   double FullSum = 0, ParSum = 0;
 
   auto Specs = workload::paperApps(Scale);
@@ -148,13 +156,16 @@ int main(int argc, char **argv) {
     Names.push_back(Spec.Name);
     double TBase = timedBuild(App, baselineOpts());
     double TFull = timedBuild(App, ctoLtboOpts());
-    double TPar = timedBuild(App, plOpts());
+    double TParLink = 0;
+    double TPar = timedBuild(App, plOpts(), nullptr, nullptr, &TParLink);
     BaseT.push_back(TBase);
     FullT.push_back(TFull);
     ParT.push_back(TPar);
+    ParLinkT.push_back(TParLink);
     BaseRow.push_back(fmtSec(TBase));
     FullRow.push_back(fmtSec(TFull));
     ParRow.push_back(fmtSec(TPar));
+    ParLinkRow.push_back(fmtSec(TParLink));
     double FullGrowth = 100.0 * (TFull / TBase - 1.0);
     double ParGrowth = 100.0 * (TPar / TBase - 1.0);
     FullPct.push_back(fmtPct(FullGrowth));
@@ -167,6 +178,7 @@ int main(int argc, char **argv) {
   BaseRow.push_back("/");
   FullRow.push_back("/");
   ParRow.push_back("/");
+  ParLinkRow.push_back("/");
   FullPct.push_back(fmtPct(FullSum / N));
   ParPct.push_back(fmtPct(ParSum / N));
 
@@ -174,6 +186,7 @@ int main(int argc, char **argv) {
   printRow("Baseline", BaseRow);
   printRow("CTO+LTBO (K=1)", FullRow);
   printRow("CTO+LTBO+PlOpti (8)", ParRow);
+  printRow("  of which oat::link", ParLinkRow);
   printRow("growth: CTO+LTBO", FullPct);
   printRow("growth: +PlOpti", ParPct);
 
@@ -426,9 +439,10 @@ int main(int argc, char **argv) {
   for (std::size_t I = 0; I < Specs.size(); ++I)
     std::fprintf(J,
                  "%s\n    {\"name\": \"%s\", \"baseline_s\": %.4f, "
-                 "\"cto_ltbo_s\": %.4f, \"plopti_s\": %.4f}",
+                 "\"cto_ltbo_s\": %.4f, \"plopti_s\": %.4f, "
+                 "\"link_s\": %.4f}",
                  I ? "," : "", Specs[I].Name.c_str(), BaseT[I], FullT[I],
-                 ParT[I]);
+                 ParT[I], ParLinkT[I]);
   std::fprintf(J,
                "\n  ],\n  \"avg_growth_pct\": {\"cto_ltbo\": %.2f, "
                "\"plopti\": %.2f},\n  \"k_sweep\": [",

@@ -31,9 +31,9 @@ if [[ "$MODE" == all || "$MODE" == asan ]]; then
   cmake --build "$SAN_BUILD" -j \
         --target test_verify test_outliner test_suffixtree \
                  test_serialize test_faultinject test_cache test_analysis \
-                 test_service test_layout test_hir test_codegen
+                 test_service test_layout test_hir test_codegen test_oat
   ctest --test-dir "$SAN_BUILD" --output-on-failure \
-        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_hir|test_codegen)$'
+        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_hir|test_codegen|test_oat)$'
 fi
 
 if [[ "$MODE" == all || "$MODE" == tsan ]]; then

@@ -35,6 +35,24 @@ inline bool isMovWide(uint32_t Word) {
          ((Word >> 29) & 3u) != 1u && ((Word >> 31) || !((Word >> 22) & 1u));
 }
 
+/// True exactly for the words decode() returns as Bl (\p Call) or B (not
+/// \p Call): the unconditional immediate branches, told apart by bit 31.
+inline bool isImmBranch(uint32_t Word, bool Call) {
+  return (Word & 0xFC000000u) == (Call ? 0x94000000u : 0x14000000u);
+}
+
+/// Re-points the immediate branch \p Word by the byte displacement \p Disp,
+/// keeping its opcode bits. Returns false and leaves \p Word alone when
+/// \p Disp is not a multiple of 4 or is outside imm26's [-2^27, 2^27 - 4].
+inline bool patchImmBranch(uint32_t &Word, int64_t Disp) {
+  constexpr int64_t Reach = int64_t(1) << 27;
+  if (Disp % 4 != 0 || Disp < -Reach || Disp >= Reach)
+    return false;
+  Word = (Word & 0xFC000000u) |
+         (static_cast<uint32_t>(Disp >> 2) & 0x03FFFFFFu);
+  return true;
+}
+
 } // namespace a64
 } // namespace calibro
 

@@ -55,7 +55,8 @@ ShardedBuildCache::open(const std::string &Dir, uint32_t NumShards,
       BudgetBytes ? std::max<uint64_t>(1, BudgetBytes / NumShards) : 0;
 
   for (uint32_t I = 0; I < NumShards; ++I) {
-    char Name[8];
+    // "s" + up to 10 digits of a uint32_t + NUL: no shard name truncates.
+    char Name[12];
     std::snprintf(Name, sizeof(Name), "s%02u", I);
     auto Store = BuildCache::open(Dir + "/" + Name);
     if (!Store)

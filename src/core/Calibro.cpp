@@ -148,12 +148,9 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   return Result;
 }
 
-Expected<BuildResult> core::linkApp(CompiledApp App,
-                                    const CalibroOptions &Opts) {
-  BuildResult Result;
-  BuildStats &Stats = Result.Stats;
-  Stats = std::move(App.Stats);
-
+Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
+                                           const CalibroOptions &Opts,
+                                           BuildStats &Stats) {
   // Closed-world analyses (GC + merge), before outlining. Armed only when
   // the app declared entrypoints; open-world builds are byte-for-byte
   // unaffected. Both passes plan single-threadedly, so their verdicts are
@@ -287,7 +284,7 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
   Stats.Ltbo.CallGraphAnomalies = GraphAnomalies;
   Stats.Ltbo.RepairedEdges = RepairedEdges;
 
-  // Linking: bind every symbolic call, lay out the .text image.
+  // The link input: what oat::link lays out and binds.
   oat::LinkInput In;
   In.AppName = App.AppName;
   In.BaseAddress = Opts.BaseAddress;
@@ -319,9 +316,20 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
     In.Layout = std::move(LR.Plan);
     Stats.LayoutSeconds = LayoutTimer.seconds();
   }
+  return In;
+}
+
+Expected<BuildResult> core::linkApp(CompiledApp App,
+                                    const CalibroOptions &Opts) {
+  BuildResult Result;
+  BuildStats &Stats = Result.Stats;
+  Stats = std::move(App.Stats);
+  auto In = prepareLink(std::move(App), Opts, Stats);
+  if (!In)
+    return In.takeError();
 
   Timer LinkTimer;
-  auto O = oat::link(In);
+  auto O = oat::link(std::move(*In));
   if (!O)
     return O.takeError();
   Stats.LinkSeconds = LinkTimer.seconds();

@@ -31,7 +31,7 @@
 #include "cache/BuildCache.h"
 #include "core/Outliner.h"
 #include "dex/Dex.h"
-#include "oat/OatFile.h"
+#include "oat/Linker.h"
 #include "profile/Profile.h"
 #include "support/ThreadPool.h"
 
@@ -186,8 +186,17 @@ struct CompiledApp {
 Expected<CompiledApp> compileApp(const dex::App &App,
                                  const CalibroOptions &Opts);
 
+/// Runs everything linkApp does before oat::link over an already-compiled
+/// app, consuming it: GC and merge, LTBO.2 and layout. Returns the exact
+/// input linkApp links; fills the analysis, LTBO and layout fields of
+/// \p Stats.
+Expected<oat::LinkInput> prepareLink(CompiledApp App,
+                                     const CalibroOptions &Opts,
+                                     BuildStats &Stats);
+
 /// Runs LTBO.2 and the link step over an already-compiled app, consuming
-/// it. buildApp == compileApp + linkApp.
+/// it. buildApp == compileApp + linkApp == compileApp + prepareLink +
+/// oat::link.
 Expected<BuildResult> linkApp(CompiledApp App, const CalibroOptions &Opts);
 
 /// Compiles and links \p App under \p Opts.

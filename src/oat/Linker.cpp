@@ -7,9 +7,9 @@
 #include "oat/Linker.h"
 
 #include "aarch64/Decoder.h"
-#include "aarch64/Encoder.h"
 #include "support/MathExtras.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -21,40 +21,6 @@ namespace {
 
 /// NOP word used as inter-method alignment padding.
 constexpr uint32_t PadWord = 0xD503201Fu;
-
-/// Appends \p Code at the next \p Align boundary; returns its byte offset.
-uint32_t place(std::vector<uint32_t> &Text, const std::vector<uint32_t> &Code,
-               uint32_t Align) {
-  uint64_t Off = alignTo(Text.size() * 4, Align);
-  while (Text.size() * 4 < Off)
-    Text.push_back(PadWord);
-  uint32_t Result = static_cast<uint32_t>(Text.size() * 4);
-  Text.insert(Text.end(), Code.begin(), Code.end());
-  return Result;
-}
-
-/// Binds one branch site at absolute text offset \p SiteOff to \p TargetOff.
-/// Call relocations must sit on `bl`; merge-thunk tails sit on plain `b`.
-Error bindCall(std::vector<uint32_t> &Text, uint32_t SiteOff,
-               uint32_t TargetOff, const std::string &Where,
-               a64::Opcode Expect = a64::Opcode::Bl) {
-  auto I = a64::decode(Text[SiteOff / 4]);
-  if (!I || I->Op != Expect)
-    return makeError(ErrCat::Link,
-                     Where + (Expect == a64::Opcode::Bl
-                                  ? ": relocation does not sit on a bl"
-                                  : ": relocation does not sit on a b"));
-  I->Imm = static_cast<int64_t>(TargetOff) - static_cast<int64_t>(SiteOff);
-  auto Word = a64::encodeChecked(*I);
-  if (!Word)
-    return makeError(ErrCat::Link, Where + ": bl displacement out of range");
-  Text[SiteOff / 4] = *Word;
-  return Error::success();
-}
-
-} // namespace
-
-namespace {
 
 /// Checks that \p Plan places every method, stub and outlined function of
 /// \p In exactly once. A valid plan is a permutation of the legacy order.
@@ -100,27 +66,11 @@ Error validateLayoutPlan(const LinkInput &In,
 
 } // namespace
 
-Expected<OatFile> oat::link(const LinkInput &In) {
+Expected<OatFile> oat::link(LinkInput In) {
   OatFile O;
-  O.AppName = In.AppName;
+  O.AppName = std::move(In.AppName);
   O.BaseAddress = In.BaseAddress;
 
-  // Placement is driven by a layout plan; an empty plan means the legacy
-  // order — methods (16-aligned, like ART), then CTO stubs and outlined
-  // functions (4-aligned; they are tiny and their density is the point).
-  // Binding stays symbolic either way: every relocation names its target by
-  // id and is resolved against the final offsets after all placement, so a
-  // reordering plan needs no cooperation from the compiler or outliner.
-  struct PendingReloc {
-    uint32_t SiteOff;
-    RelocKind Kind;
-    uint32_t TargetId;
-    std::string Where;
-  };
-  std::vector<PendingReloc> Pending;
-
-  std::unordered_set<uint32_t> SeenMethodIdx;
-  SeenMethodIdx.reserve(In.Methods.size());
   // MethodIdx -> position in O.Methods, for merge canonical lookups.
   std::unordered_map<uint32_t, std::size_t> MethodPos;
   MethodPos.reserve(In.Methods.size());
@@ -128,29 +78,28 @@ Expected<OatFile> oat::link(const LinkInput &In) {
   // Create the method table in INPUT order (the table order is part of the
   // deterministic output surface and never follows the plan) and validate
   // every untrusted relocation offset before anything is placed, so error
-  // ordering is independent of the plan too.
-  for (const auto &M : In.Methods) {
-    if (!SeenMethodIdx.insert(M.MethodIdx).second)
+  // ordering is independent of the plan too. Names, side info and stack
+  // maps move out of the input; only the code stays behind for pass 2.
+  O.Methods.reserve(In.Methods.size() + In.Aliases.size());
+  for (CompiledMethod &M : In.Methods) {
+    if (!MethodPos.emplace(M.MethodIdx, O.Methods.size()).second)
       return makeError(ErrCat::Link, "duplicate method index " +
                                          std::to_string(M.MethodIdx) +
                                          " (method " + M.Name + ")");
     // Untrusted relocation offsets would otherwise index Text out of
-    // bounds inside bindCall.
+    // bounds when binding.
     for (const auto &R : M.Relocs)
       if (R.Offset % 4 != 0 || uint64_t(R.Offset) + 4 > M.codeSizeBytes())
         return makeError(ErrCat::Link, "method " + M.Name +
                                            ": relocation offset " +
                                            std::to_string(R.Offset) +
                                            " outside the method");
-    OatMethodEntry E;
+    OatMethodEntry &E = O.Methods.emplace_back();
     E.MethodIdx = M.MethodIdx;
-    E.Name = M.Name;
-    E.CodeOffset = 0; // Placed below.
+    E.Name = std::move(M.Name);
     E.CodeSize = M.codeSizeBytes();
-    E.Side = M.Side;
-    E.Map = M.Map;
-    MethodPos.emplace(M.MethodIdx, O.Methods.size());
-    O.Methods.push_back(std::move(E));
+    E.Side = std::move(M.Side);
+    E.Map = std::move(M.Map);
   }
   for (const OutlinedFunc &Fn : In.Outlined)
     for (const auto &R : Fn.Relocs)
@@ -160,7 +109,9 @@ Expected<OatFile> oat::link(const LinkInput &In) {
                                            std::to_string(R.Offset) +
                                            " outside the function");
 
-  // The plan: explicit when the layout stage produced one, else legacy.
+  // The plan: explicit when the layout stage produced one, else the legacy
+  // order — methods (16-aligned, like ART), then CTO stubs and outlined
+  // functions (4-aligned; they are tiny and their density is the point).
   std::vector<LayoutItem> DefaultPlan;
   const std::vector<LayoutItem> *Plan = &In.Layout;
   if (In.Layout.empty()) {
@@ -177,17 +128,17 @@ Expected<OatFile> oat::link(const LinkInput &In) {
     return E;
   }
 
-  // Emit the stub/outlined tables in input order as well; placement below
-  // only fills in offsets. Relocations name outlined functions by id, not
-  // position; resolve them through a hash map so binding is O(1) per site.
-  // Building the map up front also catches duplicate ids, which the old
-  // scan silently resolved to the first copy.
-  std::vector<uint32_t> StubOff(In.Stubs.size(), 0);
+  // Emit the stub/outlined tables in input order as well; pass 1 only fills
+  // in offsets. Relocations name outlined functions by id, not position;
+  // resolve them through a hash map so binding is O(1) per site. Building
+  // the map up front also catches duplicate ids.
+  O.CtoStubs.reserve(In.Stubs.size());
   for (const auto &S : In.Stubs)
     O.CtoStubs.push_back(
         {S.Kind, S.Imm, 0, static_cast<uint32_t>(S.Code.size() * 4)});
   std::unordered_map<uint32_t, uint32_t> OutOffById;
   OutOffById.reserve(In.Outlined.size());
+  O.Outlined.reserve(In.Outlined.size());
   for (const OutlinedFunc &Fn : In.Outlined) {
     O.Outlined.push_back({Fn.Id, 0, static_cast<uint32_t>(Fn.Code.size() * 4)});
     if (!OutOffById.emplace(Fn.Id, 0u).second)
@@ -195,40 +146,34 @@ Expected<OatFile> oat::link(const LinkInput &In) {
                        "duplicate outlined-function id " + std::to_string(Fn.Id));
   }
 
-  // One placement loop over the plan. Everything an item owns (its table
-  // offset, its relocation sites) keys off the offset assigned here.
+  // Pass 1: assign every offset along the plan. Each item starts at the
+  // next multiple of its alignment; the gaps become padding in pass 2.
+  uint64_t End = 0;
+  auto Place = [&End](uint64_t Bytes, uint64_t Align) {
+    uint64_t Off = alignTo(End, Align);
+    End = Off + Bytes;
+    return static_cast<uint32_t>(Off);
+  };
   for (const LayoutItem &It : *Plan) {
     switch (It.Kind) {
-    case LayoutItemKind::Method: {
-      const CompiledMethod &M = In.Methods[It.Index];
-      uint32_t Off = place(O.Text, M.Code, 16);
-      O.Methods[It.Index].CodeOffset = Off;
-      for (const auto &R : M.Relocs)
-        Pending.push_back(
-            {Off + R.Offset, R.Kind, R.TargetId, "method " + M.Name});
+    case LayoutItemKind::Method:
+      O.Methods[It.Index].CodeOffset =
+          Place(O.Methods[It.Index].CodeSize, 16);
       break;
-    }
-    case LayoutItemKind::Stub: {
-      uint32_t Off = place(O.Text, In.Stubs[It.Index].Code, 4);
-      StubOff[It.Index] = Off;
-      O.CtoStubs[It.Index].CodeOffset = Off;
+    case LayoutItemKind::Stub:
+      O.CtoStubs[It.Index].CodeOffset = Place(O.CtoStubs[It.Index].CodeSize, 4);
       break;
-    }
     case LayoutItemKind::Outlined: {
-      const OutlinedFunc &Fn = In.Outlined[It.Index];
-      uint32_t Off = place(O.Text, Fn.Code, 4);
-      O.Outlined[It.Index].CodeOffset = Off;
-      OutOffById[Fn.Id] = Off;
-      for (const auto &R : Fn.Relocs)
-        Pending.push_back({Off + R.Offset, R.Kind, R.TargetId,
-                           "outlined fn " + std::to_string(Fn.Id)});
+      OatOutlinedEntry &E = O.Outlined[It.Index];
+      E.CodeOffset = Place(E.CodeSize, 4);
+      OutOffById[E.Id] = E.CodeOffset;
       break;
     }
     }
   }
 
-  // Stamp thunk provenance onto the already-placed prefix bodies, and
-  // append alias entries sharing their canonical's range outright.
+  // Stamp thunk provenance onto the prefix bodies, and append alias
+  // entries sharing their canonical's range outright.
   for (const MergeThunkRef &T : In.MergeThunks) {
     auto Self = MethodPos.find(T.MethodIdx);
     if (Self == MethodPos.end())
@@ -246,8 +191,9 @@ Expected<OatFile> oat::link(const LinkInput &In) {
     O.Methods[Self->second].MergedInto = T.CanonMethodIdx;
     O.Methods[Self->second].MergedEntryOff = T.EntryByteOff;
   }
-  for (const MergeAliasRef &A : In.Aliases) {
-    if (!SeenMethodIdx.insert(A.MethodIdx).second)
+  std::unordered_set<uint32_t> AliasIdx;
+  for (MergeAliasRef &A : In.Aliases) {
+    if (MethodPos.count(A.MethodIdx) || !AliasIdx.insert(A.MethodIdx).second)
       return makeError(ErrCat::Link, "duplicate method index " +
                                          std::to_string(A.MethodIdx) +
                                          " (merge alias " + A.Name + ")");
@@ -256,52 +202,104 @@ Expected<OatFile> oat::link(const LinkInput &In) {
       return makeError(ErrCat::Link, "merge alias canonical method " +
                                          std::to_string(A.CanonMethodIdx) +
                                          " not linked");
+    const OatMethodEntry &C = O.Methods[Canon->second];
     OatMethodEntry E;
     E.MethodIdx = A.MethodIdx;
-    E.Name = A.Name;
-    E.CodeOffset = O.Methods[Canon->second].CodeOffset;
-    E.CodeSize = O.Methods[Canon->second].CodeSize;
-    E.Side = O.Methods[Canon->second].Side;
-    E.Map = O.Methods[Canon->second].Map;
+    E.Name = std::move(A.Name);
+    E.CodeOffset = C.CodeOffset;
+    E.CodeSize = C.CodeSize;
+    E.Side = C.Side;
+    E.Map = C.Map;
     E.MergedInto = A.CanonMethodIdx;
     O.Methods.push_back(std::move(E));
   }
 
-  // Bind every call now that all addresses exist.
-  for (const auto &P : Pending) {
-    uint32_t Target;
-    a64::Opcode Expect = a64::Opcode::Bl;
-    switch (P.Kind) {
-    case RelocKind::CtoStub:
-      if (P.TargetId >= StubOff.size())
-        return makeError(ErrCat::Link, P.Where + ": dangling CTO stub relocation");
-      Target = StubOff[P.TargetId];
-      break;
-    case RelocKind::OutlinedFunc: {
-      auto It = OutOffById.find(P.TargetId);
-      if (It == OutOffById.end())
-        return makeError(ErrCat::Link, P.Where + ": dangling outlined-function relocation");
-      Target = It->second;
-      break;
-    }
-    case RelocKind::MergedBody: {
-      if (P.TargetId >= In.MergeThunks.size())
+  // Binds the relocations of a body already copied to \p Base. Every target
+  // is symbolic and resolves against the offsets of pass 1, so a reordering
+  // plan needs no cooperation from the compiler or outliner. \p Where names
+  // the body and is called only to build an error message.
+  auto Bind = [&](const std::vector<Relocation> &Relocs, uint32_t Base,
+                  auto &&Where) -> Error {
+    for (const Relocation &R : Relocs) {
+      uint32_t Target;
+      // Call relocations sit on `bl`; merge-thunk tails sit on plain `b`.
+      bool Call = true;
+      switch (R.Kind) {
+      case RelocKind::CtoStub:
+        if (R.TargetId >= O.CtoStubs.size())
+          return makeError(ErrCat::Link,
+                           Where() + ": dangling CTO stub relocation");
+        Target = O.CtoStubs[R.TargetId].CodeOffset;
+        break;
+      case RelocKind::OutlinedFunc: {
+        auto It = OutOffById.find(R.TargetId);
+        if (It == OutOffById.end())
+          return makeError(ErrCat::Link,
+                           Where() + ": dangling outlined-function relocation");
+        Target = It->second;
+        break;
+      }
+      case RelocKind::MergedBody: {
+        if (R.TargetId >= In.MergeThunks.size())
+          return makeError(ErrCat::Link,
+                           Where() + ": dangling merge-thunk relocation");
+        const MergeThunkRef &T = In.MergeThunks[R.TargetId];
+        auto It = MethodPos.find(T.CanonMethodIdx);
+        if (It == MethodPos.end())
+          return makeError(ErrCat::Link,
+                           Where() + ": merge canonical method not linked");
+        Target = O.Methods[It->second].CodeOffset + T.EntryByteOff;
+        Call = false;
+        break;
+      }
+      default:
+        return makeError(ErrCat::Link, Where() + ": unknown relocation kind");
+      }
+      uint32_t Site = Base + R.Offset;
+      uint32_t &Word = O.Text[Site / 4];
+      if (!a64::isImmBranch(Word, Call))
         return makeError(ErrCat::Link,
-                         P.Where + ": dangling merge-thunk relocation");
-      const MergeThunkRef &T = In.MergeThunks[P.TargetId];
-      auto It = MethodPos.find(T.CanonMethodIdx);
-      if (It == MethodPos.end())
+                         Where() + (Call ? ": relocation does not sit on a bl"
+                                         : ": relocation does not sit on a b"));
+      if (!a64::patchImmBranch(Word, int64_t(Target) - int64_t(Site)))
         return makeError(ErrCat::Link,
-                         P.Where + ": merge canonical method not linked");
-      Target = O.Methods[It->second].CodeOffset + T.EntryByteOff;
-      Expect = a64::Opcode::B;
+                         Where() + (Call ? ": bl displacement out of range"
+                                         : ": b displacement out of range"));
+    }
+    return Error::success();
+  };
+
+  // Pass 2: size .text once, padding included, then copy each body into
+  // place and bind its sites, in plan order.
+  O.Text.assign(End / 4, PadWord);
+  auto CopyTo = [&O](const std::vector<uint32_t> &Code, uint32_t Off) {
+    std::copy(Code.begin(), Code.end(), O.Text.begin() + Off / 4);
+  };
+  for (const LayoutItem &It : *Plan) {
+    switch (It.Kind) {
+    case LayoutItemKind::Method: {
+      const OatMethodEntry &E = O.Methods[It.Index];
+      const CompiledMethod &M = In.Methods[It.Index];
+      CopyTo(M.Code, E.CodeOffset);
+      if (auto Err = Bind(M.Relocs, E.CodeOffset,
+                          [&E] { return "method " + E.Name; }))
+        return Err;
       break;
     }
-    default:
-      return makeError(ErrCat::Link, P.Where + ": unknown relocation kind");
+    case LayoutItemKind::Stub:
+      CopyTo(In.Stubs[It.Index].Code, O.CtoStubs[It.Index].CodeOffset);
+      break;
+    case LayoutItemKind::Outlined: {
+      const OutlinedFunc &Fn = In.Outlined[It.Index];
+      uint32_t Off = O.Outlined[It.Index].CodeOffset;
+      CopyTo(Fn.Code, Off);
+      if (auto Err = Bind(Fn.Relocs, Off, [&Fn] {
+            return "outlined fn " + std::to_string(Fn.Id);
+          }))
+        return Err;
+      break;
     }
-    if (auto E = bindCall(O.Text, P.SiteOff, Target, P.Where, Expect))
-      return E;
+    }
   }
 
   return O;

@@ -74,9 +74,15 @@ struct LinkInput {
   std::vector<LayoutItem> Layout;
 };
 
-/// Links \p In into an OatFile. Fails on dangling relocations or malformed
-/// call sites.
-Expected<OatFile> link(const LinkInput &In);
+/// Links \p In into an OatFile in two passes over the plan: the first
+/// assigns every offset, the second copies each body into a .text sized
+/// once and binds its call sites in place. Fails on dangling relocations or
+/// malformed call sites; the error text is built only then.
+///
+/// \p In is taken by value: names, side info and stack maps move into the
+/// method table, so a caller done with its input passes `std::move(In)`.
+/// Passing an lvalue links a copy and leaves the caller's input intact.
+Expected<OatFile> link(LinkInput In);
 
 } // namespace oat
 } // namespace calibro

@@ -433,6 +433,76 @@ TEST(PcRel, RetargetRejectsMisalignedDisplacement) {
   EXPECT_EQ(A.Imm, 6);
 }
 
+TEST(Decoder, ImmBranchPredicateMatchesDecoderOverBothClasses) {
+  // Each class fixes bits [31:26]; the other 26 bits are free. Plain
+  // compares in the loop keep it fast; the first mismatch is named.
+  for (uint32_t Base : {0x94000000u, 0x14000000u}) {
+    const bool Call = (Base >> 31) != 0;
+    const Opcode Want = Call ? Opcode::Bl : Opcode::B;
+    for (uint32_t X = 0; X < (1u << 26); ++X) {
+      uint32_t W = Base | X;
+      auto I = decode(W);
+      if (!I || I->Op != Want || !isImmBranch(W, Call) ||
+          isImmBranch(W, !Call))
+        FAIL() << "predicate and decoder disagree on " << std::hex << W;
+    }
+  }
+  // Random words, almost all outside both classes.
+  uint64_t X = 0x13198a2e03707344ULL;
+  for (int K = 0; K < 1000000; ++K) {
+    X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint32_t W = static_cast<uint32_t>(X >> 32);
+    auto I = decode(W);
+    ASSERT_EQ(isImmBranch(W, true), I && I->Op == Opcode::Bl) << std::hex << W;
+    ASSERT_EQ(isImmBranch(W, false), I && I->Op == Opcode::B) << std::hex << W;
+  }
+}
+
+TEST(Encoder, ImmBranchPatchAgreesWithEncodeCheckedAtImm26Edges) {
+  constexpr int64_t Reach = int64_t(1) << 27;
+  for (Opcode Op : {Opcode::Bl, Opcode::B}) {
+    // Start from all-ones imm bits: a patch must replace, not merge.
+    const uint32_t Stale = encode(makeInsn(Op)) | 0x03FFFFFFu;
+    auto Expect = [&](int64_t Disp) {
+      Insn I = makeInsn(Op);
+      I.Imm = Disp;
+      return encodeChecked(I);
+    };
+    for (int64_t Disp : {-Reach, Reach - 4, int64_t(0), int64_t(-4)}) {
+      uint32_t W = Stale;
+      ASSERT_TRUE(patchImmBranch(W, Disp)) << Disp;
+      auto Want = Expect(Disp);
+      ASSERT_TRUE(bool(Want)) << Want.message();
+      EXPECT_EQ(W, *Want) << Disp;
+      auto D = decode(W);
+      ASSERT_TRUE(D && D->Op == Op);
+      EXPECT_EQ(D->Imm, Disp);
+    }
+    for (int64_t Disp : {-Reach - 4, Reach, int64_t(2), Reach << 4}) {
+      uint32_t W = Stale;
+      EXPECT_FALSE(patchImmBranch(W, Disp)) << Disp;
+      EXPECT_EQ(W, Stale) << "a failed patch must leave the word intact";
+      auto Want = Expect(Disp);
+      EXPECT_FALSE(bool(Want)) << Disp;
+      consumeError(Want.takeError());
+    }
+    // Random displacements, inside and just outside the reach.
+    uint64_t X = 0xa4093822299f31d0ULL;
+    for (int K = 0; K < 100000; ++K) {
+      X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+      int64_t Disp = static_cast<int64_t>(X >> 35) - (int64_t(1) << 28);
+      uint32_t W = Stale;
+      bool Ok = patchImmBranch(W, Disp);
+      auto Want = Expect(Disp);
+      ASSERT_EQ(Ok, bool(Want)) << Disp;
+      if (Ok)
+        ASSERT_EQ(W, *Want) << Disp;
+      else
+        consumeError(Want.takeError());
+    }
+  }
+}
+
 TEST(PcRel, AdrpAtPageRangeLimits) {
   // ADRP works on 4KiB pages with a 21-bit page-scaled immediate:
   // +/-4GiB of page delta. The page math must hold even when the PC sits
