@@ -68,6 +68,19 @@ inline core::BuildResult build(const dex::App &App,
   return std::move(*B);
 }
 
+/// Must-succeed Fig. 6 build: profile \p Script on the unfiltered build,
+/// relink with the profile.
+inline core::ProfiledBuild
+buildWithProfile(const dex::App &App, const core::CalibroOptions &Opts,
+                 const std::vector<workload::Invocation> &Script) {
+  auto B = core::buildProfiled(App, Opts, Script);
+  if (!B) {
+    std::fprintf(stderr, "build failed: %s\n", B.message().c_str());
+    std::exit(1);
+  }
+  return std::move(*B);
+}
+
 /// Aggregate result of one scripted run (the uiautomator substitute; the
 /// paper runs its scripts 20 times and averages — our simulator is
 /// deterministic, so one run IS the average).
@@ -76,14 +89,11 @@ struct ScriptResult {
   uint64_t Insns = 0;
   uint64_t ICacheMisses = 0;
   uint64_t MemoryBytes = 0; ///< Touched code pages + stackmaps + heap.
-  profile::Profile Prof;
 };
 
 inline ScriptResult runScript(const oat::OatFile &Oat,
-                              const std::vector<workload::Invocation> &Script,
-                              bool CollectProfile = false) {
+                              const std::vector<workload::Invocation> &Script) {
   sim::SimOptions Opts;
-  Opts.CollectProfile = CollectProfile;
   // Residency granularity scaled to the simulated app size (see
   // SimOptions::PageShift): 256-byte "pages".
   Opts.PageShift = 8;
@@ -107,8 +117,6 @@ inline ScriptResult runScript(const oat::OatFile &Oat,
   // ratio (19.19% disk -> 6.82% memory).
   S.MemoryBytes = Sim.touchedTextBytes() + Oat.textBytes() / 4 +
                   Oat.stackMapBytes() + Sim.heapBytesAllocated();
-  if (CollectProfile)
-    S.Prof = Sim.profileData();
   return S;
 }
 

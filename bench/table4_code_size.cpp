@@ -42,13 +42,10 @@ int main(int argc, char **argv) {
     auto Base = build(App, baselineOpts());
     auto Cto = build(App, ctoOpts());
     auto Full = build(App, ctoLtboOpts());
-    auto Par = build(App, plOpts());
-
-    // HfOpti: profile the PlOpti build, rebuild with the hot set excluded.
-    auto ParRun = runScript(Par.Oat, Script, /*CollectProfile=*/true);
-    core::CalibroOptions HfOpts = plOpts();
-    HfOpts.Profile = &ParRun.Prof;
-    auto Hf = build(App, HfOpts);
+    // HfOpti: profile the PlOpti build, relink with the hot set excluded.
+    auto Profiled = buildWithProfile(App, plOpts(), Script);
+    const auto &Par = Profiled.Pre;
+    const auto &Hf = Profiled.Final;
 
     double B = static_cast<double>(Base.Oat.textBytes());
     auto Pct = [B](const core::BuildResult &R) {

@@ -15,10 +15,10 @@
 /// K-sweep ablation (the trade-off knob §4.4 mentions) with the per-phase
 /// breakdown of the parallel link pipeline, the LTBO link-stage wall clock
 /// at 1 and 8 threads, and the suffix-array construction comparison
-/// (comparison-sorted prefix doubling vs. radix-sorted doubling vs.
-/// linear-time SA-IS, including a scale-8 input where the asymptotic gap
-/// actually shows). Everything is
-/// also emitted as machine-readable JSON (BENCH_build_time.json in the
+/// (the seed's comparison-sorted prefix doubling vs. the shipping
+/// radix-sorted doubling, plus the radix construction alone on a scale-8
+/// input and on its tandem duplication, doubling's worst case). Everything
+/// is also emitted as machine-readable JSON (BENCH_build_time.json in the
 /// working directory).
 ///
 //===----------------------------------------------------------------------===//
@@ -257,11 +257,10 @@ int main(int argc, char **argv) {
   }
 
   // Suffix-array construction alone: the seed's comparison-sorted prefix
-  // doubling vs. the radix-sorted doubling vs. linear-time SA-IS (the
-  // shipping construction), on the app's linked .text as the symbol
-  // sequence. SA-IS is timed as the detect phase runs it: full constructor
-  // (array + LCP + interval sweep) with a warm reusable arena — the
-  // doubling baselines are array-only, so its numbers are conservative.
+  // doubling vs. the shipping radix-sorted doubling, on the app's linked
+  // .text as the symbol sequence. The radix leg is timed as the detect
+  // phase runs it: full constructor (array + LCP + interval sweep) with a
+  // warm reusable arena, so against the array-only seed it is conservative.
   std::vector<uint64_t> SaText;
   {
     auto Full = build(App, ctoOpts());
@@ -270,8 +269,8 @@ int main(int argc, char **argv) {
   support::Arena SaArena;
   auto TimeConstructions = [&SaArena](const std::vector<uint64_t> &Text,
                                       double &LegacyOut, double &RadixOut,
-                                      double &SaIsOut, bool WithLegacy) {
-    std::vector<double> LegacyTimes, RadixTimes, SaIsTimes;
+                                      bool WithLegacy) {
+    std::vector<double> LegacyTimes, RadixTimes;
     for (int Rep = 0; Rep < 5; ++Rep) {
       if (WithLegacy) {
         Timer TL;
@@ -280,65 +279,46 @@ int main(int argc, char **argv) {
         if (Sa.empty())
           std::printf("unreachable\n");
       }
-      Timer TR;
-      auto Radix = st::prefixDoublingSuffixArray(Text);
-      RadixTimes.push_back(TR.seconds());
-      if (Radix.empty())
-        std::printf("unreachable\n");
       SaArena.reset();
-      Timer TS;
+      Timer TR;
       st::SuffixArray A{std::vector<uint64_t>(Text), &SaArena};
-      SaIsTimes.push_back(TS.seconds());
+      RadixTimes.push_back(TR.seconds());
       if (A.textSize() != Text.size())
         std::printf("unreachable\n");
     }
     LegacyOut = WithLegacy ? medianOf(LegacyTimes) : 0;
     RadixOut = medianOf(RadixTimes);
-    SaIsOut = medianOf(SaIsTimes);
   };
-  double LegacySec = 0, RadixSec = 0, SaIsSec = 0;
-  TimeConstructions(SaText, LegacySec, RadixSec, SaIsSec, true);
+  double LegacySec = 0, RadixSec = 0;
+  TimeConstructions(SaText, LegacySec, RadixSec, true);
   std::printf("\nSA construction on %zu symbols:\n"
-              "  sort-doubling (seed)    %12s\n"
-              "  radix-doubling          %12s\n"
-              "  SA-IS (+LCP intervals)  %12s\n"
-              "  radix vs sort: %.2fx   SA-IS vs radix: %.2fx\n",
+              "  sort-doubling (seed)             %12s\n"
+              "  radix-doubling (+LCP intervals)  %12s\n"
+              "  radix vs sort: %.2fx\n",
               SaText.size(), fmtSec(LegacySec).c_str(),
-              fmtSec(RadixSec).c_str(), fmtSec(SaIsSec).c_str(),
-              LegacySec / RadixSec, RadixSec / SaIsSec);
+              fmtSec(RadixSec).c_str(), LegacySec / RadixSec);
 
-  // Doubling's round count is log2 of the longest repeat, so on typical
-  // app text (shallow repeats) it exits early and runs neck and neck with
-  // SA-IS. What SA-IS buys is the *bound*: detect cost stays linear no
-  // matter how repetitive the input — and repeat-heavy input is precisely
-  // the detector's target. The acceptance gate therefore measures a
-  // scale >= 8 corpus in both shapes: the plain text (recorded, no gate)
-  // and its tandem duplication (longest repeat = n/2, doubling's worst
-  // case), where SA-IS must win by >= 2x.
-  double SaIsScale = std::max(Scale, 8.0);
+  // Doubling's round count is log2 of the longest repeat, so typical app
+  // text (shallow repeats) exits after a few rounds. Record a scale >= 8
+  // corpus as is and duplicated in tandem (longest repeat = n/2, the
+  // worst case for the round count).
+  double Scale8 = std::max(Scale, 8.0);
   std::vector<uint64_t> SaText8;
   {
-    dex::App App8 = workload::makeApp(workload::paperApps(SaIsScale)[5]);
+    dex::App App8 = workload::makeApp(workload::paperApps(Scale8)[5]);
     auto Full8 = build(App8, ctoOpts());
     SaText8.assign(Full8.Oat.Text.begin(), Full8.Oat.Text.end());
   }
-  double Unused = 0, Radix8Sec = 0, SaIs8Sec = 0;
-  TimeConstructions(SaText8, Unused, Radix8Sec, SaIs8Sec, false);
+  double Unused = 0, Radix8Sec = 0;
+  TimeConstructions(SaText8, Unused, Radix8Sec, false);
   std::vector<uint64_t> Tandem = SaText8;
   Tandem.insert(Tandem.end(), SaText8.begin(), SaText8.end());
-  double RadixWorst = 0, SaIsWorst = 0;
-  TimeConstructions(Tandem, Unused, RadixWorst, SaIsWorst, false);
-  double SaIsSpeedup8 = SaIs8Sec > 0 ? Radix8Sec / SaIs8Sec : 0;
-  double WorstSpeedup = SaIsWorst > 0 ? RadixWorst / SaIsWorst : 0;
-  std::printf("  scale %.0f (%zu symbols): radix %s, SA-IS %s (%.2fx)\n"
-              "  scale %.0f tandem x2 (%zu symbols): radix %s, SA-IS %s\n"
-              "  SA-IS speedup on repeat-heavy input at scale >= 8: %.2fx : "
-              "%s\n",
-              SaIsScale, SaText8.size(), fmtSec(Radix8Sec).c_str(),
-              fmtSec(SaIs8Sec).c_str(), SaIsSpeedup8, SaIsScale,
-              Tandem.size(), fmtSec(RadixWorst).c_str(),
-              fmtSec(SaIsWorst).c_str(), WorstSpeedup,
-              WorstSpeedup >= 2.0 ? "PASS" : "FAIL");
+  double RadixWorst = 0;
+  TimeConstructions(Tandem, Unused, RadixWorst, false);
+  std::printf("  scale %.0f (%zu symbols): radix %s\n"
+              "  scale %.0f tandem x2 (%zu symbols): radix %s\n",
+              Scale8, SaText8.size(), fmtSec(Radix8Sec).c_str(), Scale8,
+              Tandem.size(), fmtSec(RadixWorst).c_str());
 
   // Incremental builds (ISSUE 5): cold vs warm under simulated churn. Each
   // warm measurement resets the store, populates it with one cold build of
@@ -464,18 +444,12 @@ int main(int argc, char **argv) {
   std::fprintf(J,
                "\n  ],\n"
                "  \"sa_construction\": {\"symbols\": %zu, "
-               "\"sort_doubling_s\": %.4f, \"radix_doubling_s\": %.4f, "
-               "\"sais_s\": %.4f, \"sais_speedup\": %.3f,\n"
-               "    \"scale8_symbols\": %zu, \"scale8_radix_s\": %.4f, "
-               "\"scale8_sais_s\": %.4f, \"scale8_speedup\": %.3f,\n"
+               "\"sort_doubling_s\": %.4f, \"radix_doubling_s\": %.4f,\n"
+               "    \"scale8_symbols\": %zu, \"scale8_radix_s\": %.4f,\n"
                "    \"scale8_worstcase_symbols\": %zu, "
-               "\"scale8_worstcase_radix_s\": %.4f, "
-               "\"scale8_worstcase_sais_s\": %.4f, "
-               "\"scale8_worstcase_speedup\": %.3f},\n",
-               SaText.size(), LegacySec, RadixSec, SaIsSec,
-               RadixSec / SaIsSec, SaText8.size(), Radix8Sec, SaIs8Sec,
-               SaIsSpeedup8, Tandem.size(), RadixWorst, SaIsWorst,
-               WorstSpeedup);
+               "\"scale8_worstcase_radix_s\": %.4f},\n",
+               SaText.size(), LegacySec, RadixSec, SaText8.size(), Radix8Sec,
+               Tandem.size(), RadixWorst);
   std::fprintf(J,
                "  \"cold_vs_warm\": {\n    \"app\": \"%s\", "
                "\"cold_s\": %.4f, \"no_cache_s\": %.4f, "

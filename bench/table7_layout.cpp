@@ -96,14 +96,13 @@ int main(int argc, char **argv) {
     auto Script = workload::makeScript(Spec, 20, 2024);
     auto HeldOut = workload::makeScript(Spec, 20, 7777);
 
-    // Fig. 6 workflow: profile the unlaid build, then rebuild twice from
-    // the same profile — once outline-only, once outline+layout. The only
+    // Fig. 6 workflow: profile the unlaid build, relink with layout, and
+    // build once more from the same profile without it. The only
     // difference between the two profiled builds is the layout stage.
-    auto Pre = build(App, layoutOpts(nullptr, false));
-    auto PreRun = runScript(Pre.Oat, Script, /*CollectProfile=*/true);
-
-    auto Outline = build(App, layoutOpts(&PreRun.Prof, false));
-    auto Laid = build(App, layoutOpts(&PreRun.Prof, true));
+    auto Profiled = buildWithProfile(App, layoutOpts(nullptr, true), Script);
+    const profile::Profile &Prof = Profiled.Profile;
+    const auto &Laid = Profiled.Final;
+    auto Outline = build(App, layoutOpts(&Prof, false));
     if (!Laid.Stats.LayoutApplied) {
       std::fprintf(stderr, "%s: layout stage did not arm\n",
                    Spec.Name.c_str());
@@ -132,15 +131,15 @@ int main(int argc, char **argv) {
     // build fans out on.
     std::vector<uint8_t> Ref = oat::serializeOat(Laid.Oat);
     for (uint32_t Threads : {1u, 8u}) {
-      auto Again = build(App, layoutOpts(&PreRun.Prof, true, Threads));
+      auto Again = build(App, layoutOpts(&Prof, true, Threads));
       ThreadsIdentical &= oat::serializeOat(Again.Oat) == Ref;
     }
 
     // Self-gating: with no profile the enabled stage must be a strict
-    // no-op — byte-identical to a build with the stage disabled.
-    auto NoProf = build(App, layoutOpts(nullptr, true));
+    // no-op — the pre-build is byte-identical to one with it disabled.
+    auto Off = build(App, layoutOpts(nullptr, false));
     NoProfileIdentical &=
-        oat::serializeOat(NoProf.Oat) == oat::serializeOat(Pre.Oat);
+        oat::serializeOat(Off.Oat) == oat::serializeOat(Profiled.Pre.Oat);
 
     Rows.push_back(std::move(R));
   }

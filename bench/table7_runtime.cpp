@@ -37,21 +37,17 @@ int main(int argc, char **argv) {
     Names.push_back(Spec.Name);
 
     auto Base = build(App, baselineOpts());
-    auto Par = build(App, plOpts());
-    auto ParRun = runScript(Par.Oat, Script, /*CollectProfile=*/true);
-
-    core::CalibroOptions HfOpts = plOpts();
-    HfOpts.Profile = &ParRun.Prof;
-    auto Hf = build(App, HfOpts);
+    auto Profiled = buildWithProfile(App, plOpts(), Script);
 
     uint64_t BaseCycles = runScript(Base.Oat, Script).Cycles;
-    uint64_t HfCycles = runScript(Hf.Oat, Script).Cycles;
+    uint64_t ParCycles = runScript(Profiled.Pre.Oat, Script).Cycles;
+    uint64_t HfCycles = runScript(Profiled.Final.Oat, Script).Cycles;
 
     double B = static_cast<double>(BaseCycles);
     BaseRow.push_back(fmtU64(BaseCycles));
-    ParRow.push_back(fmtU64(ParRun.Cycles));
+    ParRow.push_back(fmtU64(ParCycles));
     HfRow.push_back(fmtU64(HfCycles));
-    double ParDeg = 100.0 * (ParRun.Cycles / B - 1.0);
+    double ParDeg = 100.0 * (ParCycles / B - 1.0);
     double HfDeg = 100.0 * (HfCycles / B - 1.0);
     ParPct.push_back(fmtPct(ParDeg));
     HfPct.push_back(fmtPct(HfDeg));
@@ -83,15 +79,14 @@ int main(int argc, char **argv) {
   dex::App App = workload::makeApp(Spec);
   auto Script = workload::makeScript(Spec, 20, 2024);
   auto Base = build(App, baselineOpts());
-  auto Par = build(App, plOpts());
-  auto ParRun = runScript(Par.Oat, Script, true);
+  auto Profiled = buildWithProfile(App, plOpts(), Script);
   uint64_t BaseCycles = runScript(Base.Oat, Script).Cycles;
   uint64_t BaseBytes = Base.Oat.textBytes();
   std::printf("%10s %14s %12s %12s\n", "coverage", "hot methods",
               "cycles deg", "size saved");
   for (double Cov : {0.0, 0.5, 0.8, 0.9, 0.99}) {
     core::CalibroOptions O = plOpts();
-    O.Profile = &ParRun.Prof;
+    O.Profile = &Profiled.Profile;
     O.HotCoverage = Cov;
     auto B = build(App, O);
     uint64_t Cycles = runScript(B.Oat, Script).Cycles;

@@ -23,11 +23,8 @@ using namespace calibro;
 namespace {
 
 uint64_t scriptCycles(const oat::OatFile &Oat,
-                      const std::vector<workload::Invocation> &Script,
-                      profile::Profile *ProfOut) {
-  sim::SimOptions Opts;
-  Opts.CollectProfile = ProfOut != nullptr;
-  sim::Simulator Sim(Oat, Opts);
+                      const std::vector<workload::Invocation> &Script) {
+  sim::Simulator Sim(Oat, {});
   uint64_t Cycles = 0;
   for (const auto &Inv : Script) {
     auto R = Sim.call(Inv.MethodIdx, Inv.Args);
@@ -37,8 +34,6 @@ uint64_t scriptCycles(const oat::OatFile &Oat,
     }
     Cycles += R->Cycles;
   }
-  if (ProfOut)
-    *ProfOut = Sim.profileData();
   return Cycles;
 }
 
@@ -50,50 +45,43 @@ int main() {
   dex::App App = workload::makeApp(Spec);
   auto Script = workload::makeScript(Spec, 40, 7);
 
-  // Step 1: build with CTO+LTBO+PlOpti (no filtering yet).
+  // Steps 1-3 in one call: build with CTO+LTBO+PlOpti (no filtering
+  // yet), run the script collecting the per-method profile (Fig. 6's
+  // "Profiling by simpleperf"), and relink with the profile guiding
+  // hot-function filtering.
   core::CalibroOptions Opts;
   Opts.EnableCto = true;
   Opts.EnableLtbo = true;
   Opts.LtboPartitions = 8;
   Opts.LtboThreads = 2;
-  auto Unfiltered = core::buildApp(App, Opts);
-  if (!Unfiltered) {
-    std::fprintf(stderr, "%s\n", Unfiltered.message().c_str());
+  auto Profiled = core::buildProfiled(App, Opts, Script);
+  if (!Profiled) {
+    std::fprintf(stderr, "%s\n", Profiled.message().c_str());
     return 1;
   }
-
-  // Step 2: run it and collect the per-method profile (Fig. 6's
-  // "Profiling by simpleperf").
-  profile::Profile Prof;
-  uint64_t UnfilteredCycles = scriptCycles(Unfiltered->Oat, Script, &Prof);
+  const profile::Profile &Prof = Profiled->Profile;
   auto Hot = profile::selectHotMethods(Prof, 0.80);
   std::printf("profiled %zu methods, %zu are hot (80%% of %llu cycles)\n",
               Prof.CyclesByMethod.size(), Hot.size(),
               (unsigned long long)Prof.totalCycles());
-
-  // Step 3: rebuild with the profile guiding hot-function filtering.
-  core::CalibroOptions HfOpts = Opts;
-  HfOpts.Profile = &Prof;
-  auto Filtered = core::buildApp(App, HfOpts);
-  if (!Filtered) {
-    std::fprintf(stderr, "%s\n", Filtered.message().c_str());
-    return 1;
-  }
-  uint64_t FilteredCycles = scriptCycles(Filtered->Oat, Script, nullptr);
+  const core::BuildResult &Unfiltered = Profiled->Pre;
+  const core::BuildResult &Filtered = Profiled->Final;
+  uint64_t UnfilteredCycles = scriptCycles(Unfiltered.Oat, Script);
+  uint64_t FilteredCycles = scriptCycles(Filtered.Oat, Script);
 
   // Step 4: compare (the paper's Table 4 last row vs. Table 7 last row).
   auto Baseline = core::buildApp(App, {});
   uint64_t BaseBytes = Baseline ? (*Baseline).Oat.textBytes() : 0;
-  uint64_t BaseCycles = Baseline ? scriptCycles((*Baseline).Oat, Script, nullptr) : 0;
+  uint64_t BaseCycles = Baseline ? scriptCycles((*Baseline).Oat, Script) : 0;
 
   std::printf("\n%-22s %12s %14s\n", "config", ".text bytes", "script cycles");
   std::printf("%-22s %12llu %14llu\n", "baseline",
               (unsigned long long)BaseBytes, (unsigned long long)BaseCycles);
   std::printf("%-22s %12llu %14llu\n", "outlined (no HfOpti)",
-              (unsigned long long)Unfiltered->Oat.textBytes(),
+              (unsigned long long)Unfiltered.Oat.textBytes(),
               (unsigned long long)UnfilteredCycles);
   std::printf("%-22s %12llu %14llu\n", "outlined + HfOpti",
-              (unsigned long long)Filtered->Oat.textBytes(),
+              (unsigned long long)Filtered.Oat.textBytes(),
               (unsigned long long)FilteredCycles);
 
   double SlowdownNoHf =
@@ -104,6 +92,6 @@ int main() {
               "(paper: 1.51%% -> 0.90%%)\n",
               SlowdownNoHf, SlowdownHf);
   std::printf("hot methods excluded from outlining: %zu\n",
-              Filtered->Stats.Ltbo.HotFilteredMethods);
+              Filtered.Stats.Ltbo.HotFilteredMethods);
   return 0;
 }

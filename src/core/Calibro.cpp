@@ -11,6 +11,7 @@
 #include "hir/Passes.h"
 #include "layout/Layout.h"
 #include "oat/Linker.h"
+#include "sim/Simulator.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "verify/OatVerifier.h"
@@ -353,4 +354,43 @@ Expected<BuildResult> core::buildApp(const dex::App &App,
     return Result;
   Result->Stats.TotalSeconds = Total.seconds();
   return Result;
+}
+
+Expected<ProfiledBuild>
+core::buildProfiled(const dex::App &App, const CalibroOptions &Opts,
+                    const std::vector<workload::Invocation> &Script) {
+  CalibroOptions Unfiltered = Opts;
+  Unfiltered.Profile = nullptr;
+  auto Compiled = compileApp(App, Unfiltered);
+  if (!Compiled)
+    return Compiled.takeError();
+  auto Pre = linkApp(*Compiled, Unfiltered);
+  if (!Pre)
+    return Pre.takeError();
+
+  ProfiledBuild Out;
+  {
+    sim::SimOptions SOpts;
+    SOpts.CollectProfile = true;
+    sim::Simulator Sim(Pre->Oat, SOpts);
+    for (const auto &Inv : Script) {
+      auto R = Sim.call(Inv.MethodIdx, Inv.Args);
+      if (!R) {
+        Error E = R.takeError();
+        std::string Msg = "profiling run: " + E.message();
+        consumeError(std::move(E));
+        return makeError(ErrCat::Runtime, std::move(Msg));
+      }
+    }
+    Out.Profile = Sim.profileData();
+  }
+
+  CalibroOptions Profiled = Opts;
+  Profiled.Profile = &Out.Profile;
+  auto Final = linkApp(std::move(*Compiled), Profiled);
+  if (!Final)
+    return Final.takeError();
+  Out.Pre = std::move(*Pre);
+  Out.Final = std::move(*Final);
+  return Out;
 }

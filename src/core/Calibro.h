@@ -18,8 +18,10 @@
 ///   calibro::core::CalibroOptions Opts;
 ///   Opts.EnableCto = Opts.EnableLtbo = true;
 ///   Opts.LtboPartitions = 8;            // PlOpti
-///   Opts.Profile = &ProfileFromLastRun; // enables HfOpti
 ///   auto Build = calibro::core::buildApp(App, Opts);
+///   // Fig. 6: profile Script on the unfiltered build, relink with it
+///   // (HfOpti + layout).
+///   auto Profiled = calibro::core::buildProfiled(App, Opts, Script);
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -34,6 +36,7 @@
 #include "oat/Linker.h"
 #include "profile/Profile.h"
 #include "support/ThreadPool.h"
+#include "workload/Workload.h"
 
 namespace calibro {
 namespace core {
@@ -202,6 +205,22 @@ Expected<BuildResult> linkApp(CompiledApp App, const CalibroOptions &Opts);
 /// Compiles and links \p App under \p Opts.
 Expected<BuildResult> buildApp(const dex::App &App,
                                const CalibroOptions &Opts);
+
+/// The three products of the paper's Fig. 6 workflow.
+struct ProfiledBuild {
+  BuildResult Pre;          ///< The unfiltered build the script ran on.
+  profile::Profile Profile; ///< Per-method cycles of that run.
+  BuildResult Final;        ///< Relinked with Profile (HfOpti + layout).
+};
+
+/// The Fig. 6 workflow: compiles \p App once, links it without a profile,
+/// runs \p Script on that image under the profiler, and relinks the same
+/// compiled methods with the profile. Opts.Profile is ignored. Compilation
+/// never reads the profile, so Pre and Final are byte-identical to
+/// buildApp(App, Opts) without and with Profile set.
+Expected<ProfiledBuild>
+buildProfiled(const dex::App &App, const CalibroOptions &Opts,
+              const std::vector<workload::Invocation> &Script);
 
 } // namespace core
 } // namespace calibro

@@ -27,8 +27,8 @@ using namespace calibro::codegen;
 namespace {
 
 /// Estimated peak detect-phase bytes per sequence word: 8 B text + 12 B
-/// PosInfo provenance + the suffix array's SA-IS arrays and interval table
-/// at their construction peak. Calibrated against table5_memory's
+/// PosInfo provenance + the suffix array's construction arrays and interval
+/// table at their construction peak. Calibrated against table5_memory's
 /// DetectPeakBytes on the paper-app corpus; deliberately a little high so
 /// a window's real peak lands under, not over, its estimate. The window
 /// planner and the auto-partition chooser size groups with it.
@@ -285,10 +285,7 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
   st::SuffixArray Array(std::move(Seq), Scratch);
   Stats.LcpIntervals += Array.numNodes();
   Stats.DetectBuildSeconds += BuildTimer.seconds();
-  if (Array.constructionBackend() == st::SaBackend::SaIs)
-    ++Stats.GroupsSaIs;
-  else
-    ++Stats.GroupsPrefixDoubling;
+  ++Stats.GroupsPrefixDoubling;
 
   // Step 3 (paper §3.3.3): rank candidates by the Fig. 2 benefit model and
   // claim occurrences greedily.
@@ -807,7 +804,6 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Result.Stats.SelectSeconds += S.SelectSeconds;
     Result.Stats.GroupsReused += S.GroupsReused;
     Result.Stats.GroupsDetected += S.GroupsDetected;
-    Result.Stats.GroupsSaIs += S.GroupsSaIs;
     Result.Stats.GroupsPrefixDoubling += S.GroupsPrefixDoubling;
     Result.Stats.DetectPeakBytes =
         std::max(Result.Stats.DetectPeakBytes, S.DetectPeakBytes);

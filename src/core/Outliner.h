@@ -166,10 +166,11 @@ struct OutlineStats {
   std::size_t GroupsReused = 0;
   /// Non-empty partition groups that ran detection (cold or fallback).
   std::size_t GroupsDetected = 0;
-  /// Detected groups split by the suffix-array construction backend the
-  /// hybrid auto-pick chose (see st::SaBackend). Deterministic: the pick
-  /// is a pure function of the group's assembled symbol sequence.
+  /// Always 0: prefix doubling is the only suffix-array construction.
+  /// Kept while perfbench reports it as `suffixtree.groups_sais`.
   std::size_t GroupsSaIs = 0;
+  /// Detected groups, all of which build their suffix array by prefix
+  /// doubling (perfbench's `suffixtree.groups_doubling`).
   std::size_t GroupsPrefixDoubling = 0;
   /// Largest single-group detect-phase working set in bytes: suffix
   /// array plus the assembled sequence/provenance arrays, sampled at

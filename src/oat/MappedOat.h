@@ -49,8 +49,7 @@ public:
 
   /// The .text payload as instruction words, straight out of the mapping —
   /// no copy, no heap vector, no full parse. This is what lets a
-  /// memory-budgeted reader (or the windowed outliner's detectors, via
-  /// their view constructors) walk an image's code without ever holding a
+  /// memory-budgeted reader walk an image's code without ever holding a
   /// private duplicate of it. Valid while this object lives. Fails on
   /// structural corruption, a missing .text, a size that is not a whole
   /// number of words, or a payload the serializer's alignment guarantee

@@ -19,19 +19,14 @@
 /// The paper builds a suffix tree; LCP intervals correspond one-to-one to
 /// the tree's internal nodes, so the repeat set is the same.
 ///
-/// Construction is O(n): the sparse 64-bit alphabet is first compacted to
-/// dense uint32 ranks (LSD radix sort of the symbols), then SA-IS (suffix
-/// array by induced sorting, Nong/Zhang/Chan) builds the array in linear
-/// time. The sentinel is a *virtual* position with a by-construction
-/// unique smallest rank — no symbol value is reserved, so any uint64
-/// sequence is legal input.
-///
-/// The suffix array of a text whose (virtual) sentinel is strictly smaller
-/// than every other symbol is unique, so the SA-IS result is bit-identical
-/// to what prefix doubling produces — detection output cannot shift with
-/// the construction algorithm. prefixDoublingSuffixArray() keeps the
-/// O(n log n) construction alive as the differential oracle the tests and
-/// the build-time bench compare against.
+/// Construction compacts the sparse 64-bit alphabet to dense uint32 ranks
+/// (LSD radix sort of the symbols), then sorts the suffixes by radix prefix
+/// doubling: O(n) per round, one round per doubling of the longest repeat,
+/// with an early exit once every rank is unique. The sentinel is a
+/// *virtual* position with a by-construction unique smallest rank — no
+/// symbol value is reserved, so any uint64 sequence is legal input. The
+/// suffix array of such a text is unique, so any correct construction
+/// yields the same array; the tests check it against a naive suffix sort.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,55 +52,28 @@ using Symbol = uint64_t;
 /// separators as SeparatorBase + counter.
 inline constexpr Symbol SeparatorBase = uint64_t(1) << 32;
 
-/// Which algorithm constructed the raw suffix array. The suffix array of a
-/// text with a unique smallest (virtual) sentinel is unique, so the choice
-/// can never change the output — only the construction wall clock.
-enum class SaBackend : uint8_t {
-  SaIs,           ///< O(n) induced sorting; wins on large repeat-heavy text.
-  PrefixDoubling, ///< O(n log n) radix doubling; wins on small/plain text.
-};
-
-/// Returns the identifier-style name of \p B.
-const char *saBackendName(SaBackend B);
-
 /// Suffix array + LCP over one symbol sequence, with repeat enumeration
 /// over its LCP intervals.
-///
-/// Construction auto-picks its backend per text (hybrid): SA-IS's linear
-/// time only pays off once the doubling round count grows, which needs
-/// both scale and repeat density — BENCH_build_time measured SA-IS at
-/// 0.617x doubling's speed on the small scale-2 corpus. The pick is a
-/// pure function of the text (symbol count + a strided bigram
-/// repeat-density probe), so it is deterministic, and the resulting array
-/// is bit-identical either way.
 class SuffixArray {
 public:
-  /// Builds the array in O(n): alphabet rank-compaction followed by SA-IS
-  /// induced sorting, then Kasai's LCP and the LCP-interval sweep. Accepts
-  /// any symbol values — the sentinel is virtual, nothing is reserved.
+  /// Builds the array (rank compaction + prefix doubling), then Kasai's
+  /// LCP and the LCP-interval sweep. Accepts any symbol values — the
+  /// sentinel is virtual, nothing is reserved.
   ///
   /// \p Scratch optionally supplies the construction workspace (rank
-  /// arrays, SA-IS type/bucket/recursion arrays, LCP scratch). Everything
-  /// allocated from it is dead once the constructor returns — the caller
-  /// may reset() the arena immediately afterwards. Null uses a private
-  /// arena that is freed with the constructor frame.
+  /// arrays, doubling buffers, LCP scratch). Everything allocated from it
+  /// is dead once the constructor returns — the caller may reset() the
+  /// arena immediately afterwards. Null uses a private arena that is freed
+  /// with the constructor frame.
   explicit SuffixArray(std::vector<Symbol> Text,
-                       support::Arena *Scratch = nullptr);
-
-  /// Same construction over a NON-OWNING view of \p Text — no private copy
-  /// is made, so the symbols may live in an mmap'd image or an arena. The
-  /// caller must keep the storage alive until releaseWorkingSet() (or
-  /// destruction); afterwards the array no longer touches it. Output is
-  /// byte-identical to the owning constructor's.
-  explicit SuffixArray(std::span<const Symbol> Text,
                        support::Arena *Scratch = nullptr);
 
   /// Length of the original sequence. Valid even after
   /// releaseWorkingSet().
   std::size_t textSize() const { return TextLen; }
 
-  /// The stored (or viewed) sequence. Invalid after releaseWorkingSet().
-  std::span<const Symbol> text() const { return View; }
+  /// The stored sequence. Empty after releaseWorkingSet().
+  std::span<const Symbol> text() const { return Text; }
 
   /// A repeated sequence discovered in the array.
   struct RepeatInfo {
@@ -141,27 +109,23 @@ public:
   /// only this one value per candidate.
   uint32_t firstPositionOf(int32_t Interval) const;
 
-  /// The construction algorithm the hybrid auto-pick chose for this text.
-  SaBackend constructionBackend() const { return Backend; }
-
   /// The raw suffix array, including the virtual-sentinel row: textSize()+1
   /// entries, the first of which is always textSize() (the sentinel suffix
-  /// sorts strictly smallest). Exposed for the construction differential
-  /// tests and benches.
+  /// sorts strictly smallest). Exposed for the construction tests and the
+  /// build-time bench.
   std::span<const uint32_t> suffixArray() const {
     return std::span<const uint32_t>(Sa.data(), Sa.size());
   }
 
-  /// Bytes held by the detection-relevant arrays right now (text — owned
-  /// or viewed, suffix array, interval table; all construction scratch
-  /// lives in the arena and is already dead). Shrinks after
-  /// releaseWorkingSet(): the text contribution returns to zero.
+  /// Bytes held by the detection-relevant arrays right now (text, suffix
+  /// array, interval table; all construction scratch lives in the arena
+  /// and is already dead). Shrinks after releaseWorkingSet(): the text
+  /// contribution returns to zero.
   std::size_t workingSetBytes() const;
 
-  /// Drops the stored text (frees it when owned, forgets the view when
-  /// not). forEachRepeat/positionsOf/numNodes/textSize stay valid (they
-  /// read only Sa and Intervals); text() does not. Call once repeat
-  /// enumeration no longer needs the raw symbols.
+  /// Frees the stored text. forEachRepeat/positionsOf/numNodes/textSize
+  /// stay valid (they read only Sa and Intervals); text() does not. Call
+  /// once repeat enumeration no longer needs the raw symbols.
   void releaseWorkingSet();
 
 private:
@@ -172,24 +136,11 @@ private:
     uint32_t ParentLen; ///< LCP value of the enclosing (parent) interval.
   };
 
-  void build(support::Arena *Scratch);
-
-  std::vector<Symbol> Owned;    ///< Backing storage of the owning ctor.
-  std::span<const Symbol> View; ///< The sequence (owned or caller-owned).
+  std::vector<Symbol> Text;
   std::size_t TextLen = 0;
-  SaBackend Backend = SaBackend::SaIs;
   std::vector<uint32_t> Sa;
   std::vector<Interval> Intervals;
 };
-
-/// Reference O(n log n) construction: the radix-sorted prefix doubling that
-/// SA-IS replaced. Returns the full suffix array over \p Text plus the
-/// virtual sentinel (size Text.size() + 1, row 0 is the sentinel suffix) —
-/// directly comparable with SuffixArray::suffixArray(). Kept as the
-/// differential oracle for the SA-IS fuzz tests and as the baseline the
-/// build-time bench measures the linear construction against; not used on
-/// any production path.
-std::vector<uint32_t> prefixDoublingSuffixArray(const std::vector<Symbol> &Text);
 
 } // namespace st
 } // namespace calibro

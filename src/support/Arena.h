@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A bump allocator for the short-lived, size-predictable scratch of the
-/// detect phase: suffix-array construction workspace (rank arrays, SA-IS
-/// buckets, LCP arrays) and per-group selection buffers. One group's detect
+/// detect phase: suffix-array construction workspace (rank arrays,
+/// doubling buffers, LCP arrays) and per-group selection buffers. One group's detect
 /// pass performs thousands of small frees under the general-purpose
 /// allocator; with an arena the whole workspace is one reset.
 ///

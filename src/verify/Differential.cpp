@@ -151,30 +151,18 @@ verify::runDifferential(const workload::AppSpec &Spec,
     Report.WindowedBytes = Stages[WinIdx].Bytes;
   }
 
-  // + HfOpti: profiles the previous stage's image, so it cannot join the
-  // concurrent batch above — it runs after, sequentially.
+  // + HfOpti: the Fig. 6 flow over the last unfiltered configuration. It
+  // profiles its own pre-build, so it runs after the concurrent batch.
   if (Opts.WithHfOpti) {
-    const oat::OatFile &ProfileImage = Stages.back().Oat;
-    sim::SimOptions ProfOpts;
-    ProfOpts.CollectProfile = true;
-    sim::Simulator ProfSim(ProfileImage, ProfOpts);
-    for (const auto &Inv : Script) {
-      auto R = ProfSim.call(Inv.MethodIdx, Inv.Args);
-      if (!R)
-        return makeError("hfopti profiling run: " + R.message());
-    }
-    profile::Profile Prof = ProfSim.profileData();
-    core::CalibroOptions Hf = Opts.WithPlOpti ? Pl : Ltbo;
-    Hf.Profile = &Prof;
-    auto Build = core::buildApp(App, Hf);
+    auto Build = core::buildProfiled(App, Opts.WithPlOpti ? Pl : Ltbo, Script);
     if (!Build)
       return makeError("cto+ltbo+hfopti build: " + Build.message());
-    auto Run = verifyAndObserve(Build->Oat, "cto+ltbo+hfopti", Script);
+    auto Run = verifyAndObserve(Build->Final.Oat, "cto+ltbo+hfopti", Script);
     if (!Run)
       return Run.takeError();
     if (auto E = compareRuns(Stages[0].Obs, *Run, "cto+ltbo+hfopti"))
       return E;
-    Report.HfOptiBytes = Build->Oat.textBytes();
+    Report.HfOptiBytes = Build->Final.Oat.textBytes();
     ++Report.StagesCompared;
   }
 

@@ -223,29 +223,18 @@ Expected<FaultInjector> FaultInjector::create(const workload::AppSpec &Spec,
 
   // Clean reference run: the unmutated pipeline must be verifier-clean,
   // fault-free and degradation-free, or every comparison below is void.
-  auto Clean = core::linkApp(Inj.Compiled, linkOptions(Opts, 0));
+  // Its Fig. 6 profile of the same script feeds the CorruptProfile kind.
+  auto Clean = core::buildProfiled(App, linkOptions(Opts, 0), Inj.Script);
   if (!Clean)
     return makeError("fault injector: clean build failed: " + Clean.message());
-  if (Clean->Stats.Ltbo.MethodsRejected != 0)
+  if (Clean->Pre.Stats.Ltbo.MethodsRejected != 0)
     return makeError("fault injector: clean build rejected methods");
-  auto Obs = verifyAndObserve(Clean->Oat, "clean baseline", Inj.Script);
+  auto Obs = verifyAndObserve(Clean->Pre.Oat, "clean baseline", Inj.Script);
   if (!Obs)
     return Obs.takeError();
   Inj.BaselineObs = std::move(*Obs);
-  Inj.CleanImageBytes = oat::serializeOat(Clean->Oat);
-
-  // Clean runtime profile for the CorruptProfile kind: the same script the
-  // baseline observations came from, re-run with cycle attribution on.
-  {
-    sim::SimOptions SO;
-    SO.CollectProfile = true;
-    sim::Simulator Sim(Clean->Oat, SO);
-    for (const auto &Inv : Inj.Script)
-      if (auto R = Sim.call(Inv.MethodIdx, Inv.Args); !R)
-        return makeError("fault injector: profiling run faulted: " +
-                         R.message());
-    Inj.CleanProfile = Sim.profileData();
-  }
+  Inj.CleanImageBytes = oat::serializeOat(Clean->Pre.Oat);
+  Inj.CleanProfile = std::move(Clean->Profile);
 
   // Clean LTBO artifacts, kept pre-link so DuplicateOutlinedId can feed the
   // linker a tampered outlined-function list directly.

@@ -98,41 +98,30 @@ TEST_P(Pipeline, AllConfigurationsBehaveIdentically) {
   RunDigest FullRun = runScript(FullBuild->Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(FullRun));
 
-  // + PlOpti (partitioned parallel detection groups).
+  // + PlOpti (partitioned parallel detection groups), then + HfOpti
+  // (profile-guided hot-function filtering) through the Fig. 6 driver.
   core::CalibroOptions Par = Full;
   Par.LtboPartitions = 8;
   Par.LtboThreads = 2;
-  auto ParBuild = core::buildApp(App, Par);
-  ASSERT_TRUE(bool(ParBuild)) << ParBuild.message();
-  ASSERT_FALSE(bool(oat::validateOat(ParBuild->Oat)));
+  auto Profiled = core::buildProfiled(App, Par, Script);
+  ASSERT_TRUE(bool(Profiled)) << Profiled.message();
+  const core::BuildResult &ParBuild = Profiled->Pre;
+  ASSERT_FALSE(bool(oat::validateOat(ParBuild.Oat)));
   // Partitioning loses some cross-partition redundancy (paper Table 4).
-  EXPECT_GE(ParBuild->Oat.textBytes(), FullBuild->Oat.textBytes());
-  EXPECT_LT(ParBuild->Oat.textBytes(), BaseBuild->Oat.textBytes());
-  RunDigest ParRun = runScript(ParBuild->Oat, Script);
+  EXPECT_GE(ParBuild.Oat.textBytes(), FullBuild->Oat.textBytes());
+  EXPECT_LT(ParBuild.Oat.textBytes(), BaseBuild->Oat.textBytes());
+  RunDigest ParRun = runScript(ParBuild.Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(ParRun));
 
-  // + HfOpti (profile-guided hot-function filtering).
-  sim::SimOptions ProfOpts;
-  ProfOpts.CollectProfile = true;
-  sim::Simulator ProfSim(ParBuild->Oat, ProfOpts);
-  for (const auto &Inv : Script) {
-    auto R = ProfSim.call(Inv.MethodIdx, Inv.Args);
-    ASSERT_TRUE(bool(R)) << R.message();
-  }
-  profile::Profile Prof = ProfSim.profileData();
-  ASSERT_GT(Prof.totalCycles(), 0u);
-
-  core::CalibroOptions Hf = Par;
-  Hf.Profile = &Prof;
-  auto HfBuild = core::buildApp(App, Hf);
-  ASSERT_TRUE(bool(HfBuild)) << HfBuild.message();
-  ASSERT_FALSE(bool(oat::validateOat(HfBuild->Oat)));
-  EXPECT_GT(HfBuild->Stats.Ltbo.HotFilteredMethods, 0u);
+  ASSERT_GT(Profiled->Profile.totalCycles(), 0u);
+  const core::BuildResult &HfBuild = Profiled->Final;
+  ASSERT_FALSE(bool(oat::validateOat(HfBuild.Oat)));
+  EXPECT_GT(HfBuild.Stats.Ltbo.HotFilteredMethods, 0u);
   // Less outlining -> larger text than without filtering, still smaller
   // than baseline.
-  EXPECT_GE(HfBuild->Oat.textBytes(), ParBuild->Oat.textBytes());
-  EXPECT_LT(HfBuild->Oat.textBytes(), BaseBuild->Oat.textBytes());
-  RunDigest HfRun = runScript(HfBuild->Oat, Script);
+  EXPECT_GE(HfBuild.Oat.textBytes(), ParBuild.Oat.textBytes());
+  EXPECT_LT(HfBuild.Oat.textBytes(), BaseBuild->Oat.textBytes());
+  RunDigest HfRun = runScript(HfBuild.Oat, Script);
   EXPECT_TRUE(BaseRun.sameBehaviour(HfRun));
 }
 

@@ -29,8 +29,10 @@
 #include "workload/Workload.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <map>
+#include <unistd.h>
 
 using namespace calibro;
 
@@ -61,15 +63,12 @@ struct RunResult {
   std::vector<uint64_t> Hashes;
   std::vector<int64_t> Returns;
   std::size_t Pages = 0;
-  profile::Profile Prof;
 };
 
 RunResult runScript(const oat::OatFile &Oat,
-                    const std::vector<workload::Invocation> &Script,
-                    bool CollectProfile = false) {
+                    const std::vector<workload::Invocation> &Script) {
   sim::SimOptions SOpts;
   SOpts.PageShift = 8; // 256-byte pages: meaningful counts at test scale.
-  SOpts.CollectProfile = CollectProfile;
   sim::Simulator Sim(Oat, SOpts);
   RunResult R;
   for (const auto &Inv : Script) {
@@ -81,12 +80,10 @@ RunResult runScript(const oat::OatFile &Oat,
     R.Returns.push_back(Res->ReturnValue);
   }
   R.Pages = Sim.touchedTextPages();
-  if (CollectProfile)
-    R.Prof = Sim.profileData();
   return R;
 }
 
-/// The Fig. 6-style workflow the layout stage rides on: build without a
+/// The Fig. 6 workflow the layout stage rides on: build without a
 /// profile, run the startup script to collect one, rebuild with it.
 struct ProfiledPair {
   dex::App App;
@@ -103,15 +100,15 @@ ProfiledPair makeProfiledPair(uint64_t Seed) {
 
   auto Opts = plOpts();
   Opts.EnableLayout = false;
-  auto Cold = core::buildApp(P.App, Opts);
-  EXPECT_TRUE(bool(Cold)) << Cold.message();
-  P.Prof = runScript(Cold->Oat, P.Script, /*CollectProfile=*/true).Prof;
-  EXPECT_GT(P.Prof.totalCycles(), 0u);
-
-  Opts.Profile = &P.Prof;
-  auto Unlaid = core::buildApp(P.App, Opts);
-  EXPECT_TRUE(bool(Unlaid)) << Unlaid.message();
-  P.Unlaid = std::move(*Unlaid);
+  auto B = core::buildProfiled(P.App, Opts, P.Script);
+  EXPECT_TRUE(bool(B)) << B.message();
+  if (!B) {
+    consumeError(B.takeError());
+    return P;
+  }
+  EXPECT_GT(B->Profile.totalCycles(), 0u);
+  P.Prof = std::move(B->Profile);
+  P.Unlaid = std::move(B->Final);
   return P;
 }
 
@@ -241,53 +238,55 @@ TEST(Layout, OpenWorldIsByteIdenticalNoOp) {
   dex::App App = workload::makeApp(Spec);
   auto Script = workload::makeScript(Spec, 12, 7);
 
-  auto Opts = plOpts();
-  auto Cold = core::buildApp(App, Opts);
-  ASSERT_TRUE(bool(Cold)) << Cold.message();
-  profile::Profile Prof =
-      runScript(Cold->Oat, Script, /*CollectProfile=*/true).Prof;
-  ASSERT_GT(Prof.totalCycles(), 0u);
-
   auto On = plOpts();
-  On.Profile = &Prof;
-  auto Off = plOpts();
-  Off.Profile = &Prof;
-  Off.EnableLayout = false;
-  auto A = core::buildApp(App, On);
-  auto B = core::buildApp(App, Off);
+  auto A = core::buildProfiled(App, On, Script);
   ASSERT_TRUE(bool(A)) << A.message();
+  ASSERT_GT(A->Profile.totalCycles(), 0u);
+
+  auto Off = plOpts();
+  Off.Profile = &A->Profile;
+  Off.EnableLayout = false;
+  auto B = core::buildApp(App, Off);
   ASSERT_TRUE(bool(B)) << B.message();
-  EXPECT_FALSE(A->Stats.LayoutApplied);
-  EXPECT_EQ(A->Oat.Text, B->Oat.Text);
+  EXPECT_FALSE(A->Final.Stats.LayoutApplied);
+  EXPECT_EQ(A->Final.Oat.Text, B->Oat.Text);
 }
 
-TEST(Layout, OneCompileLinkedTwiceMatchesTwoBuilds) {
-  // The CLI's --profile flow: compile once, link a copy for the profiling
-  // pre-build, then link the original with the profile. Compilation never
-  // reads the profile, so both images equal those of two full builds.
+/// The buildProfiled contract: one compile linked twice gives the bytes
+/// of two full builds, without and with the profile, for any thread count
+/// and with a cold build cache.
+TEST(Layout, BuildProfiledMatchesTwoBuilds) {
   auto Spec = closedSpec(71);
   dex::App App = workload::makeApp(Spec);
   auto Script = workload::makeScript(Spec, 16, 99);
-  auto Opts = plOpts();
-  auto Compiled = core::compileApp(App, Opts);
-  ASSERT_TRUE(bool(Compiled)) << Compiled.message();
+  const auto CacheRoot = std::filesystem::temp_directory_path() /
+                         ("calibro-profiled-" + std::to_string(::getpid()));
+  for (uint32_t Threads : {1u, 4u}) {
+    for (bool Cached : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads) +
+                   (Cached ? ", cold cache" : ", no cache"));
+      auto Opts = plOpts();
+      Opts.CompileThreads = Opts.LtboThreads = Threads;
+      std::filesystem::remove_all(CacheRoot);
+      if (Cached)
+        Opts.CacheDir = CacheRoot.string();
+      auto P = core::buildProfiled(App, Opts, Script);
+      ASSERT_TRUE(bool(P)) << P.message();
+      ASSERT_GT(P->Profile.totalCycles(), 0u);
+      EXPECT_TRUE(P->Final.Stats.LayoutApplied);
 
-  auto Pre = core::linkApp(*Compiled, Opts);
-  auto PreBuilt = core::buildApp(App, Opts);
-  ASSERT_TRUE(bool(Pre)) << Pre.message();
-  ASSERT_TRUE(bool(PreBuilt)) << PreBuilt.message();
-  EXPECT_EQ(oat::serializeOat(Pre->Oat), oat::serializeOat(PreBuilt->Oat));
-
-  profile::Profile Prof =
-      runScript(Pre->Oat, Script, /*CollectProfile=*/true).Prof;
-  ASSERT_GT(Prof.totalCycles(), 0u);
-  Opts.Profile = &Prof;
-  auto Linked = core::linkApp(std::move(*Compiled), Opts);
-  auto Built = core::buildApp(App, Opts);
-  ASSERT_TRUE(bool(Linked)) << Linked.message();
-  ASSERT_TRUE(bool(Built)) << Built.message();
-  EXPECT_TRUE(Linked->Stats.LayoutApplied);
-  EXPECT_EQ(oat::serializeOat(Linked->Oat), oat::serializeOat(Built->Oat));
+      Opts.CacheDir.clear();
+      auto Pre = core::buildApp(App, Opts);
+      ASSERT_TRUE(bool(Pre)) << Pre.message();
+      EXPECT_EQ(oat::serializeOat(P->Pre.Oat), oat::serializeOat(Pre->Oat));
+      Opts.Profile = &P->Profile;
+      auto Final = core::buildApp(App, Opts);
+      ASSERT_TRUE(bool(Final)) << Final.message();
+      EXPECT_EQ(oat::serializeOat(P->Final.Oat),
+                oat::serializeOat(Final->Oat));
+    }
+  }
+  std::filesystem::remove_all(CacheRoot);
 }
 
 // --- Direct warm-first unit coverage ------------------------------------

@@ -12,7 +12,6 @@
 #include "oat/Dump.h"
 #include "oat/Linker.h"
 #include "oat/Serialize.h"
-#include "sim/Simulator.h"
 #include "support/MathExtras.h"
 #include "verify/Differential.h"
 #include "workload/Workload.h"
@@ -588,23 +587,13 @@ LinkInput linkInputOf(const dex::App &App, const core::CalibroOptions &Opts) {
 profile::Profile profileOf(const workload::AppSpec &Spec, const dex::App &App) {
   auto Opts = pipelineOpts();
   Opts.EnableLayout = false;
-  auto Cold = core::buildApp(App, Opts);
-  EXPECT_TRUE(bool(Cold)) << Cold.message();
-  if (!Cold) {
-    consumeError(Cold.takeError());
+  auto B = core::buildProfiled(App, Opts, workload::makeScript(Spec, 16, 99));
+  EXPECT_TRUE(bool(B)) << B.message();
+  if (!B) {
+    consumeError(B.takeError());
     return {};
   }
-  sim::SimOptions SOpts;
-  SOpts.PageShift = 8;
-  SOpts.CollectProfile = true;
-  sim::Simulator Sim(Cold->Oat, SOpts);
-  for (const auto &Inv : workload::makeScript(Spec, 16, 99)) {
-    auto R = Sim.call(Inv.MethodIdx, Inv.Args);
-    EXPECT_TRUE(bool(R)) << R.message();
-    if (!R)
-      consumeError(R.takeError());
-  }
-  return Sim.profileData();
+  return std::move(B->Profile);
 }
 
 TEST(LinkerDifferential, PaperAppsOpenClosedAndProfiled) {

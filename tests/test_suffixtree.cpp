@@ -244,39 +244,76 @@ TEST(ClampedDedup, RandomTexts) {
 }
 
 //===----------------------------------------------------------------------===//
-// SA-IS vs prefix doubling: construction differential
+// Construction against a naive suffix sort
 //===----------------------------------------------------------------------===//
 
+/// The suffix array by definition: every suffix start, the empty suffix
+/// (the virtual sentinel, position n) included, sorted lexicographically.
+/// A proper prefix sorts first, which is exactly the unique smallest
+/// sentinel the construction assumes.
+std::vector<uint32_t> naiveSuffixArray(const std::vector<Symbol> &T) {
+  std::vector<uint32_t> Sa(T.size() + 1);
+  for (uint32_t I = 0; I < Sa.size(); ++I)
+    Sa[I] = I;
+  std::sort(Sa.begin(), Sa.end(), [&](uint32_t A, uint32_t B) {
+    return std::lexicographical_compare(T.begin() + A, T.end(),
+                                        T.begin() + B, T.end());
+  });
+  return Sa;
+}
+
 // The SA of a text with a unique smallest (virtual) sentinel is unique, so
-// SA-IS and the retained prefix-doubling oracle must agree ELEMENT FOR
-// ELEMENT — not merely produce equivalent repeat sets.
-void checkSaIsMatchesDoubling(const std::vector<Symbol> &T) {
+// the construction must match the naive sort ELEMENT FOR ELEMENT — not
+// merely produce equivalent repeat sets.
+void checkMatchesNaiveSort(const std::vector<Symbol> &T) {
   SuffixArray A{std::vector<Symbol>(T)};
-  std::vector<uint32_t> Oracle = prefixDoublingSuffixArray(T);
+  std::vector<uint32_t> Oracle = naiveSuffixArray(T);
   auto Got = A.suffixArray();
   ASSERT_EQ(Got.size(), Oracle.size()) << "n=" << T.size();
-  ASSERT_EQ(Got.size(), T.size() + 1);
   EXPECT_EQ(Got.front(), static_cast<uint32_t>(T.size()))
       << "sentinel suffix must sort first";
   for (std::size_t I = 0; I < Oracle.size(); ++I)
     ASSERT_EQ(Got[I], Oracle[I]) << "row " << I << " (n=" << T.size() << ")";
 }
 
-TEST(SaIsDifferential, EdgeShapes) {
-  checkSaIsMatchesDoubling({});                  // Empty text.
-  checkSaIsMatchesDoubling({42});                // Single symbol.
-  checkSaIsMatchesDoubling(fromString("aaaaaaaaaaaaaaaa")); // All equal.
-  checkSaIsMatchesDoubling(fromString("ab"));
-  checkSaIsMatchesDoubling(fromString("ba"));
-  checkSaIsMatchesDoubling(fromString("banana"));
-  checkSaIsMatchesDoubling(fromString("mississippi"));
-  // Sparse 64-bit symbols, including values around the separator range and
-  // the old reserved sentinel — all legal under the virtual sentinel.
-  checkSaIsMatchesDoubling({SeparatorBase, 0, SeparatorBase + 1, 0,
-                            ~uint64_t(0), 0, ~uint64_t(0)});
+/// \p Reps copies of a random block over a 3-letter alphabet, with unique
+/// separators after about one copy in \p SepEvery, like the outliner's
+/// group sequences: deep interval chains and many rank-doubling rounds.
+std::vector<Symbol> tandemText(Rng &R, std::size_t MaxBlock,
+                               std::size_t MinReps, std::size_t MaxReps,
+                               uint64_t SepEvery) {
+  std::vector<Symbol> Block;
+  std::size_t BlockLen = 2 + R.nextBelow(MaxBlock);
+  for (std::size_t I = 0; I < BlockLen; ++I)
+    Block.push_back('a' + R.nextBelow(3));
+  std::vector<Symbol> T;
+  uint64_t Sep = 0;
+  std::size_t Reps = MinReps + R.nextBelow(MaxReps);
+  for (std::size_t K = 0; K < Reps; ++K) {
+    T.insert(T.end(), Block.begin(), Block.end());
+    if (R.nextBelow(SepEvery) == 0)
+      T.push_back(SeparatorBase + Sep++);
+  }
+  return T;
 }
 
-TEST(SaIsDifferential, RandomTexts) {
+TEST(SuffixArrayOracle, EdgeShapes) {
+  checkMatchesNaiveSort({});                  // Empty text.
+  checkMatchesNaiveSort({42});                // Single symbol.
+  checkMatchesNaiveSort(fromString("aaaaaaaaaaaaaaaa")); // All equal.
+  checkMatchesNaiveSort(fromString("ab"));
+  checkMatchesNaiveSort(fromString("ba"));
+  checkMatchesNaiveSort(fromString("banana"));
+  checkMatchesNaiveSort(fromString("mississippi"));
+  // Sparse 64-bit symbols, including values around the separator range and
+  // the old reserved sentinel — all legal under the virtual sentinel.
+  checkMatchesNaiveSort({SeparatorBase, 0, SeparatorBase + 1, 0,
+                         ~uint64_t(0), 0, ~uint64_t(0)});
+  checkMatchesNaiveSort({SeparatorBase, 0, ~uint64_t(0), 0, ~uint64_t(0),
+                         SeparatorBase + 1});
+}
+
+TEST(SuffixArrayOracle, RandomTexts) {
   Rng R(0x5a15);
   for (int Case = 0; Case < 60; ++Case) {
     std::size_t N = 1 + R.nextBelow(300);
@@ -285,89 +322,48 @@ TEST(SaIsDifferential, RandomTexts) {
     T.reserve(N);
     for (std::size_t I = 0; I < N; ++I)
       T.push_back('a' + R.nextBelow(Alphabet));
-    checkSaIsMatchesDoubling(T);
+    checkMatchesNaiveSort(T);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Hybrid construction-backend auto-pick
-//===----------------------------------------------------------------------===//
-
-// The pick must be a deterministic function of the text, exercise BOTH
-// backends across the expected regimes, and never change the output: the
-// SA with a unique smallest sentinel is unique, so whichever backend runs
-// must match the prefix-doubling oracle element for element.
-TEST(SaBackendPick, SmallTextUsesPrefixDoubling) {
-  // Below the symbol-count threshold SA-IS's setup cost dominates
-  // (BENCH_build_time: sais_speedup 0.617 at scale 2) — even on maximally
-  // repeat-heavy text the pick must stay with doubling.
-  std::vector<Symbol> T(4096, 'a');
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::PrefixDoubling);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, LargeRepeatHeavyTextUsesSaIs) {
-  // Large text over a tiny alphabet: nearly every sampled bigram repeats,
-  // so doubling would run deep rank-resolution rounds — SA-IS territory.
-  Rng R(0xbac0);
-  std::vector<Symbol> T;
-  T.reserve(1 << 16);
-  for (std::size_t I = 0; I < (1u << 16); ++I)
-    T.push_back('a' + R.nextBelow(4));
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::SaIs);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, LargeRepeatPoorTextUsesPrefixDoubling) {
-  // Large but almost-unique symbols: ranks go unique within a couple of
-  // doubling rounds, which O(n) construction cannot beat in practice.
-  std::vector<Symbol> T;
-  T.reserve(1 << 16);
-  for (std::size_t I = 0; I < (1u << 16); ++I)
-    T.push_back(0x1000 + I * 3);
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::PrefixDoubling);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, PickIsDeterministicAndNamed) {
-  Rng R(0x9e1c);
-  std::vector<Symbol> T;
-  for (std::size_t I = 0; I < 50000; ++I)
-    T.push_back('a' + R.nextBelow(3));
-  SuffixArray A{std::vector<Symbol>(T)};
-  SuffixArray B{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), B.constructionBackend());
-  EXPECT_STREQ(saBackendName(SaBackend::SaIs), "sa_is");
-  EXPECT_STREQ(saBackendName(SaBackend::PrefixDoubling), "prefix_doubling");
-}
-
-TEST(SaIsDifferential, SeededRepeatTexts) {
-  // Repeat-heavy inputs exercise the SA-IS recursion (many equal LMS
-  // substrings force non-unique names): periodic texts, doubled random
-  // blocks, and runs, with unique separators mixed in like the outliner's
-  // group sequences.
-  Rng R(0xd0b1);
-  for (int Case = 0; Case < 30; ++Case) {
-    std::vector<Symbol> Block;
-    std::size_t BlockLen = 2 + R.nextBelow(12);
-    for (std::size_t I = 0; I < BlockLen; ++I)
-      Block.push_back('a' + R.nextBelow(3));
+  // Random text with unique separators mixed in.
+  Rng S(0x71e3);
+  for (int Case = 0; Case < 25; ++Case) {
+    std::size_t N = 1 + S.nextBelow(250);
+    unsigned Alphabet = 2 + static_cast<unsigned>(S.nextBelow(6));
     std::vector<Symbol> T;
-    uint64_t Sep = 0;
-    std::size_t Reps = 2 + R.nextBelow(20);
-    for (std::size_t K = 0; K < Reps; ++K) {
-      T.insert(T.end(), Block.begin(), Block.end());
-      if (R.nextBelow(3) == 0)
-        T.push_back(SeparatorBase + Sep++);
+    for (std::size_t I = 0; I < N; ++I) {
+      if (S.nextBool(0.05))
+        T.push_back(SeparatorBase + I);
+      else
+        T.push_back('a' + S.nextBelow(Alphabet));
     }
-    checkSaIsMatchesDoubling(T);
+    checkMatchesNaiveSort(T);
   }
 }
 
-TEST(SaIsDifferential, ExternalArenaMatchesPrivate) {
+TEST(SuffixArrayOracle, SeededRepeatAndTandemTexts) {
+  Rng R(0xd0b1);
+  for (int Case = 0; Case < 30; ++Case)
+    checkMatchesNaiveSort(tandemText(R, 12, 2, 20, 3));
+  Rng S(0x7a2d);
+  for (int Case = 0; Case < 20; ++Case)
+    checkMatchesNaiveSort(tandemText(S, 10, 3, 25, 4));
+}
+
+TEST(SuffixArrayOracle, LargeTexts) {
+  // One long run (the deepest doubling), a large text over a tiny
+  // alphabet, and a large all-distinct text (one round).
+  checkMatchesNaiveSort(std::vector<Symbol>(4096, 'a'));
+  Rng R(0xbac0);
+  std::vector<Symbol> Dense, Distinct;
+  for (std::size_t I = 0; I < (1u << 16); ++I) {
+    Dense.push_back('a' + R.nextBelow(4));
+    Distinct.push_back(0x1000 + I * 3);
+  }
+  checkMatchesNaiveSort(Dense);
+  checkMatchesNaiveSort(Distinct);
+}
+
+TEST(SuffixArray, ExternalArenaMatchesPrivate) {
   // Same text through a caller-supplied arena (reused and reset between
   // constructions, like the Phase B pool does) and through the private
   // arena: identical arrays, identical repeat enumeration.
@@ -405,12 +401,6 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// View (non-owning) construction: windowed linking builds suffix arrays
-// over spans of caller-held text. A view-built array must be
-// indistinguishable from an owned one over the same bytes.
-//===----------------------------------------------------------------------===//
-
 std::map<std::vector<Symbol>, std::vector<uint32_t>>
 enumerateRepeats(const SuffixArray &D, const std::vector<Symbol> &T,
                  uint32_t MaxLen) {
@@ -424,111 +414,23 @@ enumerateRepeats(const SuffixArray &D, const std::vector<Symbol> &T,
   return Out;
 }
 
-void checkViewMatchesOwned(const std::vector<Symbol> &T) {
-  const uint32_t MaxLen = static_cast<uint32_t>(T.size()) + 1;
-  SuffixArray Owned{std::vector<Symbol>(T)};
-  SuffixArray Viewed{std::span<const Symbol>(T)};
-
-  EXPECT_EQ(Owned.textSize(), Viewed.textSize());
-  EXPECT_EQ(Owned.numNodes(), Viewed.numNodes());
-  // Both modes account the text identically (the owned copy is exact-size),
-  // so the whole working set matches byte for byte.
-  EXPECT_EQ(Owned.workingSetBytes(), Viewed.workingSetBytes());
-  EXPECT_EQ(enumerateRepeats(Owned, T, MaxLen),
-            enumerateRepeats(Viewed, T, MaxLen))
-      << "view diverged from owned (n=" << T.size() << ")";
-}
-
-TEST(ViewConstruction, EdgeShapes) {
-  for (const char *S : {"", "x", "aaaaaaaa", "banana", "mississippi"})
-    checkViewMatchesOwned(fromString(S));
-  // Symbols around the separator range and the all-ones value: legal text,
-  // never confused with the virtual sentinel.
-  std::vector<Symbol> Hostile = {SeparatorBase, 0, ~uint64_t(0), 0,
-                                 ~uint64_t(0), SeparatorBase + 1};
-  checkViewMatchesOwned(Hostile);
-}
-
-TEST(ViewConstruction, RandomTextsDifferential) {
-  Rng R(0x71e3);
-  for (int Case = 0; Case < 25; ++Case) {
-    std::size_t N = 1 + R.nextBelow(250);
-    unsigned Alphabet = 2 + static_cast<unsigned>(R.nextBelow(6));
-    std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I) {
-      if (R.nextBool(0.05))
-        T.push_back(SeparatorBase + I);
-      else
-        T.push_back('a' + R.nextBelow(Alphabet));
-    }
-    checkViewMatchesOwned(T);
-  }
-}
-
-TEST(ViewConstruction, TandemRepeatTextsDifferential) {
-  // Repeat-heavy corpora (tandem blocks with occasional separators): the
-  // shapes that stress deep interval chains and the SA-IS recursion.
-  Rng R(0x7a2d);
-  for (int Case = 0; Case < 20; ++Case) {
-    std::vector<Symbol> Block;
-    std::size_t BlockLen = 2 + R.nextBelow(10);
-    for (std::size_t I = 0; I < BlockLen; ++I)
-      Block.push_back('a' + R.nextBelow(3));
-    std::vector<Symbol> T;
-    uint64_t Sep = 0;
-    std::size_t Reps = 3 + R.nextBelow(25);
-    for (std::size_t K = 0; K < Reps; ++K) {
-      T.insert(T.end(), Block.begin(), Block.end());
-      if (R.nextBelow(4) == 0)
-        T.push_back(SeparatorBase + Sep++);
-    }
-    checkViewMatchesOwned(T);
-  }
-}
-
-TEST(ViewConstruction, WindowedSlicesMatchWholeCopies) {
-  // The windowed pipeline's actual usage: views over sub-ranges of one big
-  // caller-held buffer. Each slice's view array must equal an owned array
-  // over a private copy of that slice.
-  Rng R(0x5117);
-  std::vector<Symbol> Whole;
-  for (std::size_t I = 0; I < 400; ++I)
-    Whole.push_back('a' + R.nextBelow(4));
-  for (int Case = 0; Case < 15; ++Case) {
-    std::size_t Lo = R.nextBelow(Whole.size());
-    std::size_t Len = 1 + R.nextBelow(Whole.size() - Lo);
-    std::span<const Symbol> Slice(Whole.data() + Lo, Len);
-    std::vector<Symbol> Copy(Slice.begin(), Slice.end());
-    const uint32_t MaxLen = static_cast<uint32_t>(Len) + 1;
-
-    SuffixArray ArrView{Slice};
-    SuffixArray ArrCopy{std::vector<Symbol>(Copy)};
-    EXPECT_EQ(enumerateRepeats(ArrView, Copy, MaxLen),
-              enumerateRepeats(ArrCopy, Copy, MaxLen));
-  }
-}
-
-TEST(ViewConstruction, ReleaseWorkingSetAccounting) {
+TEST(SuffixArray, ReleaseWorkingSetAccounting) {
   Rng R(0x4e1e);
   std::vector<Symbol> T;
   for (std::size_t I = 0; I < 300; ++I)
     T.push_back('a' + R.nextBelow(3));
   const std::size_t TextBytes = T.size() * sizeof(Symbol);
-  SuffixArray Owned{std::vector<Symbol>(T)};
-  SuffixArray Viewed{std::span<const Symbol>(T)};
-  auto Repeats = enumerateRepeats(Owned, T, 16);
+  SuffixArray Array{std::vector<Symbol>(T)};
+  auto Repeats = enumerateRepeats(Array, T, 16);
 
-  const std::size_t Before = Owned.workingSetBytes();
-  ASSERT_EQ(Before, Viewed.workingSetBytes());
+  const std::size_t Before = Array.workingSetBytes();
   ASSERT_GE(Before, TextBytes);
-  Owned.releaseWorkingSet();
-  Viewed.releaseWorkingSet();
-  // The text contribution returns to zero in BOTH modes — dropping a view
-  // must shed exactly as many accounted bytes as freeing an owned copy.
-  EXPECT_EQ(Owned.workingSetBytes(), Viewed.workingSetBytes());
-  EXPECT_LE(Owned.workingSetBytes(), Before - TextBytes);
+  Array.releaseWorkingSet();
+  // Releasing sheds exactly the text's bytes.
+  EXPECT_LE(Array.workingSetBytes(), Before - TextBytes);
+  EXPECT_TRUE(Array.text().empty());
   // Enumeration survives release (it reads only the retained structure).
-  EXPECT_EQ(enumerateRepeats(Viewed, T, 16), Repeats);
+  EXPECT_EQ(enumerateRepeats(Array, T, 16), Repeats);
 }
 
 } // namespace

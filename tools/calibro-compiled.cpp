@@ -24,14 +24,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BuildFlags.h"
 #include "oat/Serialize.h"
 #include "service/CompileService.h"
-#include "workload/Workload.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -43,41 +41,25 @@ using namespace calibro;
 
 namespace {
 
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: calibro-compiled [options] < jobs\n"
-      "job lines (stdin): app=<name> scale=<s> [seed=<n>] [budget=<bytes>] "
-      "out=<path>\n"
-      "service options:\n"
-      "  --jobs <n>             concurrent jobs in flight (default 2)\n"
-      "  --queue-depth <n>      max jobs waiting beyond the running ones;\n"
-      "                         beyond it submissions are rejected and\n"
-      "                         retried with backoff (default 8)\n"
-      "  --threads <n>          workers of the one shared pool (0 = all)\n"
-      "  --cache-dir <dir>      shared sharded build cache (empty = none)\n"
-      "  --cache-shards <n>     shard count of the shared cache (default 8)\n"
-      "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
-      "unbounded)\n"
-      "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
-      "                         detect budgets; each job gets a fair-share\n"
-      "                         lease (output stays byte-identical)\n"
-      "  --job-log <file>       machine-readable JSONL job log\n"
-      "build options (applied to every job):\n"
-      "  --cto --ltbo --partitions <k> --min-len <n> --max-len <n>\n"
-      "  --verify --strict --dead-code --no-gc --no-merge --strict-gc\n"
-      "  --layout / --no-layout  profile-driven function layout (default\n"
-      "                          on; arms only for jobs with a profile and\n"
-      "                          a closed world — otherwise byte-identical\n"
-      "                          to a build without the stage)\n");
-  std::exit(2);
-}
-
-const char *next(int &I, int Argc, char **Argv) {
-  if (++I >= Argc)
-    usage();
-  return Argv[I];
-}
+const char Usage[] =
+    "usage: calibro-compiled [options] < jobs\n"
+    "job lines (stdin): app=<name> scale=<s> [seed=<n>] [budget=<bytes>] "
+    "out=<path>\n"
+    "service options:\n"
+    "  --jobs <n>             concurrent jobs in flight (default 2)\n"
+    "  --queue-depth <n>      max jobs waiting beyond the running ones;\n"
+    "                         beyond it submissions are rejected and\n"
+    "                         retried with backoff (default 8)\n"
+    "  --threads <n>          workers of the one shared pool (0 = all)\n"
+    "  --cache-dir <dir>      shared sharded build cache (empty = none)\n"
+    "  --cache-shards <n>     shard count of the shared cache (default 8)\n"
+    "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
+    "unbounded)\n"
+    "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
+    "                         detect budgets; each job gets a fair-share\n"
+    "                         lease (output stays byte-identical)\n"
+    "  --job-log <file>       machine-readable JSONL job log\n"
+    "the build options below apply to every job\n";
 
 /// One parsed job line.
 struct JobLine {
@@ -98,16 +80,21 @@ bool parseJobLine(const std::string &Line, JobLine &J) {
     std::string K = Tok.substr(0, Eq), V = Tok.substr(Eq + 1);
     if (K == "app")
       J.AppName = V;
-    else if (K == "scale")
-      J.Scale = std::atof(V.c_str());
-    else if (K == "seed")
-      J.Seed = std::strtoull(V.c_str(), nullptr, 0);
-    else if (K == "budget")
-      J.BudgetBytes = std::strtoull(V.c_str(), nullptr, 0);
     else if (K == "out")
       J.Out = V;
-    else
+    else if (K == "scale") {
+      auto S = tools::parseScale(V);
+      if (!S)
+        return false;
+      J.Scale = *S;
+    } else if (K == "seed" || K == "budget") {
+      auto N = tools::parseWhole(V, UINT64_MAX);
+      if (!N)
+        return false;
+      (K == "seed" ? J.Seed : J.BudgetBytes) = *N;
+    } else {
       return false;
+    }
   }
   return !J.AppName.empty() && !J.Out.empty();
 }
@@ -116,58 +103,31 @@ bool parseJobLine(const std::string &Line, JobLine &J) {
 
 int main(int argc, char **argv) {
   service::ServiceOptions SOpts;
-  core::CalibroOptions Build;
-  bool DeadCode = false;
-  bool ExplicitPartitions = false;
+  tools::BuildFlags Flags;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
+  tools::FlagParser Args(argc, argv, Usage);
+  while (Args.more()) {
+    std::string_view A = Args.flag();
+    if (Args.buildFlag(A, Flags))
+      continue;
     if (A == "--jobs")
-      SOpts.JobSlots = std::atoi(next(I, argc, argv));
+      SOpts.JobSlots = static_cast<uint32_t>(Args.whole(tools::MaxWorkers));
     else if (A == "--queue-depth")
-      SOpts.QueueDepth = std::atoi(next(I, argc, argv));
+      SOpts.QueueDepth = static_cast<uint32_t>(Args.whole(UINT32_MAX));
     else if (A == "--threads")
-      SOpts.Threads = std::atoi(next(I, argc, argv));
+      SOpts.Threads = static_cast<uint32_t>(Args.whole(tools::MaxWorkers));
     else if (A == "--cache-dir")
-      SOpts.CacheDir = next(I, argc, argv);
+      SOpts.CacheDir = Args.value();
     else if (A == "--cache-shards")
-      SOpts.CacheShards = std::atoi(next(I, argc, argv));
+      SOpts.CacheShards = static_cast<uint32_t>(Args.whole(tools::MaxSplits));
     else if (A == "--cache-budget")
-      SOpts.CacheBudgetBytes = std::strtoull(next(I, argc, argv), nullptr, 0);
+      SOpts.CacheBudgetBytes = Args.whole(UINT64_MAX);
     else if (A == "--global-memory-budget")
-      SOpts.GlobalMemoryBudgetBytes =
-          std::strtoull(next(I, argc, argv), nullptr, 0);
+      SOpts.GlobalMemoryBudgetBytes = Args.whole(UINT64_MAX);
     else if (A == "--job-log")
-      SOpts.JobLogPath = next(I, argc, argv);
-    else if (A == "--cto")
-      Build.EnableCto = true;
-    else if (A == "--ltbo")
-      Build.EnableLtbo = true;
-    else if (A == "--partitions") {
-      Build.LtboPartitions = std::atoi(next(I, argc, argv));
-      ExplicitPartitions = true;
-    } else if (A == "--min-len")
-      Build.MinSeqLen = std::atoi(next(I, argc, argv));
-    else if (A == "--max-len")
-      Build.MaxSeqLen = std::atoi(next(I, argc, argv));
-    else if (A == "--verify")
-      Build.VerifyOutput = true;
-    else if (A == "--strict")
-      Build.StrictSideInfo = true;
-    else if (A == "--dead-code")
-      DeadCode = true;
-    else if (A == "--no-gc")
-      Build.EnableGc = false;
-    else if (A == "--no-merge")
-      Build.EnableMerge = false;
-    else if (A == "--strict-gc")
-      Build.StrictCallGraph = true;
-    else if (A == "--layout")
-      Build.EnableLayout = true;
-    else if (A == "--no-layout")
-      Build.EnableLayout = false;
+      SOpts.JobLogPath = Args.value();
     else
-      usage();
+      Args.usage();
   }
 
   struct Pending {
@@ -194,35 +154,22 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "bad job line: %s\n", Line.c_str());
       return 2;
     }
-    workload::AppSpec Spec;
-    bool Found = false;
-    for (const auto &S : workload::paperApps(J.Scale))
-      if (S.Name == J.AppName) {
-        Spec = S;
-        Found = true;
-      }
-    if (!Found) {
+    auto Spec =
+        tools::paperAppSpec(J.AppName, J.Scale, J.Seed, Flags.DeadCode);
+    if (!Spec) {
       std::fprintf(stderr, "unknown app '%s'\n", J.AppName.c_str());
       return 2;
     }
-    if (J.Seed)
-      Spec.Seed = J.Seed;
-    if (DeadCode)
-      workload::enableDeadCode(Spec);
 
     Pending P;
     P.Line = J;
-    P.App = std::make_unique<dex::App>(workload::makeApp(Spec));
+    P.App = std::make_unique<dex::App>(workload::makeApp(*Spec));
 
     service::JobSpec Job;
     Job.Name = J.AppName + ":" + J.Out;
     Job.App = P.App.get();
-    Job.Build = Build;
-    // A budget with no explicit K lets the outliner derive the partition
-    // count from the granted budget (Partitions = 0 means "auto").
-    if ((J.BudgetBytes || SOpts.GlobalMemoryBudgetBytes) &&
-        !ExplicitPartitions)
-      Job.Build.LtboPartitions = 0;
+    Job.Build =
+        Flags.optionsFor(J.BudgetBytes || SOpts.GlobalMemoryBudgetBytes);
     Job.MemoryBudgetBytes = J.BudgetBytes;
 
     // Backpressure: a full queue is the service telling us to slow down,
