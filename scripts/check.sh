@@ -31,9 +31,10 @@ if [[ "$MODE" == all || "$MODE" == asan ]]; then
   cmake --build "$SAN_BUILD" -j \
         --target test_verify test_outliner test_suffixtree \
                  test_serialize test_faultinject test_cache test_analysis \
-                 test_service test_layout test_hir test_codegen test_oat
+                 test_service test_layout test_hir test_codegen test_oat \
+                 test_dex
   ctest --test-dir "$SAN_BUILD" --output-on-failure \
-        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_hir|test_codegen|test_oat)$'
+        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_hir|test_codegen|test_oat|test_dex)$'
 fi
 
 if [[ "$MODE" == all || "$MODE" == tsan ]]; then
@@ -43,9 +44,10 @@ if [[ "$MODE" == all || "$MODE" == tsan ]]; then
   cmake --build "$TSAN_BUILD" -j --target test_parallel test_support \
                                           test_faultinject test_cache \
                                           test_analysis test_service \
-                                          test_layout test_codegen
+                                          test_layout test_codegen \
+                                          test_dex
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-        -R '^(test_parallel|test_support|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_codegen)$'
+        -R '^(test_parallel|test_support|test_faultinject|test_cache|test_analysis|test_service|test_layout|test_codegen|test_dex)$'
 fi
 
 echo "check.sh ($MODE): all green"

@@ -11,6 +11,7 @@
 #include "support/BinaryStream.h"
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -42,10 +43,19 @@ std::string versionStamp() {
 
 Digest payloadChecksum(std::span<const uint8_t> Buf, std::size_t End) {
   Hasher H;
-  // 8 bytes per word keeps checksumming cheap relative to file I/O.
+  // 8 bytes per word, little-endian, keeps checksumming cheap relative to
+  // file I/O. A little-endian host loads each word whole.
+  std::size_t I = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; I + 8 <= End; I += 8) {
+      uint64_t Word;
+      std::memcpy(&Word, Buf.data() + I, 8);
+      H.u64(Word);
+    }
+  }
   uint64_t Acc = 0;
   unsigned N = 0;
-  for (std::size_t I = 0; I < End; ++I) {
+  for (; I < End; ++I) {
     Acc |= static_cast<uint64_t>(Buf[I]) << (8 * N);
     if (++N == 8) {
       H.u64(Acc);
@@ -253,8 +263,9 @@ std::optional<CachedMethod> decodeMethodBlob(std::span<const uint8_t> Bytes) {
 
   // The load boundary is where trust is established: everything the
   // outliner and linker assume about side info is re-checked here, exactly
-  // as it is for methods deserialized from an OAT file.
-  if (codegen::validateSideInfo(M))
+  // as it is for methods deserialized from an OAT file. The same pass
+  // derives the facts LTBO would otherwise decode the method again for.
+  if (codegen::analyzeSideInfo(M, &CM.Facts))
     return std::nullopt;
   return CM;
 }

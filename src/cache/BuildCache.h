@@ -22,7 +22,8 @@
 /// Correctness stance: the cache is an accelerator, never an authority.
 /// Every blob carries a magic, the format version, and a trailing content
 /// checksum; loads are bounds-checked, method blobs flow through
-/// SideInfoValidator, and ANY anomaly — truncation, corruption, version
+/// SideInfoValidator (whose decode pass also yields the method's LTBO
+/// facts, so a hit is decoded once per build), and ANY anomaly — truncation, corruption, version
 /// skew, validation failure — degrades to a miss so the cold path
 /// recomputes. A corrupt cache can cost time; it can never crash the build
 /// or change its output (verify::FaultInjector's cache-mutation kinds
@@ -39,6 +40,7 @@
 
 #include "cache/Digest.h"
 #include "codegen/CompiledMethod.h"
+#include "codegen/SideInfoValidator.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -61,6 +63,9 @@ struct CachedMethod {
   /// HIR simplification count of the original compile, preserved so warm
   /// BuildStats match cold ones.
   uint32_t HirInsnsSimplified = 0;
+  /// Method's facts, derived by the load's own deep validation
+  /// (codegen::analyzeSideInfo) — never read from the blob.
+  codegen::MethodFacts Facts;
 };
 
 /// One cached candidate of a group's canonical selection, in

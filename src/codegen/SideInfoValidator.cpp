@@ -80,6 +80,17 @@ std::string atOffset(uint32_t Off) {
   return "at method-local offset " + std::to_string(Off);
 }
 
+/// True when executing \p I inside an outlined function would observe or
+/// destroy the return address the outlining `bl` produced. Unused register
+/// fields of Insn are zero, so checking all of them is exact for the
+/// supported subset.
+bool touchesLr(const a64::Insn &I) {
+  if (I.Op == a64::Opcode::Bl || I.Op == a64::Opcode::Blr)
+    return true; // Implicit LR write.
+  return I.Rd == a64::LR || I.Rn == a64::LR || I.Rm == a64::LR ||
+         I.Ra == a64::LR;
+}
+
 } // namespace
 
 SideInfoDiag codegen::validateSideInfoShape(const MethodSideInfo &Side,
@@ -154,37 +165,62 @@ SideInfoDiag codegen::validateSideInfoShape(const MethodSideInfo &Side,
   return SideInfoDiag{};
 }
 
+void MethodFacts::keepOnlySlowPaths(const MethodSideInfo &Side) {
+  constexpr uint8_t InSlowPath = 4;
+  for (const ByteRange &R : Side.SlowPathRanges)
+    for (uint32_t W = R.Begin / 4; W < R.End / 4; ++W)
+      Flags[W] |= InSlowPath;
+  for (uint8_t &F : Flags)
+    F = F & InSlowPath ? F & ~InSlowPath : F | Separator;
+}
+
 SideInfoDiag codegen::validateSideInfo(const CompiledMethod &M) {
+  return analyzeSideInfo(M, nullptr);
+}
+
+SideInfoDiag codegen::analyzeSideInfo(const CompiledMethod &M,
+                                      MethodFacts *Facts) {
   if (auto D = validateSideInfoShape(M.Side, M.codeSizeBytes()))
     return D;
 
+  // One flag byte per word: the two public MethodFacts bits plus scratch
+  // bits that replace per-word lookups into the records. The shape check
+  // above put every record in bounds.
+  constexpr uint8_t Separator = MethodFacts::Separator;
+  constexpr uint8_t IsData = 4;
+  constexpr uint8_t RecordedTerminator = 8;
+  constexpr uint8_t RecordedPcRel = 16;
+  constexpr uint8_t DecodedTerminator = 32;
   const std::size_t NumWords = M.Code.size();
-  std::vector<uint8_t> IsData(NumWords, 0);
+  std::vector<uint8_t> Scratch;
+  std::vector<uint8_t> &Flags = Facts ? Facts->Flags : Scratch;
+  Flags.assign(NumWords, 0);
   for (const EmbeddedDataRange &D : M.Side.EmbeddedData)
     for (uint32_t W = D.Offset / 4; W < (D.Offset + D.Size) / 4; ++W)
-      IsData[W] = 1;
+      Flags[W] = IsData | Separator;
 
-  for (uint32_t Off : M.Side.TerminatorOffsets)
-    if (IsData[Off / 4])
+  for (uint32_t Off : M.Side.TerminatorOffsets) {
+    if (Flags[Off / 4] & IsData)
       return fault(SideInfoFault::MetadataInsideData,
                    "terminator " + atOffset(Off));
-  for (const PcRelRecord &R : M.Side.PcRelRecords)
-    if (IsData[R.InsnOffset / 4])
+    Flags[Off / 4] |= RecordedTerminator | Separator;
+  }
+  for (const PcRelRecord &R : M.Side.PcRelRecords) {
+    if (Flags[R.InsnOffset / 4] & IsData)
       return fault(SideInfoFault::MetadataInsideData,
                    "pc-rel record " + atOffset(R.InsnOffset));
-
-  std::vector<uint32_t> PcRelOffs;
-  PcRelOffs.reserve(M.Side.PcRelRecords.size());
-  for (const PcRelRecord &R : M.Side.PcRelRecords)
-    PcRelOffs.push_back(R.InsnOffset);
-  std::sort(PcRelOffs.begin(), PcRelOffs.end());
+    Flags[R.InsnOffset / 4] |= RecordedPcRel | Separator;
+    if (R.TargetOffset / 4 < NumWords)
+      Flags[R.TargetOffset / 4] |= MethodFacts::BranchTarget;
+  }
 
   // Whole-body decode pass: everything the outliner would need a record for
   // must actually be recorded, or moving code around would silently break
   // control flow (the completeness half of the contract; validateOat only
   // checks the records that are present).
   for (std::size_t W = 0; W < NumWords; ++W) {
-    if (IsData[W])
+    uint8_t &F = Flags[W];
+    if (F & IsData)
       continue;
     uint32_t Off = static_cast<uint32_t>(W * 4);
     auto I = a64::decode(M.Code[W]);
@@ -192,21 +228,22 @@ SideInfoDiag codegen::validateSideInfo(const CompiledMethod &M) {
       return fault(SideInfoFault::UndecodableWord, atOffset(Off));
     if (a64::isIndirectJump(I->Op) && !M.Side.HasIndirectJump)
       return fault(SideInfoFault::UndeclaredIndirectJump, atOffset(Off));
-    if (a64::isTerminator(I->Op) &&
-        !std::binary_search(M.Side.TerminatorOffsets.begin(),
-                            M.Side.TerminatorOffsets.end(), Off))
-      return fault(SideInfoFault::TerminatorUnrecorded, atOffset(Off));
+    if (a64::isTerminator(I->Op)) {
+      if (!(F & RecordedTerminator))
+        return fault(SideInfoFault::TerminatorUnrecorded, atOffset(Off));
+      F |= DecodedTerminator;
+    }
     if (a64::isPcRelative(I->Op) && I->Op != a64::Opcode::Bl &&
-        !std::binary_search(PcRelOffs.begin(), PcRelOffs.end(), Off))
+        !(F & RecordedPcRel))
       return fault(SideInfoFault::PcRelUnrecorded, atOffset(Off));
+    if (touchesLr(*I))
+      F |= Separator;
   }
 
-  for (uint32_t Off : M.Side.TerminatorOffsets) {
-    auto I = a64::decode(M.Code[Off / 4]);
-    if (!I || !a64::isTerminator(I->Op))
+  // Every recorded word is code (checked above) and decoded in the loop.
+  for (uint32_t Off : M.Side.TerminatorOffsets)
+    if (!(Flags[Off / 4] & DecodedTerminator))
       return fault(SideInfoFault::TerminatorNotAtTerminator, atOffset(Off));
-  }
-
   for (const PcRelRecord &R : M.Side.PcRelRecords) {
     auto I = a64::decode(M.Code[R.InsnOffset / 4]);
     if (!I || !a64::isPcRelative(I->Op))
@@ -236,5 +273,8 @@ SideInfoDiag codegen::validateSideInfo(const CompiledMethod &M) {
     }
   }
 
+  if (Facts)
+    for (uint8_t &F : Flags)
+      F &= Separator | MethodFacts::BranchTarget;
   return SideInfoDiag{};
 }

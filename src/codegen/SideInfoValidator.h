@@ -14,11 +14,14 @@
 /// Two levels:
 ///  - validateSideInfoShape: pure range/ordering checks against the code
 ///    size. Cheap; used at parse time where only the byte layout is known.
-///  - validateSideInfo: shape plus full consistency against the decoded
+///  - analyzeSideInfo: shape plus full consistency against the decoded
 ///    instruction stream (recorded offsets land on matching instructions,
 ///    recorded targets agree with the encoded displacements, and nothing
-///    the outliner would need to know about is missing). Used by runLtbo
-///    to decide, per method, whether outlining is safe.
+///    the outliner would need to know about is missing). The same decode
+///    loop derives the per-word MethodFacts LTBO's repeat detection needs
+///    (separators and branch targets), so a method is decoded once per
+///    build: on cache load, or in LTBO Phase A when nothing was loaded.
+///    validateSideInfo is the same check without the facts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 namespace calibro {
 namespace codegen {
@@ -85,13 +89,39 @@ struct SideInfoDiag {
 SideInfoDiag validateSideInfoShape(const MethodSideInfo &Side,
                                    uint32_t CodeSizeBytes);
 
+/// What LTBO's repeat detection needs to know about each code word of one
+/// method (paper §3.3.2), derived by analyzeSideInfo. A pure function of
+/// the method's code and side info.
+struct MethodFacts {
+  /// The word may not sit inside an outlined sequence: embedded data, a
+  /// terminator, a PC-relative instruction, or an instruction that reads
+  /// or writes x30 (an outlined body must preserve the return address its
+  /// `bl` just produced).
+  static constexpr uint8_t Separator = 1;
+  /// Some recorded PC-relative instruction targets the word. An
+  /// occurrence may start there but must not contain it in its interior.
+  static constexpr uint8_t BranchTarget = 2;
+
+  std::vector<uint8_t> Flags; ///< One per code word.
+
+  /// Hot-function filtering (paper §3.4.2): marks every word outside the
+  /// slow-path ranges of \p Side a separator, so only the recorded slow
+  /// paths of a hot method stay outlinable.
+  void keepOnlySlowPaths(const MethodSideInfo &Side);
+};
+
 /// Full validation of \p M's side info: shape plus consistency with the
 /// decoded code — every recorded terminator/PC-rel offset lands on a
 /// matching instruction whose encoded displacement agrees with the record,
 /// every decoded terminator and PC-relative instruction (except `bl`, which
 /// is tracked by symbolic relocations) is recorded, literal loads target
 /// recorded embedded data with room for their width, and `br` only appears
-/// when HasIndirectJump is set.
+/// when HasIndirectJump is set. When the method is valid and \p Facts is
+/// non-null, fills it from the same decode pass; on a fault its contents
+/// are unspecified.
+SideInfoDiag analyzeSideInfo(const CompiledMethod &M, MethodFacts *Facts);
+
+/// analyzeSideInfo without the facts.
 SideInfoDiag validateSideInfo(const CompiledMethod &M);
 
 } // namespace codegen

@@ -23,7 +23,17 @@ using namespace calibro::core;
 
 Expected<CompiledApp> core::compileApp(const dex::App &App,
                                        const CalibroOptions &Opts) {
-  if (auto E = dex::verifyApp(App))
+  // One pool serves dex verification and the compile fan-out. Daemon mode
+  // uses the shared pool under this job's fairness group, so concurrent
+  // jobs interleave instead of serializing.
+  std::unique_ptr<ThreadPool> OwnedPool;
+  ThreadPool *Pool = Opts.Pool;
+  const ThreadPool::GroupId PoolGroup = Pool ? Opts.PoolGroup : 0;
+  if (!Pool && Opts.CompileThreads != 1) {
+    OwnedPool = std::make_unique<ThreadPool>(Opts.CompileThreads);
+    Pool = OwnedPool.get();
+  }
+  if (auto E = dex::verifyApp(App, Pool, PoolGroup))
     return E;
 
   CompiledApp Result;
@@ -61,6 +71,7 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   std::vector<std::size_t> Simplified(Order.size(), 0);
   std::vector<std::string> Errors(Order.size());
   std::vector<cache::Digest> Digests(Cache ? Order.size() : 0);
+  std::vector<codegen::MethodFacts> Facts(Cache ? Order.size() : 0);
   std::vector<uint8_t> CacheHit(Order.size(), 0);
   auto Pipeline = hir::defaultPipeline();
 
@@ -78,6 +89,7 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
           Methods[I] = std::move(CM->Method);
           Simplified[I] = CM->HirInsnsSimplified;
           Digests[I] = cache::methodContentDigest(Methods[I]);
+          Facts[I] = std::move(CM->Facts);
           CacheHit[I] = 1;
           return;
         }
@@ -102,17 +114,13 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
     }
   };
 
-  if (Opts.Pool) {
-    // Daemon mode: fan out on the shared pool under this job's fairness
-    // group, so concurrent jobs interleave instead of serializing.
-    Opts.Pool->parallelForIn(Opts.PoolGroup, Order.size(), CompileOne);
-  } else if (Opts.CompileThreads == 1) {
+  if (Pool) {
+    Pool->parallelForIn(PoolGroup, Order.size(), CompileOne);
+  } else {
     for (std::size_t I = 0; I < Order.size(); ++I)
       CompileOne(I);
-  } else {
-    ThreadPool Pool(Opts.CompileThreads);
-    Pool.parallelFor(Order.size(), CompileOne);
   }
+  OwnedPool.reset();
 
   for (std::size_t I = 0; I < Order.size(); ++I) {
     if (!Errors[I].empty())
@@ -133,6 +141,7 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   Result.Methods = std::move(Methods);
   Result.Stubs = StubCache.takeStubs();
   Result.MethodDigests = std::move(Digests);
+  Result.MethodFacts = std::move(Facts);
 
   // Dex-level call graph for the closed-world analyses, which arm only
   // when the app declares entrypoints: an open-world app skips it and
@@ -164,6 +173,22 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
   std::size_t MergedIdentical = 0, MergedThunk = 0;
   uint64_t MergeSavedBytes = 0;
   std::size_t GraphAnomalies = 0, RepairedEdges = 0;
+
+  // Facts of the cache hits, re-keyed by MethodIdx before GC and merge
+  // reshuffle Methods.
+  std::vector<PriorFacts> Prior;
+  if (Opts.EnableLtbo && App.MethodFacts.size() == App.Methods.size() &&
+      App.MethodDigests.size() == App.Methods.size()) {
+    for (std::size_t I = 0; I < App.Methods.size(); ++I) {
+      if (App.MethodFacts[I].Flags.empty())
+        continue;
+      const uint32_t Idx = App.Methods[I].MethodIdx;
+      if (Idx >= Prior.size())
+        Prior.resize(std::max<std::size_t>(Idx + 1, App.Methods.size()));
+      Prior[Idx] = {App.MethodDigests[I], std::move(App.MethodFacts[I])};
+    }
+  }
+  App.MethodFacts = {};
 
   const bool ClosedWorld = App.HasAnalysis && !App.Graph.Entrypoints.empty();
   if (ClosedWorld && (Opts.EnableGc || Opts.EnableMerge)) {
@@ -266,6 +291,7 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
     }
     if (!MergePinned.empty())
       OOpts.PinnedMethods = &MergePinned;
+    OOpts.Facts = &Prior;
     auto R = runLtbo(App.Methods, OOpts);
     if (!R)
       return R.takeError();

@@ -170,11 +170,18 @@ struct CompiledApp {
   std::vector<codegen::CompiledMethod> Methods;
   std::vector<codegen::CtoStub> Stubs;
   /// Content digest of each compiled method (parallel to Methods),
-  /// populated when a cache directory is configured. Purely observational:
-  /// the outliner recomputes digests from the methods it actually links,
-  /// so mutations between compile and link can never replay stale cache
-  /// entries.
+  /// populated when a cache is configured. Each digest names the body its
+  /// method's MethodFacts entry was derived from. LTBO recomputes every
+  /// digest from the method it actually links and reuses the facts only
+  /// on a match, so mutations between compile and link can never replay
+  /// stale facts or stale cache entries.
   std::vector<cache::Digest> MethodDigests;
+  /// Facts of each cache hit, derived by the load's deep validation
+  /// (parallel to Methods; empty Flags for methods compiled in this build,
+  /// and empty when no cache is configured). prepareLink hands them to
+  /// LTBO Phase A, which drops them once it is done. Clearing the vector
+  /// only costs Phase A the decode it saves.
+  std::vector<codegen::MethodFacts> MethodFacts;
   /// The dex-level call graph (invoke sites + CHA virtual fan-out),
   /// built by compileApp only for closed worlds (declared entrypoints);
   /// HasAnalysis says whether it was. linkApp refines it with binary

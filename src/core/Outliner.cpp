@@ -6,7 +6,6 @@
 
 #include "core/Outliner.h"
 
-#include "aarch64/Decoder.h"
 #include "aarch64/Encoder.h"
 #include "aarch64/PcRel.h"
 #include "core/BenefitModel.h"
@@ -34,17 +33,6 @@ namespace {
 /// planner and the auto-partition chooser size groups with it.
 constexpr std::size_t DetectBytesPerWord = 64;
 
-/// True when executing \p I inside an outlined function would observe or
-/// destroy the return address the outlining `bl` produced. Unused register
-/// fields of Insn are zero, so checking all of them is exact for the
-/// supported subset.
-bool touchesLr(const a64::Insn &I) {
-  if (I.Op == a64::Opcode::Bl || I.Op == a64::Opcode::Blr)
-    return true; // Implicit LR write.
-  return I.Rd == a64::LR || I.Rn == a64::LR || I.Rm == a64::LR ||
-         I.Ra == a64::LR;
-}
-
 /// One selected occurrence, in method-local coordinates.
 struct MethodOcc {
   uint32_t WordStart = 0;
@@ -57,62 +45,6 @@ struct PosInfo {
   int32_t MethodRow = -1; ///< -1 for inter-method separators.
   uint32_t Word = 0;
 };
-
-/// Marks separator words for one method: embedded data, terminators,
-/// PC-relative instructions, LR-sensitive instructions, and — under hot
-/// function filtering — everything outside the slow-path ranges.
-///
-/// Runs only on methods that passed validateSideInfo, so every non-data
-/// word decodes; an undecodable word is still handled defensively (it
-/// becomes a separator and can never be outlined).
-std::vector<bool> computeSeparators(const CompiledMethod &M,
-                                    bool HotFiltered) {
-  std::size_t NumWords = M.Code.size();
-  std::vector<bool> Sep(NumWords, false);
-  std::vector<bool> IsData(NumWords, false);
-
-  for (const auto &D : M.Side.EmbeddedData)
-    for (uint32_t W = D.Offset / 4; W < (D.Offset + D.Size) / 4; ++W) {
-      Sep[W] = true;
-      IsData[W] = true;
-    }
-  for (uint32_t T : M.Side.TerminatorOffsets)
-    Sep[T / 4] = true;
-  for (const auto &R : M.Side.PcRelRecords)
-    Sep[R.InsnOffset / 4] = true;
-
-  for (std::size_t W = 0; W < NumWords; ++W) {
-    if (IsData[W])
-      continue;
-    auto I = a64::decode(M.Code[W]);
-    if (!I || touchesLr(*I))
-      Sep[W] = true;
-  }
-
-  if (HotFiltered) {
-    // Only the recorded slow paths stay outlinable (paper §3.4.2).
-    std::vector<bool> InSlowPath(NumWords, false);
-    for (const auto &R : M.Side.SlowPathRanges)
-      for (uint32_t W = R.Begin / 4; W < R.End / 4; ++W)
-        InSlowPath[W] = true;
-    for (std::size_t W = 0; W < NumWords; ++W)
-      if (!InSlowPath[W])
-        Sep[W] = true;
-  }
-  return Sep;
-}
-
-/// Marks words that some branch jumps to (from the recorded PcRelRecords).
-/// An occurrence may start at such a word but must not contain one in its
-/// interior: the interior instructions no longer exist at their old
-/// addresses after outlining.
-std::vector<bool> computeBranchTargets(const CompiledMethod &M) {
-  std::vector<bool> Target(M.Code.size(), false);
-  for (const auto &R : M.Side.PcRelRecords)
-    if (R.TargetOffset / 4 < M.Code.size())
-      Target[R.TargetOffset / 4] = true;
-  return Target;
-}
 
 /// Rewrites one method given its selected occurrences (sorted, disjoint):
 /// replaces each occurrence with a relocated `bl`, then remaps and patches
@@ -214,22 +146,24 @@ Error rewriteMethod(CompiledMethod &M, std::vector<MethodOcc> Occs) {
   return Error::success();
 }
 
-/// Phase A output for one candidate method: everything computeSeparators /
-/// computeBranchTargets derive, computed once up front (in parallel) so the
-/// per-group sequence assembly below is a cheap copy loop.
+/// Phase A output for one candidate method, computed once up front (in
+/// parallel) so the per-group sequence assembly below is a cheap copy loop.
 struct MethodPrep {
-  std::vector<bool> Sep;
-  std::vector<bool> Targets;
+  /// The method's facts; for a hot method every word outside its
+  /// slow-path ranges is also a separator.
+  MethodFacts Facts;
   /// Content digest (code + side info), computed only when detection-result
   /// reuse is on. Recomputed HERE, from the method actually being linked:
   /// a digest carried over from an earlier pipeline stage could go stale if
   /// anything mutated the methods in between, and a stale digest could
-  /// replay a wrong cached selection.
+  /// replay a wrong cached selection or reuse wrong facts.
   cache::Digest Content;
   /// Side-info validation outcome. A faulted method is skipped by the
-  /// prep (Sep/Targets stay empty) and excluded from outlining — or, in
-  /// strict mode, aborts the run.
+  /// prep (Facts stays empty) and excluded from outlining — or, in strict
+  /// mode, aborts the run.
   codegen::SideInfoDiag Diag;
+  /// Facts came from Opts.Facts instead of analyzeSideInfo.
+  bool FactsReused = false;
 };
 
 /// Rewrite work for one method, produced by selection (Phase B) and
@@ -267,10 +201,11 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
 
   for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
     const CompiledMethod &M = Methods[Rows[GI]];
-    const std::vector<bool> &Sep = Preps[GI]->Sep;
+    const std::vector<uint8_t> &Flags = Preps[GI]->Facts.Flags;
     for (std::size_t W = 0; W < M.Code.size(); ++W) {
-      Seq.push_back(Sep[W] ? st::SeparatorBase + SepCounter++
-                           : st::Symbol(M.Code[W]));
+      Seq.push_back(Flags[W] & MethodFacts::Separator
+                        ? st::SeparatorBase + SepCounter++
+                        : st::Symbol(M.Code[W]));
       Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
     }
     Seq.push_back(st::SeparatorBase + SepCounter++);
@@ -356,9 +291,9 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
       if (Ok) {
         const PosInfo &PI = Pos[P];
         assert(PI.MethodRow >= 0 && "occurrence starts at a separator");
-        const auto &TargetAt = Preps[PI.MethodRow]->Targets;
+        const auto &Flags = Preps[PI.MethodRow]->Facts.Flags;
         for (uint32_t K = 1; K < C.Len && Ok; ++K)
-          Ok = !TargetAt[PI.Word + K];
+          Ok = !(Flags[PI.Word + K] & MethodFacts::BranchTarget);
       }
       if (!Ok)
         continue;
@@ -383,7 +318,8 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
     const PosInfo &PI0 = Pos[P0];
     const CompiledMethod &SrcM = Methods[Rows[PI0.MethodRow]];
     for (uint32_t K = 0; K < C.Len; ++K) {
-      assert(!Preps[PI0.MethodRow]->Sep[PI0.Word + K] &&
+      assert(!(Preps[PI0.MethodRow]->Facts.Flags[PI0.Word + K] &
+               MethodFacts::Separator) &&
              "separator inside a repeated sequence");
       Fn.Code.push_back(SrcM.Code[PI0.Word + K]);
     }
@@ -495,9 +431,10 @@ bool replayGroup(const std::vector<CompiledMethod> &Methods,
         const PosInfo &QI = Pos[P + K];
         if (QI.MethodRow != PI.MethodRow)
           return false; // Crosses a method boundary.
-        if (Prep.Sep[PI.Word + K] || Claimed[P + K])
+        const uint8_t Flags = Prep.Facts.Flags[PI.Word + K];
+        if ((Flags & MethodFacts::Separator) || Claimed[P + K])
           return false;
-        if (K > 0 && Prep.Targets[PI.Word + K])
+        if (K > 0 && (Flags & MethodFacts::BranchTarget))
           return false; // Interior branch target.
         if (M.Code[PI.Word + K] != M0.Code[PI0.Word + K])
           return false; // Occurrences no longer share content.
@@ -591,25 +528,44 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   if (Pool && Pool->numThreads() == 1)
     Pool = nullptr; // Inline path; a 1-worker pool adds only handshakes.
 
-  // Phase A: per-method preprocessing — side-info validation first, then
-  // separators + branch targets, the decode-heavy analysis — in parallel
-  // over ALL candidates, before any sequence is assembled. Each candidate
-  // writes only its own slot, and the degradation/error scan below walks
-  // slots in candidate order afterwards, so rejections (and the strict-mode
-  // error: the lowest candidate index's) are identical for any scheduling.
+  // Phase A: per-method preprocessing in parallel over ALL candidates,
+  // before any sequence is assembled. A method whose facts came with it
+  // (Opts.Facts, derived when the cache loaded it) reuses them if its live
+  // content digest still matches; every other method runs the fused
+  // validation + facts pass. Each candidate writes only its own slot, and
+  // the degradation/error scan below walks slots in candidate order
+  // afterwards, so rejections (and the strict-mode error: the lowest
+  // candidate index's) are identical for any scheduling.
   Timer PreprocessTimer;
   std::vector<MethodPrep> Preps(Candidates.size());
+  // Hand each candidate its prior facts serially, so two candidates can
+  // never share an entry. The rest are dropped with this vector.
+  std::vector<PriorFacts> Prior;
+  if (Opts.Cache && Opts.Facts) {
+    Prior.resize(Candidates.size());
+    for (std::size_t I = 0; I < Candidates.size(); ++I) {
+      uint32_t Idx = Methods[Candidates[I]].MethodIdx;
+      if (Idx < Opts.Facts->size())
+        Prior[I] = std::move((*Opts.Facts)[Idx]);
+    }
+    *Opts.Facts = {};
+  }
   auto PrepOne = [&](std::size_t I) {
     const CompiledMethod &M = Methods[Candidates[I]];
-    bool Hot = Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx);
     MethodPrep &P = Preps[I];
-    P.Diag = codegen::validateSideInfo(M);
-    if (P.Diag)
-      return; // Invalid: never fed to detection, links verbatim.
-    P.Sep = computeSeparators(M, Hot);
-    P.Targets = computeBranchTargets(M);
     if (Opts.Cache)
       P.Content = cache::methodContentDigest(M);
+    if (!Prior.empty() && !Prior[I].Facts.Flags.empty() &&
+        Prior[I].Content == P.Content) {
+      P.Facts = std::move(Prior[I].Facts);
+      P.FactsReused = true;
+    } else {
+      P.Diag = codegen::analyzeSideInfo(M, &P.Facts);
+      if (P.Diag)
+        return; // Invalid: never fed to detection, links verbatim.
+    }
+    if (Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx))
+      P.Facts.keepOnlySlowPaths(M.Side);
   };
   if (Pool) {
     Pool->parallelForIn(PoolGroup, Candidates.size(), PrepOne);
@@ -617,6 +573,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     for (std::size_t I = 0; I < Candidates.size(); ++I)
       PrepOne(I);
   }
+  Prior = {};
   // Graceful degradation (or strict fail-fast) over the validation
   // outcomes. Accepted keeps the surviving candidate indices in input
   // order; on a fully clean run it equals 0..Candidates.size()-1 and the
@@ -639,6 +596,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     }
     if (Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx))
       ++Result.Stats.HotFilteredMethods;
+    Result.Stats.FactsReused += Preps[I].FactsReused;
     Accepted.push_back(I);
   }
   Result.Stats.PreprocessSeconds = PreprocessTimer.seconds();

@@ -40,8 +40,10 @@
 /// Independent of the partition knob, the stage itself runs as a parallel
 /// three-phase pipeline whenever Threads > 1 (even with Partitions == 1):
 ///
-///   Phase A (parallel over methods): separator + branch-target
-///     preprocessing — the decode-heavy per-method analysis.
+///   Phase A (parallel over methods): side-info validation and the
+///     per-word separator + branch-target facts, from one decode pass
+///     (codegen::analyzeSideInfo) — or none, when the cache load already
+///     derived the facts of an unchanged method.
 ///   Phase B (parallel over groups): sequence assembly, repeat detection,
 ///     and greedy candidate selection per group.
 ///   Phase C (parallel over methods): rewriteMethod fan-out — each selected
@@ -76,6 +78,13 @@ namespace core {
 /// (perfbench/src/TracedBuild.cpp) still copies one field into the other,
 /// and goes once that copy does.
 enum class DetectorKind : uint8_t { SuffixArray };
+
+/// Facts derived for one method before LTBO ran (on cache load), with the
+/// content digest of the body they describe.
+struct PriorFacts {
+  cache::Digest Content;
+  codegen::MethodFacts Facts; ///< Empty Flags: nothing known.
+};
 
 /// LTBO.2 options.
 struct OutlinerOptions {
@@ -114,6 +123,13 @@ struct OutlinerOptions {
   /// byte-identical to a cold run — a replay that fails any validation
   /// check silently falls back to detection. Null disables reuse.
   cache::BuildCache *Cache = nullptr;
+  /// Facts derived before LTBO, indexed by MethodIdx. Read only when Cache
+  /// is set, because Phase A then digests every candidate anyway: an
+  /// entry is reused only when the live method's content digest equals
+  /// its Content, and every other method runs analyzeSideInfo. Phase A
+  /// consumes the vector (moves entries out, then clears it). Null: every
+  /// method runs analyzeSideInfo.
+  std::vector<PriorFacts> *Facts = nullptr;
   /// Peak detect-phase memory budget in bytes; 0 = unbudgeted (all K
   /// groups run in one Phase B window). When set, the K groups are packed
   /// into windows whose summed estimated detect working set fits the
@@ -149,7 +165,10 @@ struct OutlineStats {
   uint64_t InsnsRemoved = 0;       ///< Net instruction-count saving.
   uint64_t SymbolCount = 0;  ///< Total sequence length fed to detection.
   uint64_t LcpIntervals = 0; ///< Sum of LCP-interval counts over groups.
-  double PreprocessSeconds = 0; ///< Phase A: separators + branch targets.
+  /// Phase A: validation + facts (analyzeSideInfo) of each candidate not
+  /// covered by reused facts, its content digest when a cache is set, and
+  /// the hot-method mask.
+  double PreprocessSeconds = 0;
   double DetectBuildSeconds = 0; ///< Phase B: suffix-array construction.
   double SelectSeconds = 0;
   double RewriteSeconds = 0;
@@ -164,6 +183,10 @@ struct OutlineStats {
   /// cache state — all group blobs are prefetched before Phase B — so the
   /// split is deterministic for any Threads.
   std::size_t GroupsReused = 0;
+  /// Accepted candidates whose Phase A facts were reused from
+  /// OutlinerOptions::Facts instead of derived. Deterministic for any
+  /// Threads.
+  std::size_t FactsReused = 0;
   /// Non-empty partition groups that ran detection (cold or fallback).
   std::size_t GroupsDetected = 0;
   /// Always 0: prefix doubling is the only suffix-array construction.

@@ -268,20 +268,49 @@ Error dex::verifyMethod(const Method &M, std::size_t TotalMethods) {
   return Error::success();
 }
 
-Error dex::verifyApp(const App &A) {
-  std::size_t Total = A.numMethods();
+Error dex::verifyApp(const App &A, ThreadPool *Pool,
+                     ThreadPool::GroupId Group) {
+  std::vector<const Method *> Order;
+  Order.reserve(A.numMethods());
+  A.forEachMethod([&](const Method &M) { Order.push_back(&M); });
+  const std::size_t Total = Order.size();
+
+  // The numbering check is serial and O(n). A serial scan checks a
+  // method's index before its body, so the first bad index loses only to
+  // a body error at a lower position.
+  std::size_t FirstBad = Total;
+  std::string IndexError;
   std::vector<bool> Seen(Total, false);
-  for (const auto &F : A.Files) {
-    for (const auto &M : F.Methods) {
-      if (M.Idx >= Total)
-        return makeError("method '" + M.Name + "': global index out of range");
-      if (Seen[M.Idx])
-        return makeError("method '" + M.Name + "': duplicate global index");
-      Seen[M.Idx] = true;
-      if (auto E = verifyMethod(M, Total))
-        return E;
+  for (std::size_t I = 0; I < Total; ++I) {
+    const Method &M = *Order[I];
+    if (M.Idx >= Total || Seen[M.Idx]) {
+      IndexError = "method '" + M.Name + "': " +
+                   (M.Idx >= Total ? "global index out of range"
+                                   : "duplicate global index");
+      FirstBad = I;
+      break;
     }
+    Seen[M.Idx] = true;
   }
+
+  // verifyMethod only builds Generic errors, so its message is the error.
+  std::vector<std::string> Errors(FirstBad);
+  auto VerifyOne = [&](std::size_t I) {
+    if (Error E = verifyMethod(*Order[I], Total))
+      Errors[I] = E.message();
+  };
+  if (Pool) {
+    Pool->parallelForIn(Group, FirstBad, VerifyOne);
+  } else {
+    for (std::size_t I = 0; I < FirstBad; ++I)
+      VerifyOne(I);
+  }
+  for (std::string &E : Errors)
+    if (!E.empty())
+      return makeError(std::move(E));
+  if (FirstBad < Total)
+    return makeError(std::move(IndexError));
+
   for (uint32_t E : A.Entrypoints)
     if (E >= Total)
       return makeError("entrypoint index " + std::to_string(E) +

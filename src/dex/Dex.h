@@ -24,6 +24,7 @@
 #define CALIBRO_DEX_DEX_H
 
 #include "support/Error.h"
+#include "support/ThreadPool.h"
 
 #include <array>
 #include <cstdint>
@@ -168,8 +169,12 @@ struct App {
 /// requirement that control cannot fall off the end of the method.
 Error verifyMethod(const Method &M, std::size_t TotalMethods);
 
-/// Verifies every method of \p A and the global-index numbering.
-Error verifyApp(const App &A);
+/// Verifies every method of \p A, the global-index numbering and the
+/// entrypoints. The per-method checks fan out on \p Pool (under fairness
+/// group \p Group) when one is given. The error is the one a serial scan
+/// in file order meets first, for any scheduling: the lowest method's.
+Error verifyApp(const App &A, ThreadPool *Pool = nullptr,
+                ThreadPool::GroupId Group = 0);
 
 } // namespace dex
 } // namespace calibro

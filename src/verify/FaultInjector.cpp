@@ -200,6 +200,22 @@ bool staleOneTarget(MethodSideInfo &S, Rng &R) {
 
 } // namespace
 
+bool verify::mutateSideInfo(MethodSideInfo &Side, MutationKind Kind, Rng &R) {
+  switch (Kind) {
+  case MutationKind::BitFlipSideInfo:
+    flipOneBit(Side, R);
+    return true;
+  case MutationKind::DropSideInfoEntry:
+    return dropOneEntry(Side, R);
+  case MutationKind::SwapRangeEndpoints:
+    return swapOneRange(Side, R);
+  case MutationKind::StaleBranchTarget:
+    return staleOneTarget(Side, R);
+  default:
+    return false;
+  }
+}
+
 Expected<FaultInjector> FaultInjector::create(const workload::AppSpec &Spec,
                                               const FaultInjectorOptions &Opts) {
   FaultInjector Inj;
@@ -545,25 +561,10 @@ Expected<FaultReport> FaultInjector::run(uint64_t Seed, MutationKind Kind,
     std::size_t Start =
         static_cast<std::size_t>(R.nextBelow(CandidateRows.size()));
     bool Applied = false;
-    for (std::size_t K = 0; K < CandidateRows.size() && !Applied; ++K) {
-      MethodSideInfo &S =
-          Methods[CandidateRows[(Start + K) % CandidateRows.size()]].Side;
-      switch (Kind) {
-      case MutationKind::BitFlipSideInfo:
-        flipOneBit(S, R);
-        Applied = true;
-        break;
-      case MutationKind::DropSideInfoEntry:
-        Applied = dropOneEntry(S, R);
-        break;
-      case MutationKind::SwapRangeEndpoints:
-        Applied = swapOneRange(S, R);
-        break;
-      default:
-        Applied = staleOneTarget(S, R);
-        break;
-      }
-    }
+    for (std::size_t K = 0; K < CandidateRows.size() && !Applied; ++K)
+      Applied = mutateSideInfo(
+          Methods[CandidateRows[(Start + K) % CandidateRows.size()]].Side,
+          Kind, R);
     if (!Applied) {
       FaultReport Rep;
       Rep.Kind = Kind;

@@ -63,6 +63,13 @@ inline constexpr std::size_t NumMutationKinds = 12;
 /// Returns a stable kebab-case name for \p K.
 const char *mutationKindName(MutationKind K);
 
+/// Applies one \p R-seeded mutation of a side-info kind (BitFlipSideInfo,
+/// DropSideInfoEntry, SwapRangeEndpoints, StaleBranchTarget) to \p Side:
+/// the single fault FaultInjector::run plants in one candidate method.
+/// Returns false, leaving \p Side unchanged, when it has no record the
+/// kind needs or \p Kind is not a side-info kind.
+bool mutateSideInfo(codegen::MethodSideInfo &Side, MutationKind Kind, Rng &R);
+
 /// How one mutated run ended (the allowed trichotomy).
 enum class FaultOutcome : uint8_t {
   Rejected, ///< Typed error; no image shipped.

@@ -16,10 +16,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "aarch64/Encoder.h"
 #include "cache/BuildCache.h"
 #include "cache/Digest.h"
 #include "cache/ShardedCache.h"
 #include "core/Calibro.h"
+#include "core/Outliner.h"
 #include "oat/Serialize.h"
 #include "workload/Workload.h"
 
@@ -29,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -264,6 +267,42 @@ TEST(CacheStore, MethodBlobRoundtripAndAudit) {
   EXPECT_GT(A.TotalBytes, 0u);
 }
 
+TEST(CacheStore, BlobChecksumsMatchTheByteLoopValues) {
+  // Eight blobs whose names grow by one byte, so the checksummed length
+  // takes every residue mod 8. The pinned digest of their checksum
+  // trailers was recorded with the byte-at-a-time loader; the word loader
+  // must reproduce it without a format bump.
+  TempCacheDir Dir("checksum");
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  codegen::CompiledMethod M;
+  M.MethodIdx = 3;
+  a64::Insn Ret{.Op = a64::Opcode::Ret};
+  Ret.Rn = a64::LR;
+  M.Code = {a64::encode(a64::Insn{.Op = a64::Opcode::Nop}), a64::encode(Ret)};
+  M.Side.TerminatorOffsets = {4};
+  cache::Hasher Trailers;
+  for (uint32_t Len = 1; Len <= 8; ++Len) {
+    M.Name = std::string(Len, 'm');
+    cache::Hasher Key;
+    Key.u32(Len);
+    const cache::Digest K = Key.finish();
+    (*Cache)->storeMethod(K, M, Len);
+    std::ifstream In((*Cache)->methodPath(K), std::ios::binary);
+    std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
+                               std::istreambuf_iterator<char>());
+    ASSERT_GE(Bytes.size(), 16u);
+    for (std::size_t I = Bytes.size() - 16; I < Bytes.size(); ++I)
+      Trailers.u8(Bytes[I]);
+    auto Loaded = (*Cache)->loadMethod(K);
+    ASSERT_TRUE(Loaded.has_value()) << Len;
+    EXPECT_TRUE(Loaded->Method == M) << Len;
+  }
+  const cache::Digest D = Trailers.finish();
+  EXPECT_EQ(D.Lo, 0xd367b15f74125514ULL) << std::hex << D.Lo;
+  EXPECT_EQ(D.Hi, 0x51f984a62eb6e1a1ULL) << std::hex << D.Hi;
+}
+
 TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   TempCacheDir Dir("warm");
   dex::App App = workload::makeApp(testSpec());
@@ -388,10 +427,156 @@ TEST(CacheWarm, CountersAreDeterministicForAnyThreadCount) {
     EXPECT_EQ(Warm->Stats.GroupsReused, First->GroupsReused) << Threads;
     EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, First->Ltbo.GroupsDetected)
         << Threads;
+    EXPECT_EQ(Warm->Stats.Ltbo.FactsReused, First->Ltbo.FactsReused)
+        << Threads;
   }
   ASSERT_TRUE(First.has_value());
   EXPECT_EQ(First->CacheHits, App.numMethods());
   EXPECT_EQ(First->CacheMisses, 0u);
+  // Fully warm: every accepted candidate reuses its load-time facts. A
+  // cold build and a cacheless one derive them all in Phase A.
+  EXPECT_GT(First->Ltbo.FactsReused, 0u);
+  EXPECT_EQ(First->Ltbo.FactsReused,
+            First->Ltbo.CandidateMethods - First->Ltbo.MethodsRejected);
+  EXPECT_EQ(Cold->Stats.Ltbo.FactsReused, 0u);
+  auto NoCache = Opts;
+  NoCache.CacheDir.clear();
+  for (uint32_t Threads : {1u, 4u, 8u}) {
+    NoCache.CompileThreads = NoCache.LtboThreads = Threads;
+    auto Plain = core::buildApp(App, NoCache);
+    ASSERT_TRUE(bool(Plain)) << Plain.message();
+    EXPECT_EQ(Plain->Stats.Ltbo.FactsReused, 0u) << Threads;
+  }
+}
+
+namespace {
+
+/// One edit of a warm CompiledApp between compile and link.
+struct StaleEdit {
+  const char *Name;
+  bool Rejects; ///< The edited method fails validation; else two swap.
+  std::function<void(core::CompiledApp &)> Apply;
+};
+
+/// Rows of two outlining candidates with distinct bodies, both with a
+/// terminator record and a PC-relative record.
+std::pair<std::size_t, std::size_t>
+twoCandidates(const std::vector<codegen::CompiledMethod> &Methods) {
+  std::vector<std::size_t> Rows;
+  for (std::size_t I = 0; I < Methods.size() && Rows.size() < 2; ++I) {
+    const codegen::CompiledMethod &M = Methods[I];
+    if (M.Side.IsNative || M.Side.HasIndirectJump ||
+        M.Side.TerminatorOffsets.empty() || M.Side.PcRelRecords.empty() ||
+        (!Rows.empty() && Methods[Rows[0]].Code == M.Code))
+      continue;
+    Rows.push_back(I);
+  }
+  EXPECT_EQ(Rows.size(), 2u);
+  return {Rows.at(0), Rows.at(1)};
+}
+
+std::vector<StaleEdit> staleEdits(std::size_t A, std::size_t B) {
+  return {
+      {"code word", true,
+       [A](core::CompiledApp &C) {
+         // A word no decoder accepts: the method must now be rejected.
+         C.Methods[A].Code[0] = 0;
+       }},
+      {"side-info record", true,
+       [A](core::CompiledApp &C) {
+         auto &T = C.Methods[A].Side.TerminatorOffsets;
+         T.erase(T.begin());
+       }},
+      {"swapped bodies", false,
+       [A, B](core::CompiledApp &C) {
+         std::swap(C.Methods[A].Code, C.Methods[B].Code);
+         std::swap(C.Methods[A].Side, C.Methods[B].Side);
+         std::swap(C.Methods[A].Relocs, C.Methods[B].Relocs);
+         std::swap(C.Methods[A].Map, C.Methods[B].Map);
+       }},
+  };
+}
+
+} // namespace
+
+TEST(CacheWarm, StaleFactsAreNeverReused) {
+  // A warm compile carries load-time facts to LTBO. Whatever changes a
+  // method between compile and link must make LTBO derive its facts
+  // afresh: the link must equal linking the same mutated app without
+  // facts, in bytes, rejections and strict-mode error text.
+  TempCacheDir Dir("stale-facts");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  ASSERT_TRUE(bool(core::buildApp(App, Opts)));
+
+  auto Probe = core::compileApp(App, Opts);
+  ASSERT_TRUE(bool(Probe)) << Probe.message();
+  ASSERT_EQ(Probe->Stats.CacheMisses, 0u);
+  const auto [RowA, RowB] = twoCandidates(Probe->Methods);
+
+  for (bool Strict : {false, true}) {
+    for (const StaleEdit &E : staleEdits(RowA, RowB)) {
+      SCOPED_TRACE(std::string(E.Name) + (Strict ? ", strict" : ""));
+      auto O = Opts;
+      O.StrictSideInfo = Strict;
+      auto Warm = core::compileApp(App, O);
+      ASSERT_TRUE(bool(Warm)) << Warm.message();
+      ASSERT_FALSE(Warm->MethodFacts[RowA].Flags.empty());
+      E.Apply(*Warm);
+      core::CompiledApp Cleared = *Warm;
+      Cleared.MethodFacts.clear();
+
+      // The outliner's own view: the rejected methods, in order.
+      auto Outline = [&](core::CompiledApp C, bool WithFacts) {
+        std::vector<core::PriorFacts> Prior(C.Methods.size());
+        if (WithFacts)
+          for (std::size_t I = 0; I < C.Methods.size(); ++I)
+            Prior[C.Methods[I].MethodIdx] = {C.MethodDigests[I],
+                                             C.MethodFacts[I]};
+        auto Store = cache::BuildCache::open(Dir.str());
+        EXPECT_TRUE(bool(Store)) << Store.message();
+        core::OutlinerOptions OO;
+        OO.Partitions = O.LtboPartitions;
+        OO.Cache = Store->get();
+        OO.Facts = &Prior;
+        auto R = core::runLtbo(C.Methods, OO);
+        std::vector<std::string> Rejected;
+        EXPECT_TRUE(bool(R)) << R.message();
+        if (!R)
+          return Rejected;
+        for (const core::RejectedMethod &RM : R->Rejected)
+          Rejected.push_back(std::to_string(RM.MethodIdx) + " " + RM.Name +
+                             " " + codegen::sideInfoFaultName(RM.Fault) +
+                             " " + RM.Detail);
+        return Rejected;
+      };
+      if (!Strict) {
+        EXPECT_EQ(Outline(*Warm, true), Outline(Cleared, false));
+      }
+
+      auto WithFacts = core::linkApp(std::move(*Warm), O);
+      auto WithoutFacts = core::linkApp(std::move(Cleared), O);
+      ASSERT_EQ(bool(WithFacts), bool(WithoutFacts));
+      if (!WithFacts) {
+        EXPECT_TRUE(Strict);
+        Error A = WithFacts.takeError(), B = WithoutFacts.takeError();
+        EXPECT_EQ(A.message(), B.message());
+        consumeError(std::move(A));
+        consumeError(std::move(B));
+        continue;
+      }
+      EXPECT_EQ(oat::serializeOat(WithFacts->Oat),
+                oat::serializeOat(WithoutFacts->Oat));
+      const core::OutlineStats &S = WithFacts->Stats.Ltbo;
+      EXPECT_EQ(S.MethodsRejected, WithoutFacts->Stats.Ltbo.MethodsRejected);
+      EXPECT_EQ(S.RejectedByFault, WithoutFacts->Stats.Ltbo.RejectedByFault);
+      EXPECT_EQ(WithoutFacts->Stats.Ltbo.FactsReused, 0u);
+      // Only the edited methods lost their facts.
+      EXPECT_EQ(S.MethodsRejected, E.Rejects ? 1u : 0u);
+      EXPECT_EQ(S.FactsReused,
+                S.CandidateMethods - S.MethodsRejected - (E.Rejects ? 0 : 2));
+    }
+  }
 }
 
 TEST(CacheDamage, CorruptAndTruncatedBlobsDegradeToMisses) {

@@ -4,9 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Calibro.h"
 #include "dex/Dex.h"
+#include "support/ThreadPool.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace calibro;
 using namespace calibro::dex;
@@ -169,6 +180,148 @@ TEST(DexApp, Lookup) {
   EXPECT_EQ(A.numMethods(), 1u);
   ASSERT_NE(A.findMethod(3), nullptr);
   EXPECT_EQ(A.findMethod(0), nullptr);
+}
+
+/// The serial whole-app scan verifyApp replaced, verbatim: its error text
+/// is the reference the pooled verifier must reproduce.
+Error serialVerifyApp(const App &A) {
+  std::size_t Total = A.numMethods();
+  std::vector<bool> Seen(Total, false);
+  for (const auto &F : A.Files) {
+    for (const auto &M : F.Methods) {
+      if (M.Idx >= Total)
+        return makeError("method '" + M.Name + "': global index out of range");
+      if (Seen[M.Idx])
+        return makeError("method '" + M.Name + "': duplicate global index");
+      Seen[M.Idx] = true;
+      if (auto E = verifyMethod(M, Total))
+        return E;
+    }
+  }
+  for (uint32_t E : A.Entrypoints)
+    if (E >= Total)
+      return makeError("entrypoint index " + std::to_string(E) +
+                       " out of range");
+  return Error::success();
+}
+
+/// The message of \p E, or "ok"; consumes it.
+std::string outcome(Error E) { return E ? E.message() : "ok"; }
+
+/// The method at file-order position \p Pos.
+Method &methodAt(App &A, std::size_t Pos) {
+  for (auto &F : A.Files) {
+    if (Pos < F.Methods.size())
+      return F.Methods[Pos];
+    Pos -= F.Methods.size();
+  }
+  ADD_FAILURE() << "no method at position";
+  return A.Files.front().Methods.front();
+}
+
+/// File-order positions of the non-native methods of \p A.
+std::vector<std::size_t> bodyPositions(const App &A) {
+  std::vector<std::size_t> Out;
+  std::size_t Pos = 0;
+  A.forEachMethod([&](const Method &M) {
+    if (!M.IsNative)
+      Out.push_back(Pos);
+    ++Pos;
+  });
+  return Out;
+}
+
+TEST(DexApp, PooledVerificationMatchesTheSerialScan) {
+  workload::AppSpec Spec;
+  Spec.Name = "verifyapp";
+  Spec.Seed = 77;
+  Spec.NumWorkers = 60;
+  Spec.NumUtilities = 30;
+  Spec.ClosedWorld = true;
+  const App Clean = workload::makeApp(Spec);
+  const std::size_t Total = Clean.numMethods();
+  const std::vector<std::size_t> Bodies = bodyPositions(Clean);
+  ASSERT_GT(Bodies.size(), 10u);
+  const std::size_t First = Bodies.front(), Middle = Bodies[Bodies.size() / 2],
+                    Last = Bodies.back();
+  auto BadBody = [](App &A, std::size_t Pos) { methodAt(A, Pos).NumRegs = 65; };
+
+  std::vector<std::pair<std::string, std::function<void(App &)>>> Cases = {
+      {"clean", [](App &) {}},
+      {"bad first", [&](App &A) { BadBody(A, First); }},
+      {"bad middle", [&](App &A) { BadBody(A, Middle); }},
+      {"bad last", [&](App &A) { BadBody(A, Last); }},
+      {"two bad, lowest wins",
+       [&](App &A) {
+         BadBody(A, Last);
+         BadBody(A, Middle);
+       }},
+      {"duplicate index",
+       [&](App &A) { methodAt(A, Middle).Idx = methodAt(A, First).Idx; }},
+      {"index out of range",
+       [&](App &A) { methodAt(A, Middle).Idx = static_cast<uint32_t>(Total); }},
+      {"bad entrypoint",
+       [&](App &A) { A.Entrypoints.push_back(static_cast<uint32_t>(Total)); }},
+      {"bad body before a bad index",
+       [&](App &A) {
+         BadBody(A, First);
+         methodAt(A, Middle).Idx = static_cast<uint32_t>(Total);
+       }},
+      {"bad index before a bad body",
+       [&](App &A) {
+         BadBody(A, Last);
+         methodAt(A, Middle).Idx = static_cast<uint32_t>(Total + 3);
+       }},
+      {"bad body and a bad entrypoint",
+       [&](App &A) {
+         BadBody(A, Last);
+         A.Entrypoints.push_back(static_cast<uint32_t>(Total));
+       }},
+  };
+  for (const auto &[Name, Break] : Cases) {
+    App A = Clean;
+    Break(A);
+    const std::string Want = outcome(serialVerifyApp(A));
+    EXPECT_EQ(Want == "ok", Name == "clean") << Name << ": " << Want;
+    EXPECT_EQ(outcome(verifyApp(A)), Want) << Name;
+    for (uint32_t Threads : {1u, 4u, 8u}) {
+      ThreadPool Pool(Threads);
+      EXPECT_EQ(outcome(verifyApp(A, &Pool)), Want)
+          << Name << ", threads " << Threads;
+      ThreadPool::GroupId G = Pool.createGroup();
+      EXPECT_EQ(outcome(verifyApp(A, &Pool, G)), Want)
+          << Name << ", threads " << Threads << ", group";
+      Pool.releaseGroup(G);
+    }
+  }
+}
+
+TEST(DexApp, FailedVerificationStoresNoCacheBlob) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::temp_directory_path() /
+                       ("calibro-test-dex-" + std::to_string(::getpid()));
+  fs::remove_all(Dir);
+  workload::AppSpec Spec;
+  Spec.Seed = 5;
+  Spec.NumWorkers = 30;
+  Spec.NumUtilities = 10;
+  App A = workload::makeApp(Spec);
+  methodAt(A, bodyPositions(A).back()).NumRegs = 65;
+  for (uint32_t Threads : {1u, 4u}) {
+    core::CalibroOptions Opts;
+    Opts.EnableCto = Opts.EnableLtbo = true;
+    Opts.CompileThreads = Threads;
+    Opts.CacheDir = Dir.string();
+    auto C = core::compileApp(A, Opts);
+    ASSERT_FALSE(bool(C));
+    EXPECT_EQ(outcome(C.takeError()), outcome(serialVerifyApp(A)));
+    std::size_t Blobs = 0;
+    if (fs::exists(Dir / "m"))
+      for ([[maybe_unused]] const auto &E : fs::directory_iterator(Dir / "m"))
+        ++Blobs;
+    EXPECT_EQ(Blobs, 0u) << Threads;
+  }
+  fs::remove_all(Dir);
 }
 
 TEST(DexOps, Classification) {
