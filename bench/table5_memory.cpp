@@ -84,7 +84,7 @@ int main(int argc, char **argv) {
               Specs[5].Name.c_str());
   struct PeakRow {
     uint32_t K;
-    std::size_t PeakBytes, ScratchBytes;
+    std::size_t PeakBytes;
   };
   std::vector<PeakRow> PeakRows;
   dex::App Big = workload::makeApp(Specs[5]);
@@ -92,14 +92,9 @@ int main(int argc, char **argv) {
     core::CalibroOptions O = ctoLtboOpts();
     O.LtboPartitions = K;
     auto B = build(Big, O);
-    // Scratch = arena bytes retained across groups for suffix-array
-    // construction. It is an upper bound held for the whole fan-out, so it
-    // is reported next to the peak rather than folded into it.
-    std::printf("  K=%-2u %12s  (arena scratch %s)\n", K,
-                fmtBytes(B.Stats.Ltbo.DetectPeakBytes).c_str(),
-                fmtBytes(B.Stats.Ltbo.DetectScratchBytes).c_str());
-    PeakRows.push_back(
-        {K, B.Stats.Ltbo.DetectPeakBytes, B.Stats.Ltbo.DetectScratchBytes});
+    std::printf("  K=%-2u %12s\n", K,
+                fmtBytes(B.Stats.Ltbo.DetectPeakBytes).c_str());
+    PeakRows.push_back({K, B.Stats.Ltbo.DetectPeakBytes});
   }
 
   // Memory-budgeted streaming: the same PlOpti build under shrinking
@@ -217,10 +212,8 @@ int main(int argc, char **argv) {
                CtoSum / N, FullSum / N, DiskSum / N);
   for (std::size_t I = 0; I < PeakRows.size(); ++I)
     std::fprintf(J,
-                 "%s\n    {\"k\": %u, "
-                 "\"peak_bytes\": %zu, \"scratch_bytes\": %zu}",
-                 I ? "," : "", PeakRows[I].K,
-                 PeakRows[I].PeakBytes, PeakRows[I].ScratchBytes);
+                 "%s\n    {\"k\": %u, \"peak_bytes\": %zu}",
+                 I ? "," : "", PeakRows[I].K, PeakRows[I].PeakBytes);
   std::fprintf(J, "\n  ],\n  \"budget_sweep\": [");
   for (std::size_t I = 0; I < BudgetRows.size(); ++I) {
     const BudgetRow &R = BudgetRows[I];

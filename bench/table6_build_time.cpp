@@ -26,7 +26,6 @@
 #include "BenchUtil.h"
 #include "oat/Serialize.h"
 #include "suffixtree/SuffixArray.h"
-#include "support/Arena.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -259,17 +258,16 @@ int main(int argc, char **argv) {
   // Suffix-array construction alone: the seed's comparison-sorted prefix
   // doubling vs. the shipping radix-sorted doubling, on the app's linked
   // .text as the symbol sequence. The radix leg is timed as the detect
-  // phase runs it: full constructor (array + LCP + interval sweep) with a
-  // warm reusable arena, so against the array-only seed it is conservative.
+  // phase runs it: the full constructor (array + LCP + interval sweep), so
+  // against the array-only seed it is conservative.
   std::vector<uint64_t> SaText;
   {
     auto Full = build(App, ctoOpts());
     SaText.assign(Full.Oat.Text.begin(), Full.Oat.Text.end());
   }
-  support::Arena SaArena;
-  auto TimeConstructions = [&SaArena](const std::vector<uint64_t> &Text,
-                                      double &LegacyOut, double &RadixOut,
-                                      bool WithLegacy) {
+  auto TimeConstructions = [](const std::vector<uint64_t> &Text,
+                              double &LegacyOut, double &RadixOut,
+                              bool WithLegacy) {
     std::vector<double> LegacyTimes, RadixTimes;
     for (int Rep = 0; Rep < 5; ++Rep) {
       if (WithLegacy) {
@@ -279,9 +277,8 @@ int main(int argc, char **argv) {
         if (Sa.empty())
           std::printf("unreachable\n");
       }
-      SaArena.reset();
       Timer TR;
-      st::SuffixArray A{std::vector<uint64_t>(Text), &SaArena};
+      st::SuffixArray A{std::vector<uint64_t>(Text)};
       RadixTimes.push_back(TR.seconds());
       if (A.textSize() != Text.size())
         std::printf("unreachable\n");

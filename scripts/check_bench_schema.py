@@ -14,7 +14,7 @@ document to its recursive shape and diffs two shapes:
 
 With --exact, every value must also be equal, except at the paths named by
 --ignore (repeatable). A path joins keys with '.' and marks list elements
-with '[]', e.g. 'detect_peak[].scratch_bytes' or 'rss'; an ignored path
+with '[]', e.g. 'budget_sweep[].window_peak_bytes' or 'rss'; an ignored path
 skips its whole subtree. Use it for artifacts whose values are
 deterministic by construction (bytes, counts, flags), ignoring the fields
 that depend on scheduling or the host.

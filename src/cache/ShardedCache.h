@@ -17,8 +17,8 @@
 ///    across thousands of app versions; without a bound it grows forever.
 ///    Each store that pushes a shard over its slice of the budget evicts
 ///    least-recently-touched entries — never a pinned one — until it fits.
-///    Eviction can only cost future hits: a miss recomputes (and the
-///    windowed-link merge pass re-detects), it never changes any output.
+///    Eviction can only cost future hits: a method miss recompiles and a
+///    group miss re-detects; neither changes any output.
 ///  * Cross-job digest dedup. Content addressing makes equal inputs collide
 ///    on purpose: when a second job stores a key that is already resident,
 ///    the disk write is skipped entirely (the bytes are identical by

@@ -10,7 +10,6 @@
 #include "aarch64/PcRel.h"
 #include "core/BenefitModel.h"
 #include "suffixtree/SuffixArray.h"
-#include "support/Arena.h"
 #include "support/Compiler.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -183,7 +182,7 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
               uint32_t GroupIdx, const OutlinerOptions &Opts,
               std::vector<OutlinedFunc> &FuncsOut,
               std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
-              cache::GroupSelections *StoreOut, support::Arena *Scratch) {
+              cache::GroupSelections *StoreOut) {
   Timer BuildTimer;
 
   // Step 2 (paper §3.3.2): map this group's binary code to one symbol
@@ -214,10 +213,9 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
   const std::size_t TextSize = Seq.size();
   Stats.SymbolCount += TextSize;
 
-  // Construction scratch comes from the arena (dead once the constructor
-  // returns). The sequence moves into the array, so no second text copy
-  // ever exists; releaseWorkingSet() below frees it.
-  st::SuffixArray Array(std::move(Seq), Scratch);
+  // The sequence moves into the array, so no second text copy ever
+  // exists; releaseWorkingSet() below frees it.
+  st::SuffixArray Array(std::move(Seq));
   Stats.LcpIntervals += Array.numNodes();
   Stats.DetectBuildSeconds += BuildTimer.seconds();
   ++Stats.GroupsPrefixDoubling;
@@ -691,13 +689,6 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     MaxWindowGroups = std::max(MaxWindowGroups, Windows.back().size());
   }
 
-  // Suffix-array construction-scratch arenas, shared across groups
-  // through a pool: a worker that finishes one group hands its
-  // (already-grown, coalesced) arena to the next, so steady-state
-  // detection allocates nothing. The arena only shapes WHERE scratch
-  // lives, never what is computed — output stays byte-identical.
-  support::ArenaPool DetectArenas;
-
   auto RunOne = [&](std::size_t G) {
     std::vector<std::size_t> Rows;
     std::vector<const MethodPrep *> GroupPreps;
@@ -716,11 +707,9 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     }
     ++GroupStats[G].GroupsDetected;
     cache::GroupSelections Store;
-    support::ArenaPool::Handle Scratch = DetectArenas.acquire();
     runGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
              GroupFuncs[G], GroupWork[G], GroupStats[G],
-             Opts.Cache ? &Store : nullptr, Scratch.get());
-    GroupStats[G].DetectScratchBytes = Scratch->bytesReserved();
+             Opts.Cache ? &Store : nullptr);
     // Store even an empty selection: "this group outlines nothing" is as
     // reusable as any other result.
     if (Opts.Cache)
@@ -765,8 +754,6 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Result.Stats.GroupsPrefixDoubling += S.GroupsPrefixDoubling;
     Result.Stats.DetectPeakBytes =
         std::max(Result.Stats.DetectPeakBytes, S.DetectPeakBytes);
-    Result.Stats.DetectScratchBytes =
-        std::max(Result.Stats.DetectScratchBytes, S.DetectScratchBytes);
     for (auto &F : GroupFuncs[G])
       Result.Funcs.push_back(std::move(F));
   }

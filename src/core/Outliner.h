@@ -199,12 +199,6 @@ struct OutlineStats {
   /// array plus the assembled sequence/provenance arrays, sampled at
   /// its peak (before scratch release). Deterministic for any Threads.
   std::size_t DetectPeakBytes = 0;
-  /// Largest construction-scratch arena footprint (bytesReserved) seen in
-  /// Phase B. Arenas are pooled per worker and coalesced on reset, so this
-  /// tracks the high-water mark of ONE reusable block, not a per-group sum.
-  /// Scheduling metadata like the *Threads fields: the pool hand-out order
-  /// depends on worker interleaving, so determinism tests must ignore it.
-  std::size_t DetectScratchBytes = 0;
   /// Partition-group count actually used: Opts.Partitions, or the
   /// budget-derived K when Partitions == 0. Deterministic.
   std::size_t PartitionsUsed = 0;

@@ -7,10 +7,14 @@
 #include "oat/Serialize.h"
 
 #include "codegen/SideInfoValidator.h"
-#include "oat/MappedOat.h"
 #include "support/BinaryStream.h"
 
+#include <cerrno>
 #include <cstdio>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace calibro;
 using namespace calibro::oat;
@@ -321,7 +325,7 @@ struct SectionView {
 
 } // namespace
 
-void oat::serializeOat(const OatFile &O, std::vector<uint8_t> &Out) {
+std::vector<uint8_t> oat::serializeOat(const OatFile &O) {
   // Encode the variable-size metadata sections first (varint-compressed, so
   // their sizes are data-dependent); .text stays where it is and is copied
   // exactly once, straight into the final image.
@@ -375,7 +379,7 @@ void oat::serializeOat(const OatFile &O, std::vector<uint8_t> &Out) {
   const uint64_t Shoff = alignTo(Off, 8);
   const uint64_t Total = Shoff + 7 * SectionHeaderSize;
 
-  Out.assign(Total, 0); // Zero fill doubles as alignment padding.
+  std::vector<uint8_t> Out(Total, 0); // Zero fill doubles as alignment padding.
   uint8_t *B = Out.data();
 
   const uint8_t Ident[16] = {0x7f, 'E', 'L', 'F',
@@ -415,11 +419,6 @@ void oat::serializeOat(const OatFile &O, std::vector<uint8_t> &Out) {
     put64(H + 48, S.Align);
     put64(H + 56, 0); // sh_entsize
   }
-}
-
-std::vector<uint8_t> oat::serializeOat(const OatFile &O) {
-  std::vector<uint8_t> Out;
-  serializeOat(O, Out);
   return Out;
 }
 
@@ -537,93 +536,43 @@ Expected<OatFile> oat::deserializeOat(std::span<const uint8_t> Bytes) {
   return O;
 }
 
-Expected<std::span<const uint8_t>>
-oat::sectionPayload(std::span<const uint8_t> Bytes, std::string_view Name) {
-  ByteReader R(Bytes);
-  uint8_t Ident[16];
-  if (auto E = R.bytes(Ident, 16))
-    return E;
-  if (Ident[0] != 0x7f || Ident[1] != 'E' || Ident[2] != 'L' ||
-      Ident[3] != 'F')
-    return makeError(ErrCat::BadFormat, "not an ELF file");
-  if (Ident[4] != 2 || Ident[5] != 1)
-    return makeError(ErrCat::BadFormat, "not a little-endian ELF64");
-  if (auto E = R.seek(0x28)) // e_shoff
-    return E;
-  READ_OR_RETURN(Shoff, R.u64());
-  if (auto E = R.seek(0x3a)) // e_shentsize
-    return E;
-  READ_OR_RETURN(Shentsize, R.u16());
-  if (Shentsize != SectionHeaderSize)
-    return makeError(ErrCat::BadFormat, "unexpected section header size");
-  READ_OR_RETURN(Shnum, R.u16());
-  READ_OR_RETURN(Shstrndx, R.u16());
-  if (Shnum == 0 || Shstrndx >= Shnum)
-    return makeError(ErrCat::BadFormat, "bad section header table shape");
-  if (Shoff > Bytes.size() ||
-      uint64_t(Shnum) * SectionHeaderSize > Bytes.size() - Shoff)
-    return makeError(ErrCat::BadFormat, "section header table out of bounds");
-
-  // One header read: sh_name, sh_offset, sh_size (bounds-checked).
-  struct Sect {
-    uint32_t NameOff;
-    uint64_t Off, Size;
-  };
-  auto readSect = [&](uint16_t S) -> Expected<Sect> {
-    if (auto E = R.seek(static_cast<std::size_t>(Shoff) +
-                        std::size_t(S) * SectionHeaderSize))
-      return E;
-    READ_OR_RETURN(NameOff, R.u32());
-    if (auto E = R.seek(static_cast<std::size_t>(Shoff) +
-                        std::size_t(S) * SectionHeaderSize + 24))
-      return E;
-    READ_OR_RETURN(Off, R.u64());
-    READ_OR_RETURN(Size, R.u64());
-    if (Off > Bytes.size() || Size > Bytes.size() - Off)
-      return makeError(ErrCat::BadFormat, "section payload out of bounds");
-    return Sect{NameOff, Off, Size};
-  };
-
-  auto Tab = readSect(Shstrndx);
-  if (!Tab)
-    return Tab.takeError();
-  for (uint16_t S = 0; S < Shnum; ++S) {
-    auto Sec = readSect(S);
-    if (!Sec)
-      return Sec.takeError();
-    std::string_view Want = Name;
-    uint64_t P = Tab->Off + Sec->NameOff;
-    while (!Want.empty() && P < Tab->Off + Tab->Size &&
-           Bytes[static_cast<std::size_t>(P)] ==
-               static_cast<uint8_t>(Want.front())) {
-      Want.remove_prefix(1);
-      ++P;
-    }
-    if (Want.empty() && P < Tab->Off + Tab->Size &&
-        Bytes[static_cast<std::size_t>(P)] == 0)
-      return Bytes.subspan(static_cast<std::size_t>(Sec->Off),
-                           static_cast<std::size_t>(Sec->Size));
-  }
-  return makeError(ErrCat::BadFormat,
-                   "no section named '" + std::string(Name) + "'");
-}
-
 Error oat::writeOatFile(const OatFile &O, const std::string &Path) {
-  std::vector<uint8_t> Bytes;
-  serializeOat(O, Bytes);
+  std::vector<uint8_t> Bytes = serializeOat(O);
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F)
     return makeError("cannot open '" + Path + "' for writing");
   std::size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  std::fclose(F);
+  // An image smaller than the stdio buffer is only flushed by fclose, so
+  // its result is the write's result too.
+  bool Closed = std::fclose(F) == 0;
   if (Written != Bytes.size())
     return makeError("short write to '" + Path + "'");
+  if (!Closed)
+    return makeError("cannot write '" + Path + "'");
   return Error::success();
 }
 
 Expected<OatFile> oat::readOatFile(const std::string &Path) {
-  auto M = MappedOat::open(Path);
-  if (!M)
-    return M.takeError();
-  return M->parse();
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return makeError("cannot open '" + Path + "'");
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
+    ::close(Fd);
+    return makeError("cannot open '" + Path + "': not a regular file");
+  }
+  std::vector<uint8_t> Bytes(static_cast<std::size_t>(St.st_size));
+  std::size_t Got = 0;
+  while (Got < Bytes.size()) {
+    ssize_t N = ::read(Fd, Bytes.data() + Got, Bytes.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Got += static_cast<std::size_t>(N);
+  }
+  ::close(Fd);
+  if (Got != Bytes.size())
+    return makeError("cannot read '" + Path + "'");
+  return deserializeOat(Bytes);
 }

@@ -32,7 +32,7 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
+#include <string>
 #include <vector>
 
 namespace calibro {
@@ -51,33 +51,23 @@ void putSideInfo(ByteWriter &W, const codegen::MethodSideInfo &S);
 Error parseStackMap(ByteReader &R, codegen::StackMap &Map);
 Error parseSideInfo(ByteReader &R, codegen::MethodSideInfo &S);
 
-/// Serializes \p O into an ELF64 image, replacing \p Out's contents. The
-/// zero-copy write path: the whole layout (including e_shoff) is computed
-/// before a byte is stored, the buffer is sized exactly once, and .text is
-/// copied straight from the linker's word array into its final position —
-/// no intermediate section payload, no post-hoc patching. A caller that
-/// reuses \p Out across builds amortizes even that one allocation.
-void serializeOat(const OatFile &O, std::vector<uint8_t> &Out);
-
-/// Convenience wrapper returning a fresh buffer.
+/// Serializes \p O into an ELF64 image. The whole layout (including
+/// e_shoff) is computed before a byte is stored, the buffer is sized exactly
+/// once, and .text is copied straight from the linker's word array into its
+/// final position — no intermediate section payload, no post-hoc patching.
 std::vector<uint8_t> serializeOat(const OatFile &O);
 
 /// Parses an ELF64 OAT image. Fails with a message on any structural
 /// corruption (bad magic, truncated sections, version mismatch).
 Expected<OatFile> deserializeOat(std::span<const uint8_t> Bytes);
 
-/// Locates section \p Name in the ELF64 image \p Bytes and returns a view
-/// of its payload WITHIN \p Bytes — no copy, no full parse, no payload
-/// decoding. The minimal validated walk (ident, section header table,
-/// per-section bounds) is the same one deserializeOat performs, so any
-/// image it accepts this accepts. The view aliases \p Bytes: it is valid
-/// exactly as long as the caller's storage (e.g. a MappedOat's mapping).
-/// Fails on structural corruption or when no such section exists.
-Expected<std::span<const uint8_t>>
-sectionPayload(std::span<const uint8_t> Bytes, std::string_view Name);
-
-/// File convenience wrappers.
+/// Writes serializeOat(\p O) to \p Path. Fails when the file cannot be
+/// opened, written or flushed.
 Error writeOatFile(const OatFile &O, const std::string &Path);
+
+/// Reads \p Path with one read() into a heap buffer and parses it with
+/// deserializeOat. Fails on a missing or non-regular file, a short read,
+/// or any structural corruption.
 Expected<OatFile> readOatFile(const std::string &Path);
 
 } // namespace oat

@@ -22,14 +22,12 @@ namespace {
 /// so ANY uint64 sequence is legal input — the old "input may not contain
 /// ~0" precondition is gone by construction.
 ///
-/// Returns the dense per-position ranks (size Txt.size() + 1, allocated
-/// from \p A) and sets \p AlphabetOut to one past the largest rank.
-std::span<uint32_t> compactRanks(std::span<const Symbol> Txt,
-                                 uint32_t &AlphabetOut, support::Arena &A) {
+/// Returns the dense per-position ranks (size Txt.size() + 1) and sets
+/// \p AlphabetOut to one past the largest rank.
+std::vector<uint32_t> compactRanks(std::span<const Symbol> Txt,
+                                   uint32_t &AlphabetOut) {
   const uint32_t n = static_cast<uint32_t>(Txt.size());
-  std::span<uint32_t> Idx = A.allocSpan<uint32_t>(n);
-  std::span<uint32_t> Tmp = A.allocSpan<uint32_t>(n);
-  std::span<uint32_t> Cnt = A.allocSpan<uint32_t>(1u << 16);
+  std::vector<uint32_t> Idx(n), Tmp(n), Cnt(1u << 16);
   // One OR over the text decides up front which passes carry any key bits
   // (instruction words use only the low 32, so passes 2 and 3 usually
   // drop out) — cheaper than probing per pass.
@@ -63,7 +61,7 @@ std::span<uint32_t> compactRanks(std::span<const Symbol> Txt,
     }
     std::swap(Src, Dst);
   }
-  std::span<uint32_t> Rank = A.allocSpan<uint32_t>(n + 1);
+  std::vector<uint32_t> Rank(n + 1);
   uint32_t R = 0;
   for (uint32_t I = 0; I < n; ++I) {
     if (I > 0 && Txt[Src[I]] != Txt[Src[I - 1]])
@@ -78,18 +76,15 @@ std::span<uint32_t> compactRanks(std::span<const Symbol> Txt,
 /// Prefix doubling over already-compacted dense ranks, writing the full
 /// N-entry suffix array into \p Sa: counting-sort doubling, O(n) per
 /// round, early exit once every rank is unique. \p Rank0 is read-only (the
-/// constructor still needs it for Kasai); all workspace, including the
-/// mutable rank copy, comes from \p A.
-void prefixDoubleFromRanks(const uint32_t *Rank0, uint32_t N,
-                           uint32_t Alphabet, uint32_t *Sa,
-                           support::Arena &A) {
-  std::span<uint32_t> Rank = A.allocSpan<uint32_t>(N);
-  std::copy(Rank0, Rank0 + N, Rank.begin());
-  std::span<uint32_t> Tmp = A.allocSpan<uint32_t>(N);
-  std::span<uint32_t> NewRank = A.allocSpan<uint32_t>(N);
+/// constructor still needs it for Kasai); the workspace is local and freed
+/// on return.
+void prefixDoubleFromRanks(const std::vector<uint32_t> &Rank0,
+                           uint32_t Alphabet, std::vector<uint32_t> &Sa) {
+  const uint32_t N = static_cast<uint32_t>(Rank0.size());
+  std::vector<uint32_t> Rank(Rank0), Tmp(N), NewRank(N);
   // Re-ranking can widen the alphabet up to N + 1, so size the histogram
   // for the worst round once instead of per round.
-  std::span<uint32_t> Cnt = A.allocSpan<uint32_t>(N + 2);
+  std::vector<uint32_t> Cnt(N + 2);
 
   // Seed: counting sort of the single-symbol ranks.
   std::fill(Cnt.begin(), Cnt.begin() + Alphabet, 0);
@@ -137,7 +132,7 @@ void prefixDoubleFromRanks(const uint32_t *Rank0, uint32_t N,
       R += !(Rank[A2] == Rank[B] && Second(A2) == Second(B));
       NewRank[B] = R;
     }
-    std::swap(Rank, NewRank); // Span handles, not contents: O(1).
+    Rank.swap(NewRank); // Buffers, not contents: O(1).
     Alphabet = R + 2;
     if (R == N - 1)
       break;
@@ -146,32 +141,28 @@ void prefixDoubleFromRanks(const uint32_t *Rank0, uint32_t N,
 
 } // namespace
 
-SuffixArray::SuffixArray(std::vector<Symbol> Txt, support::Arena *Scratch)
+SuffixArray::SuffixArray(std::vector<Symbol> Txt)
     : Text(std::move(Txt)), TextLen(Text.size()) {
   const uint32_t n = static_cast<uint32_t>(TextLen);
   const uint32_t N = n + 1; // Plus the virtual sentinel position n.
 
-  support::Arena Local;
-  support::Arena &A = Scratch ? *Scratch : Local;
-
   // Construction over the dense ranks. prefixDoubleFromRanks does not
-  // write Rank, and the arena only grows during construction, so the span
-  // stays valid for Kasai below.
+  // write Rank, so Kasai below reads the initial ranks.
   uint32_t Alphabet = 0;
-  std::span<uint32_t> Rank = compactRanks(Text, Alphabet, A);
+  std::vector<uint32_t> Rank = compactRanks(Text, Alphabet);
   Sa.resize(N);
-  prefixDoubleFromRanks(Rank.data(), N, Alphabet, Sa.data(), A);
+  prefixDoubleFromRanks(Rank, Alphabet, Sa);
 
   // Kasai's LCP: Lcp[I] = lcp(SA[I-1], SA[I]); Lcp[0] = 0. Comparing the
   // initial dense ranks is exact: equal ranks iff equal symbols, and both
   // positions are < n (the sentinel suffix never has a positive LCP with
   // any neighbour — its rank is unique), so half the working set of a raw
   // 64-bit symbol scan. The array is construction scratch only: intervals
-  // are enumerated right below and die with the arena.
-  std::span<uint32_t> Lcp = A.allocSpan<uint32_t>(N);
-  std::fill(Lcp.begin(), Lcp.end(), 0);
+  // are enumerated right below and it is freed when the constructor
+  // returns.
+  std::vector<uint32_t> Lcp(N);
   {
-    std::span<uint32_t> Inv = A.allocSpan<uint32_t>(N);
+    std::vector<uint32_t> Inv(N);
     for (uint32_t I = 0; I < N; ++I)
       Inv[Sa[I]] = I;
     uint32_t H = 0;

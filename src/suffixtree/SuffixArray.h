@@ -33,8 +33,6 @@
 #ifndef CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
 #define CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
 
-#include "support/Arena.h"
-
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -58,15 +56,10 @@ class SuffixArray {
 public:
   /// Builds the array (rank compaction + prefix doubling), then Kasai's
   /// LCP and the LCP-interval sweep. Accepts any symbol values — the
-  /// sentinel is virtual, nothing is reserved.
-  ///
-  /// \p Scratch optionally supplies the construction workspace (rank
-  /// arrays, doubling buffers, LCP scratch). Everything allocated from it
-  /// is dead once the constructor returns — the caller may reset() the
-  /// arena immediately afterwards. Null uses a private arena that is freed
-  /// with the constructor frame.
-  explicit SuffixArray(std::vector<Symbol> Text,
-                       support::Arena *Scratch = nullptr);
+  /// sentinel is virtual, nothing is reserved. The construction workspace
+  /// (rank arrays, doubling buffers, LCP scratch) is freed before the
+  /// constructor returns.
+  explicit SuffixArray(std::vector<Symbol> Text);
 
   /// Length of the original sequence. Valid even after
   /// releaseWorkingSet().
@@ -118,9 +111,9 @@ public:
   }
 
   /// Bytes held by the detection-relevant arrays right now (text, suffix
-  /// array, interval table; all construction scratch lives in the arena
-  /// and is already dead). Shrinks after releaseWorkingSet(): the text
-  /// contribution returns to zero.
+  /// array, interval table; construction scratch is already freed).
+  /// Shrinks after releaseWorkingSet(): the text contribution returns to
+  /// zero.
   std::size_t workingSetBytes() const;
 
   /// Frees the stored text. forEachRepeat/positionsOf/numNodes/textSize

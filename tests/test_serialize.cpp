@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Calibro.h"
-#include "oat/MappedOat.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
 #include "support/BinaryStream.h"
@@ -392,105 +391,70 @@ TEST(Serialize, FileRoundTrip) {
   std::remove(Path.c_str());
 }
 
-// The caller-buffer writer and the vector-returning wrapper must emit the
-// same bytes, and a reused (dirty, differently-sized) buffer must not leak
-// stale content into the image.
-TEST(Serialize, BufferWriterMatchesWrapper) {
-  oat::OatFile O = buildSample();
-  std::vector<uint8_t> Fresh = oat::serializeOat(O);
-
-  std::vector<uint8_t> Reused(Fresh.size() * 2 + 13, 0xAB); // Dirty + bigger.
-  oat::serializeOat(O, Reused);
-  EXPECT_EQ(Reused, Fresh);
-
-  std::vector<uint8_t> Small(3, 0xCD); // Dirty + smaller.
-  oat::serializeOat(O, Small);
-  EXPECT_EQ(Small, Fresh);
+// A full device must fail the write. An image larger than the stdio buffer
+// fails inside fwrite; a smaller one is only flushed when the file is
+// closed, so it must surface through fclose's result.
+TEST(Serialize, WriteFailureIsAnError) {
+  if (std::FILE *F = std::fopen("/dev/full", "wb"))
+    std::fclose(F);
+  else
+    GTEST_SKIP() << "no /dev/full on this platform";
+  oat::OatFile Tiny;
+  Tiny.AppName = "tiny";
+  ASSERT_LT(oat::serializeOat(Tiny).size(), 1024u);
+  for (const oat::OatFile &O : {Tiny, buildSample()}) {
+    Error E = oat::writeOatFile(O, "/dev/full");
+    ASSERT_TRUE(bool(E)) << O.AppName;
+    EXPECT_NE(E.message().find("/dev/full"), std::string::npos)
+        << E.message();
+  }
 }
 
-// The mmap-backed reader must parse the identical OatFile the heap-read
-// path produced, and re-serializing its result must reproduce the file's
-// bytes exactly (the round-trip property, now through the mapping).
-TEST(MappedOat, RoundTripMatchesHeapRead) {
+// readOatFile must parse the identical OatFile the writer serialized, and
+// re-serializing its result must reproduce the file's bytes exactly.
+TEST(ReadOatFile, RoundTripMatchesFileBytes) {
   oat::OatFile O = buildSample();
-  std::string Path = ::testing::TempDir() + "/calibro_mapped.oat";
+  std::string Path = ::testing::TempDir() + "/calibro_readback.oat";
   ASSERT_FALSE(bool(oat::writeOatFile(O, Path)));
 
-  auto Mapped = oat::MappedOat::open(Path);
-  ASSERT_TRUE(bool(Mapped)) << Mapped.message();
-  std::vector<uint8_t> OnDisk(Mapped->bytes().begin(), Mapped->bytes().end());
-  EXPECT_EQ(Mapped->size(), OnDisk.size());
-
-  auto Parsed = Mapped->parse();
+  auto Parsed = oat::readOatFile(Path);
+  std::remove(Path.c_str());
   ASSERT_TRUE(bool(Parsed)) << Parsed.message();
   EXPECT_EQ(Parsed->Text, O.Text);
   EXPECT_EQ(Parsed->AppName, O.AppName);
   EXPECT_EQ(Parsed->Methods.size(), O.Methods.size());
-  EXPECT_EQ(oat::serializeOat(*Parsed), OnDisk);
-
-  // The parsed OatFile owns its data: it must stay intact after the
-  // mapping is gone.
-  oat::OatFile Own = std::move(*Parsed);
-  {
-    oat::MappedOat Dead = std::move(*Mapped);
-    std::remove(Path.c_str());
-  } // Mapping unmapped here.
-  EXPECT_EQ(Own.Text, O.Text);
+  EXPECT_EQ(oat::serializeOat(*Parsed), oat::serializeOat(O));
 }
 
-TEST(MappedOat, MissingFileFails) {
-  auto M = oat::MappedOat::open(::testing::TempDir() + "/calibro_nope.oat");
+TEST(ReadOatFile, MissingFileFails) {
+  auto M = oat::readOatFile(::testing::TempDir() + "/calibro_nope.oat");
   EXPECT_FALSE(bool(M));
   EXPECT_FALSE(M.message().empty());
   consumeError(M.takeError());
 }
 
-TEST(SectionPayload, LocatesSectionsWithoutParsing) {
-  oat::OatFile O = buildSample();
-  auto Bytes = oat::serializeOat(O);
-
-  auto Text = oat::sectionPayload(Bytes, ".text");
-  ASSERT_TRUE(bool(Text)) << Text.message();
-  // The payload is a window INTO the serialized buffer, not a copy...
-  EXPECT_GE(Text->data(), Bytes.data());
-  EXPECT_LE(Text->data() + Text->size(), Bytes.data() + Bytes.size());
-  // ...holding exactly the image's .text words.
-  ASSERT_EQ(Text->size(), O.Text.size() * sizeof(uint32_t));
-  EXPECT_EQ(std::memcmp(Text->data(), O.Text.data(), Text->size()), 0);
-
-  auto Missing = oat::sectionPayload(Bytes, ".does-not-exist");
-  EXPECT_FALSE(bool(Missing));
-  consumeError(Missing.takeError());
-
-  // A header cut off mid-table must be a clean error, not a wild read.
-  for (std::size_t Keep : {0ul, 16ul, 64ul, Bytes.size() / 2}) {
-    auto Trunc = oat::sectionPayload(
-        std::span<const uint8_t>(Bytes.data(), Keep), ".text");
-    EXPECT_FALSE(bool(Trunc)) << "kept " << Keep;
-    consumeError(Trunc.takeError());
-  }
+TEST(ReadOatFile, DirectoryFails) {
+  auto M = oat::readOatFile(::testing::TempDir());
+  EXPECT_FALSE(bool(M));
+  EXPECT_FALSE(M.message().empty());
+  consumeError(M.takeError());
 }
 
-TEST(MappedOat, TextWordsAreZeroCopy) {
-  oat::OatFile O = buildSample();
-  std::string Path = ::testing::TempDir() + "/calibro_textwords.oat";
-  ASSERT_FALSE(bool(oat::writeOatFile(O, Path)));
-
-  auto Mapped = oat::MappedOat::open(Path);
-  ASSERT_TRUE(bool(Mapped)) << Mapped.message();
-  auto Words = Mapped->textWords();
-  ASSERT_TRUE(bool(Words)) << Words.message();
-
-  // The span aliases the mapping — no private copy of the text.
-  const uint8_t *Lo = Mapped->bytes().data();
-  const uint8_t *Hi = Lo + Mapped->size();
-  EXPECT_GE(reinterpret_cast<const uint8_t *>(Words->data()), Lo);
-  EXPECT_LE(reinterpret_cast<const uint8_t *>(Words->data() + Words->size()),
-            Hi);
-  ASSERT_EQ(Words->size(), O.Text.size());
-  for (std::size_t I = 0; I < O.Text.size(); ++I)
-    ASSERT_EQ((*Words)[I], O.Text[I]) << "word " << I;
+TEST(ReadOatFile, TruncatedFileFails) {
+  std::vector<uint8_t> Bytes = oat::serializeOat(buildSample());
+  std::string Path = ::testing::TempDir() + "/calibro_truncated.oat";
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::size_t Half = Bytes.size() / 2;
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Half, F), Half);
+    ASSERT_EQ(std::fclose(F), 0);
+  }
+  auto M = oat::readOatFile(Path);
   std::remove(Path.c_str());
+  EXPECT_FALSE(bool(M));
+  EXPECT_EQ(M.category(), ErrCat::BadFormat) << M.message();
+  consumeError(M.takeError());
 }
 
 } // namespace

@@ -363,29 +363,6 @@ TEST(SuffixArrayOracle, LargeTexts) {
   checkMatchesNaiveSort(Distinct);
 }
 
-TEST(SuffixArray, ExternalArenaMatchesPrivate) {
-  // Same text through a caller-supplied arena (reused and reset between
-  // constructions, like the Phase B pool does) and through the private
-  // arena: identical arrays, identical repeat enumeration.
-  Rng R(0xae1a);
-  support::Arena Scratch;
-  for (int Case = 0; Case < 10; ++Case) {
-    std::size_t N = 50 + R.nextBelow(200);
-    std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I)
-      T.push_back('a' + R.nextBelow(4));
-
-    SuffixArray WithPool(std::vector<Symbol>(T), &Scratch);
-    Scratch.reset(); // Construction scratch is dead the moment it returns.
-    SuffixArray Private{std::vector<Symbol>(T)};
-    ASSERT_EQ(WithPool.suffixArray().size(), Private.suffixArray().size());
-    for (std::size_t I = 0; I < Private.suffixArray().size(); ++I)
-      ASSERT_EQ(WithPool.suffixArray()[I], Private.suffixArray()[I]);
-    EXPECT_EQ(WithPool.numNodes(), Private.numNodes());
-    EXPECT_GT(Scratch.bytesReserved(), 0u);
-  }
-}
-
 TEST(SuffixArray, FirstPositionMatchesPositions) {
   Rng R(0xf157);
   for (int Case = 0; Case < 10; ++Case) {

@@ -4,9 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "support/Error.h"
-#include "support/MappedFile.h"
 #include "support/MathExtras.h"
 #include "support/Memory.h"
 #include "support/Random.h"
@@ -17,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -227,117 +224,6 @@ TEST(MathExtras, AlignTo) {
   EXPECT_EQ(alignTo(17, 8), 24u);
 }
 
-//===----------------------------------------------------------------------===//
-// Arena
-//===----------------------------------------------------------------------===//
-
-TEST(Arena, AllocationsAreDisjointAndAligned) {
-  support::Arena A;
-  auto S1 = A.allocSpan<uint32_t>(100);
-  auto S2 = A.allocSpan<uint64_t>(50);
-  auto S3 = A.allocSpan<uint8_t>(7);
-  EXPECT_EQ(S1.size(), 100u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(S1.data()) % alignof(uint32_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(S2.data()) % alignof(uint64_t), 0u);
-  // Writing every byte of each span must not disturb the others.
-  std::fill(S1.begin(), S1.end(), 0x11111111u);
-  std::fill(S2.begin(), S2.end(), uint64_t(0x2222222222222222));
-  std::fill(S3.begin(), S3.end(), uint8_t(0x33));
-  EXPECT_EQ(S1.front(), 0x11111111u);
-  EXPECT_EQ(S1.back(), 0x11111111u);
-  EXPECT_EQ(S2.front(), uint64_t(0x2222222222222222));
-  EXPECT_EQ(S3.back(), uint8_t(0x33));
-  EXPECT_GE(A.bytesUsed(), 100 * 4 + 50 * 8 + 7u);
-}
-
-TEST(Arena, ResetKeepsMemoryAndCoalesces) {
-  support::Arena A;
-  // Force multiple blocks: allocate well past the first block's 64 KiB.
-  for (int I = 0; I < 10; ++I)
-    A.allocSpan<uint8_t>(100 << 10);
-  std::size_t Reserved = A.bytesReserved();
-  EXPECT_GT(Reserved, 1000u << 10);
-  A.reset();
-  EXPECT_EQ(A.bytesUsed(), 0u);
-  // Coalesced: still covers the high-water mark, so the same shape of
-  // cycle does not spill again...
-  EXPECT_GE(A.bytesReserved(), 1000u << 10);
-  // ...but the chain of doubling blocks did not survive verbatim.
-  std::size_t Coalesced = A.bytesReserved();
-  for (int I = 0; I < 10; ++I)
-    A.allocSpan<uint8_t>(100 << 10);
-  EXPECT_EQ(A.bytesReserved(), Coalesced) << "steady state must not grow";
-  A.releaseMemory();
-  EXPECT_EQ(A.bytesReserved(), 0u);
-}
-
-TEST(Arena, OversizedCycleDecaysBackToSteadyState) {
-  support::Arena A;
-  // Steady state first: identical small cycles settle on one warm block.
-  for (int I = 0; I < 4; ++I) {
-    A.allocSpan<uint8_t>(64 << 10);
-    A.reset();
-  }
-  std::size_t Steady = A.bytesReserved();
-  ASSERT_GT(Steady, 0u);
-
-  // One oversized outlier cycle (an order of magnitude larger).
-  A.allocSpan<uint8_t>(8 << 20);
-  A.reset();
-  std::size_t AfterSpike = A.bytesReserved();
-  EXPECT_GE(AfterSpike, 8u << 20) << "the spike itself must stay warm once";
-
-  // Back to the small cycles: the watermark decays a quarter per reset, so
-  // the spike's reserve is returned to the allocator instead of being
-  // pinned for the arena's lifetime.
-  for (int I = 0; I < 40; ++I) {
-    A.allocSpan<uint8_t>(64 << 10);
-    A.reset();
-  }
-  EXPECT_LT(A.bytesReserved(), AfterSpike / 4)
-      << "oversized one-off block was never given back";
-  // Still warm enough for the small cycle.
-  EXPECT_GE(A.bytesReserved(), 64u << 10);
-}
-
-TEST(Arena, ZeroByteAllocationIsValid) {
-  support::Arena A;
-  void *P = A.allocate(0, 1);
-  EXPECT_NE(P, nullptr);
-}
-
-TEST(ArenaPool, HandlesRecycleWarmArenas) {
-  support::ArenaPool Pool;
-  const void *FirstBlock = nullptr;
-  {
-    auto H = Pool.acquire();
-    FirstBlock = H->allocate(1000, 8);
-    EXPECT_GT(H->bytesReserved(), 0u);
-  } // Returned to the pool here.
-  {
-    auto H = Pool.acquire();
-    // The recycled arena is reset but keeps its warm block, so the same
-    // allocation lands on the same memory.
-    EXPECT_EQ(H->bytesUsed(), 0u);
-    EXPECT_EQ(H->allocate(1000, 8), FirstBlock);
-  }
-}
-
-TEST(ArenaPool, ConcurrentAcquireIsExclusive) {
-  support::ArenaPool Pool;
-  ThreadPool Workers(4);
-  std::atomic<int> Failures{0};
-  Workers.parallelFor(32, [&](std::size_t I) {
-    auto H = Pool.acquire();
-    auto Span = H->allocSpan<uint64_t>(512);
-    std::fill(Span.begin(), Span.end(), I);
-    for (uint64_t V : Span)
-      if (V != I)
-        Failures.fetch_add(1);
-  });
-  EXPECT_EQ(Failures.load(), 0);
-}
-
 TEST(SampleRss, CoherentOnProcPlatforms) {
   support::RssSample S = support::sampleRss();
   // Zero means "no /proc here" and is legal; where the sample exists it
@@ -346,45 +232,6 @@ TEST(SampleRss, CoherentOnProcPlatforms) {
     GTEST_SKIP() << "no /proc/self/status on this platform";
   EXPECT_GE(S.PeakBytes, S.CurrentBytes);
   EXPECT_GT(S.CurrentBytes, 1u << 20) << "a live test process exceeds 1 MiB";
-}
-
-//===----------------------------------------------------------------------===//
-// MappedFile
-//===----------------------------------------------------------------------===//
-
-TEST(MappedFile, ReadsBackWrittenBytes) {
-  std::string Path = ::testing::TempDir() + "/calibro_mapped_support.bin";
-  std::vector<uint8_t> Want(4096 + 17);
-  for (std::size_t I = 0; I < Want.size(); ++I)
-    Want[I] = static_cast<uint8_t>(I * 31);
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "wb");
-    ASSERT_NE(F, nullptr);
-    ASSERT_EQ(std::fwrite(Want.data(), 1, Want.size(), F), Want.size());
-    std::fclose(F);
-  }
-  auto M = support::MappedFile::open(Path);
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->size(), Want.size());
-  EXPECT_TRUE(std::equal(Want.begin(), Want.end(), M->bytes().begin()));
-
-  // Move transfers the view.
-  support::MappedFile M2 = std::move(*M);
-  EXPECT_EQ(M2.size(), Want.size());
-  EXPECT_TRUE(std::equal(Want.begin(), Want.end(), M2.bytes().begin()));
-  std::remove(Path.c_str());
-}
-
-TEST(MappedFile, EmptyAndMissingFiles) {
-  std::string Path = ::testing::TempDir() + "/calibro_mapped_empty.bin";
-  { std::fclose(std::fopen(Path.c_str(), "wb")); }
-  auto Empty = support::MappedFile::open(Path);
-  ASSERT_TRUE(Empty.has_value());
-  EXPECT_EQ(Empty->size(), 0u);
-  std::remove(Path.c_str());
-
-  EXPECT_FALSE(
-      support::MappedFile::open(Path + ".does-not-exist").has_value());
 }
 
 } // namespace

@@ -27,7 +27,6 @@
 #include "codegen/SideInfoValidator.h"
 #include "core/Calibro.h"
 #include "oat/Dump.h"
-#include "oat/MappedOat.h"
 #include "oat/Serialize.h"
 #include "workload/Workload.h"
 
@@ -364,15 +363,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  // Map rather than read: dumping only decodes each section once, so
-  // parsing straight out of the mapping skips the whole-image heap copy.
-  auto Mapped = oat::MappedOat::open(Path);
-  if (!Mapped) {
-    std::fprintf(stderr, "%s: [%s] %s\n", Path, errCatName(Mapped.category()),
-                 Mapped.message().c_str());
-    return 1;
-  }
-  auto O = Mapped->parse();
+  auto O = oat::readOatFile(Path);
   if (!O) {
     std::fprintf(stderr, "%s: [%s] %s\n", Path, errCatName(O.category()),
                  O.message().c_str());

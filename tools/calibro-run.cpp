@@ -15,7 +15,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "oat/MappedOat.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
 #include "verify/OatVerifier.h"
@@ -52,15 +51,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  // Map, don't read: the simulator decodes the image once into its own
-  // structures, so the file image itself never needs a heap copy.
-  auto Mapped = oat::MappedOat::open(Path);
-  if (!Mapped) {
-    std::fprintf(stderr, "%s: [%s] %s\n", Path, errCatName(Mapped.category()),
-                 Mapped.message().c_str());
-    return 1;
-  }
-  auto O = Mapped->parse();
+  auto O = oat::readOatFile(Path);
   if (!O) {
     std::fprintf(stderr, "%s: [%s] %s\n", Path, errCatName(O.category()),
                  O.message().c_str());
