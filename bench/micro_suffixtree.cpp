@@ -90,40 +90,9 @@ void BM_GreedyBenefitSelection(benchmark::State &State) {
   auto Seq = makeSequence(1 << 16, 9);
   st::SuffixArray Arr(std::move(Seq));
   for (auto _ : State) {
-    struct Cand {
-      int32_t Node;
-      uint32_t Len, Count;
-      int64_t Ben;
-    };
-    std::vector<Cand> Cands;
-    Arr.forEachRepeat(2, 64, 2, [&](const st::SuffixArray::RepeatInfo &R) {
-      int64_t B = core::benefit(R.Length, R.Count);
-      if (B > 0)
-        Cands.push_back({R.Node, R.Length, R.Count, B});
-    });
-    std::sort(Cands.begin(), Cands.end(),
-              [](const Cand &A, const Cand &B) { return A.Ben > B.Ben; });
-    std::vector<bool> Claimed(Arr.textSize(), false);
-    uint64_t Saved = 0;
-    for (const auto &C : Cands) {
-      uint32_t Taken = 0, LastEnd = 0;
-      for (uint32_t P : Arr.positionsOf(C.Node)) {
-        if (Taken && P < LastEnd)
-          continue;
-        bool Ok = true;
-        for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-          Ok = !Claimed[Q];
-        if (!Ok)
-          continue;
-        for (uint32_t Q = P; Q < P + C.Len; ++Q)
-          Claimed[Q] = true;
-        ++Taken;
-        LastEnd = P + C.Len;
-      }
-      if (core::isProfitable(C.Len, Taken))
-        Saved += static_cast<uint64_t>(core::benefit(C.Len, Taken));
-    }
-    benchmark::DoNotOptimize(Saved);
+    auto Sel = core::claimRepeats(Arr, core::rankRepeats(Arr, 2, 64),
+                                  [](uint32_t, uint32_t) { return true; });
+    benchmark::DoNotOptimize(Sel.Funcs.size());
   }
 }
 BENCHMARK(BM_GreedyBenefitSelection);

@@ -118,16 +118,19 @@ bool writeFileAtomic(const std::string &Path,
   std::string Tmp = Path + ".tmp." +
                     std::to_string(static_cast<uint64_t>(::getpid())) + "." +
                     std::to_string(TempCounter.fetch_add(1));
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
-    if (!Out.good())
-      return false;
-  }
+  std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+  if (!Out)
+    return false;
+  Out.write(reinterpret_cast<const char *>(Bytes.data()),
+            static_cast<std::streamsize>(Bytes.size()));
+  // A small blob sits in the stream buffer until close() flushes it, so
+  // only the stream state after close() says whether the bytes landed.
+  Out.close();
   std::error_code Ec;
+  if (Out.fail()) {
+    fs::remove(Tmp, Ec);
+    return false;
+  }
   fs::rename(Tmp, Path, Ec);
   if (Ec) {
     fs::remove(Tmp, Ec);

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 
 using namespace calibro;
 using namespace calibro::core;
@@ -172,46 +173,51 @@ struct RewriteWork {
   std::vector<MethodOcc> Occs;
 };
 
-/// Phase B for one partition: sequence assembly from the precomputed
-/// separators, suffix-array detection, and candidate selection. Produces
-/// this group's outlined functions and the per-method rewrite work; it
-/// mutates nothing, so groups run concurrently.
-void runGroup(const std::vector<CompiledMethod> &Methods,
-              const std::vector<std::size_t> &Rows,
-              const std::vector<const MethodPrep *> &Preps,
-              uint32_t GroupIdx, const OutlinerOptions &Opts,
-              std::vector<OutlinedFunc> &FuncsOut,
-              std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
-              cache::GroupSelections *StoreOut) {
-  Timer BuildTimer;
-
-  // Step 2 (paper §3.3.2): map this group's binary code to one symbol
-  // sequence with unique separators. Sized up front: every word emits one
-  // position plus one inter-method separator per method.
+/// Sequence position provenance of one group: one entry per method word
+/// plus one inter-method separator after each method, in sequence order.
+/// Detection assembles its symbol text in this order; emission and replay
+/// validation map sequence positions back to method words through it.
+std::vector<PosInfo> groupPositions(const std::vector<CompiledMethod> &Methods,
+                                    const std::vector<std::size_t> &Rows) {
   std::size_t TotalWords = 0;
   for (std::size_t Row : Rows)
     TotalWords += Methods[Row].Code.size() + 1;
-
-  std::vector<st::Symbol> Seq;
   std::vector<PosInfo> Pos;
-  Seq.reserve(TotalWords);
   Pos.reserve(TotalWords);
-  uint64_t SepCounter = 0;
+  for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
+    for (std::size_t W = 0; W < Methods[Rows[GI]].Code.size(); ++W)
+      Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
+    Pos.push_back({-1, 0});
+  }
+  return Pos;
+}
 
+/// Phase B detection for one partition: sequence assembly from the
+/// precomputed separators, suffix-array detection, and candidate
+/// selection. Returns the group's canonical selection; it mutates nothing,
+/// so groups run concurrently.
+cache::GroupSelections runGroup(const std::vector<CompiledMethod> &Methods,
+                                const std::vector<std::size_t> &Rows,
+                                const std::vector<const MethodPrep *> &Preps,
+                                const std::vector<PosInfo> &Pos,
+                                const OutlinerOptions &Opts,
+                                OutlineStats &Stats) {
+  Timer BuildTimer;
+
+  // Step 2 (paper §3.3.2): map this group's binary code to one symbol
+  // sequence with unique separators, in groupPositions() order.
+  std::vector<st::Symbol> Seq;
+  Seq.reserve(Pos.size());
+  uint64_t SepCounter = 0;
   for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
     const CompiledMethod &M = Methods[Rows[GI]];
     const std::vector<uint8_t> &Flags = Preps[GI]->Facts.Flags;
-    for (std::size_t W = 0; W < M.Code.size(); ++W) {
+    for (std::size_t W = 0; W < M.Code.size(); ++W)
       Seq.push_back(Flags[W] & MethodFacts::Separator
                         ? st::SeparatorBase + SepCounter++
                         : st::Symbol(M.Code[W]));
-      Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
-    }
     Seq.push_back(st::SeparatorBase + SepCounter++);
-    Pos.push_back({-1, 0});
   }
-  const std::size_t TextSize = Seq.size();
-  Stats.SymbolCount += TextSize;
 
   // The sequence moves into the array, so no second text copy ever
   // exists; releaseWorkingSet() below frees it.
@@ -222,212 +228,85 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
 
   // Step 3 (paper §3.3.3): rank candidates by the Fig. 2 benefit model and
   // claim occurrences greedily.
-  Timer SelectTimer;
-  struct Cand {
-    int32_t Node;
-    uint32_t Len;
-    uint32_t Count;
-    uint32_t First; ///< Earliest occurrence, for content-based ordering.
-    int64_t Ben;
-  };
-  std::vector<Cand> Cands;
-  Array.forEachRepeat(Opts.MinSeqLen, Opts.MaxSeqLen, 2,
-                      [&](const st::SuffixArray::RepeatInfo &R) {
-                        int64_t Ben = benefit(R.Length, R.Count);
-                        if (Ben > 0)
-                          Cands.push_back({R.Node, R.Length, R.Count, 0, Ben});
-                      });
-  Stats.CandidatesEvaluated += Cands.size();
-  // One O(count) scan per candidate — no occurrence copy, no sort. The
-  // old positionsOf()-per-candidate pass here was the k=32 select spike:
-  // copying and sorting every candidate's full occurrence list just to
-  // read its minimum made this loop superlinear in the candidate count.
-  for (Cand &C : Cands)
-    C.First = Array.firstPositionOf(C.Node);
-  const double EnumerateSeconds = SelectTimer.seconds();
+  Timer RankTimer;
+  std::vector<RankedRepeat> Ranked =
+      rankRepeats(Array, Opts.MinSeqLen, Opts.MaxSeqLen);
+  Stats.CandidatesEvaluated += Ranked.size();
+  const double RankSeconds = RankTimer.seconds();
 
   // The detect-phase working set peaks here: the full suffix array plus
-  // this group's sequence/provenance arrays. Record it, then drop the
-  // stored text — selection below reads occurrence positions and method
-  // words only. Neither the sampling nor the release is selection work,
-  // so both stay outside the selection timers.
+  // this group's provenance and ranked candidates. Record it, then drop
+  // the stored text — claiming reads occurrence positions only. Neither
+  // the sampling nor the release is selection work, so both stay outside
+  // the selection timers.
   Stats.DetectPeakBytes =
       std::max(Stats.DetectPeakBytes,
                Array.workingSetBytes() + Pos.capacity() * sizeof(PosInfo) +
-                   Cands.capacity() * sizeof(Cand));
+                   Ranked.capacity() * sizeof(RankedRepeat));
   Array.releaseWorkingSet();
 
   Timer ClaimTimer;
-  // The tie-break is content-based ((first occurrence, length) names the
-  // sequence uniquely), so selection never depends on interval numbering.
-  std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
-    if (A.Ben != B.Ben)
-      return A.Ben > B.Ben;
-    if (A.Len != B.Len)
-      return A.Len > B.Len;
-    return A.First < B.First;
-  });
-
-  std::vector<bool> Claimed(TextSize, false);
-  std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
-  uint32_t LocalFuncs = 0;
-  std::vector<uint32_t> PosBuf;
-  std::vector<uint32_t> Selected;
-
-  for (const Cand &C : Cands) {
-    Selected.clear();
-    uint32_t LastEnd = 0;
-    Array.positionsOf(C.Node, PosBuf);
-    for (uint32_t P : PosBuf) {
-      if (!Selected.empty() && P < LastEnd)
-        continue; // Overlaps the previous selection of this candidate.
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      // Interior branch targets invalidate an occurrence: after outlining,
-      // nothing would exist at those addresses to jump to.
-      if (Ok) {
+  // Interior branch targets invalidate an occurrence: after outlining,
+  // nothing would exist at those addresses to jump to.
+  cache::GroupSelections Sel =
+      claimRepeats(Array, Ranked, [&](uint32_t P, uint32_t Len) {
         const PosInfo &PI = Pos[P];
         assert(PI.MethodRow >= 0 && "occurrence starts at a separator");
         const auto &Flags = Preps[PI.MethodRow]->Facts.Flags;
-        for (uint32_t K = 1; K < C.Len && Ok; ++K)
-          Ok = !(Flags[PI.Word + K] & MethodFacts::BranchTarget);
-      }
-      if (!Ok)
-        continue;
-      Selected.push_back(P);
-      LastEnd = P + C.Len;
-    }
-    if (!isProfitable(C.Len, Selected.size()))
-      continue;
-
-    assert(LocalFuncs < (1u << 20) && "too many outlined functions in group");
-    uint32_t FuncId = (GroupIdx << 20) | LocalFuncs++;
-
-    OutlinedFunc Fn;
-    Fn.Id = FuncId;
-    Fn.SeqLength = C.Len;
-    Fn.Occurrences = static_cast<uint32_t>(Selected.size());
-    // The preserved copy comes from the first occurrence's method words
-    // (the array's stored text is already released). Each word emitted
-    // exactly one sequence position, so the occurrence maps to contiguous
-    // words of one method.
-    uint32_t P0 = Selected.front();
-    const PosInfo &PI0 = Pos[P0];
-    const CompiledMethod &SrcM = Methods[Rows[PI0.MethodRow]];
-    for (uint32_t K = 0; K < C.Len; ++K) {
-      assert(!(Preps[PI0.MethodRow]->Facts.Flags[PI0.Word + K] &
-               MethodFacts::Separator) &&
-             "separator inside a repeated sequence");
-      Fn.Code.push_back(SrcM.Code[PI0.Word + K]);
-    }
-    a64::Insn RetBr{.Op = a64::Opcode::Br};
-    RetBr.Rn = a64::LR;
-    Fn.Code.push_back(a64::encode(RetBr));
-    FuncsOut.push_back(std::move(Fn));
-
-    const int64_t SelBen = benefit(C.Len, Selected.size());
-    if (StoreOut) {
-      cache::CachedSelection CS;
-      CS.SeqLen = C.Len;
-      CS.Benefit = static_cast<uint64_t>(SelBen);
-      CS.Positions = Selected;
-      StoreOut->Funcs.push_back(std::move(CS));
-    }
-
-    for (uint32_t P : Selected) {
-      const PosInfo &PI = Pos[P];
-      OccsByMethod[PI.MethodRow].push_back({PI.Word, C.Len, FuncId});
-      for (uint32_t Q = P; Q < P + C.Len; ++Q)
-        Claimed[Q] = true;
-    }
-    ++Stats.SequencesOutlined;
-    Stats.OccurrencesReplaced += Selected.size();
-    Stats.InsnsRemoved += static_cast<uint64_t>(SelBen);
-  }
-  Stats.SelectSeconds += EnumerateSeconds + ClaimTimer.seconds();
-
-  // Hand the rewrites to Phase C instead of executing them here: every
-  // method's rewrite is independent, so the fan-out parallelizes across ALL
-  // groups' methods at once (and runs even when Partitions == 1).
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI)
-    if (!OccsByMethod[GI].empty())
-      WorkOut.push_back({Rows[GI], std::move(OccsByMethod[GI])});
+        for (uint32_t K = 1; K < Len; ++K)
+          if (Flags[PI.Word + K] & MethodFacts::BranchTarget)
+            return false;
+        return true;
+      });
+  Stats.SelectSeconds += RankSeconds + ClaimTimer.seconds();
+  return Sel;
 }
 
-/// Replays one group's cached canonical selection instead of running
-/// detection (Phase B on a warm build). The cache is never an authority:
-/// every invariant the cold selection path establishes is re-validated
-/// against the LIVE methods — lengths inside [MinSeqLen, MaxSeqLen],
-/// positions strictly ascending and inside one method, no separators or
-/// claimed words in any occurrence, no interior branch targets, identical
-/// words across all occurrences of a function, and the recorded benefit
-/// matching the model. ANY violation rejects the replay with all outputs
-/// untouched and the caller falls back to detection, so a stale or corrupt
-/// entry can cost time but can never change output. On success the
-/// emission order (and hence OutlinedFunc id assignment) is exactly the
-/// cold path's, which is what keeps warm builds byte-identical.
-bool replayGroup(const std::vector<CompiledMethod> &Methods,
-                 const std::vector<std::size_t> &Rows,
-                 const std::vector<const MethodPrep *> &Preps,
-                 uint32_t GroupIdx, const OutlinerOptions &Opts,
-                 const cache::GroupSelections &Cached,
-                 std::vector<OutlinedFunc> &FuncsOut,
-                 std::vector<RewriteWork> &WorkOut, OutlineStats &Stats) {
+/// Decides whether one group's cached canonical selection may be replayed
+/// instead of running detection (Phase B on a warm build). The cache is
+/// never an authority: every invariant the cold selection path establishes
+/// is re-validated against the LIVE methods — lengths inside [MinSeqLen,
+/// MaxSeqLen], positions strictly ascending and inside one method, no
+/// separators or claimed words in any occurrence, no interior branch
+/// targets, identical words across all occurrences of a function, and the
+/// recorded benefit matching the model. ANY violation rejects the replay
+/// and the caller falls back to detection, so a stale or corrupt entry can
+/// cost time but can never change output. Fresh selections skip this
+/// check: they hold these invariants by construction.
+bool replayable(const std::vector<CompiledMethod> &Methods,
+                const std::vector<std::size_t> &Rows,
+                const std::vector<const MethodPrep *> &Preps,
+                const std::vector<PosInfo> &Pos, const OutlinerOptions &Opts,
+                const cache::GroupSelections &Cached) {
   if (Cached.Funcs.size() >= (1u << 20))
     return false;
 
-  // Re-assemble the position provenance only (no symbols, no suffix
-  // array): separator-ness and word content are read through Pos.
-  std::size_t TotalWords = 0;
-  for (std::size_t Row : Rows)
-    TotalWords += Methods[Row].Code.size() + 1;
-  std::vector<PosInfo> Pos;
-  Pos.reserve(TotalWords);
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
-    const CompiledMethod &M = Methods[Rows[GI]];
-    for (std::size_t W = 0; W < M.Code.size(); ++W)
-      Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
-    Pos.push_back({-1, 0});
-  }
   const std::size_t TextSize = Pos.size();
-
   std::vector<bool> Claimed(TextSize, false);
-  std::vector<OutlinedFunc> Funcs;
-  std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
-  std::size_t SequencesOutlined = 0, OccurrencesReplaced = 0;
-  uint64_t InsnsRemoved = 0;
-  uint32_t LocalFuncs = 0;
-
   for (const cache::CachedSelection &S : Cached.Funcs) {
-    if (S.SeqLen < Opts.MinSeqLen || S.SeqLen > Opts.MaxSeqLen)
-      return false;
-    if (S.Positions.empty() || !isProfitable(S.SeqLen, S.Positions.size()))
-      return false;
-    if (S.Benefit !=
-        static_cast<uint64_t>(benefit(S.SeqLen, S.Positions.size())))
+    if (S.SeqLen < Opts.MinSeqLen || S.SeqLen > Opts.MaxSeqLen ||
+        S.Positions.empty() || !isProfitable(S.SeqLen, S.Positions.size()) ||
+        S.Benefit !=
+            static_cast<uint64_t>(benefit(S.SeqLen, S.Positions.size())))
       return false;
 
     const uint32_t P0 = S.Positions.front();
     if (P0 >= TextSize || Pos[P0].MethodRow < 0)
       return false;
     const PosInfo &PI0 = Pos[P0];
+    const CompiledMethod &M0 = Methods[Rows[PI0.MethodRow]];
     uint32_t LastEnd = 0;
     for (std::size_t J = 0; J < S.Positions.size(); ++J) {
       const uint32_t P = S.Positions[J];
       if (J > 0 && P < LastEnd)
         return false; // Overlap inside the selection.
-      if (P >= TextSize || TextSize - P < S.SeqLen)
+      if (P >= TextSize || TextSize - P < S.SeqLen || Pos[P].MethodRow < 0)
         return false;
       const PosInfo &PI = Pos[P];
-      if (PI.MethodRow < 0)
-        return false;
       const MethodPrep &Prep = *Preps[PI.MethodRow];
       const CompiledMethod &M = Methods[Rows[PI.MethodRow]];
-      const CompiledMethod &M0 = Methods[Rows[PI0.MethodRow]];
       for (uint32_t K = 0; K < S.SeqLen; ++K) {
-        const PosInfo &QI = Pos[P + K];
-        if (QI.MethodRow != PI.MethodRow)
+        if (Pos[P + K].MethodRow != PI.MethodRow)
           return false; // Crosses a method boundary.
         const uint8_t Flags = Prep.Facts.Flags[PI.Word + K];
         if ((Flags & MethodFacts::Separator) || Claimed[P + K])
@@ -439,41 +318,60 @@ bool replayGroup(const std::vector<CompiledMethod> &Methods,
       }
       LastEnd = P + S.SeqLen;
     }
-
-    const uint32_t FuncId = (GroupIdx << 20) | LocalFuncs++;
-    OutlinedFunc Fn;
-    Fn.Id = FuncId;
-    Fn.SeqLength = S.SeqLen;
-    Fn.Occurrences = static_cast<uint32_t>(S.Positions.size());
-    const CompiledMethod &M0 = Methods[Rows[PI0.MethodRow]];
-    for (uint32_t K = 0; K < S.SeqLen; ++K)
-      Fn.Code.push_back(M0.Code[PI0.Word + K]);
-    a64::Insn RetBr{.Op = a64::Opcode::Br};
-    RetBr.Rn = a64::LR;
-    Fn.Code.push_back(a64::encode(RetBr));
-    Funcs.push_back(std::move(Fn));
-
-    for (uint32_t P : S.Positions) {
-      const PosInfo &PI = Pos[P];
-      OccsByMethod[PI.MethodRow].push_back({PI.Word, S.SeqLen, FuncId});
-      for (uint32_t Q = P; Q < P + S.SeqLen; ++Q)
-        Claimed[Q] = true;
-    }
-    ++SequencesOutlined;
-    OccurrencesReplaced += S.Positions.size();
-    InsnsRemoved += S.Benefit;
+    for (uint32_t P : S.Positions)
+      std::fill(Claimed.begin() + P, Claimed.begin() + P + S.SeqLen, true);
   }
+  return true;
+}
 
-  // All-or-nothing commit: nothing above touched the output parameters.
-  Stats.SymbolCount += TextSize;
-  Stats.SequencesOutlined += SequencesOutlined;
-  Stats.OccurrencesReplaced += OccurrencesReplaced;
-  Stats.InsnsRemoved += InsnsRemoved;
-  FuncsOut = std::move(Funcs);
+/// Emits one group's selection, detected or replayed: one OutlinedFunc per
+/// selected sequence, the per-method rewrite work and the group's counters
+/// (its time counts as selection). Ids follow selection order, so a
+/// replayed group emits exactly what its cold detection did — which is
+/// what keeps warm builds byte-identical. The emitter trusts its input:
+/// fresh selections are valid by construction, cached ones passed
+/// replayable().
+void emitSelections(const std::vector<CompiledMethod> &Methods,
+                    const std::vector<std::size_t> &Rows,
+                    const std::vector<PosInfo> &Pos, uint32_t GroupIdx,
+                    const cache::GroupSelections &Sel,
+                    std::vector<OutlinedFunc> &FuncsOut,
+                    std::vector<RewriteWork> &WorkOut, OutlineStats &Stats) {
+  assert(Sel.Funcs.size() < (1u << 20) && "too many outlined functions");
+  Timer EmitTimer;
+  const uint32_t RetWord =
+      a64::encode(a64::Insn{.Op = a64::Opcode::Br, .Rn = a64::LR});
+
+  std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
+  for (uint32_t F = 0; F < Sel.Funcs.size(); ++F) {
+    const cache::CachedSelection &S = Sel.Funcs[F];
+    const uint32_t FuncId = (GroupIdx << 20) | F;
+    // The preserved copy comes from the first occurrence's method words.
+    // Each word emitted exactly one sequence position, so the occurrence
+    // maps to contiguous words of one method.
+    const PosInfo &PI0 = Pos[S.Positions.front()];
+    const auto &Src = Methods[Rows[PI0.MethodRow]].Code;
+    std::vector<uint32_t> Code(Src.begin() + PI0.Word,
+                               Src.begin() + PI0.Word + S.SeqLen);
+    Code.push_back(RetWord);
+    FuncsOut.push_back({FuncId, std::move(Code), {}, S.SeqLen,
+                        static_cast<uint32_t>(S.Positions.size())});
+
+    for (uint32_t P : S.Positions)
+      OccsByMethod[Pos[P].MethodRow].push_back({Pos[P].Word, S.SeqLen, FuncId});
+    ++Stats.SequencesOutlined;
+    Stats.OccurrencesReplaced += S.Positions.size();
+    Stats.InsnsRemoved += S.Benefit;
+  }
+  Stats.SymbolCount += Pos.size();
+  Stats.SelectSeconds += EmitTimer.seconds();
+
+  // Hand the rewrites to Phase C instead of executing them here: every
+  // method's rewrite is independent, so the fan-out parallelizes across ALL
+  // groups' methods at once (and runs even when Partitions == 1).
   for (std::size_t GI = 0; GI < Rows.size(); ++GI)
     if (!OccsByMethod[GI].empty())
       WorkOut.push_back({Rows[GI], std::move(OccsByMethod[GI])});
-  return true;
 }
 
 } // namespace
@@ -629,7 +527,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // groups in one run both replay or neither does, regardless of how Phase
   // B tasks interleave with this run's own stores.
   std::vector<cache::Digest> GroupKeys(Opts.Cache ? K : 0);
-  std::vector<std::unique_ptr<cache::GroupSelections>> GroupCached(
+  std::vector<std::optional<cache::GroupSelections>> GroupCached(
       Opts.Cache ? K : 0);
   if (Opts.Cache) {
     for (uint32_t G = 0; G < K; ++G) {
@@ -645,9 +543,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
         H.u8(Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx) ? 1 : 0);
       }
       GroupKeys[G] = H.finish();
-      if (auto Sel = Opts.Cache->loadGroup(GroupKeys[G]))
-        GroupCached[G] =
-            std::make_unique<cache::GroupSelections>(std::move(*Sel));
+      GroupCached[G] = Opts.Cache->loadGroup(GroupKeys[G]);
     }
   }
 
@@ -698,22 +594,26 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
       Rows.push_back(Candidates[I]);
       GroupPreps.push_back(&Preps[I]);
     }
-    if (Opts.Cache && GroupCached[G] &&
-        replayGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
-                    *GroupCached[G], GroupFuncs[G], GroupWork[G],
-                    GroupStats[G])) {
+    Timer PosTimer;
+    const std::vector<PosInfo> Pos = groupPositions(Methods, Rows);
+    const double PosSeconds = PosTimer.seconds();
+    const cache::GroupSelections *Sel =
+        Opts.Cache && GroupCached[G] ? &*GroupCached[G] : nullptr;
+    cache::GroupSelections Detected;
+    if (Sel && replayable(Methods, Rows, GroupPreps, Pos, Opts, *Sel)) {
       ++GroupStats[G].GroupsReused;
-      return;
+    } else {
+      ++GroupStats[G].GroupsDetected;
+      Detected = runGroup(Methods, Rows, GroupPreps, Pos, Opts, GroupStats[G]);
+      GroupStats[G].DetectBuildSeconds += PosSeconds; // Sequence assembly.
+      // Store even an empty selection: "this group outlines nothing" is as
+      // reusable as any other result.
+      if (Opts.Cache)
+        Opts.Cache->storeGroup(GroupKeys[G], Detected);
+      Sel = &Detected;
     }
-    ++GroupStats[G].GroupsDetected;
-    cache::GroupSelections Store;
-    runGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
-             GroupFuncs[G], GroupWork[G], GroupStats[G],
-             Opts.Cache ? &Store : nullptr);
-    // Store even an empty selection: "this group outlines nothing" is as
-    // reusable as any other result.
-    if (Opts.Cache)
-      Opts.Cache->storeGroup(GroupKeys[G], Store);
+    emitSelections(Methods, Rows, Pos, static_cast<uint32_t>(G), *Sel,
+                   GroupFuncs[G], GroupWork[G], GroupStats[G]);
   };
 
   for (const std::vector<std::size_t> &W : Windows) {

@@ -66,86 +66,23 @@ RedundancyReport core::analyzeRedundancy(
   }
 
   // Steps 2+3 (§2.2): suffix array (one LCP interval per suffix-tree
-  // internal node) and repetitive-sequence detection.
+  // internal node) and repetitive-sequence detection, ranked by benefit.
   st::SuffixArray Array(std::move(Seq));
-
-  struct Cand {
-    int32_t Node;
-    uint32_t Len;
-    uint32_t Count;
-    uint32_t First; ///< Earliest occurrence, for content-based ordering.
-    int64_t Ben;
-  };
-  std::vector<Cand> Cands;
-  Array.forEachRepeat(2, Opts.MaxSeqLen, 2,
-                      [&](const st::SuffixArray::RepeatInfo &R) {
-                        int64_t Ben = benefit(R.Length, R.Count);
-                        if (Ben > 0)
-                          Cands.push_back({R.Node, R.Length, R.Count,
-                                           Array.firstPositionOf(R.Node),
-                                           Ben});
-                      });
-  // Same content-based tie-break as LTBO's selector: (first occurrence,
-  // length) names a sequence uniquely, so the report does not depend on
-  // how the detector numbers its repeats.
-  std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
-    if (A.Ben != B.Ben)
-      return A.Ben > B.Ben;
-    if (A.Len != B.Len)
-      return A.Len > B.Len;
-    return A.First < B.First;
-  });
+  std::vector<RankedRepeat> Ranked = rankRepeats(Array, 2, Opts.MaxSeqLen);
 
   // Step 4 (§2.2): estimate the saving with the Fig. 2 model, greedily and
-  // without double counting (non-overlapping occurrences only).
-  std::vector<bool> Claimed(Array.textSize(), false);
+  // without double counting (non-overlapping occurrences only). LTBO's
+  // selector does the same; the estimate just admits every occurrence.
+  cache::GroupSelections Sel =
+      claimRepeats(Array, Ranked, [](uint32_t, uint32_t) { return true; });
   auto Text = Array.text();
   std::vector<TopPattern> Patterns;
-
-  for (const Cand &C : Cands) {
-    uint32_t Taken = 0;
-    uint32_t LastEnd = 0;
-    uint32_t FirstPos = 0;
-    for (uint32_t P : Array.positionsOf(C.Node)) {
-      if (Taken && P < LastEnd)
-        continue;
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      if (!Ok)
-        continue;
-      if (!Taken)
-        FirstPos = P;
-      ++Taken;
-      LastEnd = P + C.Len;
-    }
-    if (!isProfitable(C.Len, Taken))
-      continue;
-    // Claim in a second pass (cheap; candidate lists are position-sorted).
-    uint32_t Reclaimed = 0;
-    LastEnd = 0;
-    for (uint32_t P : Array.positionsOf(C.Node)) {
-      if (Reclaimed && P < LastEnd)
-        continue;
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      if (!Ok)
-        continue;
-      for (uint32_t Q = P; Q < P + C.Len; ++Q)
-        Claimed[Q] = true;
-      ++Reclaimed;
-      LastEnd = P + C.Len;
-    }
-    Report.SavedInsns += static_cast<uint64_t>(benefit(C.Len, Taken));
-    Report.RepeatsByLength[C.Len] += Taken;
-
-    TopPattern TP;
-    TP.Length = C.Len;
-    TP.Count = Taken;
-    for (uint32_t K = 0; K < C.Len; ++K)
-      TP.Words.push_back(static_cast<uint32_t>(Text[FirstPos + K]));
-    Patterns.push_back(std::move(TP));
+  for (const cache::CachedSelection &S : Sel.Funcs) {
+    Report.SavedInsns += S.Benefit;
+    Report.RepeatsByLength[S.SeqLen] += S.Positions.size();
+    auto Words = Text.subspan(S.Positions[0], S.SeqLen);
+    Patterns.push_back({std::vector<uint32_t>(Words.begin(), Words.end()),
+                        S.SeqLen, static_cast<uint32_t>(S.Positions.size())});
   }
 
   std::sort(Patterns.begin(), Patterns.end(),

@@ -20,6 +20,7 @@
 #include "cache/BuildCache.h"
 #include "cache/Digest.h"
 #include "cache/ShardedCache.h"
+#include "core/BenefitModel.h"
 #include "core/Calibro.h"
 #include "core/Outliner.h"
 #include "oat/Serialize.h"
@@ -28,16 +29,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -265,6 +269,47 @@ TEST(CacheStore, MethodBlobRoundtripAndAudit) {
   EXPECT_EQ(A.MethodCorrupt, 0u);
   EXPECT_EQ(A.GroupCorrupt, 0u);
   EXPECT_GT(A.TotalBytes, 0u);
+}
+
+TEST(CacheStore, FailedWriteLeavesNoEntry) {
+  // A blob this small sits in the stream buffer until the file is closed,
+  // so a write that fails only at that final flush must still count as a
+  // failed store. A forked child caps its own file size below the blob
+  // and stores it: no entry and no temp file may be left behind.
+  TempCacheDir Dir("short-write");
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  codegen::CompiledMethod M;
+  M.Name = std::string(400, 'w');
+  a64::Insn Ret{.Op = a64::Opcode::Ret};
+  Ret.Rn = a64::LR;
+  M.Code = {a64::encode(a64::Insn{.Op = a64::Opcode::Nop}), a64::encode(Ret)};
+  M.Side.TerminatorOffsets = {4};
+  cache::Hasher Key;
+  Key.u32(7);
+  const cache::Digest K = Key.finish();
+
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    // Ignored, SIGXFSZ turns into a write that fails with EFBIG.
+    ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit Cap = {100, 100};
+    if (::setrlimit(RLIMIT_FSIZE, &Cap) != 0)
+      ::_exit(2);
+    (*Cache)->storeMethod(K, M, 0);
+    ::_exit(0);
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  EXPECT_FALSE(fs::exists((*Cache)->methodPath(K)));
+  for (const auto &E : fs::directory_iterator(Dir.Path / "m"))
+    ADD_FAILURE() << "left behind: " << E.path();
+
+  // Uncapped, the same store lands.
+  (*Cache)->storeMethod(K, M, 0);
+  EXPECT_TRUE((*Cache)->loadMethod(K).has_value());
 }
 
 TEST(CacheStore, BlobChecksumsMatchTheByteLoopValues) {
@@ -576,6 +621,163 @@ TEST(CacheWarm, StaleFactsAreNeverReused) {
       EXPECT_EQ(S.FactsReused,
                 S.CandidateMethods - S.MethodsRejected - (E.Rejects ? 0 : 2));
     }
+  }
+}
+
+namespace {
+
+/// A real store that also remembers the last group key it stored, so a
+/// test can overwrite that entry with a well-formed but wrong selection.
+class KeyCapturingCache : public cache::BuildCache {
+public:
+  explicit KeyCapturingCache(std::string Dir) : BuildCache(std::move(Dir)) {}
+  void storeGroup(const cache::Digest &Key,
+                  const cache::GroupSelections &G) const override {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      LastKey = Key;
+    }
+    BuildCache::storeGroup(Key, G);
+  }
+  std::optional<cache::Digest> lastKey() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return LastKey;
+  }
+
+private:
+  mutable std::mutex Mu;
+  mutable std::optional<cache::Digest> LastKey;
+};
+
+uint32_t regWord(a64::Opcode Op, uint8_t Rd, uint8_t Rn, uint8_t Rm) {
+  return a64::encode(a64::Insn{.Op = Op, .Rd = Rd, .Rn = Rn, .Rm = Rm});
+}
+
+/// Eight hand-built methods, one LTBO group (linked with MaxSeqLen 7 and
+/// method 4 hot), whose text positions the replay cases address directly:
+/// each method's words, then one separator, so method I starts at 10 * I.
+///   0-3  [u_i, A B C D E F G H]  the repeat A..G at 1, 11, 21 and 31
+///   4    [u_4, A B C D E F G H]  hot: every word is a separator
+///   5    [b C, A B C D E F G H]  C (53) is a branch target
+///   6    [n_1 .. n_9]            unique words
+///   7    [y y y y y y y y y]     one word nine times
+/// Detection selects A..G at {1, 11, 21, 31} (benefit 16) and y y y y at
+/// {70, 74} (benefit 1). Each case below breaks exactly one replay rule
+/// and would pass every other one.
+std::vector<codegen::CompiledMethod> replayCorpus() {
+  using a64::Opcode;
+  const std::vector<uint32_t> Repeat = {
+      regWord(Opcode::AddReg, 1, 1, 2), regWord(Opcode::EorReg, 3, 1, 2),
+      regWord(Opcode::AndReg, 4, 3, 1), regWord(Opcode::OrrReg, 5, 4, 2),
+      regWord(Opcode::SubReg, 6, 5, 3), regWord(Opcode::AddReg, 7, 6, 4),
+      regWord(Opcode::EorReg, 8, 7, 5), regWord(Opcode::AndReg, 9, 8, 6)};
+  std::vector<codegen::CompiledMethod> Ms(8);
+  for (uint32_t I = 0; I < Ms.size(); ++I) {
+    Ms[I].MethodIdx = I;
+    Ms[I].Name = "replay" + std::to_string(I);
+  }
+  for (uint32_t I = 0; I < 5; ++I)
+    Ms[I].Code = {a64::encode(
+        a64::Insn{.Op = Opcode::MovZ, .Rd = 10, .Imm = int64_t(I) + 1})};
+  Ms[5].Code = {a64::encode(a64::Insn{.Op = Opcode::B, .Imm = 12})};
+  Ms[5].Side.TerminatorOffsets = {0};
+  Ms[5].Side.PcRelRecords = {{0, 12}};
+  for (uint32_t I = 0; I < 6; ++I)
+    Ms[I].Code.insert(Ms[I].Code.end(), Repeat.begin(), Repeat.end());
+  for (uint8_t K = 0; K < 9; ++K)
+    Ms[6].Code.push_back(regWord(Opcode::SubReg, 11 + K, 12 + K, 13 + K));
+  Ms[7].Code.assign(9, regWord(Opcode::AddReg, 2, 2, 3));
+  return Ms;
+}
+
+} // namespace
+
+TEST(CacheReplay, EachRejectedSelectionFallsBackToDetection) {
+  // The cache's checksums and structural decode catch damaged blobs; these
+  // selections are well formed and checksummed but break one replay rule
+  // each, so only LTBO's own validation can refuse them. Each must fall
+  // back to detection and reproduce the cold output exactly.
+  TempCacheDir Dir("replay-rules");
+  ASSERT_TRUE(bool(cache::BuildCache::open(Dir.str()))); // Stamps the store.
+  KeyCapturingCache Cache(Dir.str());
+  const std::set<uint32_t> Hot = {4};
+  core::OutlinerOptions Opts;
+  Opts.MaxSeqLen = 7;
+  Opts.HotMethods = &Hot;
+  Opts.Cache = &Cache;
+  auto Link = [&] {
+    auto Methods = replayCorpus();
+    auto R = core::runLtbo(Methods, Opts);
+    EXPECT_TRUE(bool(R)) << R.message();
+    return std::make_pair(std::move(Methods), std::move(*R));
+  };
+  auto ExpectSame = [](const auto &A, const auto &B) {
+    for (std::size_t M = 0; M < A.first.size(); ++M)
+      EXPECT_EQ(A.first[M].Code, B.first[M].Code) << "method " << M;
+    ASSERT_EQ(A.second.Funcs.size(), B.second.Funcs.size());
+    for (std::size_t F = 0; F < A.second.Funcs.size(); ++F) {
+      EXPECT_EQ(A.second.Funcs[F].Id, B.second.Funcs[F].Id);
+      EXPECT_EQ(A.second.Funcs[F].Code, B.second.Funcs[F].Code);
+    }
+    EXPECT_EQ(A.second.Stats.InsnsRemoved, B.second.Stats.InsnsRemoved);
+  };
+
+  const auto Cold = Link();
+  EXPECT_EQ(Cold.second.Stats.GroupsDetected, 1u);
+  const std::optional<cache::Digest> Key = Cache.lastKey();
+  ASSERT_TRUE(Key.has_value());
+  const std::optional<cache::GroupSelections> Good = Cache.loadGroup(*Key);
+  ASSERT_TRUE(Good.has_value());
+  ASSERT_EQ(Good->Funcs.size(), 2u);
+  EXPECT_EQ(Good->Funcs[0].SeqLen, 7u);
+  EXPECT_EQ(Good->Funcs[0].Benefit, 16u);
+  EXPECT_EQ(Good->Funcs[0].Positions, (std::vector<uint32_t>{1, 11, 21, 31}));
+  EXPECT_EQ(Good->Funcs[1].SeqLen, 4u);
+  EXPECT_EQ(Good->Funcs[1].Benefit, 1u);
+  EXPECT_EQ(Good->Funcs[1].Positions, (std::vector<uint32_t>{70, 74}));
+  const auto Warm = Link();
+  EXPECT_EQ(Warm.second.Stats.GroupsReused, 1u);
+  ExpectSame(Cold, Warm);
+
+  using Edit = std::function<void(cache::GroupSelections &)>;
+  const std::vector<std::pair<const char *, Edit>> Cases = {
+      // A..H is a valid 8-word run at every position.
+      {"length above MaxSeqLen",
+       [](cache::GroupSelections &G) {
+         G.Funcs[0].SeqLen = 8;
+         G.Funcs[0].Benefit = static_cast<uint64_t>(core::benefit(8, 4));
+       }},
+      {"benefit mismatch",
+       [](cache::GroupSelections &G) { ++G.Funcs[0].Benefit; }},
+      // y y y y at 71 has the same words as at 70.
+      {"overlapping occurrences",
+       [](cache::GroupSelections &G) { G.Funcs[1].Positions[1] = 71; }},
+      // The hot copy of A..G: same words, all separators.
+      {"occurrence on a separator",
+       [](cache::GroupSelections &G) { G.Funcs[0].Positions[3] = 41; }},
+      // C..H, then the separator after method 0.
+      {"occurrence crossing a method boundary",
+       [](cache::GroupSelections &G) { G.Funcs[0].Positions[0] = 3; }},
+      {"interior branch target",
+       [](cache::GroupSelections &G) { G.Funcs[0].Positions[3] = 51; }},
+      {"occurrences whose words differ",
+       [](cache::GroupSelections &G) { G.Funcs[0].Positions[3] = 60; }},
+  };
+  for (const auto &[Name, Apply] : Cases) {
+    SCOPED_TRACE(Name);
+    cache::GroupSelections Bad = *Good;
+    Apply(Bad);
+    Cache.storeGroup(*Key, Bad);
+    // The entry decodes: the refusal must come from LTBO, not the store.
+    auto Stored = Cache.loadGroup(*Key);
+    ASSERT_TRUE(Stored.has_value());
+    ASSERT_EQ(Stored->Funcs[0].SeqLen, Bad.Funcs[0].SeqLen);
+    ASSERT_EQ(Stored->Funcs[0].Positions, Bad.Funcs[0].Positions);
+    ASSERT_EQ(Stored->Funcs[1].Positions, Bad.Funcs[1].Positions);
+    const auto Fallback = Link();
+    EXPECT_EQ(Fallback.second.Stats.GroupsReused, 0u);
+    EXPECT_EQ(Fallback.second.Stats.GroupsDetected, 1u);
+    ExpectSame(Cold, Fallback);
   }
 }
 

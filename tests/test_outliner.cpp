@@ -11,9 +11,11 @@
 #include "core/Outliner.h"
 #include "core/RedundancyAnalysis.h"
 #include "hir/HGraph.h"
+#include "hir/Passes.h"
 #include "oat/Linker.h"
 #include "sim/Simulator.h"
 #include "verify/OatVerifier.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -678,6 +680,73 @@ TEST(RedundancyAnalysis, TerminatorSeparationLowersEstimate) {
   auto A = analyzeRedundancy(Compiled, Plain);
   auto B = analyzeRedundancy(Compiled, Separated);
   EXPECT_GE(A.EstimatedReductionRatio, B.EstimatedReductionRatio);
+}
+
+/// Baseline-compiles every method of \p App, as the §2.2 benches do.
+std::vector<CompiledMethod> compileBaseline(const dex::App &App) {
+  CtoStubCache Cache;
+  CodeGenerator Gen({.EnableCto = false}, Cache);
+  std::vector<CompiledMethod> Out;
+  auto Pipeline = hir::defaultPipeline();
+  App.forEachMethod([&](const dex::Method &M) {
+    if (M.IsNative) {
+      Out.push_back(Gen.compileNative(M));
+      return;
+    }
+    auto G = hir::buildHGraph(M);
+    EXPECT_TRUE(bool(G)) << G.message();
+    if (!G)
+      return;
+    hir::runPipeline(*G, Pipeline);
+    Out.push_back(Gen.compile(*G));
+  });
+  return Out;
+}
+
+TEST(RedundancyAnalysis, PinnedPaperAppEstimate) {
+  // Exact §2.2 figures for Toutiao at scale 0.5, with every correctness
+  // rule off (the raw Table 1 estimate) and with every rule on. Ranking
+  // and greedy claiming are shared with LTBO, so a change to either shows
+  // up here as well as in the images.
+  auto Spec = workload::paperApps(0.5).front();
+  ASSERT_EQ(Spec.Name, "Toutiao");
+  auto Methods = compileBaseline(workload::makeApp(Spec));
+  // The hottest pattern either way: the frame setup of a method prologue.
+  const std::vector<uint32_t> Prologue = {0x910003fd, 0xa90157f4, 0xa9025ff6,
+                                          0xa90367f8, 0xa9046ffa};
+
+  AnalysisOptions Raw;
+  auto R = analyzeRedundancy(Methods, Raw);
+  EXPECT_EQ(R.TotalInsns, 17034u);
+  EXPECT_EQ(R.SavedInsns, 6297u);
+  EXPECT_EQ(R.RepeatsByLength,
+            (std::map<uint32_t, uint64_t>{{2, 1318},
+                                          {3, 452},
+                                          {4, 269},
+                                          {5, 360},
+                                          {6, 78},
+                                          {7, 2},
+                                          {8, 166},
+                                          {11, 80}}));
+  ASSERT_FALSE(R.TopPatterns.empty());
+  EXPECT_EQ(R.TopPatterns[0].Length, 5u);
+  EXPECT_EQ(R.TopPatterns[0].Count, 229u);
+  EXPECT_EQ(R.TopPatterns[0].Words, Prologue);
+
+  AnalysisOptions Legal;
+  Legal.SeparateAtTerminators = true;
+  Legal.SeparateAtPcRel = true;
+  Legal.SeparateAtLrSensitive = true;
+  auto L = analyzeRedundancy(Methods, Legal);
+  EXPECT_EQ(L.TotalInsns, 11882u);
+  EXPECT_EQ(L.SavedInsns, 3508u);
+  EXPECT_EQ(L.RepeatsByLength,
+            (std::map<uint32_t, uint64_t>{
+                {2, 1025}, {3, 202}, {4, 456}, {5, 242}, {6, 12}}));
+  ASSERT_FALSE(L.TopPatterns.empty());
+  EXPECT_EQ(L.TopPatterns[0].Length, 5u);
+  EXPECT_EQ(L.TopPatterns[0].Count, 229u);
+  EXPECT_EQ(L.TopPatterns[0].Words, Prologue);
 }
 
 } // namespace
