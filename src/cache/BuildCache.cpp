@@ -10,13 +10,15 @@
 #include "oat/Serialize.h"
 #include "support/BinaryStream.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
+#include <tuple>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -31,7 +33,14 @@ namespace {
 
 constexpr uint32_t MethodBlobMagic = 0x31424d43;  // "CMB1"
 constexpr uint32_t GroupBlobMagic = 0x31424743;   // "CGB1"
+constexpr uint32_t PackMagic = 0x334b5043;        // "CPK3"
 constexpr std::size_t ChecksumBytes = 16;
+/// Pack header: magic, version, entry count.
+constexpr std::size_t PackHeaderBytes = 12;
+/// One index row: digest Lo, digest Hi, offset, length.
+constexpr std::size_t PackRowBytes = 24;
+/// Pack tail: the file's length, then the checksum of header + index.
+constexpr std::size_t PackTailBytes = 8 + ChecksumBytes;
 
 /// Guards against runaway counts in corrupt varint headers before any
 /// allocation is sized from them.
@@ -39,6 +48,14 @@ constexpr uint64_t MaxReasonableCount = 1u << 28;
 
 std::string versionStamp() {
   return "calibro-cache " + std::to_string(CacheFormatVersion) + "\n";
+}
+
+uint32_t blobMagic(char Kind) {
+  return Kind == 'm' ? MethodBlobMagic : GroupBlobMagic;
+}
+
+bool digestLess(const Digest &A, const Digest &B) {
+  return std::tie(A.Lo, A.Hi) < std::tie(B.Lo, B.Hi);
 }
 
 Digest payloadChecksum(std::span<const uint8_t> Buf, std::size_t End) {
@@ -69,24 +86,38 @@ Digest payloadChecksum(std::span<const uint8_t> Buf, std::size_t End) {
   return H.finish();
 }
 
-/// Reads the whole file at \p Path with one open/fstat/read/close into a
-/// reusable per-thread buffer. The span stays valid until the calling
-/// thread's next readWholeFile; decode before reading again. The buffer
-/// keeps the capacity of the largest blob its thread has read (a group
-/// blob of Kuaishou at scale 16 in one partition is ~220 KB).
-///
-/// Cache blobs are a few hundred bytes, so they are read, not mapped: an
-/// mmap + munmap per blob serializes the compile pool on the address-space
-/// lock and shoots down every pool thread's TLB, which made 4-thread warm
-/// loads slower than 1-thread ones (DESIGN.md §8).
-std::optional<std::span<const uint8_t>>
-readWholeFile(const std::string &Path) {
-  thread_local std::vector<uint8_t> Buf;
+/// Checksum of a pack's header + index, bound to the pack's length so a
+/// truncated or extended file never passes.
+Digest packChecksum(std::span<const uint8_t> Bytes, std::size_t HeadEnd,
+                    uint64_t FileBytes) {
+  Hasher H;
+  H.digest(payloadChecksum(Bytes, HeadEnd));
+  H.u64(FileBytes);
+  return H.finish();
+}
+
+uint64_t loadU64(const uint8_t *P) {
+  uint64_t V;
+  std::memcpy(&V, P, 8);
+  return V;
+}
+
+uint32_t loadU32(const uint8_t *P) {
+  uint32_t V;
+  std::memcpy(&V, P, 4);
+  return V;
+}
+
+/// Reads the whole file at \p Path with one open/fstat/read/close. A pack
+/// is read once per handle and served from memory after that; it is read,
+/// not mapped, so a file truncated under us is a short read, not a fault.
+std::optional<std::vector<uint8_t>> readWholeFile(const std::string &Path) {
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0)
     return std::nullopt;
   struct stat St;
   bool Ok = ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode);
+  std::vector<uint8_t> Buf;
   std::size_t Got = 0;
   if (Ok) {
     Buf.resize(static_cast<std::size_t>(St.st_size));
@@ -103,14 +134,12 @@ readWholeFile(const std::string &Path) {
   // A short read means the file changed under us: report it as unreadable.
   if (!Ok || Got != Buf.size())
     return std::nullopt;
-  return std::span<const uint8_t>(Buf.data(), Buf.size());
+  return Buf;
 }
 
 /// Writes \p Bytes to \p Path via a unique sibling temp file + rename, so a
-/// reader never sees a partial entry and concurrent writers of the same key
-/// race benignly (both contents are identical by construction).
-bool writeFileAtomic(const std::string &Path,
-                     const std::vector<uint8_t> &Bytes) {
+/// reader never sees a partial file. Removes the temp file on any failure.
+bool writeFileAtomic(const std::string &Path, std::span<const uint8_t> Bytes) {
   static std::atomic<uint64_t> TempCounter{0};
   // The pid keeps two processes apart even when their counters agree (a
   // fork, or two runs of one binary); the counter keeps this process's
@@ -118,25 +147,92 @@ bool writeFileAtomic(const std::string &Path,
   std::string Tmp = Path + ".tmp." +
                     std::to_string(static_cast<uint64_t>(::getpid())) + "." +
                     std::to_string(TempCounter.fetch_add(1));
-  std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-  if (!Out)
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (Fd < 0)
     return false;
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  // A small blob sits in the stream buffer until close() flushes it, so
-  // only the stream state after close() says whether the bytes landed.
-  Out.close();
+  std::size_t Put = 0;
+  while (Put < Bytes.size()) {
+    ssize_t N = ::write(Fd, Bytes.data() + Put, Bytes.size() - Put);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Put += static_cast<std::size_t>(N);
+  }
+  bool Ok = ::close(Fd) == 0 && Put == Bytes.size();
+  if (Ok && ::rename(Tmp.c_str(), Path.c_str()) == 0)
+    return true;
+  ::unlink(Tmp.c_str());
+  return false;
+}
+
+/// A fresh pack file name. Names sort in creation order: nanoseconds since
+/// the epoch, then the writer's pid and a per-process counter.
+std::string newPackName() {
+  static std::atomic<uint64_t> Counter{0};
+  auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::system_clock::now().time_since_epoch())
+                .count();
+  char Name[64];
+  std::snprintf(Name, sizeof(Name), "%016llx-%08x-%08llx.pack",
+                static_cast<unsigned long long>(Ns),
+                static_cast<unsigned>(::getpid()),
+                static_cast<unsigned long long>(Counter.fetch_add(1)));
+  return Name;
+}
+
+/// The *.pack files of \p Dir, in name (creation) order. Temp files and
+/// anything else are ignored.
+std::vector<std::string> listPacks(const std::string &Dir) {
+  std::vector<std::string> Names;
   std::error_code Ec;
-  if (Out.fail()) {
-    fs::remove(Tmp, Ec);
-    return false;
+  for (const auto &E : fs::directory_iterator(Dir, Ec))
+    if (E.path().extension() == ".pack")
+      Names.push_back(E.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+/// One blob of a pack being written.
+struct PackItem {
+  Digest Key;
+  std::span<const uint8_t> Blob;
+};
+
+/// Lays out a pack from \p Items (sorted by digest, unique). Returns
+/// nullopt if it would not fit the 32-bit offsets.
+std::optional<std::vector<uint8_t>>
+encodePack(const std::vector<PackItem> &Items) {
+  uint64_t Size = PackHeaderBytes + PackRowBytes * Items.size() + PackTailBytes;
+  for (const PackItem &I : Items)
+    Size += I.Blob.size();
+  if (Size > UINT32_MAX)
+    return std::nullopt;
+  ByteWriter W;
+  W.u32(PackMagic);
+  W.u32(CacheFormatVersion);
+  W.u32(static_cast<uint32_t>(Items.size()));
+  uint32_t Off = static_cast<uint32_t>(PackHeaderBytes +
+                                       PackRowBytes * Items.size());
+  for (const PackItem &I : Items) {
+    W.u64(I.Key.Lo);
+    W.u64(I.Key.Hi);
+    W.u32(Off);
+    W.u32(static_cast<uint32_t>(I.Blob.size()));
+    Off += static_cast<uint32_t>(I.Blob.size());
   }
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return false;
-  }
-  return true;
+  std::size_t HeadEnd = W.size();
+  for (const PackItem &I : Items)
+    W.bytes(I.Blob.data(), I.Blob.size());
+  std::vector<uint8_t> Out = W.take();
+  Digest Sum = packChecksum(Out, HeadEnd, Size);
+  ByteWriter Tail;
+  Tail.u64(Size);
+  Tail.u64(Sum.Lo);
+  Tail.u64(Sum.Hi);
+  std::vector<uint8_t> T = Tail.take();
+  Out.insert(Out.end(), T.begin(), T.end());
+  return Out;
 }
 
 /// Seals a blob: verifies magic + version + trailing checksum and returns
@@ -313,8 +409,10 @@ decodeGroupBlob(std::span<const uint8_t> Bytes) {
       auto Delta = R.uleb();
       if (!Delta)
         return std::nullopt;
-      if (J > 0 && *Delta == 0)
-        return std::nullopt; // Positions must be strictly ascending.
+      // Positions must be strictly ascending and fit 32 bits: a zero delta
+      // repeats a position, and one past UINT32_MAX - Pos would wrap.
+      if ((J > 0 && *Delta == 0) || *Delta > UINT32_MAX - Pos)
+        return std::nullopt;
       Pos += static_cast<uint32_t>(*Delta);
       S.Positions.push_back(Pos);
     }
@@ -325,15 +423,139 @@ decodeGroupBlob(std::span<const uint8_t> Bytes) {
   return G;
 }
 
+
 } // namespace
 
-std::string BuildCache::methodPath(const Digest &Key) const {
-  return Root + "/m/" + Key.hex() + ".bin";
+std::optional<PackLayout> cache::inspectPack(std::span<const uint8_t> Bytes) {
+  if (Bytes.size() < PackHeaderBytes + PackTailBytes)
+    return std::nullopt;
+  const uint8_t *P = Bytes.data();
+  if (loadU32(P) != PackMagic || loadU32(P + 4) != CacheFormatVersion)
+    return std::nullopt;
+  uint64_t N = loadU32(P + 8);
+  PackLayout L;
+  L.IndexBegin = PackHeaderBytes;
+  L.TailBegin = Bytes.size() - PackTailBytes;
+  if (N > (L.TailBegin - PackHeaderBytes) / PackRowBytes)
+    return std::nullopt;
+  L.BlobsBegin = PackHeaderBytes + static_cast<std::size_t>(N) * PackRowBytes;
+  const uint8_t *T = P + L.TailBegin;
+  Digest Sum = packChecksum(Bytes, L.BlobsBegin, Bytes.size());
+  if (loadU64(T) != Bytes.size() || loadU64(T + 8) != Sum.Lo ||
+      loadU64(T + 16) != Sum.Hi)
+    return std::nullopt;
+  L.Entries.resize(static_cast<std::size_t>(N));
+  for (std::size_t I = 0; I < L.Entries.size(); ++I) {
+    const uint8_t *R = P + L.IndexBegin + I * PackRowBytes;
+    PackEntry &E = L.Entries[I];
+    E.Key = {loadU64(R), loadU64(R + 8)};
+    E.Offset = loadU32(R + 16);
+    E.Length = loadU32(R + 20);
+    if (E.Offset < L.BlobsBegin ||
+        uint64_t(E.Offset) + E.Length > uint64_t(L.TailBegin) ||
+        (I > 0 && !digestLess(L.Entries[I - 1].Key, E.Key)))
+      return std::nullopt;
+  }
+  return L;
 }
 
-std::string BuildCache::groupPath(const Digest &Key) const {
-  return Root + "/g/" + Key.hex() + ".bin";
+/// One pack file, read whole; immutable once published.
+struct cache::detail::Pack {
+  std::string Name; ///< File name under the kind's directory.
+  std::vector<uint8_t> Bytes;
+  std::vector<PackEntry> Entries;
+
+  const PackEntry *find(const Digest &Key) const {
+    auto It = std::lower_bound(Entries.begin(), Entries.end(), Key,
+                               [](const PackEntry &E, const Digest &K) {
+                                 return digestLess(E.Key, K);
+                               });
+    return It != Entries.end() && It->Key == Key ? &*It : nullptr;
+  }
+
+  std::span<const uint8_t> blob(const PackEntry &E) const {
+    return {Bytes.data() + E.Offset, E.Length};
+  }
+};
+
+namespace {
+
+using detail::Pack;
+using PackList = std::vector<std::shared_ptr<const Pack>>;
+
+/// A pack from the file image \p Bytes, or null when its header, index or
+/// tail does not check out.
+std::shared_ptr<const Pack> makePack(std::string Name,
+                                     std::vector<uint8_t> Bytes) {
+  auto Layout = inspectPack(Bytes);
+  if (!Layout)
+    return nullptr;
+  auto P = std::make_shared<Pack>();
+  P->Name = std::move(Name);
+  P->Bytes = std::move(Bytes);
+  P->Entries = std::move(Layout->Entries);
+  return P;
 }
+
+/// Calls \p Fn(Pack, Entry) for the newest copy of every digest in
+/// \p Packs (oldest first).
+template <typename FnT> void forEachLive(const PackList &Packs, FnT Fn) {
+  for (std::size_t J = 0; J < Packs.size(); ++J)
+    for (const PackEntry &E : Packs[J]->Entries) {
+      bool Newer = false;
+      for (std::size_t K = J + 1; K < Packs.size() && !Newer; ++K)
+        Newer = Packs[K]->find(E.Key) != nullptr;
+      if (!Newer)
+        Fn(*Packs[J], E);
+    }
+}
+
+/// Blob bytes of the copies a newer pack shadows. Each newer entry is
+/// looked up in the older packs, so the cost follows the newer packs,
+/// which the merge rule keeps small, not the store.
+uint64_t shadowedBytes(const PackList &Packs) {
+  uint64_t Dead = 0;
+  for (std::size_t J = Packs.size(); J-- > 1;)
+    for (const PackEntry &E : Packs[J]->Entries)
+      for (std::size_t I = J; I-- > 0;)
+        if (const PackEntry *Old = Packs[I]->find(E.Key)) {
+          Dead += Old->Length; // The nearest older copy; older ones count
+          break;               // when their own shadowing copy is visited.
+        }
+  return Dead;
+}
+
+} // namespace
+
+std::string BuildCache::kindDir(char Kind) const {
+  return Root + (Kind == 'm' ? "/m" : "/g");
+}
+
+void BuildCache::loadShelf(Shelf &S) const {
+  std::string Dir = kindDir(S.Kind);
+  for (std::string &Name : listPacks(Dir)) {
+    // A pack vanishes only when a merge or an eviction replaced it; one
+    // that is there but fails its checks is damaged, and the next flush
+    // that writes deletes it.
+    auto Bytes = readWholeFile(Dir + "/" + Name);
+    if (!Bytes)
+      continue;
+    if (auto P = makePack(Name, std::move(*Bytes)))
+      S.Packs.push_back(std::move(P));
+    else
+      S.Damaged.push_back(std::move(Name));
+  }
+}
+
+void BuildCache::ensureLoaded() const {
+  std::call_once(Loaded, [this] {
+    std::unique_lock<std::shared_mutex> Lock(Mu);
+    loadShelf(Methods);
+    loadShelf(Groups);
+  });
+}
+
+BuildCache::~BuildCache() { BuildCache::flush(); }
 
 Expected<std::unique_ptr<BuildCache>>
 BuildCache::open(const std::string &Dir) {
@@ -360,74 +582,224 @@ BuildCache::open(const std::string &Dir) {
         fs::remove(Entry.path(), RmEc);
       }
     }
-    std::vector<uint8_t> StampBytes(Want.begin(), Want.end());
-    if (!writeFileAtomic(StampPath, StampBytes))
+    if (!writeFileAtomic(StampPath, std::span<const uint8_t>(
+                                        reinterpret_cast<const uint8_t *>(
+                                            Want.data()),
+                                        Want.size())))
       return makeError("cache: cannot stamp " + StampPath);
   }
-  return std::unique_ptr<BuildCache>(new BuildCache(Dir));
+  auto Cache = std::unique_ptr<BuildCache>(new BuildCache(Dir));
+  Cache->ensureLoaded();
+  return Cache;
+}
+
+std::optional<std::span<const uint8_t>>
+BuildCache::findBlob(const Shelf &S, const Digest &Key) const {
+  if (auto It = S.Pending.find(Key); It != S.Pending.end())
+    return std::span<const uint8_t>(It->second);
+  for (auto P = S.Packs.rbegin(); P != S.Packs.rend(); ++P)
+    if (const PackEntry *E = (*P)->find(Key))
+      return (*P)->blob(*E);
+  return std::nullopt;
 }
 
 std::optional<CachedMethod> BuildCache::loadMethod(const Digest &Key) const {
-  // Checksum and decode straight out of this thread's read buffer; the
-  // decoded CachedMethod owns its data, so the buffer is free to reuse.
-  auto Bytes = readWholeFile(methodPath(Key));
-  if (!Bytes)
+  ensureLoaded();
+  // Checksum and decode straight out of the pack; the decoded CachedMethod
+  // owns its data.
+  std::shared_lock<std::shared_mutex> Lock(Mu);
+  auto Blob = findBlob(Methods, Key);
+  if (!Blob)
     return std::nullopt;
-  auto Payload = openBlob(*Bytes, MethodBlobMagic);
+  auto Payload = openBlob(*Blob, MethodBlobMagic);
   if (!Payload)
     return std::nullopt;
   return decodeMethodBlob(*Payload);
 }
 
-void BuildCache::storeMethod(const Digest &Key,
-                             const codegen::CompiledMethod &M,
-                             uint32_t HirInsnsSimplified) const {
-  writeFileAtomic(methodPath(Key),
-                  sealBlob(MethodBlobMagic,
-                           encodeMethodBlob(M, HirInsnsSimplified)));
-}
-
 std::optional<GroupSelections> BuildCache::loadGroup(const Digest &Key) const {
-  auto Bytes = readWholeFile(groupPath(Key));
-  if (!Bytes)
+  ensureLoaded();
+  std::shared_lock<std::shared_mutex> Lock(Mu);
+  auto Blob = findBlob(Groups, Key);
+  if (!Blob)
     return std::nullopt;
-  auto Payload = openBlob(*Bytes, GroupBlobMagic);
+  auto Payload = openBlob(*Blob, GroupBlobMagic);
   if (!Payload)
     return std::nullopt;
   return decodeGroupBlob(*Payload);
 }
 
+std::vector<uint8_t>
+BuildCache::sealMethod(const codegen::CompiledMethod &M,
+                       uint32_t HirInsnsSimplified) {
+  return sealBlob(MethodBlobMagic, encodeMethodBlob(M, HirInsnsSimplified));
+}
+
+std::vector<uint8_t> BuildCache::sealGroup(const GroupSelections &G) {
+  return sealBlob(GroupBlobMagic, encodeGroupBlob(G));
+}
+
+void BuildCache::storeBlob(char Kind, const Digest &Key,
+                           std::vector<uint8_t> Blob) const {
+  ensureLoaded();
+  std::unique_lock<std::shared_mutex> Lock(Mu);
+  shelf(Kind).Pending.insert_or_assign(Key, std::move(Blob));
+}
+
+void BuildCache::storeMethod(const Digest &Key,
+                             const codegen::CompiledMethod &M,
+                             uint32_t HirInsnsSimplified) const {
+  storeBlob('m', Key, sealMethod(M, HirInsnsSimplified));
+}
+
 void BuildCache::storeGroup(const Digest &Key,
                             const GroupSelections &G) const {
-  writeFileAtomic(groupPath(Key), sealBlob(GroupBlobMagic, encodeGroupBlob(G)));
+  storeBlob('g', Key, sealGroup(G));
+}
+
+void BuildCache::flushShelf(Shelf &S) const {
+  // Publish the pending stores as an in-memory pack first, in the same
+  // critical section that empties Pending, so no load ever misses them.
+  PackList Packs;
+  {
+    std::unique_lock<std::shared_mutex> Lock(Mu);
+    if (S.Pending.empty())
+      return;
+    std::vector<PackItem> Items;
+    Items.reserve(S.Pending.size());
+    for (const auto &[Key, Blob] : S.Pending)
+      Items.push_back({Key, Blob});
+    std::sort(Items.begin(), Items.end(),
+              [](const PackItem &A, const PackItem &B) {
+                return digestLess(A.Key, B.Key);
+              });
+    auto Bytes = encodePack(Items);
+    if (!Bytes)
+      return; // Too large for one pack: stays pending, loads still hit.
+    S.Packs.push_back(makePack(newPackName(), std::move(*Bytes)));
+    S.Pending.clear();
+    Packs = S.Packs;
+  }
+  // This flush stores what the damaged packs held, as far as the build
+  // needed it: they can go.
+  std::string Dir = kindDir(S.Kind);
+  for (const std::string &Name : S.Damaged)
+    ::unlink((Dir + "/" + Name).c_str());
+  S.Damaged.clear();
+
+  // Merge the newest packs while the pack before them is no larger than
+  // all of them together; rewrite everything when more than half of the
+  // bytes are shadowed copies.
+  uint64_t Total = 0;
+  for (const auto &P : Packs)
+    Total += P->Bytes.size();
+  uint64_t Dead = shadowedBytes(Packs);
+  std::size_t First = Packs.size() - 1;
+  uint64_t Newer = Packs.back()->Bytes.size();
+  while (First > 0 && Packs[First - 1]->Bytes.size() <= Newer)
+    Newer += Packs[--First]->Bytes.size();
+  if (2 * Dead > Total)
+    First = 0;
+  if (First + 1 == Packs.size()) {
+    writeFileAtomic(Dir + "/" + Packs.back()->Name, Packs.back()->Bytes);
+    return;
+  }
+
+  // The newest copy of each digest whose seal still checks out.
+  PackList Inputs(Packs.begin() + static_cast<std::ptrdiff_t>(First),
+                  Packs.end());
+  std::vector<PackItem> Items;
+  forEachLive(Inputs, [&](const Pack &P, const PackEntry &E) {
+    if (openBlob(P.blob(E), blobMagic(S.Kind)))
+      Items.push_back({E.Key, P.blob(E)});
+  });
+  std::sort(Items.begin(), Items.end(),
+            [](const PackItem &A, const PackItem &B) {
+              return digestLess(A.Key, B.Key);
+            });
+  auto Bytes = encodePack(Items);
+  if (!Bytes) {
+    writeFileAtomic(Dir + "/" + Packs.back()->Name, Packs.back()->Bytes);
+    return;
+  }
+  auto Merged = makePack(newPackName(), std::move(*Bytes));
+  if (!writeFileAtomic(Dir + "/" + Merged->Name, Merged->Bytes))
+    return; // The inputs stay; the new entries live only in this handle.
+  {
+    std::unique_lock<std::shared_mutex> Lock(Mu);
+    S.Packs.resize(First);
+    S.Packs.push_back(Merged);
+  }
+  // The merged pack is in place: only now may its inputs go. The newest
+  // input was never written.
+  for (std::size_t I = 0; I + 1 < Inputs.size(); ++I)
+    ::unlink((Dir + "/" + Inputs[I]->Name).c_str());
+}
+
+void BuildCache::flush() const {
+  std::lock_guard<std::mutex> Lock(FlushMu);
+  flushShelf(Methods);
+  flushShelf(Groups);
 }
 
 CacheAudit BuildCache::audit() const {
+  flush();
   CacheAudit A;
-  std::error_code Ec;
-  for (const auto &Entry : fs::directory_iterator(Root + "/m", Ec)) {
-    if (!Entry.is_regular_file() || Entry.path().extension() != ".bin")
-      continue;
-    ++A.MethodEntries;
-    A.TotalBytes += Entry.file_size(Ec);
-    bool Ok = false;
-    if (auto Bytes = readWholeFile(Entry.path().string()))
-      if (auto Payload = openBlob(*Bytes, MethodBlobMagic))
-        Ok = decodeMethodBlob(*Payload).has_value();
-    if (!Ok)
-      ++A.MethodCorrupt;
-  }
-  for (const auto &Entry : fs::directory_iterator(Root + "/g", Ec)) {
-    if (!Entry.is_regular_file() || Entry.path().extension() != ".bin")
-      continue;
-    ++A.GroupEntries;
-    A.TotalBytes += Entry.file_size(Ec);
-    bool Ok = false;
-    if (auto Bytes = readWholeFile(Entry.path().string()))
-      if (auto Payload = openBlob(*Bytes, GroupBlobMagic))
-        Ok = decodeGroupBlob(*Payload).has_value();
-    if (!Ok)
-      ++A.GroupCorrupt;
+  for (char Kind : {'m', 'g'}) {
+    std::string Dir = kindDir(Kind);
+    PackList Packs;
+    for (std::string &Name : listPacks(Dir)) {
+      auto Bytes = readWholeFile(Dir + "/" + Name);
+      if (!Bytes)
+        continue;
+      A.TotalBytes += Bytes->size();
+      auto P = makePack(std::move(Name), std::move(*Bytes));
+      ++(P ? A.Packs : A.CorruptPacks);
+      if (P)
+        Packs.push_back(std::move(P));
+    }
+    uint64_t &Entries = Kind == 'm' ? A.MethodEntries : A.GroupEntries;
+    uint64_t &Corrupt = Kind == 'm' ? A.MethodCorrupt : A.GroupCorrupt;
+    forEachLive(Packs, [&](const Pack &P, const PackEntry &E) {
+      ++Entries;
+      A.PayloadBytes += E.Length;
+      auto Payload = openBlob(P.blob(E), blobMagic(Kind));
+      bool Ok = Payload && (Kind == 'm' ? decodeMethodBlob(*Payload).has_value()
+                                        : decodeGroupBlob(*Payload).has_value());
+      Corrupt += !Ok;
+    });
   }
   return A;
+}
+
+std::vector<BuildCache::PackInfo> BuildCache::packs() const {
+  ensureLoaded();
+  std::shared_lock<std::shared_mutex> Lock(Mu);
+  std::vector<PackInfo> Out;
+  for (const Shelf *S : {&Methods, &Groups})
+    for (const auto &P : S->Packs) {
+      PackInfo &I = Out.emplace_back();
+      I.Kind = S->Kind;
+      I.Name = P->Name;
+      I.Entries.reserve(P->Entries.size());
+      for (const PackEntry &E : P->Entries)
+        I.Entries.emplace_back(E.Key, E.Length);
+    }
+  return Out;
+}
+
+bool BuildCache::contains(char Kind, const Digest &Key) const {
+  ensureLoaded();
+  std::shared_lock<std::shared_mutex> Lock(Mu);
+  return findBlob(shelf(Kind), Key).has_value();
+}
+
+void BuildCache::dropPack(char Kind, const std::string &Name) const {
+  std::lock_guard<std::mutex> Flush(FlushMu);
+  Shelf &S = shelf(Kind);
+  {
+    std::unique_lock<std::shared_mutex> Lock(Mu);
+    std::erase_if(S.Packs, [&](const auto &P) { return P->Name == Name; });
+  }
+  ::unlink((kindDir(S.Kind) + "/" + Name).c_str());
 }

@@ -8,30 +8,51 @@
 /// A persistent, versioned, content-addressed store that makes rebuild cost
 /// proportional to the size of the change instead of the size of the app
 /// (the incremental-build discipline of BOLT-style post-link optimizers).
-/// Two entry kinds live under the cache directory:
+/// Two entry kinds live under the cache directory, each in packs:
 ///
 ///   <dir>/VERSION        format stamp; a mismatch empties the cache
-///   <dir>/m/<key>.bin    compiled-method blob, keyed by the SOURCE digest
+///   <dir>/m/<name>.pack  compiled-method blobs, keyed by the SOURCE digest
 ///                        of the dex method (cache::methodSourceKey) — a
 ///                        hit skips HIR construction and codegen entirely
-///   <dir>/g/<key>.bin    canonical LTBO candidate selection of one
-///                        partition group, keyed by the digest of the
-///                        group's member CONTENT digests — a hit skips
-///                        suffix-structure construction and detection
+///   <dir>/g/<name>.pack  canonical LTBO candidate selections of partition
+///                        groups, keyed by the digest of the group's member
+///                        CONTENT digests — a hit skips suffix-structure
+///                        construction and detection
+///
+/// A pack is one file: a header, an index sorted by digest (digest ->
+/// offset, length), the sealed blobs, and a tail holding the file's length
+/// and a checksum of header + index. Pack names sort in creation order; a
+/// store holds exactly the packs it finds (there is no manifest), the
+/// newest pack wins when two hold one digest, and deleting a pack file
+/// drops exactly its entries.
+///
+/// One handle per build. open() reads each pack once, with one read(), and
+/// every load is served from memory. Stores are buffered in the handle:
+/// its own loads see them at once, and flush() — called at the end of the
+/// compile stage and of LTBO, and by the destructor — writes them as one
+/// new pack per entry kind (one write, one rename). buildApp and
+/// buildProfiled open the store once and hand the handle to every stage.
+/// Packs stay few as builds pile up: a flush merges the newest packs while
+/// the pack before them is no larger than all of them together, so pack
+/// sizes at least double going back in time, and rewrites every pack into
+/// one when more than half of the bytes are shadowed duplicates. A flush
+/// that adds a few entries never rewrites a large pack.
 ///
 /// Correctness stance: the cache is an accelerator, never an authority.
 /// Every blob carries a magic, the format version, and a trailing content
-/// checksum; loads are bounds-checked, method blobs flow through
+/// checksum; a pack whose header, index or tail does not check out is
+/// ignored whole; loads are bounds-checked, method blobs flow through
 /// SideInfoValidator (whose decode pass also yields the method's LTBO
-/// facts, so a hit is decoded once per build), and ANY anomaly — truncation, corruption, version
-/// skew, validation failure — degrades to a miss so the cold path
-/// recomputes. A corrupt cache can cost time; it can never crash the build
-/// or change its output (verify::FaultInjector's cache-mutation kinds
-/// enforce exactly this).
+/// facts, so a hit is decoded once per build), and ANY anomaly — truncation,
+/// corruption, version skew, validation failure — degrades to a miss so the
+/// cold path recomputes. A corrupt cache can cost time; it can never crash
+/// the build or change its output (verify::FaultInjector's cache-mutation
+/// kinds enforce exactly this). Packs are read, never mapped: a pack that
+/// another process truncates in place must not fault the build.
 ///
-/// Writes go to a unique temp file followed by an atomic rename, so
-/// concurrent builders (and the compile-phase thread pool) never observe a
-/// half-written entry.
+/// Packs are written to a unique temp file and renamed into place, so
+/// concurrent builders never observe a half-written pack; merges rename the
+/// merged pack in before they delete its inputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,17 +66,21 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace calibro {
 namespace cache {
 
-/// Version of every on-disk encoding this subsystem owns (blob layouts,
-/// digest recipes, the VERSION stamp). Bump on any change; old caches are
-/// then discarded wholesale rather than misread.
-inline constexpr uint32_t CacheFormatVersion = 2;
+/// Version of every on-disk encoding this subsystem owns (pack and blob
+/// layouts, digest recipes, the VERSION stamp). Bump on any change; old
+/// caches are then discarded wholesale rather than misread.
+inline constexpr uint32_t CacheFormatVersion = 3;
 
 /// A compiled-method blob recovered from the store.
 struct CachedMethod {
@@ -82,17 +107,45 @@ struct GroupSelections {
 };
 
 /// Aggregate health report of a cache directory (calibro-oatdump
-/// --cache-audit).
+/// --cache-audit). Entries are live digests: a digest shadowed by a newer
+/// pack counts once, in its newest pack.
 struct CacheAudit {
   uint64_t MethodEntries = 0;
   uint64_t MethodCorrupt = 0;
   uint64_t GroupEntries = 0;
   uint64_t GroupCorrupt = 0;
-  uint64_t TotalBytes = 0;
+  uint64_t Packs = 0;        ///< Pack files that passed their own checks.
+  uint64_t CorruptPacks = 0; ///< Pack files ignored whole.
+  uint64_t PayloadBytes = 0; ///< Bytes of the live entries' sealed blobs.
+  uint64_t TotalBytes = 0;   ///< Bytes of every pack file.
 };
 
-/// Handle to one cache directory. Thread-safe: loads touch only immutable
-/// renamed files, stores are temp-file + atomic-rename.
+/// One index row of a pack: the blob of \p Key is Bytes[Offset,
+/// Offset + Length) of the pack file.
+struct PackEntry {
+  Digest Key;
+  uint32_t Offset = 0;
+  uint32_t Length = 0;
+};
+
+/// Where the parts of one pack file lie, as its own header and tail say.
+struct PackLayout {
+  std::size_t IndexBegin = 0; ///< Header ends, index starts.
+  std::size_t BlobsBegin = 0; ///< Index ends, blobs start.
+  std::size_t TailBegin = 0;  ///< Blobs end, tail starts.
+  std::vector<PackEntry> Entries; ///< Sorted by digest, no duplicates.
+};
+
+/// Checks a pack image's header, index and tail (not its blobs' seals) and
+/// returns its layout, or nullopt when any of them does not check out.
+std::optional<PackLayout> inspectPack(std::span<const uint8_t> Bytes);
+
+namespace detail {
+struct Pack; ///< One pack file, read whole (BuildCache.cpp).
+} // namespace detail
+
+/// Handle to one cache directory. Thread-safe: any number of threads may
+/// load and store at once; flush() may run concurrently with them.
 ///
 /// The entry operations are virtual so drop-in wrappers — the daemon's
 /// sharded, size-bounded ShardedBuildCache — can stand in anywhere a
@@ -100,12 +153,13 @@ struct CacheAudit {
 /// group stores) without those stages knowing about sharding.
 class BuildCache {
 public:
-  /// Opens (creating if needed) the store at \p Dir. A missing or
-  /// mismatched VERSION stamp empties the store and restamps it. Fails only
-  /// when the directory cannot be created or written.
+  /// Opens (creating if needed) the store at \p Dir and reads its packs. A
+  /// missing or mismatched VERSION stamp empties the store and restamps it.
+  /// Fails only when the directory cannot be created or written.
   static Expected<std::unique_ptr<BuildCache>> open(const std::string &Dir);
 
-  virtual ~BuildCache() = default;
+  /// Flushes pending stores.
+  virtual ~BuildCache();
 
   const std::string &dir() const { return Root; }
 
@@ -114,8 +168,9 @@ public:
   /// side info rejected by SideInfoValidator) — callers recompute.
   virtual std::optional<CachedMethod> loadMethod(const Digest &Key) const;
 
-  /// Stores \p M (with its \p HirInsnsSimplified count) under \p Key.
-  /// Best-effort: I/O failure is swallowed (the cache just stays cold).
+  /// Stores \p M (with its \p HirInsnsSimplified count) under \p Key. The
+  /// entry is pending until the next flush. Best-effort: I/O failure is
+  /// swallowed (the cache just stays cold).
   virtual void storeMethod(const Digest &Key, const codegen::CompiledMethod &M,
                            uint32_t HirInsnsSimplified) const;
 
@@ -127,20 +182,74 @@ public:
   /// Stores a group's canonical selection under \p Key. Best-effort.
   virtual void storeGroup(const Digest &Key, const GroupSelections &G) const;
 
-  /// Scans every entry, validating each blob end to end.
+  /// Flushes, then reads every pack on disk afresh and validates each live
+  /// blob end to end.
   virtual CacheAudit audit() const;
 
-  /// On-disk path of the method / group blob for \p Key (whether or not an
-  /// entry exists). Public so eviction bookkeeping (ShardedBuildCache) and
-  /// tests can stat and remove entries without re-deriving the layout.
-  std::string methodPath(const Digest &Key) const;
-  std::string groupPath(const Digest &Key) const;
+  /// Buffers \p Blob, byte for byte, as the entry of \p Key of kind \p Kind
+  /// ('m' or 'g'), as if a store had sealed it. Builds use storeMethod and
+  /// storeGroup; tests plant exact bytes with this.
+  void storeBlob(char Kind, const Digest &Key, std::vector<uint8_t> Blob) const;
+
+  /// Writes the pending stores of each entry kind as one new pack, then
+  /// merges or compacts packs as the file comment describes. Writes nothing
+  /// when nothing is pending. Best-effort, like the stores.
+  virtual void flush() const;
 
 protected:
+  /// Adopts \p Root without any I/O: the packs are read on first use.
   explicit BuildCache(std::string Root) : Root(std::move(Root)) {}
 
 private:
+  friend class ShardedBuildCache;
+
+  struct DigestHash {
+    std::size_t operator()(const Digest &D) const {
+      return static_cast<std::size_t>(D.Lo ^ (D.Hi * 0x9e3779b97f4a7c15ULL));
+    }
+  };
+
+  /// The packs and pending stores of one entry kind.
+  struct Shelf {
+    char Kind = 'm';
+    std::vector<std::shared_ptr<const detail::Pack>> Packs; ///< Oldest first.
+    std::vector<std::string> Damaged; ///< Pack files that failed checks.
+    std::unordered_map<Digest, std::vector<uint8_t>, DigestHash> Pending;
+  };
+
+  std::string kindDir(char Kind) const;
+  Shelf &shelf(char Kind) const { return Kind == 'm' ? Methods : Groups; }
+  void ensureLoaded() const;
+  void loadShelf(Shelf &S) const;
+  /// The sealed blob of \p Key, newest first: pending, then packs. The span
+  /// stays valid while the caller holds Mu shared.
+  std::optional<std::span<const uint8_t>> findBlob(const Shelf &S,
+                                                   const Digest &Key) const;
+  void flushShelf(Shelf &S) const;
+
+  // Store, inspection and eviction hooks of ShardedBuildCache. Caller holds
+  // no lock of this handle.
+  static std::vector<uint8_t> sealMethod(const codegen::CompiledMethod &M,
+                                         uint32_t HirInsnsSimplified);
+  static std::vector<uint8_t> sealGroup(const GroupSelections &G);
+  struct PackInfo {
+    char Kind;
+    std::string Name;
+    std::vector<std::pair<Digest, uint32_t>> Entries; ///< Key, blob bytes.
+  };
+  std::vector<PackInfo> packs() const;
+  bool contains(char Kind, const Digest &Key) const;
+  void dropPack(char Kind, const std::string &Name) const;
+
   std::string Root;
+  mutable std::once_flag Loaded;
+  /// Guards both shelves: loads hold it shared for the lookup and decode,
+  /// stores and pack-list swaps hold it exclusive.
+  mutable std::shared_mutex Mu;
+  /// Serializes flushes, so two never merge the same packs.
+  mutable std::mutex FlushMu;
+  mutable Shelf Methods{'m', {}, {}, {}};
+  mutable Shelf Groups{'g', {}, {}, {}};
 };
 
 } // namespace cache

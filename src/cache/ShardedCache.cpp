@@ -25,17 +25,6 @@ std::string entryKey(char Kind, const Digest &Key) {
   return std::string(1, Kind) + Key.hex();
 }
 
-/// On-disk path of the entry \p K names inside \p ShardDir.
-std::string entryPath(const std::string &ShardDir, const std::string &K) {
-  return ShardDir + (K[0] == 'm' ? "/m/" : "/g/") + K.substr(1) + ".bin";
-}
-
-uint64_t fileBytes(const std::string &Path) {
-  std::error_code Ec;
-  uint64_t N = fs::file_size(Path, Ec);
-  return Ec ? 0 : N;
-}
-
 } // namespace
 
 Expected<std::unique_ptr<ShardedBuildCache>>
@@ -65,28 +54,23 @@ ShardedBuildCache::open(const std::string &Dir, uint32_t NumShards,
     S->Store = std::move(*Store);
 
     // Adopt whatever the shard already holds (a daemon restart reuses the
-    // fleet cache). Sorted-path order seeds the recency ranking
-    // deterministically; real recency takes over from the first touch.
-    std::vector<std::string> Keys;
-    for (char Kind : {'m', 'g'}) {
-      std::string Sub = S->Store->dir() + (Kind == 'm' ? "/m" : "/g");
-      for (const auto &E : fs::directory_iterator(Sub, Ec)) {
-        if (!E.is_regular_file() || E.path().extension() != ".bin")
-          continue;
-        Keys.push_back(std::string(1, Kind) + E.path().stem().string());
+    // fleet cache). Pack order (oldest first), then digest order, seeds
+    // the recency ranking deterministically; a digest in two packs takes
+    // its newest pack's rank. Real recency takes over from the first touch.
+    for (const PackInfo &P : S->Store->packs())
+      for (const auto &[Key, Bytes] : P.Entries) {
+        auto [It, Inserted] =
+            S->Entries.try_emplace(entryKey(P.Kind, Key), Entry{Bytes, 0});
+        if (!Inserted)
+          S->Bytes -= It->second.Bytes;
+        It->second = Entry{Bytes, Cache->Clock.fetch_add(1)};
+        S->Bytes += Bytes;
       }
-    }
-    std::sort(Keys.begin(), Keys.end());
-    for (const std::string &K : Keys) {
-      uint64_t Bytes = fileBytes(entryPath(S->Store->dir(), K));
-      S->Entries.emplace(K, Entry{Bytes, Cache->Clock.fetch_add(1)});
-      S->Bytes += Bytes;
-    }
     Cache->Shards.push_back(std::move(S));
   }
 
   // Adopted shards may exceed a newly-tightened budget: trim immediately so
-  // the bound holds from the first operation, not the first store.
+  // the bound holds from the first operation, not the first flush.
   for (const auto &S : Cache->Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
     Cache->evictLocked(*S);
@@ -133,8 +117,8 @@ ShardedBuildCache::Pin ShardedBuildCache::pinMethod(const Digest &Key) const {
 std::optional<CachedMethod>
 ShardedBuildCache::loadMethod(const Digest &Key) const {
   const Shard &S = shardFor(Key);
-  // Pin across the read: eviction triggered by a concurrent job's store
-  // must never unlink the blob between our presence check and the load.
+  // Pin across the read: eviction after a concurrent job's flush must never
+  // drop the pack between our presence check and the load.
   Pin P = pinMethod(Key);
   auto CM = S.Store->loadMethod(Key);
   {
@@ -162,82 +146,80 @@ ShardedBuildCache::loadGroup(const Digest &Key) const {
   return G;
 }
 
+void ShardedBuildCache::storeSealed(char Kind, const Digest &Key,
+                                    std::vector<uint8_t> Blob) const {
+  const Shard &S = shardFor(Key);
+  std::string K = entryKey(Kind, Key);
+  std::lock_guard<std::mutex> Lock(S.M);
+  auto [It, Inserted] = S.Entries.try_emplace(K, Entry{Blob.size(), 0});
+  It->second.Tick = Clock.fetch_add(1);
+  if (!Inserted) {
+    // Cross-job dedup: a resident key means identical bytes (content
+    // addressing), so the second writer only refreshes recency.
+    StoresDeduped.fetch_add(1);
+    return;
+  }
+  S.Bytes += Blob.size();
+  S.Store->storeBlob(Kind, Key, std::move(Blob));
+}
+
 void ShardedBuildCache::storeMethod(const Digest &Key,
                                     const codegen::CompiledMethod &M,
                                     uint32_t HirInsnsSimplified) const {
-  const Shard &S = shardFor(Key);
-  std::string K = entryKey('m', Key);
-  {
-    // Cross-job dedup: a resident key means identical bytes (content
-    // addressing), so the second writer only refreshes recency.
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Entries.find(K);
-    if (It != S.Entries.end()) {
-      It->second.Tick = Clock.fetch_add(1);
-      StoresDeduped.fetch_add(1);
-      return;
-    }
-  }
-  S.Store->storeMethod(Key, M, HirInsnsSimplified);
-  recordStore(S, K, Key, fileBytes(S.Store->methodPath(Key)));
+  storeSealed('m', Key, sealMethod(M, HirInsnsSimplified));
 }
 
 void ShardedBuildCache::storeGroup(const Digest &Key,
                                    const GroupSelections &G) const {
-  const Shard &S = shardFor(Key);
-  std::string K = entryKey('g', Key);
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Entries.find(K);
-    if (It != S.Entries.end()) {
-      It->second.Tick = Clock.fetch_add(1);
-      StoresDeduped.fetch_add(1);
-      return;
-    }
-  }
-  S.Store->storeGroup(Key, G);
-  recordStore(S, K, Key, fileBytes(S.Store->groupPath(Key)));
+  storeSealed('g', Key, sealGroup(G));
 }
 
-void ShardedBuildCache::recordStore(const Shard &S, const std::string &K,
-                                    const Digest &, uint64_t Bytes) const {
-  if (Bytes == 0)
-    return; // Best-effort store failed; nothing landed on disk.
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto [It, Inserted] = S.Entries.emplace(K, Entry{Bytes, 0});
-  if (!Inserted) {
-    // Concurrent writers of one key: both wrote identical bytes, count the
-    // size once and keep the newer recency.
-    S.Bytes -= It->second.Bytes;
-    It->second.Bytes = Bytes;
+void ShardedBuildCache::flush() const {
+  for (const auto &S : Shards) {
+    S->Store->flush();
+    std::lock_guard<std::mutex> Lock(S->M);
+    evictLocked(*S);
   }
-  It->second.Tick = Clock.fetch_add(1);
-  S.Bytes += Bytes;
-  evictLocked(S);
 }
 
 void ShardedBuildCache::evictLocked(const Shard &S) const {
   if (PerShardBudget == 0)
     return;
   while (S.Bytes > PerShardBudget) {
-    // Victim: the least-recently-touched unpinned entry; ties (adoption
-    // seeds, bulk imports) break in key order because Entries is ordered.
-    auto Victim = S.Entries.end();
-    for (auto It = S.Entries.begin(); It != S.Entries.end(); ++It) {
-      if (S.Pins.count(It->first))
-        continue;
-      if (Victim == S.Entries.end() ||
-          It->second.Tick < Victim->second.Tick)
-        Victim = It;
+    // Victim: the pack whose most recent entry is the least recent, with
+    // no pinned entry; ties break toward the older pack. Pending entries
+    // are in no pack yet and wait for the next flush.
+    std::vector<PackInfo> Packs = S.Store->packs();
+    const PackInfo *Victim = nullptr;
+    uint64_t VictimTick = 0;
+    for (const PackInfo &P : Packs) {
+      uint64_t Tick = 0;
+      bool Pinned = false;
+      for (const auto &[Key, Bytes] : P.Entries) {
+        std::string K = entryKey(P.Kind, Key);
+        Pinned |= S.Pins.count(K) != 0;
+        if (auto It = S.Entries.find(K); It != S.Entries.end())
+          Tick = std::max(Tick, It->second.Tick);
+      }
+      if (!Pinned && (!Victim || Tick < VictimTick)) {
+        Victim = &P;
+        VictimTick = Tick;
+      }
     }
-    if (Victim == S.Entries.end())
-      return; // Everything left is pinned: stay over budget, never stall.
-    std::error_code Ec;
-    fs::remove(entryPath(S.Store->dir(), Victim->first), Ec);
-    S.Bytes -= Victim->second.Bytes;
-    Evictions.fetch_add(1);
-    EvictedBytes.fetch_add(Victim->second.Bytes);
-    S.Entries.erase(Victim);
+    if (!Victim)
+      return; // Everything left is pinned or pending: stay over budget.
+    S.Store->dropPack(Victim->Kind, Victim->Name);
+    for (const auto &[Key, Bytes] : Victim->Entries) {
+      if (S.Store->contains(Victim->Kind, Key))
+        continue; // A newer pack or a pending store still holds it.
+      auto It = S.Entries.find(entryKey(Victim->Kind, Key));
+      if (It == S.Entries.end())
+        continue;
+      S.Bytes -= It->second.Bytes;
+      Evictions.fetch_add(1);
+      EvictedBytes.fetch_add(It->second.Bytes);
+      S.Entries.erase(It);
+    }
   }
 }
 
@@ -249,6 +231,9 @@ CacheAudit ShardedBuildCache::audit() const {
     A.MethodCorrupt += Sa.MethodCorrupt;
     A.GroupEntries += Sa.GroupEntries;
     A.GroupCorrupt += Sa.GroupCorrupt;
+    A.Packs += Sa.Packs;
+    A.CorruptPacks += Sa.CorruptPacks;
+    A.PayloadBytes += Sa.PayloadBytes;
     A.TotalBytes += Sa.TotalBytes;
   }
   return A;

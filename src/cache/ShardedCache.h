@@ -15,14 +15,20 @@
 ///    by one global lock.
 ///  * LRU eviction under a byte budget. The fleet scenario reuses one cache
 ///    across thousands of app versions; without a bound it grows forever.
-///    Each store that pushes a shard over its slice of the budget evicts
-///    least-recently-touched entries — never a pinned one — until it fits.
+///    Each shard is a pack store, and the unit of eviction is a whole pack:
+///    after every flush, a shard over its slice of the budget deletes its
+///    least recently used packs — never one holding a pinned entry — until
+///    it fits. A pack is as recent as its most recently touched entry.
 ///    Eviction can only cost future hits: a method miss recompiles and a
 ///    group miss re-detects; neither changes any output.
 ///  * Cross-job digest dedup. Content addressing makes equal inputs collide
 ///    on purpose: when a second job stores a key that is already resident,
-///    the disk write is skipped entirely (the bytes are identical by
+///    the store is skipped entirely (the bytes are identical by
 ///    construction) and only the recency bookkeeping advances.
+///
+/// Jobs share one handle, so a job hits what another job stored moments
+/// earlier, pending or flushed alike. Each stage's flush writes every
+/// shard's pending stores as that shard's next pack.
 ///
 /// Everything is observable: hit/miss/dedup/eviction counters for the
 /// daemon's job log and the table8 bench, and audit() aggregates the
@@ -56,9 +62,9 @@ struct ShardedCacheStats {
   /// Stores skipped because the key was already resident (cross-job digest
   /// dedup: identical content, identical bytes, no second write).
   uint64_t StoresDeduped = 0;
-  uint64_t Evictions = 0;
-  uint64_t EvictedBytes = 0;
-  /// Resident blob bytes across all shards right now.
+  uint64_t Evictions = 0;    ///< Entries dropped with their evicted pack.
+  uint64_t EvictedBytes = 0; ///< Their blob bytes.
+  /// Resident blob bytes across all shards right now, pending or packed.
   uint64_t ResidentBytes = 0;
   /// Resident entries across all shards right now.
   uint64_t ResidentEntries = 0;
@@ -69,10 +75,10 @@ class ShardedBuildCache : public BuildCache {
 public:
   /// Opens (creating if needed) \p NumShards shard stores under \p Dir
   /// (<dir>/s00, <dir>/s01, ...). Existing shard contents are adopted: the
-  /// resident index is rebuilt by scanning each shard, in sorted-path order
+  /// resident index is rebuilt from each shard's packs, oldest pack first,
   /// so the initial recency ranking is deterministic. \p BudgetBytes caps
   /// the summed blob bytes (0 = unbounded), enforced per shard at
-  /// BudgetBytes / NumShards on every store.
+  /// BudgetBytes / NumShards at open and after every flush.
   static Expected<std::unique_ptr<ShardedBuildCache>>
   open(const std::string &Dir, uint32_t NumShards, uint64_t BudgetBytes = 0);
 
@@ -85,10 +91,15 @@ public:
   /// Aggregates the shards' audits (entry/corrupt counts, total bytes).
   CacheAudit audit() const override;
 
-  /// RAII eviction pin: while alive, the pinned entry cannot be evicted
-  /// (loads of it still hit, stores still dedup). loadGroup and loadMethod
-  /// pin their blob for exactly the span of the read, so a concurrent job's
-  /// stores can never evict an entry out from under an in-flight load.
+  /// Flushes every shard, then evicts packs until each shard fits its
+  /// budget slice again.
+  void flush() const override;
+
+  /// RAII eviction pin: while alive, the pack holding the pinned entry
+  /// cannot be evicted (loads of it still hit, stores still dedup).
+  /// loadGroup and loadMethod pin their blob for exactly the span of the
+  /// read, so a concurrent job's flush never evicts an entry out from under
+  /// an in-flight load.
   class Pin {
   public:
     Pin() = default;
@@ -130,7 +141,7 @@ public:
   uint64_t budgetBytes() const { return BudgetBytes; }
 
 private:
-  /// One resident entry: its on-disk size and last-touch tick.
+  /// One resident entry: its blob size and last-touch tick.
   struct Entry {
     uint64_t Bytes = 0;
     uint64_t Tick = 0;
@@ -153,14 +164,13 @@ private:
   const Shard &shardFor(const Digest &Key) const;
   Pin pinKey(const Digest &Key, char Kind) const;
 
-  /// Records a completed store of \p Bytes under \p K and evicts
-  /// least-recently-touched unpinned entries until the shard fits its
-  /// budget slice again. Caller holds no lock.
-  void recordStore(const Shard &S, const std::string &K, const Digest &Key,
-                   uint64_t Bytes) const;
+  /// Stores the sealed \p Blob under \p Key of kind \p Kind, unless the
+  /// key is resident already.
+  void storeSealed(char Kind, const Digest &Key,
+                   std::vector<uint8_t> Blob) const;
 
-  /// Evicts until S.Bytes <= PerShardBudget or only pinned entries remain.
-  /// Caller holds S.M.
+  /// Evicts least recently used unpinned packs until S.Bytes <=
+  /// PerShardBudget or no pack is left to evict. Caller holds S.M.
   void evictLocked(const Shard &S) const;
 
   uint64_t BudgetBytes;

@@ -43,8 +43,9 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   // Incremental builds: a configured cache directory lets unchanged dex
   // methods skip HIR construction and codegen entirely. Failing to OPEN
   // the store is a configuration error and fails the build; everything
-  // after that degrades (a bad entry is just a miss). A daemon-shared
-  // store (Opts.SharedCache) takes precedence over a private directory.
+  // after that degrades (a bad entry is just a miss). A store handed in
+  // (Opts.SharedCache: buildApp's one handle per build, or the daemon's)
+  // takes precedence over a private directory.
   std::unique_ptr<cache::BuildCache> OwnedCache;
   cache::BuildCache *Cache = Opts.SharedCache;
   if (!Cache && !Opts.CacheDir.empty()) {
@@ -121,6 +122,8 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
       CompileOne(I);
   }
   OwnedPool.reset();
+  if (Cache)
+    Cache->flush();
 
   for (std::size_t I = 0; I < Order.size(); ++I) {
     if (!Errors[I].empty())
@@ -293,6 +296,8 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
       OOpts.PinnedMethods = &MergePinned;
     OOpts.Facts = &Prior;
     auto R = runLtbo(App.Methods, OOpts);
+    if (OOpts.Cache)
+      OOpts.Cache->flush();
     if (!R)
       return R.takeError();
     Outlined = std::move(R->Funcs);
@@ -369,13 +374,37 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
   return Result;
 }
 
+namespace {
+
+/// Opens Opts.CacheDir once for a whole build and hands the handle to
+/// every stage through SharedCache. \p Owned keeps it alive.
+Expected<CalibroOptions>
+withOneStore(const CalibroOptions &Opts,
+             std::unique_ptr<cache::BuildCache> &Owned) {
+  CalibroOptions Out = Opts;
+  if (!Out.SharedCache && !Out.CacheDir.empty()) {
+    auto C = cache::BuildCache::open(Out.CacheDir);
+    if (!C)
+      return C.takeError();
+    Owned = std::move(*C);
+    Out.SharedCache = Owned.get();
+  }
+  return Out;
+}
+
+} // namespace
+
 Expected<BuildResult> core::buildApp(const dex::App &App,
-                                     const CalibroOptions &Opts) {
+                                     const CalibroOptions &OptsIn) {
   Timer Total;
-  auto Compiled = compileApp(App, Opts);
+  std::unique_ptr<cache::BuildCache> Store;
+  auto Opts = withOneStore(OptsIn, Store);
+  if (!Opts)
+    return Opts.takeError();
+  auto Compiled = compileApp(App, *Opts);
   if (!Compiled)
     return Compiled.takeError();
-  auto Result = linkApp(std::move(*Compiled), Opts);
+  auto Result = linkApp(std::move(*Compiled), *Opts);
   if (!Result)
     return Result;
   Result->Stats.TotalSeconds = Total.seconds();
@@ -383,8 +412,13 @@ Expected<BuildResult> core::buildApp(const dex::App &App,
 }
 
 Expected<ProfiledBuild>
-core::buildProfiled(const dex::App &App, const CalibroOptions &Opts,
+core::buildProfiled(const dex::App &App, const CalibroOptions &OptsIn,
                     const std::vector<workload::Invocation> &Script) {
+  std::unique_ptr<cache::BuildCache> Store;
+  auto Opened = withOneStore(OptsIn, Store);
+  if (!Opened)
+    return Opened.takeError();
+  const CalibroOptions &Opts = *Opened;
   CalibroOptions Unfiltered = Opts;
   Unfiltered.Profile = nullptr;
   auto Compiled = compileApp(App, Unfiltered);

@@ -119,9 +119,11 @@ struct CalibroOptions {
   /// byte-identical either way.
   ThreadPool *Pool = nullptr;
   ThreadPool::GroupId PoolGroup = 0;
-  /// Externally-owned build cache (the daemon's sharded store). When set it
-  /// overrides CacheDir: both the compile-stage method probes and LTBO
-  /// group replay go through this store.
+  /// Externally-owned build cache: the daemon's sharded store, or the one
+  /// handle buildApp and buildProfiled open on CacheDir for a whole build.
+  /// When set it overrides CacheDir: both the compile-stage method probes
+  /// and LTBO group replay go through this store, and each stage flushes
+  /// it when it ends.
   cache::BuildCache *SharedCache = nullptr;
 };
 

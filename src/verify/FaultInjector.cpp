@@ -6,6 +6,7 @@
 
 #include "verify/FaultInjector.h"
 
+#include "cache/BuildCache.h"
 #include "core/Outliner.h"
 #include "oat/Linker.h"
 #include "oat/Serialize.h"
@@ -266,7 +267,7 @@ Expected<FaultInjector> FaultInjector::create(const workload::AppSpec &Spec,
 
   // Cache-mutation kinds: populate the store with one cold cache-enabled
   // build (which must already be byte-identical to the cache-free baseline)
-  // and snapshot every blob so each run starts from a pristine store.
+  // and snapshot every pack so each run starts from a pristine store.
   if (!Opts.CacheDir.empty()) {
     core::CalibroOptions B = linkOptions(Opts, 0);
     B.CacheDir = Opts.CacheDir;
@@ -308,20 +309,53 @@ Expected<FaultReport> FaultInjector::runCacheMutation(MutationKind Kind,
     return makeError("fault injector: cache mutations need "
                      "FaultInjectorOptions::CacheDir");
 
-  // Restore the pristine store, then damage exactly one seeded blob. The
-  // warm rebuild will overwrite the damaged entry (rejected load -> miss ->
-  // recompute -> store), so restoring up front keeps runs independent.
+  // Restore the pristine store exactly, then damage one seeded pack. The
+  // warm rebuild repairs the damage (rejected load -> miss -> recompute ->
+  // a new pack), so restoring up front, and deleting the packs earlier runs
+  // added, keeps runs independent.
+  namespace fs = std::filesystem;
+  for (const char *Sub : {"m", "g"}) {
+    std::error_code Ec;
+    for (const auto &E :
+         fs::directory_iterator(fs::path(Opts.CacheDir) / Sub, Ec)) {
+      const std::string P = E.path().string();
+      if (std::none_of(PristineCache.begin(), PristineCache.end(),
+                       [&](const auto &Pr) { return Pr.first == P; }))
+        fs::remove(E.path(), Ec);
+    }
+  }
   for (const auto &[Path, Bytes] : PristineCache)
     if (auto E = writeBlobFile(Path, Bytes))
       return E;
   const auto &[Path, Bytes] =
       PristineCache[static_cast<std::size_t>(R.nextBelow(PristineCache.size()))];
+  auto Layout = cache::inspectPack(Bytes);
+  if (!Layout)
+    return makeError("fault injector: pristine cache pack " + Path +
+                     " fails its own checks");
+  // The damaged region: one blob, the header + index, or the tail.
+  std::size_t Begin = 0, End = Layout->BlobsBegin;
+  switch (Layout->Entries.empty() ? 1 : R.nextBelow(3)) {
+  case 0: {
+    const cache::PackEntry &PE = Layout->Entries[static_cast<std::size_t>(
+        R.nextBelow(Layout->Entries.size()))];
+    Begin = PE.Offset;
+    End = PE.Offset + PE.Length;
+    break;
+  }
+  case 1:
+    break;
+  default:
+    Begin = Layout->TailBegin;
+    End = Bytes.size();
+    break;
+  }
   std::vector<uint8_t> Mut = Bytes;
+  std::size_t At = Begin + static_cast<std::size_t>(R.nextBelow(End - Begin));
   if (Kind == MutationKind::CorruptCacheBlob)
-    Mut[static_cast<std::size_t>(R.nextBelow(Mut.size()))] ^=
-        uint8_t(1) << R.nextBelow(8);
+    Mut[At] ^= uint8_t(1) << R.nextBelow(8);
   else
-    Mut.resize(static_cast<std::size_t>(R.nextBelow(Mut.size())));
+    Mut.resize(At);
   if (auto E = writeBlobFile(Path, Mut))
     return E;
 

@@ -49,8 +49,10 @@ enum class MutationKind : uint8_t {
   StaleBranchTarget, ///< Shift one recorded PC-rel target off its insn.
   TruncateSection,   ///< Cut the serialized image short at a seeded point.
   DuplicateOutlinedId, ///< Feed the linker two outlined funcs with one id.
-  CorruptCacheBlob,  ///< Flip one bit of one on-disk build-cache blob.
-  TruncateCacheBlob, ///< Cut one on-disk build-cache blob short.
+  CorruptCacheBlob,  ///< Flip one bit of one build-cache pack: inside a
+                     ///< blob, in the header + index, or in the tail.
+  TruncateCacheBlob, ///< Cut one build-cache pack short inside a blob, the
+                     ///< header + index, or the tail.
   DropCallEdge,      ///< Remove one edge from the call graph before GC.
   ForgeEntrypoint,   ///< Declare one extra (bogus) reachability root.
   CorruptInvokeIdx,  ///< Retarget one call edge at a seeded method index.
@@ -176,7 +178,7 @@ private:
   /// Per-method cycles collected from the clean baseline script — the
   /// pristine input the CorruptProfile kind damages.
   profile::Profile CleanProfile;
-  /// Pristine cache store: (blob path, bytes) in sorted-path order, captured
+  /// Pristine cache store: (pack path, bytes) in sorted-path order, captured
   /// after the cold cache-enabled build. Empty when CacheDir is unset.
   std::vector<std::pair<std::string, std::vector<uint8_t>>> PristineCache;
 };

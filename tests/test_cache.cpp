@@ -34,6 +34,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -105,14 +106,77 @@ std::optional<uint32_t> churnOneMethod(dex::App &App) {
   return std::nullopt;
 }
 
-/// All regular files under \p Dir, sorted for determinism.
-std::vector<fs::path> listBlobs(const fs::path &Dir) {
+/// The pack files under \p Dir, oldest first.
+std::vector<fs::path> listPacks(const fs::path &Dir) {
   std::vector<fs::path> Out;
   for (const auto &E : fs::directory_iterator(Dir))
-    if (E.is_regular_file() && E.path().extension() == ".bin")
+    if (E.is_regular_file() && E.path().extension() == ".pack")
       Out.push_back(E.path());
   std::sort(Out.begin(), Out.end());
   return Out;
+}
+
+/// Every file under \p Dir's m/ and g/ with its size and modification
+/// time, so a test can tell whether a build wrote, rewrote or deleted one.
+std::map<std::string, std::pair<uintmax_t, fs::file_time_type>>
+snapshotStore(const fs::path &Dir) {
+  std::map<std::string, std::pair<uintmax_t, fs::file_time_type>> Out;
+  for (const char *Sub : {"m", "g"})
+    for (const auto &E : fs::directory_iterator(Dir / Sub))
+      Out[std::string(Sub) + "/" + E.path().filename().string()] = {
+          E.file_size(), E.last_write_time()};
+  return Out;
+}
+
+std::vector<uint8_t> readFile(const fs::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  return {std::istreambuf_iterator<char>(In), std::istreambuf_iterator<char>()};
+}
+
+/// The index of the pack at \p P, which must pass its own checks.
+cache::PackLayout packLayout(const fs::path &P) {
+  auto L = cache::inspectPack(readFile(P));
+  EXPECT_TRUE(L.has_value()) << P;
+  return L.value_or(cache::PackLayout{});
+}
+
+/// A blob's trailing checksum, recomputed a byte at a time: eight bytes
+/// per little-endian word, a zero-padded last word, then the length.
+cache::Digest byteLoopChecksum(const std::vector<uint8_t> &Bytes,
+                               std::size_t End) {
+  cache::Hasher H;
+  uint64_t Acc = 0;
+  unsigned N = 0;
+  for (std::size_t I = 0; I < End; ++I) {
+    Acc |= static_cast<uint64_t>(Bytes[I]) << (8 * N);
+    if (++N == 8) {
+      H.u64(Acc);
+      Acc = 0;
+      N = 0;
+    }
+  }
+  if (N)
+    H.u64(Acc);
+  H.u64(End);
+  return H.finish();
+}
+
+/// Seals \p Payload the way the store does: magic, format version,
+/// payload, checksum.
+std::vector<uint8_t> sealForTest(uint32_t Magic,
+                                 const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> B;
+  auto Put = [&B](uint64_t V, int Bytes) {
+    for (int I = 0; I < Bytes; ++I)
+      B.push_back(static_cast<uint8_t>(V >> (8 * I)));
+  };
+  Put(Magic, 4);
+  Put(cache::CacheFormatVersion, 4);
+  B.insert(B.end(), Payload.begin(), Payload.end());
+  cache::Digest Sum = byteLoopChecksum(B, B.size());
+  Put(Sum.Lo, 8);
+  Put(Sum.Hi, 8);
+  return B;
 }
 
 void flipByteInFile(const fs::path &P, std::size_t Offset) {
@@ -298,25 +362,28 @@ TEST(CacheStore, FailedWriteLeavesNoEntry) {
     if (::setrlimit(RLIMIT_FSIZE, &Cap) != 0)
       ::_exit(2);
     (*Cache)->storeMethod(K, M, 0);
+    (*Cache)->flush();
     ::_exit(0);
   }
   int Status = 0;
   ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
   ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
-  EXPECT_FALSE(fs::exists((*Cache)->methodPath(K)));
   for (const auto &E : fs::directory_iterator(Dir.Path / "m"))
     ADD_FAILURE() << "left behind: " << E.path();
 
-  // Uncapped, the same store lands.
+  // Uncapped, the same store lands as one pack a fresh handle reads.
   (*Cache)->storeMethod(K, M, 0);
-  EXPECT_TRUE((*Cache)->loadMethod(K).has_value());
+  (*Cache)->flush();
+  EXPECT_EQ(listPacks(Dir.Path / "m").size(), 1u);
+  auto Fresh = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Fresh)) << Fresh.message();
+  EXPECT_TRUE((*Fresh)->loadMethod(K).has_value());
 }
 
 TEST(CacheStore, BlobChecksumsMatchTheByteLoopValues) {
   // Eight blobs whose names grow by one byte, so the checksummed length
-  // takes every residue mod 8. The pinned digest of their checksum
-  // trailers was recorded with the byte-at-a-time loader; the word loader
-  // must reproduce it without a format bump.
+  // takes every residue mod 8. The word-at-a-time checksum of every blob
+  // in the pack must equal a byte-at-a-time recomputation.
   TempCacheDir Dir("checksum");
   auto Cache = cache::BuildCache::open(Dir.str());
   ASSERT_TRUE(bool(Cache)) << Cache.message();
@@ -326,26 +393,40 @@ TEST(CacheStore, BlobChecksumsMatchTheByteLoopValues) {
   Ret.Rn = a64::LR;
   M.Code = {a64::encode(a64::Insn{.Op = a64::Opcode::Nop}), a64::encode(Ret)};
   M.Side.TerminatorOffsets = {4};
-  cache::Hasher Trailers;
+  std::vector<std::pair<cache::Digest, codegen::CompiledMethod>> Stored;
   for (uint32_t Len = 1; Len <= 8; ++Len) {
     M.Name = std::string(Len, 'm');
     cache::Hasher Key;
     Key.u32(Len);
-    const cache::Digest K = Key.finish();
-    (*Cache)->storeMethod(K, M, Len);
-    std::ifstream In((*Cache)->methodPath(K), std::ios::binary);
-    std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                               std::istreambuf_iterator<char>());
-    ASSERT_GE(Bytes.size(), 16u);
-    for (std::size_t I = Bytes.size() - 16; I < Bytes.size(); ++I)
-      Trailers.u8(Bytes[I]);
-    auto Loaded = (*Cache)->loadMethod(K);
-    ASSERT_TRUE(Loaded.has_value()) << Len;
-    EXPECT_TRUE(Loaded->Method == M) << Len;
+    Stored.emplace_back(Key.finish(), M);
+    (*Cache)->storeMethod(Stored.back().first, M, Len);
   }
-  const cache::Digest D = Trailers.finish();
-  EXPECT_EQ(D.Lo, 0xd367b15f74125514ULL) << std::hex << D.Lo;
-  EXPECT_EQ(D.Hi, 0x51f984a62eb6e1a1ULL) << std::hex << D.Hi;
+  (*Cache)->flush();
+  auto Packs = listPacks(Dir.Path / "m");
+  ASSERT_EQ(Packs.size(), 1u);
+  const std::vector<uint8_t> Pack = readFile(Packs[0]);
+  const cache::PackLayout L = packLayout(Packs[0]);
+  ASSERT_EQ(L.Entries.size(), 8u);
+  std::set<std::size_t> Residues;
+  for (const cache::PackEntry &E : L.Entries) {
+    std::vector<uint8_t> Blob(Pack.begin() + E.Offset,
+                              Pack.begin() + E.Offset + E.Length);
+    ASSERT_GE(Blob.size(), 8u + 16u);
+    const std::size_t End = Blob.size() - 16;
+    Residues.insert(End % 8);
+    cache::Digest Want = byteLoopChecksum(Blob, End);
+    uint64_t Lo = 0, Hi = 0;
+    std::memcpy(&Lo, Blob.data() + End, 8);
+    std::memcpy(&Hi, Blob.data() + End + 8, 8);
+    EXPECT_EQ(Lo, Want.Lo) << End;
+    EXPECT_EQ(Hi, Want.Hi) << End;
+  }
+  EXPECT_EQ(Residues.size(), 8u);
+  for (const auto &[K, Want] : Stored) {
+    auto Loaded = (*Cache)->loadMethod(K);
+    ASSERT_TRUE(Loaded.has_value()) << Want.Name;
+    EXPECT_TRUE(Loaded->Method == Want) << Want.Name;
+  }
 }
 
 TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
@@ -781,7 +862,7 @@ TEST(CacheReplay, EachRejectedSelectionFallsBackToDetection) {
   }
 }
 
-TEST(CacheDamage, CorruptAndTruncatedBlobsDegradeToMisses) {
+TEST(CacheDamage, CorruptBlobsInsideAPackDegradeToMisses) {
   TempCacheDir Dir("damage");
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts(Dir.str());
@@ -790,16 +871,23 @@ TEST(CacheDamage, CorruptAndTruncatedBlobsDegradeToMisses) {
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   const std::vector<uint8_t> ColdBytes = oat::serializeOat(Cold->Oat);
 
-  auto MethodBlobs = listBlobs(Dir.Path / "m");
-  auto GroupBlobs = listBlobs(Dir.Path / "g");
-  ASSERT_EQ(MethodBlobs.size(), App.numMethods());
-  ASSERT_GT(GroupBlobs.size(), 0u);
+  // One build, one pack per entry kind.
+  auto MethodPacks = listPacks(Dir.Path / "m");
+  auto GroupPacks = listPacks(Dir.Path / "g");
+  ASSERT_EQ(MethodPacks.size(), 1u);
+  ASSERT_EQ(GroupPacks.size(), 1u);
+  const cache::PackLayout ML = packLayout(MethodPacks[0]);
+  const cache::PackLayout GL = packLayout(GroupPacks[0]);
+  ASSERT_EQ(ML.Entries.size(), App.numMethods());
+  ASSERT_GT(GL.Entries.size(), 0u);
 
-  // Flip one payload byte in one method blob, truncate another to a stub,
-  // and flip a byte in one group blob.
-  flipByteInFile(MethodBlobs[0], fs::file_size(MethodBlobs[0]) / 2);
-  fs::resize_file(MethodBlobs[1], fs::file_size(MethodBlobs[1]) / 2);
-  flipByteInFile(GroupBlobs[0], fs::file_size(GroupBlobs[0]) / 2);
+  // Flip one byte in the middle of two method blobs and of one group blob:
+  // the pack's own index and tail still check out.
+  for (std::size_t I : {0, 1})
+    flipByteInFile(MethodPacks[0],
+                   ML.Entries[I].Offset + ML.Entries[I].Length / 2);
+  flipByteInFile(GroupPacks[0],
+                 GL.Entries[0].Offset + GL.Entries[0].Length / 2);
 
   // The audit sees exactly the damaged entries.
   auto Cache = cache::BuildCache::open(Dir.str());
@@ -807,6 +895,7 @@ TEST(CacheDamage, CorruptAndTruncatedBlobsDegradeToMisses) {
   cache::CacheAudit A = (*Cache)->audit();
   EXPECT_EQ(A.MethodCorrupt, 2u);
   EXPECT_EQ(A.GroupCorrupt, 1u);
+  EXPECT_EQ(A.CorruptPacks, 0u);
 
   // The warm build treats all three as misses and still reproduces the
   // cold image bit for bit.
@@ -817,10 +906,52 @@ TEST(CacheDamage, CorruptAndTruncatedBlobsDegradeToMisses) {
   EXPECT_GE(Warm->Stats.Ltbo.GroupsDetected, 1u);
   EXPECT_EQ(oat::serializeOat(Warm->Oat), ColdBytes);
 
-  // The rebuild re-stored every damaged entry: the store is clean again.
+  // The rebuild re-stored every damaged entry in a newer pack, which
+  // shadows the damaged copies: the store audits clean again.
   cache::CacheAudit After = (*Cache)->audit();
   EXPECT_EQ(After.MethodCorrupt, 0u);
   EXPECT_EQ(After.GroupCorrupt, 0u);
+  EXPECT_EQ(After.MethodEntries, App.numMethods());
+}
+
+TEST(CacheDamage, DamagedPackIsIgnoredWholeAndReplaced) {
+  // A truncated pack, or one whose index or tail is damaged, fails its own
+  // checks: every entry in it misses, the rebuild stores them all again
+  // and deletes the damaged file.
+  dex::App App = workload::makeApp(testSpec());
+  for (const char *Damage : {"truncate", "index", "tail"}) {
+    SCOPED_TRACE(Damage);
+    TempCacheDir Dir(std::string("damaged-pack-") + Damage);
+    auto Opts = cacheOpts(Dir.str());
+    auto Cold = core::buildApp(App, Opts);
+    ASSERT_TRUE(bool(Cold)) << Cold.message();
+    auto Packs = listPacks(Dir.Path / "m");
+    ASSERT_EQ(Packs.size(), 1u);
+    const cache::PackLayout L = packLayout(Packs[0]);
+    if (std::string(Damage) == "truncate")
+      fs::resize_file(Packs[0], fs::file_size(Packs[0]) / 2);
+    else if (std::string(Damage) == "index")
+      flipByteInFile(Packs[0], L.IndexBegin + 3);
+    else
+      flipByteInFile(Packs[0], L.TailBegin + 12);
+
+    auto Audit = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Audit)) << Audit.message();
+    cache::CacheAudit A = (*Audit)->audit();
+    EXPECT_EQ(A.CorruptPacks, 1u);
+    EXPECT_EQ(A.MethodEntries, 0u);
+
+    auto Warm = core::buildApp(App, Opts);
+    ASSERT_TRUE(bool(Warm)) << Warm.message();
+    EXPECT_EQ(Warm->Stats.CacheHits, 0u);
+    EXPECT_EQ(Warm->Stats.CacheMisses, App.numMethods());
+    EXPECT_EQ(oat::serializeOat(Warm->Oat), oat::serializeOat(Cold->Oat));
+    EXPECT_FALSE(fs::exists(Packs[0]));
+    cache::CacheAudit After = (*Audit)->audit();
+    EXPECT_EQ(After.CorruptPacks, 0u);
+    EXPECT_EQ(After.MethodEntries, App.numMethods());
+    EXPECT_EQ(After.MethodCorrupt, 0u);
+  }
 }
 
 TEST(CacheDamage, FormatVersionMismatchPurgesTheStore) {
@@ -830,14 +961,15 @@ TEST(CacheDamage, FormatVersionMismatchPurgesTheStore) {
 
   auto Cold = core::buildApp(App, Opts);
   ASSERT_TRUE(bool(Cold)) << Cold.message();
-  ASSERT_GT(listBlobs(Dir.Path / "m").size(), 0u);
+  ASSERT_GT(listPacks(Dir.Path / "m").size(), 0u);
 
   // Reopening a stale-format store discards every entry and restamps: a
-  // store from a future build, and one from the v1 key recipe alike.
-  for (const char *Stamp : {"calibro-cache 999\n", "calibro-cache 1\n"}) {
+  // store from a future build, and one from the v2 per-file layout alike.
+  for (const char *Stamp : {"calibro-cache 999\n", "calibro-cache 2\n"}) {
     auto Warm = cache::BuildCache::open(Dir.str());
     ASSERT_TRUE(bool(Warm)) << Warm.message();
     (*Warm)->storeGroup({5, 5}, cache::GroupSelections{});
+    (*Warm)->flush();
     {
       std::ofstream V(Dir.Path / "VERSION", std::ios::trunc);
       V << Stamp;
@@ -893,15 +1025,6 @@ TEST(CacheStore, ConcurrentLoadsMatchTheColdCompile) {
 
 TEST(CacheDamage, EmptyAndUndersizedBlobsAreMisses) {
   TempCacheDir Dir("undersized");
-  dex::App App = workload::makeApp(testSpec());
-  auto Opts = cacheOpts(Dir.str());
-  ASSERT_TRUE(bool(core::compileApp(App, Opts)));
-  std::vector<cache::Digest> Keys;
-  App.forEachMethod([&](const dex::Method &M) {
-    Keys.push_back(cache::methodSourceKey(M, Opts.EnableCto));
-  });
-  ASSERT_GE(Keys.size(), 3u);
-
   auto Cache = cache::BuildCache::open(Dir.str());
   ASSERT_TRUE(bool(Cache)) << Cache.message();
   cache::Digest GroupKey{77, 88};
@@ -909,28 +1032,79 @@ TEST(CacheDamage, EmptyAndUndersizedBlobsAreMisses) {
   ASSERT_TRUE((*Cache)->loadGroup(GroupKey).has_value());
 
   // Empty, one byte, and one byte short of the 8-byte header plus the
-  // 16-byte checksum.
+  // 16-byte checksum, each a well-indexed entry of a sound pack.
   const std::size_t Sizes[] = {0, 1, 8 + 16 - 1};
   for (std::size_t I = 0; I < 3; ++I) {
-    fs::resize_file((*Cache)->methodPath(Keys[I]), Sizes[I]);
-    EXPECT_FALSE((*Cache)->loadMethod(Keys[I]).has_value()) << Sizes[I];
+    (*Cache)->storeBlob('m', {I, 1}, std::vector<uint8_t>(Sizes[I], 0x43));
+    EXPECT_FALSE((*Cache)->loadMethod({I, 1}).has_value()) << Sizes[I];
   }
-  fs::resize_file((*Cache)->groupPath(GroupKey), 0);
+  (*Cache)->storeBlob('g', GroupKey, {});
   EXPECT_FALSE((*Cache)->loadGroup(GroupKey).has_value());
+  (*Cache)->flush();
 
-  cache::CacheAudit A = (*Cache)->audit();
-  EXPECT_EQ(A.MethodEntries, Keys.size());
+  auto Fresh = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Fresh)) << Fresh.message();
+  for (std::size_t I = 0; I < 3; ++I)
+    EXPECT_FALSE((*Fresh)->loadMethod({I, 1}).has_value()) << Sizes[I];
+  EXPECT_FALSE((*Fresh)->loadGroup(GroupKey).has_value());
+  cache::CacheAudit A = (*Fresh)->audit();
+  EXPECT_EQ(A.MethodEntries, 3u);
   EXPECT_EQ(A.MethodCorrupt, 3u);
   EXPECT_EQ(A.GroupCorrupt, 1u);
+  EXPECT_EQ(A.CorruptPacks, 0u);
+}
+
+TEST(CacheDamage, GroupPositionDeltasThatOverflowAreMisses) {
+  // Sealed group blobs with valid checksums whose position deltas do not
+  // fit 32 bits: a delta of 2^32 would repeat the previous position, and
+  // one of 2^32 - 2 would wrap below it. Both must be refused by the
+  // decoder; the same encoding with small deltas loads.
+  constexpr uint32_t GroupBlobMagic = 0x31424743; // "CGB1"
+  auto Payload = [](uint64_t SecondDelta) {
+    std::vector<uint8_t> P;
+    auto Uleb = [&P](uint64_t V) {
+      do {
+        uint8_t Byte = V & 0x7f;
+        V >>= 7;
+        P.push_back(static_cast<uint8_t>(Byte | (V ? 0x80 : 0)));
+      } while (V);
+    };
+    Uleb(1);           // One selection:
+    Uleb(4);           //   sequence length 4,
+    Uleb(1);           //   benefit 1,
+    Uleb(2);           //   two positions:
+    Uleb(5);           //   5,
+    Uleb(SecondDelta); //   5 + SecondDelta.
+    return P;
+  };
+  TempCacheDir Dir("delta");
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  (*Cache)->storeBlob('g', {1, 0}, sealForTest(GroupBlobMagic, Payload(9)));
+  auto Good = (*Cache)->loadGroup({1, 0});
+  ASSERT_TRUE(Good.has_value());
+  EXPECT_EQ(Good->Funcs.at(0).Positions, (std::vector<uint32_t>{5, 14}));
+  for (uint64_t Delta : {uint64_t(1) << 32, (uint64_t(1) << 32) - 2,
+                         uint64_t(UINT32_MAX) - 4}) {
+    (*Cache)->storeBlob('g', {2, Delta}, sealForTest(GroupBlobMagic,
+                                                     Payload(Delta)));
+    EXPECT_FALSE((*Cache)->loadGroup({2, Delta}).has_value()) << Delta;
+  }
+  // The largest delta that still fits loads.
+  (*Cache)->storeBlob('g', {3, 0}, sealForTest(GroupBlobMagic,
+                                               Payload(UINT32_MAX - 5)));
+  auto Max = (*Cache)->loadGroup({3, 0});
+  ASSERT_TRUE(Max.has_value());
+  EXPECT_EQ(Max->Funcs.at(0).Positions.back(), UINT32_MAX);
 }
 
 TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
   // fork() hands the child the parent's address space and temp-file
   // counter, so temp names built from those alone collide across the two
   // processes, and both then write through one temp file. The child stores
-  // a different method (of a different size) under each key, so such a
-  // shared temp file ends up holding a mix of both blobs: every entry must
-  // instead hold one writer's blob whole.
+  // a different method (of a different size) under each key, and both
+  // flush at the same moment, merging and deleting packs as they go: every
+  // key must still load, whole, as one writer's blob, from a fresh handle.
   TempCacheDir Dir("fork");
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts("");
@@ -944,33 +1118,55 @@ TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
     Keys.push_back(cache::methodSourceKey(M, Opts.EnableCto));
   });
   ASSERT_GT(Keys.size(), 1u);
-  auto Cache = cache::BuildCache::open(Dir.str());
-  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  ASSERT_TRUE(bool(cache::BuildCache::open(Dir.str()))); // Stamps the store.
   auto ParentMethod = [&](std::size_t I) -> const auto & { return Methods[I]; };
   auto ChildMethod = [&](std::size_t I) -> const auto & {
     return Methods[(I + 1) % Methods.size()];
   };
-  auto LoadsWhole = [&](std::size_t I) {
-    auto E = (*Cache)->loadMethod(Keys[I]);
-    return E && (E->Method == ParentMethod(I) || E->Method == ChildMethod(I));
+  auto BadKeys = [&] {
+    auto Fresh = cache::BuildCache::open(Dir.str());
+    if (!Fresh)
+      return Keys.size();
+    std::size_t Bad = 0;
+    for (std::size_t I = 0; I < Keys.size(); ++I) {
+      auto E = (*Fresh)->loadMethod(Keys[I]);
+      Bad += !(E && (E->Method == ParentMethod(I) ||
+                     E->Method == ChildMethod(I)));
+    }
+    return Bad;
   };
 
-  // The two processes meet at a pipe barrier before each store, so they
-  // write the same key with the same counter value at the same time, then
-  // each reads the key back. Returns the number of bad reads.
+  // The two processes meet at a pipe barrier before each round's stores
+  // and again before reading back, so they write the same keys with the
+  // same counter values at the same time. Each round stores a slice of
+  // the keys, so packs of varied sizes pile up and merge. Returns the
+  // number of bad reads.
   int ToChild[2], ToParent[2];
   ASSERT_EQ(::pipe(ToChild), 0);
   ASSERT_EQ(::pipe(ToParent), 0);
   auto Hammer = [&](int Out, int In, auto Mine) {
     std::size_t Bad = 0;
     char Token = 0;
-    for (int Round = 0; Round < 10; ++Round)
-      for (std::size_t I = 0; I < Keys.size(); ++I) {
-        if (::write(Out, &Token, 1) != 1 || ::read(In, &Token, 1) != 1)
+    auto Meet = [&] {
+      return ::write(Out, &Token, 1) == 1 && ::read(In, &Token, 1) == 1;
+    };
+    for (std::size_t Round = 0; Round < 12; ++Round) {
+      if (!Meet())
+        return Bad + 1;
+      {
+        auto Cache = cache::BuildCache::open(Dir.str());
+        if (!Cache)
           return Bad + 1;
-        (*Cache)->storeMethod(Keys[I], Mine(I), 0);
-        Bad += !LoadsWhole(I);
-      }
+        std::size_t Slice = 1 + Round % 4;
+        for (std::size_t I = Round % Slice; I < Keys.size(); I += Slice)
+          (*Cache)->storeMethod(Keys[I], Mine(I), 0);
+      } // Flushed here.
+      if (!Meet())
+        return Bad + 1;
+      Bad += BadKeys();
+      if (!Meet())
+        return Bad + 1;
+    }
     return Bad;
   };
   pid_t Child = ::fork();
@@ -983,17 +1179,278 @@ TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
   for (int Fd : {ToChild[0], ToChild[1], ToParent[0], ToParent[1]})
     ::close(Fd);
   EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
-      << "the child read a mixed or partial entry";
+      << "the child read a mixed, partial or missing entry";
   EXPECT_EQ(ParentBad, 0u);
 
-  for (std::size_t I = 0; I < Keys.size(); ++I)
-    EXPECT_TRUE(LoadsWhole(I)) << I;
+  EXPECT_EQ(BadKeys(), 0u);
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
   cache::CacheAudit A = (*Cache)->audit();
   EXPECT_EQ(A.MethodEntries, Keys.size());
   EXPECT_EQ(A.MethodCorrupt, 0u);
+  EXPECT_EQ(A.CorruptPacks, 0u);
   // No writer left a temp file behind.
   for (const auto &E : fs::directory_iterator(Dir.Path / "m"))
-    EXPECT_EQ(E.path().extension(), ".bin") << E.path();
+    EXPECT_EQ(E.path().extension(), ".pack") << E.path();
+}
+
+//===----------------------------------------------------------------------===//
+// The pack contract
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A one-word method whose blob grows with \p NameLen.
+codegen::CompiledMethod tinyMethod(uint32_t Idx, std::size_t NameLen) {
+  codegen::CompiledMethod M;
+  M.MethodIdx = Idx;
+  M.Name = std::string(NameLen, 'p');
+  a64::Insn Ret{.Op = a64::Opcode::Ret};
+  Ret.Rn = a64::LR;
+  M.Code = {a64::encode(Ret)};
+  M.Side.TerminatorOffsets = {0};
+  return M;
+}
+
+cache::Digest keyOf(uint32_t I) {
+  cache::Hasher H;
+  H.u32(I);
+  return H.finish();
+}
+
+} // namespace
+
+TEST(CachePacks, PendingStoresAreVisibleToTheirOwnHandleAtOnce) {
+  TempCacheDir Dir("pending");
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  const codegen::CompiledMethod M = tinyMethod(1, 8);
+  (*Cache)->storeMethod(keyOf(1), M, 0);
+  cache::GroupSelections G;
+  G.Funcs.push_back({4, 9, {3, 11}});
+  (*Cache)->storeGroup(keyOf(2), G);
+  auto Hit = (*Cache)->loadMethod(keyOf(1));
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_TRUE(Hit->Method == M);
+  EXPECT_TRUE((*Cache)->loadGroup(keyOf(2)).has_value());
+  // Nothing is on disk until the flush, so another handle misses.
+  EXPECT_TRUE(listPacks(Dir.Path / "m").empty());
+  EXPECT_TRUE(listPacks(Dir.Path / "g").empty());
+  auto Other = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Other)) << Other.message();
+  EXPECT_FALSE((*Other)->loadMethod(keyOf(1)).has_value());
+
+  (*Cache)->flush();
+  EXPECT_EQ(listPacks(Dir.Path / "m").size(), 1u);
+  EXPECT_EQ(listPacks(Dir.Path / "g").size(), 1u);
+  EXPECT_TRUE((*Cache)->loadMethod(keyOf(1)).has_value());
+  auto Reopened = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Reopened)) << Reopened.message();
+  EXPECT_TRUE((*Reopened)->loadMethod(keyOf(1)).has_value());
+  EXPECT_TRUE((*Reopened)->loadGroup(keyOf(2)).has_value());
+}
+
+TEST(CachePacks, DeletingAPackDropsExactlyItsEntries) {
+  TempCacheDir Dir("delete-pack");
+  {
+    // A large pack, then a smaller one: the flush keeps them apart.
+    auto Cache = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Cache)) << Cache.message();
+    for (uint32_t I = 0; I < 8; ++I)
+      (*Cache)->storeMethod(keyOf(I), tinyMethod(I, 40), 0);
+    (*Cache)->flush();
+    for (uint32_t I = 100; I < 102; ++I)
+      (*Cache)->storeMethod(keyOf(I), tinyMethod(I, 40), 0);
+  }
+  auto Packs = listPacks(Dir.Path / "m");
+  ASSERT_EQ(Packs.size(), 2u);
+  EXPECT_EQ(packLayout(Packs[0]).Entries.size(), 8u);
+  EXPECT_EQ(packLayout(Packs[1]).Entries.size(), 2u);
+
+  fs::remove(Packs[1]);
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  for (uint32_t I = 0; I < 8; ++I)
+    EXPECT_TRUE((*Cache)->loadMethod(keyOf(I)).has_value()) << I;
+  for (uint32_t I = 100; I < 102; ++I)
+    EXPECT_FALSE((*Cache)->loadMethod(keyOf(I)).has_value()) << I;
+  cache::CacheAudit A = (*Cache)->audit();
+  EXPECT_EQ(A.MethodEntries, 8u);
+  EXPECT_EQ(A.Packs, 1u);
+}
+
+TEST(CachePacks, NewestPackWinsAndMergesDropTheOlderCopy) {
+  TempCacheDir Dir("newest");
+  const codegen::CompiledMethod Old = tinyMethod(7, 10);
+  const codegen::CompiledMethod New = tinyMethod(7, 30);
+  {
+    // Two handles, two packs holding one digest: a large older pack, a
+    // small newer one.
+    auto First = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(First)) << First.message();
+    (*First)->storeMethod(keyOf(7), Old, 0);
+    for (uint32_t I = 0; I < 8; ++I)
+      (*First)->storeMethod(keyOf(I + 100), tinyMethod(I, 40), 0);
+  }
+  {
+    auto Second = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Second)) << Second.message();
+    (*Second)->storeMethod(keyOf(7), New, 0);
+  }
+  ASSERT_EQ(listPacks(Dir.Path / "m").size(), 2u);
+  {
+    auto Cache = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Cache)) << Cache.message();
+    auto Got = (*Cache)->loadMethod(keyOf(7));
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_TRUE(Got->Method == New);
+    cache::CacheAudit A = (*Cache)->audit();
+    EXPECT_EQ(A.MethodEntries, 9u); // The digest counts once.
+  }
+
+  // A pack no larger than what is newer than it merges: the merged pack
+  // keeps the newest copy only.
+  TempCacheDir Small("newest-merge");
+  {
+    auto First = cache::BuildCache::open(Small.str());
+    ASSERT_TRUE(bool(First)) << First.message();
+    (*First)->storeMethod(keyOf(7), Old, 0);
+  }
+  auto Second = cache::BuildCache::open(Small.str());
+  ASSERT_TRUE(bool(Second)) << Second.message();
+  (*Second)->storeMethod(keyOf(7), New, 0);
+  (*Second)->flush();
+  auto Packs = listPacks(Small.Path / "m");
+  ASSERT_EQ(Packs.size(), 1u);
+  EXPECT_EQ(packLayout(Packs[0]).Entries.size(), 1u);
+  auto Fresh = cache::BuildCache::open(Small.str());
+  ASSERT_TRUE(bool(Fresh)) << Fresh.message();
+  auto Got = (*Fresh)->loadMethod(keyOf(7));
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_TRUE(Got->Method == New);
+  cache::CacheAudit A = (*Fresh)->audit();
+  EXPECT_EQ(A.MethodEntries, 1u);
+  EXPECT_EQ(A.PayloadBytes, packLayout(Packs[0]).Entries[0].Length);
+}
+
+TEST(CachePacks, ShadowedCopiesPastHalfCompactIntoOnePack) {
+  // Three packs, each smaller than the one before, so the merge rule
+  // leaves them apart; the second and third re-store 8 and 6 of the
+  // first's 10 digests. After the third flush more than half of the bytes
+  // are shadowed copies, and the flush rewrites everything into one pack.
+  TempCacheDir Dir("compact");
+  for (uint32_t N : {10u, 8u, 6u}) {
+    auto Cache = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Cache)) << Cache.message();
+    for (uint32_t I = 0; I < N; ++I)
+      (*Cache)->storeMethod(keyOf(I), tinyMethod(I, 400), 0);
+    (*Cache)->flush();
+    EXPECT_EQ(listPacks(Dir.Path / "m").size(), N == 6 ? 1u : N == 8 ? 2u : 1u)
+        << N;
+  }
+  auto Packs = listPacks(Dir.Path / "m");
+  ASSERT_EQ(Packs.size(), 1u);
+  EXPECT_EQ(packLayout(Packs[0]).Entries.size(), 10u);
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  for (uint32_t I = 0; I < 10; ++I)
+    EXPECT_TRUE((*Cache)->loadMethod(keyOf(I)).has_value()) << I;
+}
+
+TEST(CachePacks, TempFilesThatWereNeverRenamedAreIgnored) {
+  TempCacheDir Dir("temp");
+  {
+    auto Cache = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(Cache)) << Cache.message();
+    (*Cache)->storeMethod(keyOf(1), tinyMethod(1, 8), 0);
+  }
+  // A writer that died between its write and its rename leaves a complete,
+  // valid pack under its temp name: it must not count.
+  auto Packs = listPacks(Dir.Path / "m");
+  ASSERT_EQ(Packs.size(), 1u);
+  fs::rename(Packs[0], Packs[0].string() + ".tmp.4242.0");
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  EXPECT_FALSE((*Cache)->loadMethod(keyOf(1)).has_value());
+  cache::CacheAudit A = (*Cache)->audit();
+  EXPECT_EQ(A.MethodEntries, 0u);
+  EXPECT_EQ(A.Packs, 0u);
+  EXPECT_EQ(A.CorruptPacks, 0u);
+}
+
+TEST(CachePacks, FullyWarmRebuildWritesNoFile) {
+  TempCacheDir Dir("no-write");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  auto Cold = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.message();
+  const auto Before = snapshotStore(Dir.Path);
+  ASSERT_EQ(Before.size(), 2u); // One method pack, one group pack.
+  const auto StampTime = fs::last_write_time(Dir.Path / "VERSION");
+
+  auto Warm = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Warm)) << Warm.message();
+  EXPECT_EQ(Warm->Stats.CacheMisses, 0u);
+  EXPECT_EQ(snapshotStore(Dir.Path), Before);
+  EXPECT_EQ(fs::last_write_time(Dir.Path / "VERSION"), StampTime);
+}
+
+TEST(CachePacks, SingleEditRebuildAddsPacksAndKeepsTheWarmOnes) {
+  TempCacheDir Dir("one-edit");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  ASSERT_TRUE(bool(core::buildApp(App, Opts)));
+  const auto Warm = snapshotStore(Dir.Path);
+
+  ASSERT_TRUE(churnOneMethod(App).has_value());
+  auto Edit = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Edit)) << Edit.message();
+  EXPECT_EQ(Edit->Stats.CacheMisses, 1u);
+  // Every warm pack is still there, unchanged; one new pack per kind holds
+  // the edit's method and its group.
+  const auto After = snapshotStore(Dir.Path);
+  for (const auto &[Name, State] : Warm) {
+    auto It = After.find(Name);
+    ASSERT_NE(It, After.end()) << Name << " was deleted";
+    EXPECT_EQ(It->second, State) << Name << " was rewritten";
+  }
+  EXPECT_EQ(After.size(), Warm.size() + 2);
+  for (const auto &[Name, State] : After) {
+    if (!Warm.count(Name)) {
+      EXPECT_EQ(packLayout(Dir.Path / Name).Entries.size(), 1u) << Name;
+    }
+  }
+}
+
+TEST(CachePacks, PackCountStaysBoundedOverManySingleMethodRebuilds) {
+  // A warmed store, then 200 rebuilds that each edit one method, so each
+  // adds one method and one group: merges keep the pack count
+  // logarithmic in the number of flushes, and no entry is ever lost.
+  TempCacheDir Dir("bounded");
+  dex::App App = workload::makeApp(testSpec());
+  auto Opts = cacheOpts(Dir.str());
+  auto Cold = core::buildApp(App, Opts);
+  ASSERT_TRUE(bool(Cold)) << Cold.message();
+  const std::size_t Groups = Cold->Stats.Ltbo.GroupsDetected;
+  std::size_t MaxPacks = 0;
+  for (int Build = 0; Build < 200; ++Build) {
+    ASSERT_TRUE(churnOneMethod(App).has_value());
+    auto Edit = core::buildApp(App, Opts);
+    ASSERT_TRUE(bool(Edit)) << Edit.message();
+    ASSERT_EQ(Edit->Stats.CacheMisses, 1u) << Build;
+    for (const char *Sub : {"m", "g"})
+      MaxPacks = std::max(MaxPacks, listPacks(Dir.Path / Sub).size());
+  }
+  EXPECT_LE(MaxPacks, 10u);
+  auto Cache = cache::BuildCache::open(Dir.str());
+  ASSERT_TRUE(bool(Cache)) << Cache.message();
+  cache::CacheAudit A = (*Cache)->audit();
+  EXPECT_EQ(A.MethodEntries, App.numMethods() + 200);
+  EXPECT_EQ(A.GroupEntries, Groups + 200);
+  EXPECT_EQ(A.MethodCorrupt + A.GroupCorrupt + A.CorruptPacks, 0u);
+  // Packs hold no dead copies, so the files are barely larger than the
+  // payload they carry.
+  EXPECT_LE(A.TotalBytes, A.PayloadBytes + A.PayloadBytes / 4);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1002,84 +1459,106 @@ TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
 
 namespace {
 
-cache::GroupSelections testGroup(uint32_t Tag) {
+/// A group selection of \p NumPositions positions 7 apart; its blob grows
+/// by one byte per position.
+cache::GroupSelections testGroup(uint32_t Tag, uint32_t NumPositions = 3) {
   cache::GroupSelections G;
-  G.Funcs.push_back({4, 100 + Tag, {Tag, Tag + 7, Tag + 19}});
+  G.Funcs.push_back({4, 100 + Tag, {}});
+  for (uint32_t I = 0; I < NumPositions; ++I)
+    G.Funcs[0].Positions.push_back(Tag + 7 * I);
   return G;
 }
 
-/// The on-disk size of one testGroup blob, measured on a throwaway store.
-uint64_t groupBlobBytes() {
+/// The blob size of one testGroup, measured on a throwaway store.
+uint64_t groupBlobBytes(uint32_t NumPositions = 3) {
   TempCacheDir Dir("shard-probe");
   auto C = cache::ShardedBuildCache::open(Dir.str(), 1);
   EXPECT_TRUE(bool(C)) << C.message();
-  (*C)->storeGroup({1, 1}, testGroup(1));
+  (*C)->storeGroup({1, 1}, testGroup(1, NumPositions));
   return (*C)->stats().ResidentBytes;
 }
 
 } // namespace
 
-TEST(ShardedCache, LruEvictionRespectsBudgetRecencyAndAuditStaysClean) {
-  const uint64_t S = groupBlobBytes();
-  ASSERT_GT(S, 0u);
+TEST(ShardedCache, LruEvictionDropsTheLeastRecentPackAndAuditStaysClean) {
+  // Three packs whose sizes halve and more going forward, so no flush
+  // merges them: D1's, D2's and D3's.
+  const uint64_t B1 = groupBlobBytes(300), B2 = groupBlobBytes(60),
+                 B3 = groupBlobBytes(3);
+  ASSERT_GT(B2, B3);
 
-  // One shard, budget for two blobs (and change).
+  // One shard; room for D1 and D2, or D1 and D3, but not for all three.
   TempCacheDir Dir("shard-lru");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, 2 * S + S / 2);
+  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, B1 + B2 + B3 / 2);
   ASSERT_TRUE(bool(C)) << C.message();
 
   cache::Digest D1{1, 0}, D2{2, 0}, D3{3, 0};
-  (*C)->storeGroup(D1, testGroup(1));
-  (*C)->storeGroup(D2, testGroup(2));
+  (*C)->storeGroup(D1, testGroup(1, 300));
+  (*C)->flush();
+  (*C)->storeGroup(D2, testGroup(2, 60));
+  (*C)->flush();
   EXPECT_EQ((*C)->stats().Evictions, 0u);
 
-  // Touch D1 so D2 becomes the LRU victim of the next store.
+  // Touch D1 so D2's pack becomes the LRU victim of the next flush.
   EXPECT_TRUE((*C)->loadGroup(D1).has_value());
-  (*C)->storeGroup(D3, testGroup(3));
+  (*C)->storeGroup(D3, testGroup(3, 3));
+  // Pending entries are not evicted: the bound is restored at the flush.
+  EXPECT_EQ((*C)->stats().Evictions, 0u);
+  (*C)->flush();
+  EXPECT_EQ(listPacks(Dir.Path / "s00" / "g").size(), 2u);
 
   cache::ShardedCacheStats St = (*C)->stats();
   EXPECT_EQ(St.Evictions, 1u);
-  EXPECT_EQ(St.EvictedBytes, S);
+  EXPECT_EQ(St.EvictedBytes, B2);
   EXPECT_LE(St.ResidentBytes, (*C)->budgetBytes());
   EXPECT_TRUE((*C)->loadGroup(D1).has_value());
   EXPECT_FALSE((*C)->loadGroup(D2).has_value()) << "victim was not the LRU";
   EXPECT_TRUE((*C)->loadGroup(D3).has_value());
 
-  // Eviction removed the blob AND its index entry: the store audits clean.
+  // Eviction removed the pack AND its index entries: the store audits
+  // clean.
   cache::CacheAudit A = (*C)->audit();
   EXPECT_EQ(A.GroupEntries, 2u);
   EXPECT_EQ(A.GroupCorrupt, 0u);
   EXPECT_EQ(A.MethodCorrupt, 0u);
+  EXPECT_EQ(A.PayloadBytes, B1 + B3);
 }
 
 TEST(ShardedCache, PinnedEntryIsNeverEvicted) {
   const uint64_t S = groupBlobBytes();
   TempCacheDir Dir("shard-pin");
-  // Budget for barely one blob: every second store must evict something.
+  // Budget for barely one blob: every flush after a store must evict.
   auto C = cache::ShardedBuildCache::open(Dir.str(), 1, S + S / 2);
   ASSERT_TRUE(bool(C)) << C.message();
 
   cache::Digest Replayed{10, 0};
   (*C)->storeGroup(Replayed, testGroup(10));
+  (*C)->flush();
 
   {
     // An in-flight load's shape: pin the group for the span of the read,
-    // while other jobs' stores hammer the same shard.
+    // while other jobs' stores and flushes hammer the same shard.
     cache::ShardedBuildCache::Pin P = (*C)->pinGroup(Replayed);
-    for (uint32_t I = 0; I < 8; ++I)
+    for (uint32_t I = 0; I < 8; ++I) {
       (*C)->storeGroup({100 + I, 0}, testGroup(100 + I));
+      (*C)->flush();
+    }
     EXPECT_GT((*C)->stats().Evictions, 0u);
-    // Every eviction picked an unpinned victim; the replayed blob is whole.
+    // Every eviction picked an unpinned pack; the replayed blob is whole.
     auto G = (*C)->loadGroup(Replayed);
     ASSERT_TRUE(G.has_value()) << "pinned blob was evicted mid-replay";
-    EXPECT_EQ(G->Funcs.at(0).Positions, (std::vector<uint32_t>{10, 17, 29}));
+    EXPECT_EQ(G->Funcs.at(0).Positions, (std::vector<uint32_t>{10, 17, 24}));
   }
 
-  // Pin released: the entry is ordinary again and stores may now evict it.
+  // Pin released: the entry is ordinary again and flushes may now evict
+  // its pack.
   uint64_t Before = (*C)->stats().Evictions;
   (*C)->storeGroup({200, 0}, testGroup(200));
+  (*C)->flush();
   (*C)->storeGroup({201, 0}, testGroup(201));
+  (*C)->flush();
   EXPECT_GT((*C)->stats().Evictions, Before);
+  EXPECT_FALSE((*C)->loadGroup(Replayed).has_value());
   cache::CacheAudit A = (*C)->audit();
   EXPECT_EQ(A.GroupCorrupt, 0u);
 }
@@ -1106,20 +1585,27 @@ TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
   const uint64_t S = groupBlobBytes();
   TempCacheDir Dir("shard-adopt");
   {
+    // Three equal stores per shard, each flushed: the first two merge, so
+    // every shard holds a two-entry pack and a one-entry pack.
     auto C = cache::ShardedBuildCache::open(Dir.str(), 2);
     ASSERT_TRUE(bool(C)) << C.message();
-    for (uint32_t I = 0; I < 8; ++I)
+    for (uint32_t I = 0; I < 6; ++I) {
       (*C)->storeGroup({I, 0}, testGroup(I));
-    EXPECT_EQ((*C)->stats().ResidentEntries, 8u);
+      (*C)->flush();
+    }
+    EXPECT_EQ((*C)->stats().ResidentEntries, 6u);
   }
   // A daemon restart reopens the fleet cache with a TIGHTER budget: the
-  // adopted index must trim immediately, and what remains must audit clean.
+  // adopted index must trim immediately, older packs first, and what
+  // remains must audit clean.
   auto C = cache::ShardedBuildCache::open(Dir.str(), 2, 4 * S);
   ASSERT_TRUE(bool(C)) << C.message();
   cache::ShardedCacheStats St = (*C)->stats();
   EXPECT_LE(St.ResidentBytes, 4 * S);
-  EXPECT_LT(St.ResidentEntries, 8u);
-  EXPECT_GT(St.ResidentEntries, 0u);
+  EXPECT_EQ(St.ResidentEntries, 2u);
+  EXPECT_EQ(St.Evictions, 4u);
+  for (uint32_t I = 0; I < 6; ++I)
+    EXPECT_EQ((*C)->loadGroup({I, 0}).has_value(), I >= 4) << I;
   cache::CacheAudit A = (*C)->audit();
   EXPECT_EQ(A.GroupEntries, St.ResidentEntries);
   EXPECT_EQ(A.GroupCorrupt, 0u);

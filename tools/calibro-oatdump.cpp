@@ -287,9 +287,10 @@ int dumpLayoutOrder(const oat::OatFile &O, uint32_t PageSize) {
   return 0;
 }
 
-/// Opens a build-cache directory and walks every blob through the same
-/// checksum + decode + side-info validation a warm build would apply.
-/// Returns nonzero when any entry is corrupt.
+/// Opens a build-cache directory, checks every pack's header, index and
+/// tail, and walks every live blob through the same checksum + decode +
+/// side-info validation a warm build would apply. Returns nonzero when any
+/// pack or entry is corrupt.
 int cacheAudit(const char *Dir) {
   auto C = cache::BuildCache::open(Dir);
   if (!C) {
@@ -300,10 +301,13 @@ int cacheAudit(const char *Dir) {
   std::printf("cache audit of %s:\n"
               "  method entries: %zu (%zu corrupt)\n"
               "  group entries:  %zu (%zu corrupt)\n"
+              "  packs:          %zu (%zu corrupt)\n"
+              "  payload bytes:  %zu\n"
               "  total bytes:    %zu\n",
               Dir, A.MethodEntries, A.MethodCorrupt, A.GroupEntries,
-              A.GroupCorrupt, A.TotalBytes);
-  return (A.MethodCorrupt || A.GroupCorrupt) ? 1 : 0;
+              A.GroupCorrupt, A.Packs, A.CorruptPacks, A.PayloadBytes,
+              A.TotalBytes);
+  return (A.MethodCorrupt || A.GroupCorrupt || A.CorruptPacks) ? 1 : 0;
 }
 
 } // namespace
