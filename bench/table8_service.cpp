@@ -7,7 +7,7 @@
 /// \file
 /// The daemon-scenario harness (no paper analogue — the fleet-build service
 /// built on Calibro's determinism guarantees): N=8 app-build jobs race
-/// through one CompileService over a shared pool, a shared sharded cache
+/// through one CompileService over a shared pool, one shared build cache
 /// and one global memory budget, cold then warm. Reports throughput,
 /// per-job latency (p50/p99), and cache-hit economics into
 /// BENCH_service.json, and self-gates on the service contract:
@@ -84,7 +84,6 @@ int main(int argc, char **argv) {
   SOpts.JobSlots = 4;
   SOpts.QueueDepth = NumJobs;
   SOpts.Threads = 0; // The machine.
-  SOpts.CacheShards = 8;
   SOpts.GlobalMemoryBudgetBytes = GlobalBudget;
   namespace fs = std::filesystem;
   fs::path CacheDir = fs::temp_directory_path() / "calibro-table8-cache";
@@ -139,9 +138,9 @@ int main(int argc, char **argv) {
   std::vector<core::BuildStats> ColdStats, WarmStats;
 
   double ColdWall = RunPass(ColdImages, ColdTimings, ColdGrants, ColdStats);
-  cache::ShardedCacheStats ColdCache = (*Svc)->sharedCache()->stats();
+  cache::CacheStats ColdCache = (*Svc)->sharedCache()->stats();
   double WarmWall = RunPass(WarmImages, WarmTimings, WarmGrants, WarmStats);
-  cache::ShardedCacheStats TotalCache = (*Svc)->sharedCache()->stats();
+  cache::CacheStats TotalCache = (*Svc)->sharedCache()->stats();
   service::ServiceStats SvcStats = (*Svc)->stats();
 
   // Serial oracle: each job's effective configuration (its actual budget

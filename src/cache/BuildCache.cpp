@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
 #include <tuple>
 
@@ -459,11 +460,16 @@ std::optional<PackLayout> cache::inspectPack(std::span<const uint8_t> Bytes) {
   return L;
 }
 
-/// One pack file, read whole; immutable once published.
+/// One pack file, read whole; immutable once published, but for its
+/// recency tick.
 struct cache::detail::Pack {
   std::string Name; ///< File name under the kind's directory.
   std::vector<uint8_t> Bytes;
   std::vector<PackEntry> Entries;
+  /// Clock value of the last load hit or deduped store it served (kept
+  /// only under a budget), of its flush, or of its newest merge input. An
+  /// adopted pack starts at 0.
+  mutable std::atomic<uint64_t> Tick{0};
 
   const PackEntry *find(const Digest &Key) const {
     auto It = std::lower_bound(Entries.begin(), Entries.end(), Key,
@@ -558,7 +564,7 @@ void BuildCache::ensureLoaded() const {
 BuildCache::~BuildCache() { BuildCache::flush(); }
 
 Expected<std::unique_ptr<BuildCache>>
-BuildCache::open(const std::string &Dir) {
+BuildCache::open(const std::string &Dir, uint64_t BudgetBytes) {
   std::error_code Ec;
   fs::create_directories(Dir + "/m", Ec);
   if (Ec)
@@ -589,72 +595,88 @@ BuildCache::open(const std::string &Dir) {
       return makeError("cache: cannot stamp " + StampPath);
   }
   auto Cache = std::unique_ptr<BuildCache>(new BuildCache(Dir));
+  Cache->Budget = BudgetBytes;
   Cache->ensureLoaded();
+  // An adopted store may exceed a tightened budget: trim it now, so the
+  // bound holds from the first load. Adopted packs all have tick 0, so the
+  // oldest go first.
+  Cache->trimToBudget();
   return Cache;
 }
 
-std::optional<std::span<const uint8_t>>
+std::optional<BuildCache::Found>
 BuildCache::findBlob(const Shelf &S, const Digest &Key) const {
   if (auto It = S.Pending.find(Key); It != S.Pending.end())
-    return std::span<const uint8_t>(It->second);
+    return Found{It->second, nullptr};
   for (auto P = S.Packs.rbegin(); P != S.Packs.rend(); ++P)
     if (const PackEntry *E = (*P)->find(Key))
-      return (*P)->blob(*E);
+      return Found{(*P)->blob(*E), P->get()};
   return std::nullopt;
+}
+
+void BuildCache::touch(const detail::Pack *P) const {
+  if (!Budget || !P)
+    return;
+  uint64_t Now = Clock.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t Was = P->Tick.load(std::memory_order_relaxed);
+  while (Was < Now &&
+         !P->Tick.compare_exchange_weak(Was, Now, std::memory_order_relaxed)) {
+  }
 }
 
 std::optional<CachedMethod> BuildCache::loadMethod(const Digest &Key) const {
   ensureLoaded();
   // Checksum and decode straight out of the pack; the decoded CachedMethod
-  // owns its data.
+  // owns its data. The shared lock keeps the pack alive through the decode.
   std::shared_lock<std::shared_mutex> Lock(Mu);
-  auto Blob = findBlob(Methods, Key);
-  if (!Blob)
-    return std::nullopt;
-  auto Payload = openBlob(*Blob, MethodBlobMagic);
-  if (!Payload)
-    return std::nullopt;
-  return decodeMethodBlob(*Payload);
+  std::optional<CachedMethod> CM;
+  auto F = findBlob(Methods, Key);
+  if (F)
+    if (auto Payload = openBlob(F->Blob, MethodBlobMagic))
+      CM = decodeMethodBlob(*Payload);
+  if (CM)
+    touch(F->From);
+  (CM ? MethodHits : MethodMisses).fetch_add(1, std::memory_order_relaxed);
+  return CM;
 }
 
 std::optional<GroupSelections> BuildCache::loadGroup(const Digest &Key) const {
   ensureLoaded();
   std::shared_lock<std::shared_mutex> Lock(Mu);
-  auto Blob = findBlob(Groups, Key);
-  if (!Blob)
-    return std::nullopt;
-  auto Payload = openBlob(*Blob, GroupBlobMagic);
-  if (!Payload)
-    return std::nullopt;
-  return decodeGroupBlob(*Payload);
-}
-
-std::vector<uint8_t>
-BuildCache::sealMethod(const codegen::CompiledMethod &M,
-                       uint32_t HirInsnsSimplified) {
-  return sealBlob(MethodBlobMagic, encodeMethodBlob(M, HirInsnsSimplified));
-}
-
-std::vector<uint8_t> BuildCache::sealGroup(const GroupSelections &G) {
-  return sealBlob(GroupBlobMagic, encodeGroupBlob(G));
+  std::optional<GroupSelections> G;
+  auto F = findBlob(Groups, Key);
+  if (F)
+    if (auto Payload = openBlob(F->Blob, GroupBlobMagic))
+      G = decodeGroupBlob(*Payload);
+  if (G)
+    touch(F->From);
+  (G ? GroupHits : GroupMisses).fetch_add(1, std::memory_order_relaxed);
+  return G;
 }
 
 void BuildCache::storeBlob(char Kind, const Digest &Key,
                            std::vector<uint8_t> Blob) const {
   ensureLoaded();
   std::unique_lock<std::shared_mutex> Lock(Mu);
-  shelf(Kind).Pending.insert_or_assign(Key, std::move(Blob));
+  Shelf &S = shelf(Kind);
+  if (auto F = findBlob(S, Key); F && std::ranges::equal(F->Blob, Blob)) {
+    StoresDeduped.fetch_add(1, std::memory_order_relaxed);
+    touch(F->From);
+    return;
+  }
+  S.Pending.insert_or_assign(Key, std::move(Blob));
 }
 
 void BuildCache::storeMethod(const Digest &Key,
                              const codegen::CompiledMethod &M,
                              uint32_t HirInsnsSimplified) const {
-  storeBlob('m', Key, sealMethod(M, HirInsnsSimplified));
+  storeBlob('m', Key,
+            sealBlob(MethodBlobMagic, encodeMethodBlob(M, HirInsnsSimplified)));
 }
 
 void BuildCache::storeGroup(const Digest &Key,
                             const GroupSelections &G) const {
-  storeBlob('g', Key, sealGroup(G));
+  storeBlob('g', Key, sealBlob(GroupBlobMagic, encodeGroupBlob(G)));
 }
 
 void BuildCache::flushShelf(Shelf &S) const {
@@ -677,6 +699,7 @@ void BuildCache::flushShelf(Shelf &S) const {
     if (!Bytes)
       return; // Too large for one pack: stays pending, loads still hit.
     S.Packs.push_back(makePack(newPackName(), std::move(*Bytes)));
+    S.Packs.back()->Tick = Clock.fetch_add(1, std::memory_order_relaxed) + 1;
     S.Pending.clear();
     Packs = S.Packs;
   }
@@ -727,6 +750,8 @@ void BuildCache::flushShelf(Shelf &S) const {
     return; // The inputs stay; the new entries live only in this handle.
   {
     std::unique_lock<std::shared_mutex> Lock(Mu);
+    for (const auto &P : Inputs)
+      Merged->Tick = std::max<uint64_t>(Merged->Tick, P->Tick);
     S.Packs.resize(First);
     S.Packs.push_back(Merged);
   }
@@ -740,6 +765,76 @@ void BuildCache::flush() const {
   std::lock_guard<std::mutex> Lock(FlushMu);
   flushShelf(Methods);
   flushShelf(Groups);
+  trimToBudget();
+}
+
+std::pair<uint64_t, uint64_t> BuildCache::residentLocked() const {
+  uint64_t Entries = 0, Bytes = 0;
+  for (const Shelf *S : {&Methods, &Groups}) {
+    for (const auto &[Key, Blob] : S->Pending) {
+      ++Entries;
+      Bytes += Blob.size();
+    }
+    forEachLive(S->Packs, [&](const Pack &, const PackEntry &E) {
+      if (!S->Pending.count(E.Key)) {
+        ++Entries;
+        Bytes += E.Length;
+      }
+    });
+  }
+  return {Entries, Bytes};
+}
+
+void BuildCache::trimToBudget() const {
+  if (!Budget)
+    return;
+  // Least recently used first; ties go to the older pack (names sort in
+  // creation order).
+  auto Rank = [](const Pack &P) {
+    return std::pair(P.Tick.load(std::memory_order_relaxed),
+                     std::string_view(P.Name));
+  };
+  std::vector<std::string> Victims;
+  {
+    std::unique_lock<std::shared_mutex> Lock(Mu);
+    while (residentLocked().second > Budget) {
+      // The victim may be of either kind: the budget bounds their sum.
+      // Pending entries are in no pack yet and wait for the next flush.
+      Shelf *From = nullptr;
+      std::size_t Idx = 0;
+      for (Shelf *S : {&Methods, &Groups})
+        for (std::size_t I = 0; I < S->Packs.size(); ++I)
+          if (!From || Rank(*S->Packs[I]) < Rank(*From->Packs[Idx]))
+            From = S, Idx = I;
+      if (!From)
+        break;
+      std::shared_ptr<const Pack> Victim = From->Packs[Idx];
+      From->Packs.erase(From->Packs.begin() + static_cast<std::ptrdiff_t>(Idx));
+      for (const PackEntry &E : Victim->Entries)
+        if (!findBlob(*From, E.Key)) { // No other copy still holds it.
+          Evictions.fetch_add(1, std::memory_order_relaxed);
+          EvictedBytes.fetch_add(E.Length, std::memory_order_relaxed);
+        }
+      Victims.push_back(kindDir(From->Kind) + "/" + Victim->Name);
+    }
+  }
+  for (const std::string &Path : Victims)
+    ::unlink(Path.c_str());
+}
+
+CacheStats BuildCache::stats() const {
+  ensureLoaded();
+  CacheStats St;
+  St.MethodHits = MethodHits.load(std::memory_order_relaxed);
+  St.MethodMisses = MethodMisses.load(std::memory_order_relaxed);
+  St.GroupHits = GroupHits.load(std::memory_order_relaxed);
+  St.GroupMisses = GroupMisses.load(std::memory_order_relaxed);
+  St.StoresDeduped = StoresDeduped.load(std::memory_order_relaxed);
+  St.Evictions = Evictions.load(std::memory_order_relaxed);
+  St.EvictedBytes = EvictedBytes.load(std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> Lock(Mu);
+  std::tie(St.ResidentEntries, St.ResidentBytes) = residentLocked();
+  return St;
 }
 
 CacheAudit BuildCache::audit() const {
@@ -770,36 +865,4 @@ CacheAudit BuildCache::audit() const {
     });
   }
   return A;
-}
-
-std::vector<BuildCache::PackInfo> BuildCache::packs() const {
-  ensureLoaded();
-  std::shared_lock<std::shared_mutex> Lock(Mu);
-  std::vector<PackInfo> Out;
-  for (const Shelf *S : {&Methods, &Groups})
-    for (const auto &P : S->Packs) {
-      PackInfo &I = Out.emplace_back();
-      I.Kind = S->Kind;
-      I.Name = P->Name;
-      I.Entries.reserve(P->Entries.size());
-      for (const PackEntry &E : P->Entries)
-        I.Entries.emplace_back(E.Key, E.Length);
-    }
-  return Out;
-}
-
-bool BuildCache::contains(char Kind, const Digest &Key) const {
-  ensureLoaded();
-  std::shared_lock<std::shared_mutex> Lock(Mu);
-  return findBlob(shelf(Kind), Key).has_value();
-}
-
-void BuildCache::dropPack(char Kind, const std::string &Name) const {
-  std::lock_guard<std::mutex> Flush(FlushMu);
-  Shelf &S = shelf(Kind);
-  {
-    std::unique_lock<std::shared_mutex> Lock(Mu);
-    std::erase_if(S.Packs, [&](const auto &P) { return P->Name == Name; });
-  }
-  ::unlink((kindDir(S.Kind) + "/" + Name).c_str());
 }

@@ -26,17 +26,30 @@
 /// newest pack wins when two hold one digest, and deleting a pack file
 /// drops exactly its entries.
 ///
-/// One handle per build. open() reads each pack once, with one read(), and
-/// every load is served from memory. Stores are buffered in the handle:
-/// its own loads see them at once, and flush() — called at the end of the
-/// compile stage and of LTBO, and by the destructor — writes them as one
-/// new pack per entry kind (one write, one rename). buildApp and
-/// buildProfiled open the store once and hand the handle to every stage.
+/// One handle per build, or one for a whole compile daemon. open() reads
+/// each pack once, with one read(), and every load is served from memory.
+/// Stores are buffered in the handle: its own loads see them at once, and
+/// flush() — called at the end of the compile stage and of LTBO, and by the
+/// destructor — writes them as one new pack per entry kind (one write, one
+/// rename). buildApp and buildProfiled open the store once and hand the
+/// handle to every stage; the daemon's jobs all share one handle, so a job
+/// hits what another stored moments earlier, pending or flushed alike.
 /// Packs stay few as builds pile up: a flush merges the newest packs while
 /// the pack before them is no larger than all of them together, so pack
 /// sizes at least double going back in time, and rewrites every pack into
 /// one when more than half of the bytes are shadowed duplicates. A flush
 /// that adds a few entries never rewrites a large pack.
+///
+/// A store whose sealed bytes equal the resident newest copy is skipped
+/// (content addressing makes equal inputs collide on purpose); any other
+/// store is buffered and its copy wins, so a damaged entry is repaired by
+/// the next store of its key. A byte budget (open's BudgetBytes; the
+/// daemon's --cache-budget) bounds the live blob bytes: each pack carries a
+/// recency tick, advanced by the load hits and deduped stores it serves,
+/// and after every flush, and at open, the store deletes its least recently
+/// used packs — ties to the older — until it fits. Pending entries wait for
+/// the next flush. Eviction can only cost future hits: a method miss
+/// recompiles and a group miss re-detects; neither changes any output.
 ///
 /// Correctness stance: the cache is an accelerator, never an authority.
 /// Every blob carries a magic, the format version, and a trailing content
@@ -64,6 +77,7 @@
 #include "codegen/SideInfoValidator.h"
 #include "support/Error.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -144,19 +158,37 @@ namespace detail {
 struct Pack; ///< One pack file, read whole (BuildCache.cpp).
 } // namespace detail
 
+/// Counters of one handle: hits, misses, deduped stores and evictions
+/// count over its lifetime; the resident figures are computed on demand.
+struct CacheStats {
+  uint64_t MethodHits = 0;
+  uint64_t MethodMisses = 0;
+  uint64_t GroupHits = 0;
+  uint64_t GroupMisses = 0;
+  /// Stores skipped because the resident newest copy has the same bytes.
+  uint64_t StoresDeduped = 0;
+  uint64_t Evictions = 0;    ///< Entries dropped with their evicted pack.
+  uint64_t EvictedBytes = 0; ///< Their blob bytes.
+  /// Live entries (newest copy of each digest), pending or packed, and
+  /// their blob bytes.
+  uint64_t ResidentEntries = 0;
+  uint64_t ResidentBytes = 0;
+};
+
 /// Handle to one cache directory. Thread-safe: any number of threads may
 /// load and store at once; flush() may run concurrently with them.
 ///
-/// The entry operations are virtual so drop-in wrappers — the daemon's
-/// sharded, size-bounded ShardedBuildCache — can stand in anywhere a
-/// BuildCache flows (compile-stage method probes, LTBO group replay and
-/// group stores) without those stages knowing about sharding.
+/// The entry operations are virtual so drop-in wrappers (a counting or
+/// timing decorator) can stand in anywhere a BuildCache flows.
 class BuildCache {
 public:
   /// Opens (creating if needed) the store at \p Dir and reads its packs. A
   /// missing or mismatched VERSION stamp empties the store and restamps it.
-  /// Fails only when the directory cannot be created or written.
-  static Expected<std::unique_ptr<BuildCache>> open(const std::string &Dir);
+  /// \p BudgetBytes caps the live blob bytes (0 = unbounded); a store
+  /// already over it is trimmed before open returns. Fails only when the
+  /// directory cannot be created or written.
+  static Expected<std::unique_ptr<BuildCache>>
+  open(const std::string &Dir, uint64_t BudgetBytes = 0);
 
   /// Flushes pending stores.
   virtual ~BuildCache();
@@ -186,23 +218,26 @@ public:
   /// blob end to end.
   virtual CacheAudit audit() const;
 
-  /// Buffers \p Blob, byte for byte, as the entry of \p Key of kind \p Kind
-  /// ('m' or 'g'), as if a store had sealed it. Builds use storeMethod and
-  /// storeGroup; tests plant exact bytes with this.
+  /// Stores \p Blob, byte for byte, as the entry of \p Key of kind \p Kind
+  /// ('m' or 'g'), as if a store had sealed it, with the same dedup. Builds
+  /// use storeMethod and storeGroup; tests plant exact bytes with this.
   void storeBlob(char Kind, const Digest &Key, std::vector<uint8_t> Blob) const;
 
-  /// Writes the pending stores of each entry kind as one new pack, then
-  /// merges or compacts packs as the file comment describes. Writes nothing
-  /// when nothing is pending. Best-effort, like the stores.
+  /// Writes the pending stores of each entry kind as one new pack, merges
+  /// or compacts packs as the file comment describes, then evicts down to
+  /// the budget. Writes nothing when nothing is pending. Best-effort, like
+  /// the stores.
   virtual void flush() const;
 
+  /// Counter snapshot.
+  CacheStats stats() const;
+
 protected:
-  /// Adopts \p Root without any I/O: the packs are read on first use.
+  /// Adopts \p Root without any I/O and without a budget: the packs are
+  /// read on first use.
   explicit BuildCache(std::string Root) : Root(std::move(Root)) {}
 
 private:
-  friend class ShardedBuildCache;
-
   struct DigestHash {
     std::size_t operator()(const Digest &D) const {
       return static_cast<std::size_t>(D.Lo ^ (D.Hi * 0x9e3779b97f4a7c15ULL));
@@ -221,27 +256,24 @@ private:
   Shelf &shelf(char Kind) const { return Kind == 'm' ? Methods : Groups; }
   void ensureLoaded() const;
   void loadShelf(Shelf &S) const;
-  /// The sealed blob of \p Key, newest first: pending, then packs. The span
-  /// stays valid while the caller holds Mu shared.
-  std::optional<std::span<const uint8_t>> findBlob(const Shelf &S,
-                                                   const Digest &Key) const;
-  void flushShelf(Shelf &S) const;
-
-  // Store, inspection and eviction hooks of ShardedBuildCache. Caller holds
-  // no lock of this handle.
-  static std::vector<uint8_t> sealMethod(const codegen::CompiledMethod &M,
-                                         uint32_t HirInsnsSimplified);
-  static std::vector<uint8_t> sealGroup(const GroupSelections &G);
-  struct PackInfo {
-    char Kind;
-    std::string Name;
-    std::vector<std::pair<Digest, uint32_t>> Entries; ///< Key, blob bytes.
+  /// The newest sealed blob of \p Key and the pack holding it (null when
+  /// it is pending). The span stays valid while the caller holds Mu.
+  struct Found {
+    std::span<const uint8_t> Blob;
+    const detail::Pack *From = nullptr;
   };
-  std::vector<PackInfo> packs() const;
-  bool contains(char Kind, const Digest &Key) const;
-  void dropPack(char Kind, const std::string &Name) const;
+  std::optional<Found> findBlob(const Shelf &S, const Digest &Key) const;
+  /// Marks \p P as just used, when a budget is set.
+  void touch(const detail::Pack *P) const;
+  void flushShelf(Shelf &S) const;
+  /// Live entries and blob bytes of both shelves. Caller holds Mu.
+  std::pair<uint64_t, uint64_t> residentLocked() const;
+  /// Deletes least recently used packs until the live blob bytes fit the
+  /// budget. Caller holds FlushMu, or is open(); not Mu.
+  void trimToBudget() const;
 
   std::string Root;
+  uint64_t Budget = 0;
   mutable std::once_flag Loaded;
   /// Guards both shelves: loads hold it shared for the lookup and decode,
   /// stores and pack-list swaps hold it exclusive.
@@ -250,6 +282,12 @@ private:
   mutable std::mutex FlushMu;
   mutable Shelf Methods{'m', {}, {}, {}};
   mutable Shelf Groups{'g', {}, {}, {}};
+  /// Recency clock of the packs' ticks, and the counters of stats().
+  mutable std::atomic<uint64_t> Clock{0};
+  mutable std::atomic<uint64_t> MethodHits{0}, MethodMisses{0};
+  mutable std::atomic<uint64_t> GroupHits{0}, GroupMisses{0};
+  mutable std::atomic<uint64_t> StoresDeduped{0};
+  mutable std::atomic<uint64_t> Evictions{0}, EvictedBytes{0};
 };
 
 } // namespace cache

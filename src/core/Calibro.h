@@ -119,8 +119,9 @@ struct CalibroOptions {
   /// byte-identical either way.
   ThreadPool *Pool = nullptr;
   ThreadPool::GroupId PoolGroup = 0;
-  /// Externally-owned build cache: the daemon's sharded store, or the one
-  /// handle buildApp and buildProfiled open on CacheDir for a whole build.
+  /// Externally-owned build cache: the store all of a daemon's jobs share,
+  /// or the one handle buildApp and buildProfiled open on CacheDir for a
+  /// whole build.
   /// When set it overrides CacheDir: both the compile-stage method probes
   /// and LTBO group replay go through this store, and each stage flushes
   /// it when it ends.

@@ -1,4 +1,4 @@
-//===- service/CompileService.cpp - Sharded concurrent compile daemon -----===//
+//===- service/CompileService.cpp - Concurrent compile daemon -------------===//
 //
 // Part of the Calibro project.
 //
@@ -65,10 +65,8 @@ CompileService::create(const ServiceOptions &Opts) {
     return makeError(ErrCat::Service, "compile service: --jobs must be >= 1");
   auto Svc = std::unique_ptr<CompileService>(new CompileService(Opts));
   if (!Svc->Opts.CacheDir.empty()) {
-    auto C = cache::ShardedBuildCache::open(Svc->Opts.CacheDir,
-                                            std::max<uint32_t>(
-                                                1, Svc->Opts.CacheShards),
-                                            Svc->Opts.CacheBudgetBytes);
+    auto C = cache::BuildCache::open(Svc->Opts.CacheDir,
+                                     Svc->Opts.CacheBudgetBytes);
     if (!C)
       return C.takeError();
     Svc->Shared = std::move(*C);

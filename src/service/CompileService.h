@@ -1,4 +1,4 @@
-//===- service/CompileService.h - Sharded concurrent compile daemon -*- C++-*-//
+//===- service/CompileService.h - Concurrent compile daemon ----*- C++ -*-===//
 //
 // Part of the Calibro project.
 //
@@ -20,9 +20,10 @@
 ///  * a MemoryArbiter over --global-memory-budget: each job's detect budget
 ///    is a deterministic lease, and the sum of in-flight grants never
 ///    exceeds the global bound;
-///  * optionally, a ShardedBuildCache all jobs share: concurrent probes and
-///    stores with per-shard locking, cross-job digest dedup, LRU eviction
-///    under a byte budget.
+///  * optionally, one cache::BuildCache all jobs share: a job hits what
+///    another stored moments earlier, identical stores are deduped, and
+///    --cache-budget bounds it by LRU eviction of whole packs. Its
+///    directory has the layout of a calibro-dex2oat --cache-dir.
 ///
 /// The determinism contract carries over from the library: a job's OAT is
 /// byte-identical to the same build run serially in isolation, for any slot
@@ -36,7 +37,7 @@
 #ifndef CALIBRO_SERVICE_COMPILESERVICE_H
 #define CALIBRO_SERVICE_COMPILESERVICE_H
 
-#include "cache/ShardedCache.h"
+#include "cache/BuildCache.h"
 #include "core/Calibro.h"
 #include "service/MemoryArbiter.h"
 #include "support/Error.h"
@@ -65,11 +66,9 @@ struct ServiceOptions {
   uint32_t QueueDepth = 8;
   /// Workers of the one shared pool (0 = hardware concurrency). --threads.
   uint32_t Threads = 0;
-  /// Directory of the shared sharded build cache; empty = no shared cache
-  /// (jobs may still use a private CalibroOptions::CacheDir). --cache-dir.
+  /// Directory of the shared build cache; empty = no shared cache (jobs
+  /// may still use a private CalibroOptions::CacheDir). --cache-dir.
   std::string CacheDir;
-  /// Shard count of the shared cache. --cache-shards.
-  uint32_t CacheShards = 8;
   /// Byte budget of the shared cache (0 = unbounded). --cache-budget.
   uint64_t CacheBudgetBytes = 0;
   /// Global detect-budget bound across concurrent jobs (0 = none).
@@ -166,7 +165,7 @@ public:
   ServiceStats stats() const;
 
   /// The shared cache, or null when CacheDir was empty.
-  cache::ShardedBuildCache *sharedCache() { return Shared.get(); }
+  cache::BuildCache *sharedCache() { return Shared.get(); }
 
   /// The one pool every job fans out on.
   ThreadPool &pool() { return *Pool; }
@@ -189,7 +188,7 @@ private:
 
   ServiceOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
-  std::unique_ptr<cache::ShardedBuildCache> Shared;
+  std::unique_ptr<cache::BuildCache> Shared;
   MemoryArbiter Arbiter;
 
   mutable std::mutex QueueMutex;

@@ -19,7 +19,6 @@
 #include "aarch64/Encoder.h"
 #include "cache/BuildCache.h"
 #include "cache/Digest.h"
-#include "cache/ShardedCache.h"
 #include "core/BenefitModel.h"
 #include "core/Calibro.h"
 #include "core/Outliner.h"
@@ -1342,8 +1341,10 @@ TEST(CachePacks, ShadowedCopiesPastHalfCompactIntoOnePack) {
   for (uint32_t N : {10u, 8u, 6u}) {
     auto Cache = cache::BuildCache::open(Dir.str());
     ASSERT_TRUE(bool(Cache)) << Cache.message();
+    // Each pass re-stores with another simplification count, so its
+    // copies differ from the resident ones and are not deduped.
     for (uint32_t I = 0; I < N; ++I)
-      (*Cache)->storeMethod(keyOf(I), tinyMethod(I, 400), 0);
+      (*Cache)->storeMethod(keyOf(I), tinyMethod(I, 400), N);
     (*Cache)->flush();
     EXPECT_EQ(listPacks(Dir.Path / "m").size(), N == 6 ? 1u : N == 8 ? 2u : 1u)
         << N;
@@ -1454,7 +1455,7 @@ TEST(CachePacks, PackCountStaysBoundedOverManySingleMethodRebuilds) {
 }
 
 //===----------------------------------------------------------------------===//
-// ShardedBuildCache (the daemon's shared store)
+// Budget, dedup and counters (what the compile daemon's shared store uses)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1469,27 +1470,40 @@ cache::GroupSelections testGroup(uint32_t Tag, uint32_t NumPositions = 3) {
   return G;
 }
 
-/// The blob size of one testGroup, measured on a throwaway store.
+/// The sealed blob storeGroup writes for \p G, read back from the pack of
+/// a throwaway store.
+std::vector<uint8_t> sealedGroupBlob(const cache::GroupSelections &G) {
+  TempCacheDir Dir("seal-probe");
+  {
+    auto C = cache::BuildCache::open(Dir.str());
+    EXPECT_TRUE(bool(C)) << C.message();
+    (*C)->storeGroup({1, 1}, G);
+  }
+  auto Packs = listPacks(Dir.Path / "g");
+  EXPECT_EQ(Packs.size(), 1u);
+  std::vector<uint8_t> Bytes = readFile(Packs.at(0));
+  cache::PackEntry E = packLayout(Packs[0]).Entries.at(0);
+  return {Bytes.begin() + E.Offset, Bytes.begin() + E.Offset + E.Length};
+}
+
+/// The blob size of one testGroup.
 uint64_t groupBlobBytes(uint32_t NumPositions = 3) {
-  TempCacheDir Dir("shard-probe");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1);
-  EXPECT_TRUE(bool(C)) << C.message();
-  (*C)->storeGroup({1, 1}, testGroup(1, NumPositions));
-  return (*C)->stats().ResidentBytes;
+  return sealedGroupBlob(testGroup(1, NumPositions)).size();
 }
 
 } // namespace
 
-TEST(ShardedCache, LruEvictionDropsTheLeastRecentPackAndAuditStaysClean) {
+TEST(CacheBudget, LruEvictionDropsTheLeastRecentPackAndAuditStaysClean) {
   // Three packs whose sizes halve and more going forward, so no flush
   // merges them: D1's, D2's and D3's.
   const uint64_t B1 = groupBlobBytes(300), B2 = groupBlobBytes(60),
                  B3 = groupBlobBytes(3);
   ASSERT_GT(B2, B3);
 
-  // One shard; room for D1 and D2, or D1 and D3, but not for all three.
-  TempCacheDir Dir("shard-lru");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, B1 + B2 + B3 / 2);
+  // Room for D1 and D2, or D1 and D3, but not for all three.
+  const uint64_t Budget = B1 + B2 + B3 / 2;
+  TempCacheDir Dir("budget-lru");
+  auto C = cache::BuildCache::open(Dir.str(), Budget);
   ASSERT_TRUE(bool(C)) << C.message();
 
   cache::Digest D1{1, 0}, D2{2, 0}, D3{3, 0};
@@ -1505,18 +1519,17 @@ TEST(ShardedCache, LruEvictionDropsTheLeastRecentPackAndAuditStaysClean) {
   // Pending entries are not evicted: the bound is restored at the flush.
   EXPECT_EQ((*C)->stats().Evictions, 0u);
   (*C)->flush();
-  EXPECT_EQ(listPacks(Dir.Path / "s00" / "g").size(), 2u);
+  EXPECT_EQ(listPacks(Dir.Path / "g").size(), 2u);
 
-  cache::ShardedCacheStats St = (*C)->stats();
+  cache::CacheStats St = (*C)->stats();
   EXPECT_EQ(St.Evictions, 1u);
   EXPECT_EQ(St.EvictedBytes, B2);
-  EXPECT_LE(St.ResidentBytes, (*C)->budgetBytes());
+  EXPECT_LE(St.ResidentBytes, Budget);
   EXPECT_TRUE((*C)->loadGroup(D1).has_value());
   EXPECT_FALSE((*C)->loadGroup(D2).has_value()) << "victim was not the LRU";
   EXPECT_TRUE((*C)->loadGroup(D3).has_value());
 
-  // Eviction removed the pack AND its index entries: the store audits
-  // clean.
+  // Eviction removed the pack file: the store audits clean.
   cache::CacheAudit A = (*C)->audit();
   EXPECT_EQ(A.GroupEntries, 2u);
   EXPECT_EQ(A.GroupCorrupt, 0u);
@@ -1524,70 +1537,122 @@ TEST(ShardedCache, LruEvictionDropsTheLeastRecentPackAndAuditStaysClean) {
   EXPECT_EQ(A.PayloadBytes, B1 + B3);
 }
 
-TEST(ShardedCache, PinnedEntryIsNeverEvicted) {
+TEST(CacheBudget, LoadsRacingEvictingFlushesDecodeExactly) {
+  // Four threads load eight groups in a loop while a fifth stores and
+  // flushes under a budget of one blob, so nearly every flush evicts. A
+  // load holds the store's lock through lookup and decode, so a hit is
+  // always whole, whatever a concurrent flush drops.
   const uint64_t S = groupBlobBytes();
-  TempCacheDir Dir("shard-pin");
-  // Budget for barely one blob: every flush after a store must evict.
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, S + S / 2);
+  TempCacheDir Dir("budget-race");
+  auto C = cache::BuildCache::open(Dir.str(), S + S / 2);
   ASSERT_TRUE(bool(C)) << C.message();
 
-  cache::Digest Replayed{10, 0};
-  (*C)->storeGroup(Replayed, testGroup(10));
-  (*C)->flush();
+  auto KeyOf = [](uint32_t K) { return cache::Digest{10 + K, 0}; };
+  auto Want = [](uint32_t K) {
+    return testGroup(10 + K).Funcs.at(0).Positions;
+  };
+  for (uint32_t K = 0; K < 8; ++K)
+    (*C)->storeGroup(KeyOf(K), testGroup(10 + K));
 
-  {
-    // An in-flight load's shape: pin the group for the span of the read,
-    // while other jobs' stores and flushes hammer the same shard.
-    cache::ShardedBuildCache::Pin P = (*C)->pinGroup(Replayed);
-    for (uint32_t I = 0; I < 8; ++I) {
-      (*C)->storeGroup({100 + I, 0}, testGroup(100 + I));
+  std::atomic<int> Ready{0};
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Hits{0}, Wrong{0};
+  std::vector<std::thread> Loaders;
+  for (int T = 0; T < 4; ++T)
+    Loaders.emplace_back([&] {
+      for (bool First = true; First || !Done.load(); First = false) {
+        for (uint32_t K = 0; K < 8; ++K)
+          if (auto G = (*C)->loadGroup(KeyOf(K))) {
+            ++Hits;
+            if (G->Funcs.size() != 1 || G->Funcs[0].Positions != Want(K))
+              ++Wrong;
+          }
+        if (First)
+          ++Ready;
+      }
+    });
+  std::thread Writer([&] {
+    // The first pass of every loader sees all eight groups pending.
+    while (Ready.load() < 4)
+      std::this_thread::yield();
+    for (uint32_t I = 0; I < 64; ++I) {
+      (*C)->storeGroup(KeyOf(I % 8), testGroup(10 + I % 8));
       (*C)->flush();
     }
-    EXPECT_GT((*C)->stats().Evictions, 0u);
-    // Every eviction picked an unpinned pack; the replayed blob is whole.
-    auto G = (*C)->loadGroup(Replayed);
-    ASSERT_TRUE(G.has_value()) << "pinned blob was evicted mid-replay";
-    EXPECT_EQ(G->Funcs.at(0).Positions, (std::vector<uint32_t>{10, 17, 24}));
-  }
+    Done = true;
+  });
+  for (auto &T : Loaders)
+    T.join();
+  Writer.join();
 
-  // Pin released: the entry is ordinary again and flushes may now evict
-  // its pack.
-  uint64_t Before = (*C)->stats().Evictions;
-  (*C)->storeGroup({200, 0}, testGroup(200));
-  (*C)->flush();
-  (*C)->storeGroup({201, 0}, testGroup(201));
-  (*C)->flush();
-  EXPECT_GT((*C)->stats().Evictions, Before);
-  EXPECT_FALSE((*C)->loadGroup(Replayed).has_value());
+  EXPECT_GE(Hits.load(), 32u);
+  EXPECT_EQ(Wrong.load(), 0u);
+  cache::CacheStats St = (*C)->stats();
+  EXPECT_GT(St.Evictions, 0u);
+  EXPECT_LE(St.ResidentBytes, S + S / 2);
   cache::CacheAudit A = (*C)->audit();
-  EXPECT_EQ(A.GroupCorrupt, 0u);
+  EXPECT_EQ(A.GroupCorrupt + A.CorruptPacks, 0u);
 }
 
-TEST(ShardedCache, ResidentStoresAreDedupedNotRewritten) {
-  TempCacheDir Dir("shard-dedup");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 4);
+TEST(CacheBudget, ResidentStoresAreDedupedNotRewritten) {
+  TempCacheDir Dir("budget-dedup");
+  auto C = cache::BuildCache::open(Dir.str());
   ASSERT_TRUE(bool(C)) << C.message();
 
   cache::Digest D{42, 7};
   (*C)->storeGroup(D, testGroup(42));
   // The second writer of a content-addressed key has identical bytes by
-  // construction: the write is skipped, only recency advances.
+  // construction: the write is skipped.
   (*C)->storeGroup(D, testGroup(42));
   (*C)->storeGroup(D, testGroup(42));
 
-  cache::ShardedCacheStats St = (*C)->stats();
+  cache::CacheStats St = (*C)->stats();
   EXPECT_EQ(St.StoresDeduped, 2u);
   EXPECT_EQ(St.ResidentEntries, 1u);
   EXPECT_TRUE((*C)->loadGroup(D).has_value());
 }
 
-TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
-  const uint64_t S = groupBlobBytes();
-  TempCacheDir Dir("shard-adopt");
+TEST(CacheBudget, DamagedEntryIsRepairedNotDeduped) {
+  // A resident blob with one flipped payload byte fails its checksum, so
+  // the load misses. The recomputed store differs from it byte for byte:
+  // it is buffered, not deduped, and its copy wins from then on.
+  const cache::Digest Key{77, 0};
+  const cache::GroupSelections G = testGroup(77);
+  std::vector<uint8_t> Damaged = sealedGroupBlob(G);
+  Damaged.at(8) ^= 0x40; // The first payload byte, past magic and version.
+
+  TempCacheDir Dir("budget-repair");
   {
-    // Three equal stores per shard, each flushed: the first two merge, so
-    // every shard holds a two-entry pack and a one-entry pack.
-    auto C = cache::ShardedBuildCache::open(Dir.str(), 2);
+    auto C = cache::BuildCache::open(Dir.str());
+    ASSERT_TRUE(bool(C)) << C.message();
+    (*C)->storeBlob('g', Key, Damaged);
+    (*C)->flush();
+  }
+  auto C = cache::BuildCache::open(Dir.str(), 1 << 20);
+  ASSERT_TRUE(bool(C)) << C.message();
+  EXPECT_FALSE((*C)->loadGroup(Key).has_value());
+  (*C)->storeGroup(Key, G);
+  (*C)->flush();
+  auto Hit = (*C)->loadGroup(Key);
+  ASSERT_TRUE(Hit.has_value()) << "the repaired entry still misses";
+  EXPECT_EQ(Hit->Funcs.at(0).Positions, G.Funcs[0].Positions);
+  EXPECT_EQ((*C)->stats().StoresDeduped, 0u);
+
+  auto Reopened = cache::BuildCache::open(Dir.str(), 1 << 20);
+  ASSERT_TRUE(bool(Reopened)) << Reopened.message();
+  EXPECT_TRUE((*Reopened)->loadGroup(Key).has_value());
+  cache::CacheAudit A = (*Reopened)->audit();
+  EXPECT_EQ(A.GroupEntries, 1u);
+  EXPECT_EQ(A.GroupCorrupt, 0u);
+}
+
+TEST(CacheBudget, AdoptionTrimsToATightenedBudget) {
+  const uint64_t S = groupBlobBytes();
+  TempCacheDir Dir("budget-adopt");
+  {
+    // Six equal stores, each flushed. The merge rule leaves a four-entry
+    // pack and a newer two-entry pack.
+    auto C = cache::BuildCache::open(Dir.str());
     ASSERT_TRUE(bool(C)) << C.message();
     for (uint32_t I = 0; I < 6; ++I) {
       (*C)->storeGroup({I, 0}, testGroup(I));
@@ -1595,12 +1660,11 @@ TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
     }
     EXPECT_EQ((*C)->stats().ResidentEntries, 6u);
   }
-  // A daemon restart reopens the fleet cache with a TIGHTER budget: the
-  // adopted index must trim immediately, older packs first, and what
-  // remains must audit clean.
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 2, 4 * S);
+  // A daemon restart reopens the store with a TIGHTER budget: open must
+  // trim at once, older packs first, and what remains must audit clean.
+  auto C = cache::BuildCache::open(Dir.str(), 4 * S);
   ASSERT_TRUE(bool(C)) << C.message();
-  cache::ShardedCacheStats St = (*C)->stats();
+  cache::CacheStats St = (*C)->stats();
   EXPECT_LE(St.ResidentBytes, 4 * S);
   EXPECT_EQ(St.ResidentEntries, 2u);
   EXPECT_EQ(St.Evictions, 4u);
@@ -1611,14 +1675,14 @@ TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
   EXPECT_EQ(A.GroupCorrupt, 0u);
 }
 
-TEST(ShardedCache, ColdWindowedBuildNeverReloadsItsOwnGroups) {
-  // A windowed build through the daemon's sharded store keeps every
-  // finished group's selection in memory: the cold build stores each group
-  // once and loads none back. The stored groups are ordinary entries, so a
-  // warm rerun replays every one, and both images match the unbudgeted
-  // build byte for byte.
-  TempCacheDir Dir("windowed-sharded");
-  auto Shared = cache::ShardedBuildCache::open(Dir.str(), 4);
+TEST(CacheReplay, ColdWindowedBuildNeverReloadsItsOwnGroups) {
+  // A windowed build through a shared store keeps every finished group's
+  // selection in memory: the cold build stores each group once and loads
+  // none back. The stored groups are ordinary entries, so a warm rerun
+  // replays every one, and both images match the unbudgeted build byte for
+  // byte.
+  TempCacheDir Dir("windowed-shared");
+  auto Shared = cache::BuildCache::open(Dir.str());
   ASSERT_TRUE(bool(Shared)) << Shared.message();
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts("");

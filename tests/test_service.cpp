@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The compile-service contract (ISSUE 9): every job a CompileService runs
-/// concurrently — over one shared pool, one shared sharded cache, one
+/// concurrently — over one shared pool, one shared build cache, one
 /// arbitrated memory budget — produces an OAT byte-identical to the same
 /// build run serially in isolation; shared-cache counters are deterministic
-/// across shard counts; a full queue rejects with ErrCat::Service without
+/// across pool sizes; a full queue rejects with ErrCat::Service without
 /// corrupting any in-flight job; and a corrupted job degrades alone while
 /// its neighbors stay byte-identical. Plus the MemoryArbiter unit contract:
 /// deterministic grants whose outstanding sum never exceeds the global
@@ -28,6 +28,9 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,7 +117,6 @@ TEST(ServiceDeterminism, ConcurrentJobsByteIdenticalToSerial) {
     SOpts.QueueDepth = 8;
     SOpts.Threads = Threads;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = 4;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
 
@@ -157,7 +159,6 @@ TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   SOpts.JobSlots = 2;
   SOpts.Threads = 4;
   SOpts.CacheDir = Dir.str();
-  SOpts.CacheShards = 4;
   auto Svc = CompileService::create(SOpts);
   ASSERT_TRUE(bool(Svc)) << Svc.message();
 
@@ -185,35 +186,33 @@ TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   EXPECT_GT(WarmR.Stats.GroupsReused, 0u);
   EXPECT_EQ(oat::serializeOat(Warm->oat()), Ref);
 
-  cache::ShardedCacheStats CS = (*Svc)->sharedCache()->stats();
+  cache::CacheStats CS = (*Svc)->sharedCache()->stats();
   EXPECT_EQ(CS.MethodHits, App.numMethods());
   EXPECT_EQ(CS.Evictions, 0u);
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-cache counters are deterministic across shard counts
+// Shared-cache counters are deterministic across pool sizes
 //===----------------------------------------------------------------------===//
 
-TEST(ServiceCache, CountersDeterministicAcrossShardCounts) {
+TEST(ServiceCache, CountersDeterministicAcrossPoolSizes) {
   // A fixed job sequence (two apps, each submitted twice, serialized so the
-  // probe order is fixed) must produce identical hit/miss/dedup counters no
-  // matter how the key space is sharded — routing changes WHERE an entry
-  // lives, never WHETHER it hits.
+  // probe order is fixed) must produce identical cache counters however
+  // wide the shared pool is: threads change when an entry is probed, never
+  // whether it hits.
   std::vector<dex::App> Apps;
   Apps.push_back(workload::makeApp(jobSpec(50)));
   Apps.push_back(workload::makeApp(jobSpec(51)));
 
-  std::optional<cache::ShardedCacheStats> First;
-  for (uint32_t Shards : {1u, 4u, 8u}) {
-    TempDir Dir("shards-" + std::to_string(Shards));
+  std::optional<cache::CacheStats> First;
+  for (uint32_t Threads : {1u, 4u, 8u}) {
+    TempDir Dir("pool-" + std::to_string(Threads));
     ServiceOptions SOpts;
     SOpts.JobSlots = 2;
-    SOpts.Threads = 4;
+    SOpts.Threads = Threads;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = Shards;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
-    ASSERT_EQ((*Svc)->sharedCache()->numShards(), Shards);
 
     for (int Round = 0; Round < 2; ++Round)
       for (std::size_t A = 0; A < Apps.size(); ++A) {
@@ -227,20 +226,28 @@ TEST(ServiceCache, CountersDeterministicAcrossShardCounts) {
         ASSERT_TRUE(R.Ok) << R.ErrorMessage;
       }
 
-    cache::ShardedCacheStats CS = (*Svc)->sharedCache()->stats();
+    // The daemon's directory is a plain store: a VERSION stamp, m/ and g/.
+    std::set<std::string> Names;
+    for (const auto &E : std::filesystem::directory_iterator(Dir.str()))
+      Names.insert(E.path().filename().string());
+    EXPECT_EQ(Names, (std::set<std::string>{"VERSION", "g", "m"}));
+
+    cache::CacheStats CS = (*Svc)->sharedCache()->stats();
     if (!First) {
       First = CS;
       EXPECT_GT(CS.MethodHits, 0u);
       EXPECT_GT(CS.MethodMisses, 0u);
       continue;
     }
-    EXPECT_EQ(CS.MethodHits, First->MethodHits) << Shards;
-    EXPECT_EQ(CS.MethodMisses, First->MethodMisses) << Shards;
-    EXPECT_EQ(CS.GroupHits, First->GroupHits) << Shards;
-    EXPECT_EQ(CS.GroupMisses, First->GroupMisses) << Shards;
-    EXPECT_EQ(CS.StoresDeduped, First->StoresDeduped) << Shards;
-    EXPECT_EQ(CS.ResidentEntries, First->ResidentEntries) << Shards;
-    EXPECT_EQ(CS.ResidentBytes, First->ResidentBytes) << Shards;
+    EXPECT_EQ(CS.MethodHits, First->MethodHits) << Threads;
+    EXPECT_EQ(CS.MethodMisses, First->MethodMisses) << Threads;
+    EXPECT_EQ(CS.GroupHits, First->GroupHits) << Threads;
+    EXPECT_EQ(CS.GroupMisses, First->GroupMisses) << Threads;
+    EXPECT_EQ(CS.StoresDeduped, First->StoresDeduped) << Threads;
+    EXPECT_EQ(CS.Evictions, First->Evictions) << Threads;
+    EXPECT_EQ(CS.EvictedBytes, First->EvictedBytes) << Threads;
+    EXPECT_EQ(CS.ResidentEntries, First->ResidentEntries) << Threads;
+    EXPECT_EQ(CS.ResidentBytes, First->ResidentBytes) << Threads;
   }
 }
 
@@ -368,7 +375,6 @@ TEST(ServiceFaults, MutatedJobDegradesAloneInEverySweepPosition) {
     SOpts.JobSlots = 4;
     SOpts.Threads = 4;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = 4;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
 

@@ -31,8 +31,8 @@
 namespace calibro {
 namespace tools {
 
-/// Largest partition or cache-shard count a flag may ask for. Each one is
-/// allocated up front, so a wrapped negative number must not get through.
+/// Largest partition count a flag may ask for. Each partition is allocated
+/// up front, so a wrapped negative number must not get through.
 inline constexpr uint64_t MaxSplits = 1u << 16;
 /// Largest worker or job-slot count a flag may ask for.
 inline constexpr uint64_t MaxWorkers = 1024;

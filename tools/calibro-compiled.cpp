@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The compile-service front end: accepts many app-build jobs and runs them
-/// concurrently over one shared thread pool, one sharded build cache, and
+/// concurrently over one shared thread pool, one shared build cache, and
 /// one global memory budget (service::CompileService).
 ///
 /// Jobs arrive one per line on stdin:
@@ -19,7 +19,7 @@
 ///
 ///   printf 'app=Wechat scale=0.3 out=w.oat\napp=Fanqie scale=0.3 out=f.oat\n' |
 ///     calibro-compiled --jobs 4 --threads 8 --cto --ltbo
-///         --cache-dir /tmp/fleet --cache-shards 8
+///         --cache-dir /tmp/fleet --cache-budget 64000000
 ///         --global-memory-budget 8000000 --job-log jobs.jsonl
 ///
 //===----------------------------------------------------------------------===//
@@ -51,8 +51,8 @@ const char Usage[] =
     "                         beyond it submissions are rejected and\n"
     "                         retried with backoff (default 8)\n"
     "  --threads <n>          workers of the one shared pool (0 = all)\n"
-    "  --cache-dir <dir>      shared sharded build cache (empty = none)\n"
-    "  --cache-shards <n>     shard count of the shared cache (default 8)\n"
+    "  --cache-dir <dir>      build cache all jobs share (empty = none);\n"
+    "                         same layout as calibro-dex2oat --cache-dir\n"
     "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
     "unbounded)\n"
     "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
@@ -118,8 +118,6 @@ int main(int argc, char **argv) {
       SOpts.Threads = static_cast<uint32_t>(Args.whole(tools::MaxWorkers));
     else if (A == "--cache-dir")
       SOpts.CacheDir = Args.value();
-    else if (A == "--cache-shards")
-      SOpts.CacheShards = static_cast<uint32_t>(Args.whole(tools::MaxSplits));
     else if (A == "--cache-budget")
       SOpts.CacheBudgetBytes = Args.whole(UINT64_MAX);
     else if (A == "--global-memory-budget")
@@ -224,7 +222,7 @@ int main(int argc, char **argv) {
                (unsigned long long)St.PeakQueueDepth,
                (unsigned long long)St.ArbiterPeakBytes);
   if (auto *C = (*Svc)->sharedCache()) {
-    cache::ShardedCacheStats CS = C->stats();
+    cache::CacheStats CS = C->stats();
     std::fprintf(stderr,
                  "cache: %llu/%llu method hits, %llu/%llu group hits, "
                  "%llu deduped stores, %llu evictions (%llu bytes), "
