@@ -106,5 +106,5 @@ int main(int argc, char **argv) {
               Ladder ? "PASS" : "FAIL");
   std::printf("(paper: 25.4%% estimated -> 19.19%% achieved; the rules buy "
               "correctness with a slice of the estimate)\n");
-  return 0;
+  return Ladder ? 0 : 1;
 }

@@ -78,10 +78,10 @@ int main(int argc, char **argv) {
   printRow("CTO+LTBO+PlOpti+HfOpti", HfRow);
 
   std::printf("\nshape checks:\n");
+  const bool Ordered =
+      CtoSum < HfSum && HfSum < ParSum && ParSum < FullSum;
   std::printf("  CTO < PlOpti+HfOpti < PlOpti < CTO+LTBO : %s\n",
-              (CtoSum < HfSum && HfSum < ParSum && ParSum < FullSum)
-                  ? "PASS"
-                  : "FAIL");
+              Ordered ? "PASS" : "FAIL");
 
   // Closed-world stacked ablation: with the workload's dead-code knobs
   // armed, stack reachability GC, then global merging, then outlining, and
@@ -169,5 +169,5 @@ int main(int argc, char **argv) {
                AllStacked ? "true" : "false");
   std::fclose(J);
   std::printf("\nwrote BENCH_code_size.json\n");
-  return AllStacked ? 0 : 1;
+  return Ordered && AllStacked ? 0 : 1;
 }

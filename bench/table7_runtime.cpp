@@ -69,8 +69,9 @@ int main(int argc, char **argv) {
   printRow("degradation", ParPct);
   printRow("degradation +HfOpti", HfPct);
 
+  const bool Mitigates = HfSum < ParSum;
   std::printf("\nshape check: HfOpti mitigates the degradation : %s\n",
-              HfSum < ParSum ? "PASS" : "FAIL");
+              Mitigates ? "PASS" : "FAIL");
 
   // Ablation: hot-coverage threshold sweep (paper fixes 80%).
   const auto &Spec = Specs[5];
@@ -97,5 +98,6 @@ int main(int argc, char **argv) {
                                           double(BaseBytes)))
                     .c_str());
   }
-  return 0;
+  // Cycle counts are simulated, so the shape check is deterministic.
+  return Mitigates ? 0 : 1;
 }

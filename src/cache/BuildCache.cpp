@@ -51,6 +51,11 @@ std::string versionStamp() {
   return "calibro-cache " + std::to_string(CacheFormatVersion) + "\n";
 }
 
+/// The directory of \p Kind's packs in the store at \p Root.
+std::string kindDir(const std::string &Root, char Kind) {
+  return Root + (Kind == 'm' ? "/m" : "/g");
+}
+
 uint32_t blobMagic(char Kind) {
   return Kind == 'm' ? MethodBlobMagic : GroupBlobMagic;
 }
@@ -136,6 +141,19 @@ std::optional<std::vector<uint8_t>> readWholeFile(const std::string &Path) {
   if (!Ok || Got != Buf.size())
     return std::nullopt;
   return Buf;
+}
+
+/// The one VERSION rule, shared by open and auditStore: nullopt when
+/// \p Dir's stamp names this format, else what was found instead.
+std::optional<std::string> foreignStamp(const std::string &Dir) {
+  auto Bytes = readWholeFile(Dir + "/VERSION");
+  if (!Bytes)
+    return "no VERSION stamp";
+  std::string Stamp(Bytes->begin(), Bytes->end());
+  if (Stamp == versionStamp())
+    return std::nullopt;
+  return "VERSION says \"" +
+         Stamp.substr(0, std::min<std::size_t>(Stamp.find('\n'), 64)) + "\"";
 }
 
 /// Writes \p Bytes to \p Path via a unique sibling temp file + rename, so a
@@ -531,14 +549,41 @@ uint64_t shadowedBytes(const PackList &Packs) {
   return Dead;
 }
 
-} // namespace
-
-std::string BuildCache::kindDir(char Kind) const {
-  return Root + (Kind == 'm' ? "/m" : "/g");
+/// Reads every pack under \p Root afresh, checks each one's header, index
+/// and tail, and validates each live blob end to end. Reads only.
+CacheAudit auditPacks(const std::string &Root) {
+  CacheAudit A;
+  for (char Kind : {'m', 'g'}) {
+    std::string Dir = kindDir(Root, Kind);
+    PackList Packs;
+    for (std::string &Name : listPacks(Dir)) {
+      auto Bytes = readWholeFile(Dir + "/" + Name);
+      if (!Bytes)
+        continue;
+      A.TotalBytes += Bytes->size();
+      auto P = makePack(std::move(Name), std::move(*Bytes));
+      ++(P ? A.Packs : A.CorruptPacks);
+      if (P)
+        Packs.push_back(std::move(P));
+    }
+    uint64_t &Entries = Kind == 'm' ? A.MethodEntries : A.GroupEntries;
+    uint64_t &Corrupt = Kind == 'm' ? A.MethodCorrupt : A.GroupCorrupt;
+    forEachLive(Packs, [&](const Pack &P, const PackEntry &E) {
+      ++Entries;
+      A.PayloadBytes += E.Length;
+      auto Payload = openBlob(P.blob(E), blobMagic(Kind));
+      bool Ok = Payload && (Kind == 'm' ? decodeMethodBlob(*Payload).has_value()
+                                        : decodeGroupBlob(*Payload).has_value());
+      Corrupt += !Ok;
+    });
+  }
+  return A;
 }
 
+} // namespace
+
 void BuildCache::loadShelf(Shelf &S) const {
-  std::string Dir = kindDir(S.Kind);
+  std::string Dir = kindDir(Root, S.Kind);
   for (std::string &Name : listPacks(Dir)) {
     // A pack vanishes only when a merge or an eviction replaced it; one
     // that is there but fails its checks is damaged, and the next flush
@@ -573,13 +618,7 @@ BuildCache::open(const std::string &Dir, uint64_t BudgetBytes) {
   if (Ec)
     return makeError("cache: cannot create " + Dir + "/g: " + Ec.message());
 
-  std::string StampPath = Dir + "/VERSION";
-  std::string Want = versionStamp();
-  bool Stamped = false;
-  if (auto Bytes = readWholeFile(StampPath))
-    Stamped = std::string(Bytes->begin(), Bytes->end()) == Want;
-
-  if (!Stamped) {
+  if (foreignStamp(Dir)) {
     // Unknown or version-skewed store: empty it rather than risk misreading
     // entries whose encoding this build does not speak.
     for (const char *Sub : {"/m", "/g"}) {
@@ -588,11 +627,11 @@ BuildCache::open(const std::string &Dir, uint64_t BudgetBytes) {
         fs::remove(Entry.path(), RmEc);
       }
     }
-    if (!writeFileAtomic(StampPath, std::span<const uint8_t>(
-                                        reinterpret_cast<const uint8_t *>(
-                                            Want.data()),
-                                        Want.size())))
-      return makeError("cache: cannot stamp " + StampPath);
+    const std::string Want = versionStamp();
+    if (!writeFileAtomic(Dir + "/VERSION",
+                         {reinterpret_cast<const uint8_t *>(Want.data()),
+                          Want.size()}))
+      return makeError("cache: cannot stamp " + Dir + "/VERSION");
   }
   auto Cache = std::unique_ptr<BuildCache>(new BuildCache(Dir));
   Cache->Budget = BudgetBytes;
@@ -705,7 +744,7 @@ void BuildCache::flushShelf(Shelf &S) const {
   }
   // This flush stores what the damaged packs held, as far as the build
   // needed it: they can go.
-  std::string Dir = kindDir(S.Kind);
+  std::string Dir = kindDir(Root, S.Kind);
   for (const std::string &Name : S.Damaged)
     ::unlink((Dir + "/" + Name).c_str());
   S.Damaged.clear();
@@ -815,7 +854,7 @@ void BuildCache::trimToBudget() const {
           Evictions.fetch_add(1, std::memory_order_relaxed);
           EvictedBytes.fetch_add(E.Length, std::memory_order_relaxed);
         }
-      Victims.push_back(kindDir(From->Kind) + "/" + Victim->Name);
+      Victims.push_back(kindDir(Root, From->Kind) + "/" + Victim->Name);
     }
   }
   for (const std::string &Path : Victims)
@@ -839,30 +878,15 @@ CacheStats BuildCache::stats() const {
 
 CacheAudit BuildCache::audit() const {
   flush();
-  CacheAudit A;
-  for (char Kind : {'m', 'g'}) {
-    std::string Dir = kindDir(Kind);
-    PackList Packs;
-    for (std::string &Name : listPacks(Dir)) {
-      auto Bytes = readWholeFile(Dir + "/" + Name);
-      if (!Bytes)
-        continue;
-      A.TotalBytes += Bytes->size();
-      auto P = makePack(std::move(Name), std::move(*Bytes));
-      ++(P ? A.Packs : A.CorruptPacks);
-      if (P)
-        Packs.push_back(std::move(P));
-    }
-    uint64_t &Entries = Kind == 'm' ? A.MethodEntries : A.GroupEntries;
-    uint64_t &Corrupt = Kind == 'm' ? A.MethodCorrupt : A.GroupCorrupt;
-    forEachLive(Packs, [&](const Pack &P, const PackEntry &E) {
-      ++Entries;
-      A.PayloadBytes += E.Length;
-      auto Payload = openBlob(P.blob(E), blobMagic(Kind));
-      bool Ok = Payload && (Kind == 'm' ? decodeMethodBlob(*Payload).has_value()
-                                        : decodeGroupBlob(*Payload).has_value());
-      Corrupt += !Ok;
-    });
-  }
-  return A;
+  return auditPacks(Root);
+}
+
+Expected<CacheAudit> cache::auditStore(const std::string &Dir) {
+  std::error_code Ec;
+  if (!fs::is_directory(Dir, Ec))
+    return makeError("cache: no store at " + Dir);
+  if (auto Found = foreignStamp(Dir))
+    return makeError("cache: " + Dir + " is not a store of this format (" +
+                     *Found + ")");
+  return auditPacks(Dir);
 }

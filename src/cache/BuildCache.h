@@ -10,7 +10,8 @@
 /// (the incremental-build discipline of BOLT-style post-link optimizers).
 /// Two entry kinds live under the cache directory, each in packs:
 ///
-///   <dir>/VERSION        format stamp; a mismatch empties the cache
+///   <dir>/VERSION        format stamp; on a mismatch open() empties the
+///                        store and auditStore() fails
 ///   <dir>/m/<name>.pack  compiled-method blobs, keyed by the SOURCE digest
 ///                        of the dex method (cache::methodSourceKey) — a
 ///                        hit skips HIR construction and codegen entirely
@@ -31,9 +32,9 @@
 /// Stores are buffered in the handle: its own loads see them at once, and
 /// flush() — called at the end of the compile stage and of LTBO, and by the
 /// destructor — writes them as one new pack per entry kind (one write, one
-/// rename). buildApp and buildProfiled open the store once and hand the
-/// handle to every stage; the daemon's jobs all share one handle, so a job
-/// hits what another stored moments earlier, pending or flushed alike.
+/// rename). Only buildApp, buildProfiled and the daemon open a store, and
+/// pass the handle to every stage; all the daemon's jobs share one, so a
+/// job hits what another stored moments earlier, pending or flushed alike.
 /// Packs stay few as builds pile up: a flush merges the newest packs while
 /// the pack before them is no larger than all of them together, so pack
 /// sizes at least double going back in time, and rewrites every pack into
@@ -175,6 +176,12 @@ struct CacheStats {
   uint64_t ResidentBytes = 0;
 };
 
+/// Audits the store at \p Dir, reading only (calibro-oatdump --cache-audit):
+/// checks every pack and validates every live blob as a warm build would.
+/// A missing directory or a missing or foreign VERSION stamp is an error
+/// that names the stamp found.
+Expected<CacheAudit> auditStore(const std::string &Dir);
+
 /// Handle to one cache directory. Thread-safe: any number of threads may
 /// load and store at once; flush() may run concurrently with them.
 ///
@@ -214,8 +221,7 @@ public:
   /// Stores a group's canonical selection under \p Key. Best-effort.
   virtual void storeGroup(const Digest &Key, const GroupSelections &G) const;
 
-  /// Flushes, then reads every pack on disk afresh and validates each live
-  /// blob end to end.
+  /// Flushes, then audits the packs on disk as auditStore does.
   virtual CacheAudit audit() const;
 
   /// Stores \p Blob, byte for byte, as the entry of \p Key of kind \p Kind
@@ -252,7 +258,6 @@ private:
     std::unordered_map<Digest, std::vector<uint8_t>, DigestHash> Pending;
   };
 
-  std::string kindDir(char Kind) const;
   Shelf &shelf(char Kind) const { return Kind == 'm' ? Methods : Groups; }
   void ensureLoaded() const;
   void loadShelf(Shelf &S) const;

@@ -22,7 +22,8 @@ using namespace calibro;
 using namespace calibro::core;
 
 Expected<CompiledApp> core::compileApp(const dex::App &App,
-                                       const CalibroOptions &Opts) {
+                                       const CalibroOptions &Opts,
+                                       cache::BuildCache *Cache) {
   // One pool serves dex verification and the compile fan-out. Daemon mode
   // uses the shared pool under this job's fairness group, so concurrent
   // jobs interleave instead of serializing.
@@ -39,22 +40,6 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   CompiledApp Result;
   Result.AppName = App.Name;
   BuildStats &Stats = Result.Stats;
-
-  // Incremental builds: a configured cache directory lets unchanged dex
-  // methods skip HIR construction and codegen entirely. Failing to OPEN
-  // the store is a configuration error and fails the build; everything
-  // after that degrades (a bad entry is just a miss). A store handed in
-  // (Opts.SharedCache: buildApp's one handle per build, or the daemon's)
-  // takes precedence over a private directory.
-  std::unique_ptr<cache::BuildCache> OwnedCache;
-  cache::BuildCache *Cache = Opts.SharedCache;
-  if (!Cache && !Opts.CacheDir.empty()) {
-    auto C = cache::BuildCache::open(Opts.CacheDir);
-    if (!C)
-      return C.takeError();
-    OwnedCache = std::move(*C);
-    Cache = OwnedCache.get();
-  }
 
   // Compilation: per-method, independent of every other method, and run
   // concurrently like dex2oat does (Fig. 5). Results land in order-stable
@@ -76,6 +61,8 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   std::vector<uint8_t> CacheHit(Order.size(), 0);
   auto Pipeline = hir::defaultPipeline();
 
+  // Incremental builds: with a store, unchanged dex methods skip HIR
+  // construction and codegen entirely. A bad entry is just a miss.
   auto CompileOne = [&](std::size_t I) {
     const dex::Method &M = *Order[I];
     cache::Digest SourceKey;
@@ -163,7 +150,8 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
 
 Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
                                            const CalibroOptions &Opts,
-                                           BuildStats &Stats) {
+                                           BuildStats &Stats,
+                                           cache::BuildCache *Cache) {
   // Closed-world analyses (GC + merge), before outlining. Armed only when
   // the app declared entrypoints; open-world builds are byte-for-byte
   // unaffected. Both passes plan single-threadedly, so their verdicts are
@@ -278,16 +266,7 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
     OOpts.Strict = Opts.StrictSideInfo;
     OOpts.Pool = Opts.Pool;
     OOpts.PoolGroup = Opts.PoolGroup;
-    std::unique_ptr<cache::BuildCache> Cache;
-    if (Opts.SharedCache) {
-      OOpts.Cache = Opts.SharedCache;
-    } else if (!Opts.CacheDir.empty()) {
-      auto C = cache::BuildCache::open(Opts.CacheDir);
-      if (!C)
-        return C.takeError();
-      Cache = std::move(*C);
-      OOpts.Cache = Cache.get();
-    }
+    OOpts.Cache = Cache;
     if (Opts.Profile) {
       Hot = profile::selectHotMethods(*Opts.Profile, Opts.HotCoverage);
       OOpts.HotMethods = &Hot;
@@ -296,13 +275,12 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
       OOpts.PinnedMethods = &MergePinned;
     OOpts.Facts = &Prior;
     auto R = runLtbo(App.Methods, OOpts);
-    if (OOpts.Cache)
-      OOpts.Cache->flush();
+    if (Cache)
+      Cache->flush();
     if (!R)
       return R.takeError();
     Outlined = std::move(R->Funcs);
     Stats.Ltbo = R->Stats;
-    Stats.GroupsReused = R->Stats.GroupsReused;
     Stats.LtboSeconds = LtboTimer.seconds();
   }
 
@@ -352,11 +330,12 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
 }
 
 Expected<BuildResult> core::linkApp(CompiledApp App,
-                                    const CalibroOptions &Opts) {
+                                    const CalibroOptions &Opts,
+                                    cache::BuildCache *Cache) {
   BuildResult Result;
   BuildStats &Stats = Result.Stats;
   Stats = std::move(App.Stats);
-  auto In = prepareLink(std::move(App), Opts, Stats);
+  auto In = prepareLink(std::move(App), Opts, Stats, Cache);
   if (!In)
     return In.takeError();
 
@@ -376,35 +355,27 @@ Expected<BuildResult> core::linkApp(CompiledApp App,
 
 namespace {
 
-/// Opens Opts.CacheDir once for a whole build and hands the handle to
-/// every stage through SharedCache. \p Owned keeps it alive.
-Expected<CalibroOptions>
-withOneStore(const CalibroOptions &Opts,
-             std::unique_ptr<cache::BuildCache> &Owned) {
-  CalibroOptions Out = Opts;
-  if (!Out.SharedCache && !Out.CacheDir.empty()) {
-    auto C = cache::BuildCache::open(Out.CacheDir);
-    if (!C)
-      return C.takeError();
-    Owned = std::move(*C);
-    Out.SharedCache = Owned.get();
-  }
-  return Out;
+/// The one store of a build (null when Opts.CacheDir is empty). Failing to
+/// open it fails the build; after that a bad entry is just a miss.
+Expected<std::unique_ptr<cache::BuildCache>>
+withOneStore(const CalibroOptions &Opts) {
+  if (Opts.CacheDir.empty())
+    return std::unique_ptr<cache::BuildCache>();
+  return cache::BuildCache::open(Opts.CacheDir);
 }
 
 } // namespace
 
 Expected<BuildResult> core::buildApp(const dex::App &App,
-                                     const CalibroOptions &OptsIn) {
+                                     const CalibroOptions &Opts) {
   Timer Total;
-  std::unique_ptr<cache::BuildCache> Store;
-  auto Opts = withOneStore(OptsIn, Store);
-  if (!Opts)
-    return Opts.takeError();
-  auto Compiled = compileApp(App, *Opts);
+  auto Store = withOneStore(Opts);
+  if (!Store)
+    return Store.takeError();
+  auto Compiled = compileApp(App, Opts, Store->get());
   if (!Compiled)
     return Compiled.takeError();
-  auto Result = linkApp(std::move(*Compiled), *Opts);
+  auto Result = linkApp(std::move(*Compiled), Opts, Store->get());
   if (!Result)
     return Result;
   Result->Stats.TotalSeconds = Total.seconds();
@@ -412,19 +383,18 @@ Expected<BuildResult> core::buildApp(const dex::App &App,
 }
 
 Expected<ProfiledBuild>
-core::buildProfiled(const dex::App &App, const CalibroOptions &OptsIn,
+core::buildProfiled(const dex::App &App, const CalibroOptions &Opts,
                     const std::vector<workload::Invocation> &Script) {
-  std::unique_ptr<cache::BuildCache> Store;
-  auto Opened = withOneStore(OptsIn, Store);
-  if (!Opened)
-    return Opened.takeError();
-  const CalibroOptions &Opts = *Opened;
+  auto Store = withOneStore(Opts);
+  if (!Store)
+    return Store.takeError();
+  cache::BuildCache *Cache = Store->get();
   CalibroOptions Unfiltered = Opts;
   Unfiltered.Profile = nullptr;
-  auto Compiled = compileApp(App, Unfiltered);
+  auto Compiled = compileApp(App, Unfiltered, Cache);
   if (!Compiled)
     return Compiled.takeError();
-  auto Pre = linkApp(*Compiled, Unfiltered);
+  auto Pre = linkApp(*Compiled, Unfiltered, Cache);
   if (!Pre)
     return Pre.takeError();
 
@@ -447,7 +417,7 @@ core::buildProfiled(const dex::App &App, const CalibroOptions &OptsIn,
 
   CalibroOptions Profiled = Opts;
   Profiled.Profile = &Out.Profile;
-  auto Final = linkApp(std::move(*Compiled), Profiled);
+  auto Final = linkApp(std::move(*Compiled), Profiled, Cache);
   if (!Final)
     return Final.takeError();
   Out.Pre = std::move(*Pre);

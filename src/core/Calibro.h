@@ -18,11 +18,16 @@
 ///   calibro::core::CalibroOptions Opts;
 ///   Opts.EnableCto = Opts.EnableLtbo = true;
 ///   Opts.LtboPartitions = 8;            // PlOpti
+///   Opts.CacheDir = "out/cache";        // optional incremental builds
 ///   auto Build = calibro::core::buildApp(App, Opts);
 ///   // Fig. 6: profile Script on the unfiltered build, relink with it
 ///   // (HfOpti + layout).
 ///   auto Profiled = calibro::core::buildProfiled(App, Opts, Script);
 /// \endcode
+///
+/// Every stage takes the build cache as an argument and opens no directory:
+/// buildApp and buildProfiled open Opts.CacheDir once and pass that store
+/// on; other callers pass the store they own, or null.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,9 +87,10 @@ struct CalibroOptions {
   /// OutlinerOptions::Strict.
   bool StrictSideInfo = false;
   /// Directory of the incremental build cache (`calibro-dex2oat
-  /// --cache-dir`). Empty disables caching. Warm builds reuse
-  /// compiled-method blobs and LTBO group selections for unchanged inputs;
-  /// output is byte-identical to a cold build at the same inputs.
+  /// --cache-dir`), read by buildApp and buildProfiled only. Empty
+  /// disables caching. Warm builds reuse compiled-method blobs and LTBO
+  /// group selections for unchanged inputs; output is byte-identical to a
+  /// cold build at the same inputs.
   std::string CacheDir;
   /// Closed-world reachability GC (`--no-gc` clears it): drop methods the
   /// entrypoint-rooted call-graph walk proves unreachable, before merging
@@ -119,13 +125,6 @@ struct CalibroOptions {
   /// byte-identical either way.
   ThreadPool *Pool = nullptr;
   ThreadPool::GroupId PoolGroup = 0;
-  /// Externally-owned build cache: the store all of a daemon's jobs share,
-  /// or the one handle buildApp and buildProfiled open on CacheDir for a
-  /// whole build.
-  /// When set it overrides CacheDir: both the compile-stage method probes
-  /// and LTBO group replay go through this store, and each stage flushes
-  /// it when it ends.
-  cache::BuildCache *SharedCache = nullptr;
 };
 
 /// Statistics of one build.
@@ -150,12 +149,10 @@ struct BuildStats {
   uint64_t LayoutCutAfter = 0;  ///< Same metric under the emitted plan.
   double TotalSeconds = 0;
   uint64_t TextBytes = 0;
-  /// Incremental-build counters (all zero when CacheDir is unset). Hits
-  /// and misses count compiled-method blob probes; GroupsReused counts
-  /// LTBO partition groups whose detection was replayed from the cache.
+  /// Compiled-method blob probes (both zero in an uncached build). The
+  /// LTBO groups replayed from the store are Ltbo.GroupsReused.
   std::size_t CacheHits = 0;
   std::size_t CacheMisses = 0;
-  std::size_t GroupsReused = 0;
 };
 
 /// One finished build.
@@ -173,7 +170,7 @@ struct CompiledApp {
   std::vector<codegen::CompiledMethod> Methods;
   std::vector<codegen::CtoStub> Stubs;
   /// Content digest of each compiled method (parallel to Methods),
-  /// populated when a cache is configured. Each digest names the body its
+  /// populated when compileApp had a store. Each digest names the body its
   /// method's MethodFacts entry was derived from. LTBO recomputes every
   /// digest from the method it actually links and reuses the facts only
   /// on a match, so mutations between compile and link can never replay
@@ -181,7 +178,7 @@ struct CompiledApp {
   std::vector<cache::Digest> MethodDigests;
   /// Facts of each cache hit, derived by the load's deep validation
   /// (parallel to Methods; empty Flags for methods compiled in this build,
-  /// and empty when no cache is configured). prepareLink hands them to
+  /// and empty when compileApp had no store). prepareLink hands them to
   /// LTBO Phase A, which drops them once it is done. Clearing the vector
   /// only costs Phase A the decode it saves.
   std::vector<codegen::MethodFacts> MethodFacts;
@@ -195,24 +192,29 @@ struct CompiledApp {
   BuildStats Stats;
 };
 
-/// Runs the compilation half of the pipeline over \p App.
+/// Runs the compilation half of the pipeline over \p App, probing and
+/// filling \p Cache (null: uncached), which it flushes when it ends.
 Expected<CompiledApp> compileApp(const dex::App &App,
-                                 const CalibroOptions &Opts);
+                                 const CalibroOptions &Opts,
+                                 cache::BuildCache *Cache);
 
 /// Runs everything linkApp does before oat::link over an already-compiled
-/// app, consuming it: GC and merge, LTBO.2 and layout. Returns the exact
-/// input linkApp links; fills the analysis, LTBO and layout fields of
-/// \p Stats.
+/// app, consuming it: GC and merge, LTBO.2 (replaying groups from and
+/// storing them to \p Cache, then flushing it) and layout. Returns the
+/// exact input linkApp links; fills the analysis, LTBO and layout fields
+/// of \p Stats.
 Expected<oat::LinkInput> prepareLink(CompiledApp App,
                                      const CalibroOptions &Opts,
-                                     BuildStats &Stats);
+                                     BuildStats &Stats,
+                                     cache::BuildCache *Cache);
 
 /// Runs LTBO.2 and the link step over an already-compiled app, consuming
-/// it. buildApp == compileApp + linkApp == compileApp + prepareLink +
-/// oat::link.
-Expected<BuildResult> linkApp(CompiledApp App, const CalibroOptions &Opts);
+/// it, with \p Cache as in prepareLink. buildApp == compileApp + linkApp
+/// == compileApp + prepareLink + oat::link, all on one store.
+Expected<BuildResult> linkApp(CompiledApp App, const CalibroOptions &Opts,
+                              cache::BuildCache *Cache);
 
-/// Compiles and links \p App under \p Opts.
+/// Compiles and links \p App under \p Opts, on one store of Opts.CacheDir.
 Expected<BuildResult> buildApp(const dex::App &App,
                                const CalibroOptions &Opts);
 
@@ -225,9 +227,10 @@ struct ProfiledBuild {
 
 /// The Fig. 6 workflow: compiles \p App once, links it without a profile,
 /// runs \p Script on that image under the profiler, and relinks the same
-/// compiled methods with the profile. Opts.Profile is ignored. Compilation
-/// never reads the profile, so Pre and Final are byte-identical to
-/// buildApp(App, Opts) without and with Profile set.
+/// compiled methods with the profile, all on one store of Opts.CacheDir.
+/// Opts.Profile is ignored. Compilation never reads the profile, so Pre
+/// and Final are byte-identical to buildApp(App, Opts) without and with
+/// Profile set.
 Expected<ProfiledBuild>
 buildProfiled(const dex::App &App, const CalibroOptions &Opts,
               const std::vector<workload::Invocation> &Script);

@@ -149,17 +149,13 @@ void CompileService::runJob(QueuedJob Job) {
   Build.Pool = Pool.get();
   Build.PoolGroup = Group;
   Build.MemoryBudgetBytes = Lease.bytes();
-  if (Shared) {
-    Build.SharedCache = Shared.get();
-    Build.CacheDir.clear();
-  }
 
   core::BuildResult Result;
-  auto Compiled = core::compileApp(*Job.Spec.App, Build);
+  auto Compiled = core::compileApp(*Job.Spec.App, Build, Shared.get());
   if (Compiled) {
     if (Job.Spec.MutateCompiled)
       Job.Spec.MutateCompiled(*Compiled);
-    auto Linked = core::linkApp(std::move(*Compiled), Build);
+    auto Linked = core::linkApp(std::move(*Compiled), Build, Shared.get());
     if (Linked) {
       R.Ok = true;
       R.Stats = Linked->Stats;
@@ -213,7 +209,7 @@ void CompileService::logRecord(const JobRecord &R) {
       R.Ok ? "" : errCatName(R.ErrorCategory), R.QueueSeconds, R.BuildSeconds,
       R.Stats.CompileSeconds, R.Stats.LtboSeconds, R.Stats.LinkSeconds,
       (unsigned long long)R.GrantedBudgetBytes, R.Stats.CacheHits,
-      R.Stats.CacheMisses, R.Stats.GroupsReused,
+      R.Stats.CacheMisses, R.Stats.Ltbo.GroupsReused,
       (unsigned long long)R.Stats.TextBytes, R.Stats.Ltbo.MethodsRejected);
   std::lock_guard<std::mutex> Lock(LogMutex);
   Log << Buf;

@@ -12,7 +12,7 @@
 ///    QueueDepth jobs are already waiting (backpressure, never unbounded
 ///    growth) or after shutdown began;
 ///  * JobSlots runner threads, each driving one job end to end through the
-///    library pipeline (compileApp -> linkApp);
+///    library pipeline (compileApp -> linkApp) on the service's store;
 ///  * ONE shared ThreadPool. Every job fans its per-method compilation and
 ///    its whole LTBO link stage onto this pool under its own fairness group
 ///    (ThreadPool::createGroup), so a huge job cannot starve a small one and
@@ -20,10 +20,11 @@
 ///  * a MemoryArbiter over --global-memory-budget: each job's detect budget
 ///    is a deterministic lease, and the sum of in-flight grants never
 ///    exceeds the global bound;
-///  * optionally, one cache::BuildCache all jobs share: a job hits what
-///    another stored moments earlier, identical stores are deduped, and
-///    --cache-budget bounds it by LRU eviction of whole packs. Its
-///    directory has the layout of a calibro-dex2oat --cache-dir.
+///  * optionally, one cache::BuildCache, opened by create(), that is every
+///    job's only store: a job hits what another stored moments earlier,
+///    identical stores are deduped, and --cache-budget bounds it by LRU
+///    eviction of whole packs. Its directory has the layout of a
+///    calibro-dex2oat --cache-dir.
 ///
 /// The determinism contract carries over from the library: a job's OAT is
 /// byte-identical to the same build run serially in isolation, for any slot
@@ -66,8 +67,8 @@ struct ServiceOptions {
   uint32_t QueueDepth = 8;
   /// Workers of the one shared pool (0 = hardware concurrency). --threads.
   uint32_t Threads = 0;
-  /// Directory of the shared build cache; empty = no shared cache (jobs
-  /// may still use a private CalibroOptions::CacheDir). --cache-dir.
+  /// Directory of the shared build cache; empty = jobs build uncached.
+  /// --cache-dir.
   std::string CacheDir;
   /// Byte budget of the shared cache (0 = unbounded). --cache-budget.
   uint64_t CacheBudgetBytes = 0;
@@ -86,7 +87,7 @@ struct JobSpec {
   /// The app to build; caller-owned, must outlive the job.
   const dex::App *App = nullptr;
   /// Build configuration. The service overrides Pool / PoolGroup /
-  /// SharedCache / MemoryBudgetBytes; everything else is the caller's.
+  /// MemoryBudgetBytes and ignores CacheDir; the rest is the caller's.
   core::CalibroOptions Build;
   /// Per-job detect-budget request in bytes (0 = unbudgeted). The actual
   /// grant is arbitrated: min(request, fair share) under a global budget.

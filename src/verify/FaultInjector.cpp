@@ -225,7 +225,7 @@ Expected<FaultInjector> FaultInjector::create(const workload::AppSpec &Spec,
   dex::App App = workload::makeApp(Spec);
   Inj.Script = workload::makeScript(Spec, Opts.ScriptLength, Opts.ScriptSeed);
 
-  auto Compiled = core::compileApp(App, linkOptions(Opts, 0));
+  auto Compiled = core::compileApp(App, linkOptions(Opts, 0), nullptr);
   if (!Compiled)
     return Compiled.takeError();
   Inj.Compiled = std::move(*Compiled);
@@ -397,7 +397,7 @@ FaultInjector::classifyLinkRun(std::vector<CompiledMethod> Methods,
 
   core::CalibroOptions L = linkOptions(Opts, ThreadsOverride);
   L.Profile = ProfileOverride; // Arms HfOpti (+ layout when closed-world).
-  auto Build = core::linkApp(std::move(A), L);
+  auto Build = core::linkApp(std::move(A), L, nullptr);
   if (!Build) {
     Error E = Build.takeError();
     Rep.Outcome = FaultOutcome::Rejected;

@@ -1,12 +1,17 @@
 #!/bin/sh
-# Malformed numeric values must make both build front ends print usage and
-# exit 2, before any app is built:
+# Malformed numeric values and unknown flags must make every tool print
+# usage and exit 2, before any app is built or any file is read, and
+# auditing a missing cache directory must fail without creating it:
 #
-#   tests/cli_flags.sh <calibro-dex2oat> <calibro-compiled> <scratch dir>
+#   tests/cli_flags.sh <calibro-dex2oat> <calibro-compiled> \
+#                      <calibro-oatdump> <calibro-run> <scratch dir>
 set -u
 DEX2OAT=$1
 COMPILED=$2
-OUT=$3/cli_flags.oat
+OATDUMP=$3
+RUN=$4
+OUT=$5/cli_flags.oat
+MISSING=$5/cli_flags_no_cache
 FAILED=0
 
 expect2() {
@@ -35,6 +40,26 @@ expect2 "daemon --jobs x" "$COMPILED" --jobs x
 expect2 "job scale=abc" job "app=Wechat scale=abc out=$OUT"
 expect2 "job seed=-1" job "app=Wechat scale=0.3 seed=-1 out=$OUT"
 expect2 "job budget=1e6" job "app=Wechat scale=0.3 budget=1e6 out=$OUT"
+expect2 "oatdump --page-size 4k" \
+  "$OATDUMP" --layout-order --page-size 4k "$OUT"
+expect2 "oatdump --callgraph --scale abc" "$OATDUMP" --callgraph --scale abc
+expect2 "oatdump --callgraph --seed -1" "$OATDUMP" --callgraph --seed -1
+expect2 "oatdump --disasmm" "$OATDUMP" --disasmm "$OUT"
+expect2 "run --method x" "$RUN" "$OUT" --method x
+expect2 "run --args 5x" "$RUN" "$OUT" --args 5x
+expect2 "run --trcae" "$RUN" "$OUT" --trcae
+
+rm -rf "$MISSING"
+"$OATDUMP" --cache-audit "$MISSING" >/dev/null 2>&1
+RC=$?
+if [ "$RC" -eq 0 ]; then
+  echo "FAIL: --cache-audit of a missing directory exited 0"
+  FAILED=1
+fi
+if [ -e "$MISSING" ]; then
+  echo "FAIL: --cache-audit created $MISSING"
+  FAILED=1
+fi
 if [ -e "$OUT" ]; then
   echo "FAIL: a rejected command wrote $OUT"
   FAILED=1

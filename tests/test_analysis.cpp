@@ -591,7 +591,7 @@ TEST(MergePlan, MatchesAllPairsReferenceOnPaperAppsAndFuzzSeeds) {
     dex::App App = workload::makeApp(Spec);
     core::CalibroOptions O;
     O.EnableCto = true;
-    auto C = core::compileApp(App, O);
+    auto C = core::compileApp(App, O, nullptr);
     ASSERT_TRUE(bool(C)) << C.message();
     MergePlan P = planMerge(C->Methods);
     expectSamePlan(P, referencePlan(C->Methods), Spec.Name);

@@ -83,6 +83,18 @@ core::CalibroOptions cacheOpts(const std::string &Dir) {
   return Opts;
 }
 
+/// A handle on the store at \p Dir, as buildApp opens one per build: tests
+/// that drive compileApp and linkApp themselves pass it to both stages.
+std::unique_ptr<cache::BuildCache> openStore(const std::string &Dir) {
+  auto C = cache::BuildCache::open(Dir);
+  if (!C) {
+    ADD_FAILURE() << C.message();
+    consumeError(C.takeError());
+    return nullptr;
+  }
+  return std::move(*C);
+}
+
 /// Bumps the first ConstInt immediate of the first outlining-candidate
 /// method (non-native, no switch — so it stays in its LTBO group), and
 /// returns that method's global index.
@@ -309,7 +321,7 @@ TEST(CacheStore, MethodBlobRoundtripAndAudit) {
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts(Dir.str());
 
-  auto Compiled = core::compileApp(App, Opts);
+  auto Compiled = core::compileApp(App, Opts, openStore(Dir.str()).get());
   ASSERT_TRUE(bool(Compiled)) << Compiled.message();
   EXPECT_EQ(Compiled->Stats.CacheMisses, App.numMethods());
   EXPECT_EQ(Compiled->Stats.CacheHits, 0u);
@@ -332,6 +344,65 @@ TEST(CacheStore, MethodBlobRoundtripAndAudit) {
   EXPECT_EQ(A.MethodCorrupt, 0u);
   EXPECT_EQ(A.GroupCorrupt, 0u);
   EXPECT_GT(A.TotalBytes, 0u);
+
+  // The read-only audit of the directory reports the same store.
+  auto Offline = cache::auditStore(Dir.str());
+  ASSERT_TRUE(bool(Offline)) << Offline.message();
+  EXPECT_EQ(Offline->MethodEntries, A.MethodEntries);
+  EXPECT_EQ(Offline->Packs, A.Packs);
+  EXPECT_EQ(Offline->PayloadBytes, A.PayloadBytes);
+  EXPECT_EQ(Offline->TotalBytes, A.TotalBytes);
+}
+
+namespace {
+
+/// Every file and directory under \p Dir, by relative path, with the bytes
+/// of each file.
+std::map<std::string, std::vector<uint8_t>> treeBytes(const fs::path &Dir) {
+  std::map<std::string, std::vector<uint8_t>> Out;
+  for (const auto &E : fs::recursive_directory_iterator(Dir))
+    Out[fs::relative(E.path(), Dir).string()] =
+        E.is_regular_file() ? readFile(E.path()) : std::vector<uint8_t>{};
+  return Out;
+}
+
+} // namespace
+
+TEST(CacheAudit, ForeignStampedStoreIsAnErrorAndStaysUntouched) {
+  // A store of another format version: BuildCache::open would empty and
+  // restamp it, the audit must only report it.
+  TempCacheDir Dir("audit-foreign");
+  fs::create_directories(Dir.Path / "m");
+  fs::create_directories(Dir.Path / "g");
+  std::ofstream(Dir.Path / "VERSION") << "calibro-cache 2\n";
+  std::ofstream(Dir.Path / "m" / "old.pack") << "a pack of format 2";
+  const auto Before = treeBytes(Dir.Path);
+  ASSERT_EQ(Before.size(), 4u);
+
+  auto A = cache::auditStore(Dir.str());
+  ASSERT_FALSE(bool(A));
+  EXPECT_NE(A.message().find("\"calibro-cache 2\""), std::string::npos)
+      << A.message();
+  consumeError(A.takeError());
+  EXPECT_EQ(treeBytes(Dir.Path), Before);
+
+  // So is a store with no stamp at all.
+  fs::remove(Dir.Path / "VERSION");
+  auto Unstamped = cache::auditStore(Dir.str());
+  ASSERT_FALSE(bool(Unstamped));
+  EXPECT_NE(Unstamped.message().find("no VERSION"), std::string::npos)
+      << Unstamped.message();
+  consumeError(Unstamped.takeError());
+  EXPECT_EQ(treeBytes(Dir.Path).size(), 3u);
+}
+
+TEST(CacheAudit, MissingDirectoryIsAnErrorAndIsNotCreated) {
+  TempCacheDir Dir("audit-missing");
+  ASSERT_FALSE(fs::exists(Dir.Path));
+  auto A = cache::auditStore(Dir.str());
+  ASSERT_FALSE(bool(A));
+  consumeError(A.takeError());
+  EXPECT_FALSE(fs::exists(Dir.Path));
 }
 
 TEST(CacheStore, FailedWriteLeavesNoEntry) {
@@ -441,10 +512,11 @@ TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   const std::vector<uint8_t> RefBytes = oat::serializeOat(Ref->Oat);
 
   // Cold: populates the store, and caching itself must not change the image.
-  auto ColdC = core::compileApp(App, Opts);
+  auto ColdStore = openStore(Dir.str());
+  auto ColdC = core::compileApp(App, Opts, ColdStore.get());
   ASSERT_TRUE(bool(ColdC)) << ColdC.message();
   const std::vector<cache::Digest> ColdDigests = ColdC->MethodDigests;
-  auto Cold = core::linkApp(std::move(*ColdC), Opts);
+  auto Cold = core::linkApp(std::move(*ColdC), Opts, ColdStore.get());
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   EXPECT_EQ(oat::serializeOat(Cold->Oat), RefBytes);
   EXPECT_EQ(Cold->Stats.Ltbo.GroupsReused, 0u);
@@ -453,16 +525,16 @@ TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   EXPECT_GT(Cold->Stats.Ltbo.SequencesOutlined, 0u);
 
   // Warm: every method probe hits, every group replays, output identical.
-  auto WarmC = core::compileApp(App, Opts);
+  auto WarmStore = openStore(Dir.str());
+  auto WarmC = core::compileApp(App, Opts, WarmStore.get());
   ASSERT_TRUE(bool(WarmC)) << WarmC.message();
   EXPECT_EQ(WarmC->Stats.CacheHits, App.numMethods());
   EXPECT_EQ(WarmC->Stats.CacheMisses, 0u);
   EXPECT_EQ(WarmC->MethodDigests, ColdDigests);
-  auto Warm = core::linkApp(std::move(*WarmC), Opts);
+  auto Warm = core::linkApp(std::move(*WarmC), Opts, WarmStore.get());
   ASSERT_TRUE(bool(Warm)) << Warm.message();
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NumGroups);
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 0u);
-  EXPECT_EQ(Warm->Stats.GroupsReused, NumGroups);
   EXPECT_EQ(oat::serializeOat(Warm->Oat), RefBytes);
   // Replayed groups build no suffix array.
   EXPECT_EQ(Warm->Stats.Ltbo.LcpIntervals, 0u);
@@ -481,10 +553,11 @@ TEST(CacheWarm, SingleMethodEditInvalidatesExactlyItsEntryAndGroup) {
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts(Dir.str());
 
-  auto ColdC = core::compileApp(App, Opts);
+  auto ColdStore = openStore(Dir.str());
+  auto ColdC = core::compileApp(App, Opts, ColdStore.get());
   ASSERT_TRUE(bool(ColdC)) << ColdC.message();
   const std::vector<cache::Digest> ColdDigests = ColdC->MethodDigests;
-  auto Cold = core::linkApp(std::move(*ColdC), Opts);
+  auto Cold = core::linkApp(std::move(*ColdC), Opts, ColdStore.get());
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   const std::size_t NumGroups = Cold->Stats.Ltbo.GroupsDetected;
   ASSERT_GT(NumGroups, 1u);
@@ -499,7 +572,8 @@ TEST(CacheWarm, SingleMethodEditInvalidatesExactlyItsEntryAndGroup) {
   auto Ref = core::buildApp(Edited, NoCacheOpts);
   ASSERT_TRUE(bool(Ref)) << Ref.message();
 
-  auto WarmC = core::compileApp(Edited, Opts);
+  auto WarmStore = openStore(Dir.str());
+  auto WarmC = core::compileApp(Edited, Opts, WarmStore.get());
   ASSERT_TRUE(bool(WarmC)) << WarmC.message();
   EXPECT_EQ(WarmC->Stats.CacheMisses, 1u);
   EXPECT_EQ(WarmC->Stats.CacheHits, App.numMethods() - 1);
@@ -519,7 +593,7 @@ TEST(CacheWarm, SingleMethodEditInvalidatesExactlyItsEntryAndGroup) {
   EXPECT_EQ(Changed, 1u);
 
   // Exactly the edited method's partition group re-runs detection.
-  auto Warm = core::linkApp(std::move(*WarmC), Opts);
+  auto Warm = core::linkApp(std::move(*WarmC), Opts, WarmStore.get());
   ASSERT_TRUE(bool(Warm)) << Warm.message();
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 1u);
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NumGroups - 1);
@@ -549,7 +623,8 @@ TEST(CacheWarm, CountersAreDeterministicForAnyThreadCount) {
     }
     EXPECT_EQ(Warm->Stats.CacheHits, First->CacheHits) << Threads;
     EXPECT_EQ(Warm->Stats.CacheMisses, First->CacheMisses) << Threads;
-    EXPECT_EQ(Warm->Stats.GroupsReused, First->GroupsReused) << Threads;
+    EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, First->Ltbo.GroupsReused)
+        << Threads;
     EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, First->Ltbo.GroupsDetected)
         << Threads;
     EXPECT_EQ(Warm->Stats.Ltbo.FactsReused, First->Ltbo.FactsReused)
@@ -634,7 +709,7 @@ TEST(CacheWarm, StaleFactsAreNeverReused) {
   auto Opts = cacheOpts(Dir.str());
   ASSERT_TRUE(bool(core::buildApp(App, Opts)));
 
-  auto Probe = core::compileApp(App, Opts);
+  auto Probe = core::compileApp(App, Opts, openStore(Dir.str()).get());
   ASSERT_TRUE(bool(Probe)) << Probe.message();
   ASSERT_EQ(Probe->Stats.CacheMisses, 0u);
   const auto [RowA, RowB] = twoCandidates(Probe->Methods);
@@ -644,7 +719,7 @@ TEST(CacheWarm, StaleFactsAreNeverReused) {
       SCOPED_TRACE(std::string(E.Name) + (Strict ? ", strict" : ""));
       auto O = Opts;
       O.StrictSideInfo = Strict;
-      auto Warm = core::compileApp(App, O);
+      auto Warm = core::compileApp(App, O, openStore(Dir.str()).get());
       ASSERT_TRUE(bool(Warm)) << Warm.message();
       ASSERT_FALSE(Warm->MethodFacts[RowA].Flags.empty());
       E.Apply(*Warm);
@@ -679,8 +754,10 @@ TEST(CacheWarm, StaleFactsAreNeverReused) {
         EXPECT_EQ(Outline(*Warm, true), Outline(Cleared, false));
       }
 
-      auto WithFacts = core::linkApp(std::move(*Warm), O);
-      auto WithoutFacts = core::linkApp(std::move(Cleared), O);
+      auto WithFacts =
+          core::linkApp(std::move(*Warm), O, openStore(Dir.str()).get());
+      auto WithoutFacts =
+          core::linkApp(std::move(Cleared), O, openStore(Dir.str()).get());
       ASSERT_EQ(bool(WithFacts), bool(WithoutFacts));
       if (!WithFacts) {
         EXPECT_TRUE(Strict);
@@ -994,7 +1071,7 @@ TEST(CacheStore, ConcurrentLoadsMatchTheColdCompile) {
   TempCacheDir Dir("concurrent");
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts(Dir.str());
-  auto Cold = core::compileApp(App, Opts);
+  auto Cold = core::compileApp(App, Opts, openStore(Dir.str()).get());
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   std::vector<cache::Digest> Keys;
   App.forEachMethod([&](const dex::Method &M) {
@@ -1109,7 +1186,7 @@ TEST(CacheStore, TwoProcessesStoringTheSameKeysNeverExposeAPartialEntry) {
   auto Opts = cacheOpts("");
   Opts.CacheDir.clear();
   Opts.CompileThreads = 1;
-  auto Compiled = core::compileApp(App, Opts);
+  auto Compiled = core::compileApp(App, Opts, nullptr);
   ASSERT_TRUE(bool(Compiled)) << Compiled.message();
   const std::vector<codegen::CompiledMethod> &Methods = Compiled->Methods;
   std::vector<cache::Digest> Keys;
@@ -1686,10 +1763,15 @@ TEST(CacheReplay, ColdWindowedBuildNeverReloadsItsOwnGroups) {
   ASSERT_TRUE(bool(Shared)) << Shared.message();
   dex::App App = workload::makeApp(testSpec());
   auto Opts = cacheOpts("");
-  Opts.SharedCache = Shared->get();
   Opts.MemoryBudgetBytes = 1 << 14;
+  auto Build = [&]() -> Expected<core::BuildResult> {
+    auto C = core::compileApp(App, Opts, Shared->get());
+    if (!C)
+      return C.takeError();
+    return core::linkApp(std::move(*C), Opts, Shared->get());
+  };
 
-  auto Cold = core::buildApp(App, Opts);
+  auto Cold = Build();
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   EXPECT_GT(Cold->Stats.Ltbo.DetectWindows, 1u);
   const std::size_t NonEmpty = Cold->Stats.Ltbo.GroupsDetected;
@@ -1698,7 +1780,7 @@ TEST(CacheReplay, ColdWindowedBuildNeverReloadsItsOwnGroups) {
   EXPECT_EQ((*Shared)->stats().GroupHits, 0u)
       << "the cold build read its own group selections back";
 
-  auto Warm = core::buildApp(App, Opts);
+  auto Warm = Build();
   ASSERT_TRUE(bool(Warm)) << Warm.message();
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NonEmpty);
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 0u);

@@ -583,14 +583,14 @@ std::vector<CompiledMethod> phaseAInputs(const workload::AppSpec &Spec,
   core::CalibroOptions Opts;
   Opts.EnableCto = EnableCto;
   Opts.CompileThreads = 2;
-  auto Compiled = core::compileApp(App, Opts);
+  auto Compiled = core::compileApp(App, Opts, nullptr);
   EXPECT_TRUE(bool(Compiled)) << Spec.Name << ": " << Compiled.message();
   if (!Compiled)
     return {};
   std::vector<CompiledMethod> Out = Compiled->Methods;
   if (Compiled->HasAnalysis) {
     core::BuildStats Stats;
-    auto In = core::prepareLink(std::move(*Compiled), Opts, Stats);
+    auto In = core::prepareLink(std::move(*Compiled), Opts, Stats, nullptr);
     EXPECT_TRUE(bool(In)) << Spec.Name << ": " << In.message();
     if (In)
       Out.insert(Out.end(), In->Methods.begin(), In->Methods.end());

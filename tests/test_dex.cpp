@@ -311,10 +311,12 @@ TEST(DexApp, FailedVerificationStoresNoCacheBlob) {
     core::CalibroOptions Opts;
     Opts.EnableCto = Opts.EnableLtbo = true;
     Opts.CompileThreads = Threads;
-    Opts.CacheDir = Dir.string();
-    auto C = core::compileApp(A, Opts);
+    auto Store = cache::BuildCache::open(Dir.string());
+    ASSERT_TRUE(bool(Store)) << Store.message();
+    auto C = core::compileApp(A, Opts, Store->get());
     ASSERT_FALSE(bool(C));
     EXPECT_EQ(outcome(C.takeError()), outcome(serialVerifyApp(A)));
+    Store->reset(); // Flushes whatever the failed stage left pending.
     std::size_t Blobs = 0;
     if (fs::exists(Dir / "m"))
       for ([[maybe_unused]] const auto &E : fs::directory_iterator(Dir / "m"))

@@ -567,14 +567,14 @@ core::CalibroOptions pipelineOpts() {
 
 /// The exact input core::linkApp would hand to oat::link.
 LinkInput linkInputOf(const dex::App &App, const core::CalibroOptions &Opts) {
-  auto C = core::compileApp(App, Opts);
+  auto C = core::compileApp(App, Opts, nullptr);
   EXPECT_TRUE(bool(C)) << C.message();
   if (!C) {
     consumeError(C.takeError());
     return {};
   }
   core::BuildStats Stats;
-  auto In = core::prepareLink(std::move(*C), Opts, Stats);
+  auto In = core::prepareLink(std::move(*C), Opts, Stats, nullptr);
   EXPECT_TRUE(bool(In)) << In.message();
   if (!In) {
     consumeError(In.takeError());

@@ -81,7 +81,6 @@ std::vector<uint8_t> serialImage(const dex::App &App,
                                  core::CalibroOptions Opts,
                                  uint64_t GrantedBudget) {
   Opts.Pool = nullptr;
-  Opts.SharedCache = nullptr;
   Opts.CacheDir.clear();
   Opts.MemoryBudgetBytes = GrantedBudget;
   auto B = core::buildApp(App, Opts);
@@ -183,7 +182,7 @@ TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   ASSERT_TRUE(WarmR.Ok) << WarmR.ErrorMessage;
   EXPECT_EQ(WarmR.Stats.CacheHits, App.numMethods());
   EXPECT_EQ(WarmR.Stats.CacheMisses, 0u);
-  EXPECT_GT(WarmR.Stats.GroupsReused, 0u);
+  EXPECT_GT(WarmR.Stats.Ltbo.GroupsReused, 0u);
   EXPECT_EQ(oat::serializeOat(Warm->oat()), Ref);
 
   cache::CacheStats CS = (*Svc)->sharedCache()->stats();

@@ -126,7 +126,7 @@ bool FlagParser::buildFlag(std::string_view Flag, BuildFlags &F) {
 }
 
 void FlagParser::usage() const {
-  std::fprintf(stderr, "%s%s", ToolUsage, SharedUsage);
+  std::fprintf(stderr, "%s%s", ToolUsage, BuildUsage ? SharedUsage : "");
   std::exit(2);
 }
 

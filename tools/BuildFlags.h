@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one flag parser behind calibro-dex2oat and calibro-compiled. Both
-/// accept the same build flags (--cto, --ltbo, --partitions, ...) with the
-/// same meaning, print the same usage block for them, apply the same
-/// "memory budget without --partitions means automatic K" rule and look
-/// paper apps up the same way. Each tool adds its own flags on top.
+/// The one flag parser behind every command-line tool. calibro-dex2oat and
+/// calibro-compiled accept the same build flags (--cto, --ltbo,
+/// --partitions, ...) with the same meaning, print the same usage block for
+/// them, apply the same "memory budget without --partitions means
+/// automatic K" rule and look paper apps up the same way. calibro-oatdump
+/// and calibro-run take no build flags but walk argv, check numbers and
+/// look paper apps up through the same code. Each tool adds its own flags.
 ///
 /// Every numeric value is checked: anything but a whole number in range
 /// (or, for --scale, a positive finite number) prints the usage text and
-/// exits 2.
+/// exits 2, and so does a flag the tool does not know.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,12 +60,17 @@ struct BuildFlags {
 /// Walks argv for one tool.
 class FlagParser {
 public:
-  /// \p ToolUsage is printed before the shared build-flag block.
-  FlagParser(int Argc, char **Argv, const char *ToolUsage)
-      : Argc(Argc), Argv(Argv), ToolUsage(ToolUsage) {}
+  /// \p ToolUsage is printed before the shared build-flag block, which a
+  /// tool that takes no build flags leaves out (\p BuildUsage false).
+  FlagParser(int Argc, char **Argv, const char *ToolUsage,
+             bool BuildUsage = true)
+      : Argc(Argc), Argv(Argv), ToolUsage(ToolUsage), BuildUsage(BuildUsage) {
+  }
 
   /// True while flags remain.
   bool more() const { return I + 1 < Argc; }
+  /// True when the next argument is there and does not start with '-'.
+  bool valueNext() const { return more() && Argv[I + 1][0] != '-'; }
   /// The next flag.
   std::string_view flag() { return Argv[++I]; }
   /// The value of the current flag.
@@ -83,6 +90,7 @@ private:
   int Argc;
   char **Argv;
   const char *ToolUsage;
+  bool BuildUsage;
   int I = 0;
 };
 

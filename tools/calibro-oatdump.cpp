@@ -13,12 +13,15 @@
 ///   calibro-oatdump --check file.oat        # audit per-method side info
 ///   calibro-oatdump --layout-order file.oat # final .text placement, page
 ///                                           # map and affinity-cut summary
-///   calibro-oatdump --cache-audit <dir>     # audit a build-cache store
+///   calibro-oatdump --cache-audit <dir>     # audit a build-cache store,
+///                                           # reading only
 ///   calibro-oatdump --callgraph --app Wechat --dead-code
 ///                                           # compile the app spec and dump
 ///                                           # its call graph as JSON
 ///
 //===----------------------------------------------------------------------===//
+
+#include "BuildFlags.h"
 
 #include "aarch64/Decoder.h"
 #include "aarch64/PcRel.h"
@@ -32,8 +35,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +42,21 @@
 using namespace calibro;
 
 namespace {
+
+const char Usage[] =
+    "usage: calibro-oatdump [--disasm] [--check] [--method <fragment>] "
+    "<file.oat>\n"
+    "       calibro-oatdump --layout-order [--page-size <n>] <file.oat>\n"
+    "                # final .text placement + page map + static\n"
+    "                # affinity-cut summary, as JSON\n"
+    "       calibro-oatdump --callgraph [--app <name>] [--scale <s>] "
+    "[--seed <n>] [--dead-code]\n"
+    "       calibro-oatdump --cache-audit <dir>\n"
+    "                # check every pack and live entry of a build-cache\n"
+    "                # store without changing it; exits 1 on a corrupt\n"
+    "                # pack or entry, on a missing <dir>, and on a\n"
+    "                # VERSION stamp that is missing or names another\n"
+    "                # format (the error names the stamp found)\n";
 
 /// Re-runs the deep side-info validator over every outlining-eligible
 /// method of a linked image and reports each fault. Returns the number of
@@ -101,26 +117,16 @@ std::string jsonEscape(const std::string &S) {
 /// and recorded anomalies.
 int dumpCallGraph(const std::string &AppName, double Scale, uint64_t Seed,
                   bool DeadCode) {
-  workload::AppSpec Spec;
-  bool Found = false;
-  for (const auto &S : workload::paperApps(Scale))
-    if (S.Name == AppName) {
-      Spec = S;
-      Found = true;
-    }
-  if (!Found) {
+  auto Spec = tools::paperAppSpec(AppName, Scale, Seed, DeadCode);
+  if (!Spec) {
     std::fprintf(stderr, "unknown app '%s'\n", AppName.c_str());
     return 1;
   }
-  if (Seed)
-    Spec.Seed = Seed;
-  if (DeadCode)
-    workload::enableDeadCode(Spec);
 
-  dex::App App = workload::makeApp(Spec);
+  dex::App App = workload::makeApp(*Spec);
   core::CalibroOptions Opts;
   Opts.EnableCto = true;
-  auto Compiled = core::compileApp(App, Opts);
+  auto Compiled = core::compileApp(App, Opts, nullptr);
   if (!Compiled) {
     std::fprintf(stderr, "compile failed: %s\n", Compiled.message().c_str());
     return 1;
@@ -287,17 +293,16 @@ int dumpLayoutOrder(const oat::OatFile &O, uint32_t PageSize) {
   return 0;
 }
 
-/// Opens a build-cache directory, checks every pack's header, index and
-/// tail, and walks every live blob through the same checksum + decode +
-/// side-info validation a warm build would apply. Returns nonzero when any
-/// pack or entry is corrupt.
+/// Audits a build-cache directory through cache::auditStore, which changes
+/// nothing. Returns nonzero when the directory is not a store of this
+/// format or any pack or entry is corrupt.
 int cacheAudit(const char *Dir) {
-  auto C = cache::BuildCache::open(Dir);
-  if (!C) {
-    std::fprintf(stderr, "%s: %s\n", Dir, C.message().c_str());
+  auto Audit = cache::auditStore(Dir);
+  if (!Audit) {
+    std::fprintf(stderr, "%s\n", Audit.message().c_str());
     return 1;
   }
-  cache::CacheAudit A = (*C)->audit();
+  const cache::CacheAudit &A = *Audit;
   std::printf("cache audit of %s:\n"
               "  method entries: %zu (%zu corrupt)\n"
               "  group entries:  %zu (%zu corrupt)\n"
@@ -325,47 +330,42 @@ int main(int argc, char **argv) {
   const char *Filter = nullptr;
   const char *Path = nullptr;
   const char *CacheDir = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--disasm"))
+  tools::FlagParser Args(argc, argv, Usage, /*BuildUsage=*/false);
+  while (Args.more()) {
+    std::string_view A = Args.flag();
+    if (A == "--disasm")
       Disasm = true;
-    else if (!std::strcmp(argv[I], "--check"))
+    else if (A == "--check")
       Check = true;
-    else if (!std::strcmp(argv[I], "--callgraph"))
+    else if (A == "--callgraph")
       CallGraph = true;
-    else if (!std::strcmp(argv[I], "--dead-code"))
+    else if (A == "--dead-code")
       DeadCode = true;
-    else if (!std::strcmp(argv[I], "--layout-order"))
+    else if (A == "--layout-order")
       LayoutOrder = true;
-    else if (!std::strcmp(argv[I], "--page-size") && I + 1 < argc)
-      PageSize = static_cast<uint32_t>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--app") && I + 1 < argc)
-      AppName = argv[++I];
-    else if (!std::strcmp(argv[I], "--scale") && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 0);
-    else if (!std::strcmp(argv[I], "--method") && I + 1 < argc)
-      Filter = argv[++I];
-    else if (!std::strcmp(argv[I], "--cache-audit") && I + 1 < argc)
-      CacheDir = argv[++I];
+    else if (A == "--page-size")
+      PageSize = static_cast<uint32_t>(Args.whole(UINT32_MAX));
+    else if (A == "--app")
+      AppName = Args.value();
+    else if (A == "--scale")
+      Scale = Args.scale();
+    else if (A == "--seed")
+      Seed = Args.whole(UINT64_MAX);
+    else if (A == "--method")
+      Filter = Args.value();
+    else if (A == "--cache-audit")
+      CacheDir = Args.value();
+    else if (A.starts_with("-"))
+      Args.usage();
     else
-      Path = argv[I];
+      Path = A.data();
   }
   if (CallGraph)
     return dumpCallGraph(AppName, Scale, Seed, DeadCode);
   if (CacheDir)
     return cacheAudit(CacheDir);
-  if (!Path) {
-    std::fprintf(stderr,
-                 "usage: calibro-oatdump [--disasm] [--check] "
-                 "[--method <fragment>] [--cache-audit <dir>] <file.oat>\n"
-                 "       calibro-oatdump --layout-order [--page-size <n>] "
-                 "<file.oat>   # final .text placement + page map +\n"
-                 "                # static affinity-cut summary, as JSON\n"
-                 "       calibro-oatdump --callgraph [--app <name>] "
-                 "[--scale <s>] [--seed <n>] [--dead-code]\n");
-    return 2;
-  }
+  if (!Path)
+    Args.usage();
 
   auto O = oat::readOatFile(Path);
   if (!O) {

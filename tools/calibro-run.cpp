@@ -15,12 +15,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BuildFlags.h"
+
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
 #include "verify/OatVerifier.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,24 +33,29 @@ int main(int argc, char **argv) {
   std::vector<int64_t> Args;
   bool Trace = false;
   bool Verify = false;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--method") && I + 1 < argc)
-      MethodIdx = static_cast<uint32_t>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--trace"))
+  tools::FlagParser Flags(argc, argv,
+                          "usage: calibro-run <file.oat> [--method N] "
+                          "[--args a b ...] [--trace] [--verify]\n",
+                          /*BuildUsage=*/false);
+  while (Flags.more()) {
+    std::string_view A = Flags.flag();
+    if (A == "--method")
+      MethodIdx = static_cast<uint32_t>(Flags.whole(UINT32_MAX));
+    else if (A == "--trace")
       Trace = true;
-    else if (!std::strcmp(argv[I], "--verify"))
+    else if (A == "--verify")
       Verify = true;
-    else if (!std::strcmp(argv[I], "--args")) {
-      while (I + 1 < argc && argv[I + 1][0] != '-')
-        Args.push_back(std::atoll(argv[++I]));
-    } else
-      Path = argv[I];
+    else if (A == "--args") {
+      // Arguments run up to the next flag, so none can be negative.
+      while (Flags.valueNext())
+        Args.push_back(static_cast<int64_t>(Flags.whole(INT64_MAX)));
+    } else if (A.starts_with("-"))
+      Flags.usage();
+    else
+      Path = A.data();
   }
-  if (!Path) {
-    std::fprintf(stderr, "usage: calibro-run <file.oat> [--method N] "
-                         "[--args a b ...] [--trace] [--verify]\n");
-    return 2;
-  }
+  if (!Path)
+    Flags.usage();
 
   auto O = oat::readOatFile(Path);
   if (!O) {
