@@ -14,13 +14,13 @@
 ///
 ///   * every concurrently-built OAT is byte-identical to a serial rebuild
 ///     of the same job in isolation;
-///   * the arbiter's peak sum of in-flight detect-budget grants never
+///   * the service's peak sum of in-flight detect-budget grants never
 ///     exceeds --global-memory-budget;
 ///   * warm-cache throughput is at least 2x cold throughput.
 ///
 /// Process RSS is reported for observability only (it folds in the
 /// allocator and every other allocation in the process; the accounted
-/// arbiter peak is the deterministic bound the gate checks).
+/// peak of in-flight grants is the deterministic bound the gate checks).
 ///
 //===----------------------------------------------------------------------===//
 

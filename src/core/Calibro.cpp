@@ -26,11 +26,11 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
                                        cache::BuildCache *Cache) {
   // One pool serves dex verification and the compile fan-out. Daemon mode
   // uses the shared pool under this job's fairness group, so concurrent
-  // jobs interleave instead of serializing.
+  // jobs interleave instead of serializing; a one-worker pool runs inline.
   std::unique_ptr<ThreadPool> OwnedPool;
   ThreadPool *Pool = Opts.Pool;
   const ThreadPool::GroupId PoolGroup = Pool ? Opts.PoolGroup : 0;
-  if (!Pool && Opts.CompileThreads != 1) {
+  if (!Pool) {
     OwnedPool = std::make_unique<ThreadPool>(Opts.CompileThreads);
     Pool = OwnedPool.get();
   }
@@ -102,12 +102,7 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
     }
   };
 
-  if (Pool) {
-    Pool->parallelForIn(PoolGroup, Order.size(), CompileOne);
-  } else {
-    for (std::size_t I = 0; I < Order.size(); ++I)
-      CompileOne(I);
-  }
+  Pool->parallelForIn(PoolGroup, Order.size(), CompileOne);
   OwnedPool.reset();
   if (Cache)
     Cache->flush();

@@ -62,6 +62,8 @@ struct CalibroOptions {
   /// K detection partitions. 0 = automatic, legal only with a memory
   /// budget (see OutlinerOptions::Partitions).
   uint32_t LtboPartitions = 1;
+  /// Worker threads of the LTBO link stage (OutlinerOptions::Threads;
+  /// 0 = hardware concurrency).
   uint32_t LtboThreads = 1;
   /// Detect-phase memory budget in bytes (`calibro-dex2oat
   /// --memory-budget`); 0 = unbudgeted. See

@@ -406,23 +406,18 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   Result.Stats.CandidateMethods = Candidates.size();
 
   // One pool serves every phase; group tasks never call back into it, so
-  // there is no nested-wait deadlock. An effective thread count of 1 —
-  // Threads == 1, or any request on a single-core machine — stays pool-free
-  // and runs every phase inline on the calling thread: oversubscribing a
-  // CPU-bound pipeline only buys scheduling overhead (the measured
-  // 8-threads-slower-than-1 regression), never throughput. A daemon job
-  // instead injects the service-wide pool (Opts.Pool) and its fairness
-  // group, so concurrent links share one set of workers round-robin.
+  // there is no nested-wait deadlock. A pool of one worker — Threads == 1,
+  // or any request on a single-core machine — starts no thread and runs
+  // every phase inline on the calling thread. A daemon job instead injects
+  // the service-wide pool (Opts.Pool) and its fairness group, so
+  // concurrent links share one set of workers round-robin.
   std::unique_ptr<ThreadPool> OwnedPool;
   ThreadPool *Pool = Opts.Pool;
   const ThreadPool::GroupId PoolGroup = Pool ? Opts.PoolGroup : 0;
-  if (!Pool && Opts.Threads > 1 &&
-      ThreadPool::effectiveThreads(Opts.Threads) > 1) {
+  if (!Pool) {
     OwnedPool = std::make_unique<ThreadPool>(Opts.Threads);
     Pool = OwnedPool.get();
   }
-  if (Pool && Pool->numThreads() == 1)
-    Pool = nullptr; // Inline path; a 1-worker pool adds only handshakes.
 
   // Phase A: per-method preprocessing in parallel over ALL candidates,
   // before any sequence is assembled. A method whose facts came with it
@@ -463,12 +458,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     if (Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx))
       P.Facts.keepOnlySlowPaths(M.Side);
   };
-  if (Pool) {
-    Pool->parallelForIn(PoolGroup, Candidates.size(), PrepOne);
-  } else {
-    for (std::size_t I = 0; I < Candidates.size(); ++I)
-      PrepOne(I);
-  }
+  Pool->parallelForIn(PoolGroup, Candidates.size(), PrepOne);
   Prior = {};
   // Graceful degradation (or strict fail-fast) over the validation
   // outcomes. Accepted keeps the surviving candidate indices in input
@@ -496,7 +486,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Accepted.push_back(I);
   }
   Result.Stats.PreprocessSeconds = PreprocessTimer.seconds();
-  Result.Stats.PreprocessThreads = Pool ? Pool->numThreads() : 1;
+  Result.Stats.PreprocessThreads = Pool->numThreads();
 
   // PlOpti (paper §3.4.1): simple even partition of the accepted candidate
   // methods. Groups hold candidate indices so Phase B can reach the Phase A
@@ -617,13 +607,8 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   };
 
   for (const std::vector<std::size_t> &W : Windows) {
-    if (Pool && W.size() > 1) {
-      Pool->parallelForIn(PoolGroup, W.size(),
-                          [&](std::size_t I) { RunOne(W[I]); });
-    } else {
-      for (std::size_t G : W)
-        RunOne(G);
-    }
+    Pool->parallelForIn(PoolGroup, W.size(),
+                        [&](std::size_t I) { RunOne(W[I]); });
     if (!Windowed)
       continue;
     // Summed member peaks bound what this window held at once (groups in
@@ -635,9 +620,8 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
         std::max(Result.Stats.DetectWindowPeakBytes, WindowPeak);
   }
   Result.Stats.DetectWindows = Windowed ? Windows.size() : 0;
-  if (Pool)
-    Result.Stats.DetectThreads = std::min<std::size_t>(
-        Pool->numThreads(), std::max<std::size_t>(MaxWindowGroups, 1));
+  Result.Stats.DetectThreads = std::min<std::size_t>(
+      Pool->numThreads(), std::max<std::size_t>(MaxWindowGroups, 1));
 
   for (std::size_t G = 0; G < K; ++G) {
     auto &S = GroupStats[G];
@@ -680,17 +664,12 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     if (auto E = rewriteMethod(Methods[Work[I].Row], std::move(Work[I].Occs)))
       RewriteErrors[I] = E.message();
   };
-  if (Pool) {
-    Pool->parallelForIn(PoolGroup, Work.size(), RewriteOne);
-  } else {
-    for (std::size_t I = 0; I < Work.size(); ++I)
-      RewriteOne(I);
-  }
+  Pool->parallelForIn(PoolGroup, Work.size(), RewriteOne);
   for (const std::string &E : RewriteErrors)
     if (!E.empty())
       return makeError(E);
   Result.Stats.RewriteSeconds = RewriteTimer.seconds();
-  Result.Stats.RewriteThreads = Pool ? Pool->numThreads() : 1;
+  Result.Stats.RewriteThreads = Pool->numThreads();
 
   return Result;
 }

@@ -38,7 +38,8 @@
 /// outlining in hot methods to their recorded slow-path ranges.
 ///
 /// Independent of the partition knob, the stage itself runs as a parallel
-/// three-phase pipeline whenever Threads > 1 (even with Partitions == 1):
+/// three-phase pipeline whenever its pool has more than one worker (even
+/// with Partitions == 1):
 ///
 ///   Phase A (parallel over methods): side-info validation and the
 ///     per-word separator + branch-target facts, from one decode pass
@@ -96,7 +97,9 @@ struct OutlinerOptions {
   uint32_t Partitions = 1;
   /// Worker threads for the whole link stage: preprocessing, per-group
   /// detection/selection, and the rewrite fan-out all run on one pool of
-  /// this size (not just the K-partition build). 1 = fully serial.
+  /// this size (not just the K-partition build), clamped to the machine.
+  /// 1 = fully serial on the calling thread; 0 = the machine's hardware
+  /// concurrency, as for CalibroOptions::CompileThreads.
   uint32_t Threads = 1;
   /// Unused by the library: see DetectorKind.
   DetectorKind Detector = DetectorKind::SuffixArray;

@@ -5,47 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/CompileService.h"
+#include "support/Json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
 using namespace calibro;
 using namespace calibro::service;
-
-namespace {
-
-/// Minimal JSON string escape for the job log (names and error messages).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-} // namespace
 
 const JobRecord &JobHandle::wait() const {
   std::unique_lock<std::mutex> Lock(M);
@@ -53,16 +20,16 @@ const JobRecord &JobHandle::wait() const {
   return Record;
 }
 
-CompileService::CompileService(ServiceOptions OptsIn)
-    : Opts(std::move(OptsIn)),
-      Arbiter(Opts.GlobalMemoryBudgetBytes, std::max<uint32_t>(1,
-                                                               Opts.JobSlots)) {
-}
-
 Expected<std::unique_ptr<CompileService>>
 CompileService::create(const ServiceOptions &Opts) {
   if (Opts.JobSlots == 0)
     return makeError(ErrCat::Service, "compile service: --jobs must be >= 1");
+  // Each job's fair share must be at least one byte.
+  if (Opts.GlobalMemoryBudgetBytes &&
+      Opts.GlobalMemoryBudgetBytes < Opts.JobSlots)
+    return makeError(ErrCat::Service,
+                     "compile service: --global-memory-budget must be 0 or "
+                     ">= --jobs");
   auto Svc = std::unique_ptr<CompileService>(new CompileService(Opts));
   if (!Svc->Opts.CacheDir.empty()) {
     auto C = cache::BuildCache::open(Svc->Opts.CacheDir,
@@ -138,17 +105,28 @@ void CompileService::runJob(QueuedJob Job) {
   Timer BuildTimer;
 
   // The job's slice of the shared machinery: its own fairness group on the
-  // one pool, its arbitrated detect budget, the shared cache. The grant is
-  // deterministic (min(request, fair share)), so the job's windowing — and
+  // one pool, its detect budget, the shared cache. Under a global budget
+  // the grant is the request clamped to the fair share Global / JobSlots,
+  // and an unbudgeted job gets the whole fair share, so the JobSlots jobs
+  // in flight never hold more than Global together. The grant depends on
+  // nothing but the request and the options, so the job's windowing — and
   // with it every cache key it derives — cannot vary run to run.
   ThreadPool::GroupId Group = Pool->createGroup();
-  MemoryArbiter::Lease Lease = Arbiter.acquire(Job.Spec.MemoryBudgetBytes);
-  R.GrantedBudgetBytes = Lease.bytes();
+  const uint64_t Global = Opts.GlobalMemoryBudgetBytes;
+  const uint64_t Fair = Global / Opts.JobSlots;
+  const uint64_t Request = Job.Spec.MemoryBudgetBytes;
+  R.GrantedBudgetBytes =
+      Global ? std::min(Request ? Request : Fair, Fair) : Request;
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    InFlightBytes += R.GrantedBudgetBytes;
+    PeakInFlightBytes = std::max(PeakInFlightBytes, InFlightBytes);
+  }
 
   core::CalibroOptions Build = Job.Spec.Build;
   Build.Pool = Pool.get();
   Build.PoolGroup = Group;
-  Build.MemoryBudgetBytes = Lease.bytes();
+  Build.MemoryBudgetBytes = R.GrantedBudgetBytes;
 
   core::BuildResult Result;
   auto Compiled = core::compileApp(*Job.Spec.App, Build, Shared.get());
@@ -172,11 +150,11 @@ void CompileService::runJob(QueuedJob Job) {
 
   // The group's tasks are fully drained (compileApp/linkApp only return
   // after their parallelForIn calls complete), so the slot can be recycled.
-  Lease.release();
   Pool->releaseGroup(Group);
 
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
+    InFlightBytes -= R.GrantedBudgetBytes;
     ++(R.Ok ? Succeeded : Failed);
   }
   logRecord(R);
@@ -233,14 +211,12 @@ void CompileService::shutdown() {
 
 ServiceStats CompileService::stats() const {
   ServiceStats S;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    S.JobsAccepted = Accepted;
-    S.JobsRejected = Rejected;
-    S.JobsSucceeded = Succeeded;
-    S.JobsFailed = Failed;
-    S.PeakQueueDepth = PeakDepth;
-  }
-  S.ArbiterPeakBytes = Arbiter.peakOutstandingBytes();
+  std::lock_guard<std::mutex> Lock(QueueMutex);
+  S.JobsAccepted = Accepted;
+  S.JobsRejected = Rejected;
+  S.JobsSucceeded = Succeeded;
+  S.JobsFailed = Failed;
+  S.PeakQueueDepth = PeakDepth;
+  S.ArbiterPeakBytes = PeakInFlightBytes;
   return S;
 }

@@ -17,9 +17,10 @@
 ///    its whole LTBO link stage onto this pool under its own fairness group
 ///    (ThreadPool::createGroup), so a huge job cannot starve a small one and
 ///    no job ever waits on another job's queued tasks;
-///  * a MemoryArbiter over --global-memory-budget: each job's detect budget
-///    is a deterministic lease, and the sum of in-flight grants never
-///    exceeds the global bound;
+///  * a static split of --global-memory-budget: each job's detect budget
+///    is its request clamped to the fair share (global / JobSlots), so the
+///    JobSlots jobs in flight never hold more than the global bound
+///    together and no job ever waits for bytes;
 ///  * optionally, one cache::BuildCache, opened by create(), that is every
 ///    job's only store: a job hits what another stored moments earlier,
 ///    identical stores are deduped, and --cache-budget bounds it by LRU
@@ -40,7 +41,6 @@
 
 #include "cache/BuildCache.h"
 #include "core/Calibro.h"
-#include "service/MemoryArbiter.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
@@ -53,6 +53,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace calibro {
@@ -72,8 +73,9 @@ struct ServiceOptions {
   std::string CacheDir;
   /// Byte budget of the shared cache (0 = unbounded). --cache-budget.
   uint64_t CacheBudgetBytes = 0;
-  /// Global detect-budget bound across concurrent jobs (0 = none).
-  /// --global-memory-budget.
+  /// Global detect-budget bound across concurrent jobs (0 = none); each
+  /// job gets at most Global / JobSlots, so a nonzero value below JobSlots
+  /// is rejected by create(). --global-memory-budget.
   uint64_t GlobalMemoryBudgetBytes = 0;
   /// Machine-readable JSONL job log, one object per finished job; empty
   /// disables. --job-log.
@@ -89,8 +91,9 @@ struct JobSpec {
   /// Build configuration. The service overrides Pool / PoolGroup /
   /// MemoryBudgetBytes and ignores CacheDir; the rest is the caller's.
   core::CalibroOptions Build;
-  /// Per-job detect-budget request in bytes (0 = unbudgeted). The actual
-  /// grant is arbitrated: min(request, fair share) under a global budget.
+  /// Per-job detect-budget request in bytes (0 = unbudgeted). Under a
+  /// global budget the grant is min(request, fair share), and an
+  /// unbudgeted job gets the fair share.
   uint64_t MemoryBudgetBytes = 0;
   /// Test hook, run between compileApp and linkApp on the compiled app —
   /// the same surface the fault-injection harness mutates. Used by the
@@ -168,13 +171,8 @@ public:
   /// The shared cache, or null when CacheDir was empty.
   cache::BuildCache *sharedCache() { return Shared.get(); }
 
-  /// The one pool every job fans out on.
-  ThreadPool &pool() { return *Pool; }
-
-  const ServiceOptions &options() const { return Opts; }
-
 private:
-  explicit CompileService(ServiceOptions Opts);
+  explicit CompileService(ServiceOptions Opts) : Opts(std::move(Opts)) {}
 
   struct QueuedJob {
     JobSpec Spec;
@@ -190,7 +188,6 @@ private:
   ServiceOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
   std::unique_ptr<cache::BuildCache> Shared;
-  MemoryArbiter Arbiter;
 
   mutable std::mutex QueueMutex;
   std::condition_variable QueueCv;
@@ -198,6 +195,8 @@ private:
   bool ShuttingDown = false;
   uint64_t Accepted = 0, Rejected = 0, Succeeded = 0, Failed = 0;
   uint64_t PeakDepth = 0;
+  uint64_t InFlightBytes = 0;     ///< Sum of running jobs' budget grants.
+  uint64_t PeakInFlightBytes = 0; ///< Its high-water mark.
 
   std::mutex LogMutex;
   std::ofstream Log;

@@ -20,10 +20,13 @@ std::size_t ThreadPool::effectiveThreads(std::size_t Requested) {
   return Requested;
 }
 
-ThreadPool::ThreadPool(std::size_t NumThreads) {
-  NumThreads = effectiveThreads(NumThreads);
+ThreadPool::ThreadPool(std::size_t Requested)
+    : NumThreads(effectiveThreads(Requested)) {
   Groups.resize(1);
   Groups[0].Live = true;
+  // One worker would only run what parallelForIn already runs inline.
+  if (NumThreads == 1)
+    return;
   Workers.reserve(NumThreads);
   for (std::size_t I = 0; I < NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -68,11 +71,6 @@ void ThreadPool::enqueueIn(GroupId G, std::function<void()> Task) {
     ++PendingTasks;
   }
   WorkAvailable.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  AllDone.wait(Lock, [this] { return PendingTasks == 0 && ActiveTasks == 0; });
 }
 
 void ThreadPool::parallelForIn(GroupId G, std::size_t N,
@@ -173,14 +171,7 @@ void ThreadPool::workerLoop() {
         }
       }
       --PendingTasks;
-      ++ActiveTasks;
     }
     Task();
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      --ActiveTasks;
-      if (PendingTasks == 0 && ActiveTasks == 0)
-        AllDone.notify_all();
-    }
   }
 }

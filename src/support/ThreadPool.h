@@ -8,26 +8,28 @@
 /// A small fixed-size thread pool used by the parallel link stage: the
 /// paralleled-suffix-tree optimization (paper §3.4.1), the per-method
 /// preprocessing and rewrite fan-out around it, per-method compilation, and
-/// the differential-verification ladder. Tasks are plain
-/// std::function<void()>; wait() blocks until every enqueued task has
-/// finished.
+/// the differential-verification ladder.
 ///
-/// parallelFor() is the structured entry point: it splits the index space
-/// into contiguous chunks (one queued task per chunk, never one allocation
-/// per index), runs them across the pool, and propagates the exception of
-/// the lowest failing index deterministically — the same error surfaces for
-/// every thread count and scheduling.
+/// parallelFor()/parallelForIn() are the only way to run work on it: they
+/// split the index space into contiguous chunks (one queued task per chunk,
+/// never one allocation per index), run them across the pool, wait for
+/// them, and propagate the exception of the lowest failing index
+/// deterministically — the same error surfaces for every thread count and
+/// scheduling. A one-worker pool starts no thread at all: every
+/// parallelFor on it runs inline on the caller, so a stage always holds a
+/// pool and fans out through it, whatever its thread count.
 ///
 /// Fairness groups (the calibro-compiled hook): the pool can be shared by
 /// several concurrent clients — daemon jobs — each owning a GroupId from
 /// createGroup(). Tasks queue per group and workers dispatch round-robin
 /// ACROSS the non-empty groups, so a job that fans out ten thousand chunks
 /// cannot starve the job that fans out eight; within one group order stays
-/// FIFO. parallelFor tracks completion per call (not via the global queue),
-/// so concurrent parallelFor calls from different jobs never wait on each
-/// other's tasks. Group 0 always exists; single-client users never need to
-/// touch the group API, and every output stays byte-identical regardless of
-/// grouping — fairness shapes the wall clock, never the result.
+/// FIFO. Completion is tracked per parallelFor call and the pool has no
+/// pool-wide barrier, so concurrent calls from different jobs never wait
+/// on each other's tasks. Group 0 always exists; single-client users never
+/// need to touch the group API, and every output stays byte-identical
+/// regardless of grouping — fairness shapes the wall clock, never the
+/// result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,9 +54,10 @@ public:
   /// A fairness class for tasks. 0 is the default group, always valid.
   using GroupId = uint32_t;
 
-  /// Creates effectiveThreads(NumThreads) workers — the request is clamped
-  /// to the machine, never trusted verbatim (see effectiveThreads()).
-  explicit ThreadPool(std::size_t NumThreads);
+  /// Sizes the pool to effectiveThreads(Requested) workers — the request
+  /// is clamped to the machine, never trusted verbatim (see
+  /// effectiveThreads()). A pool of one worker starts no thread.
+  explicit ThreadPool(std::size_t Requested);
   ~ThreadPool();
 
   /// The worker count a request for \p Requested threads actually gets:
@@ -77,18 +80,8 @@ public:
   /// releasing). Group 0 cannot be released.
   void releaseGroup(GroupId G);
 
-  /// Enqueues a task for asynchronous execution under group 0.
-  void enqueue(std::function<void()> Task) { enqueueIn(0, std::move(Task)); }
-
-  /// Enqueues a task under fairness group \p G.
-  void enqueueIn(GroupId G, std::function<void()> Task);
-
-  /// Blocks until every queue is empty and no task is running. This is a
-  /// GLOBAL barrier over all groups — pool-sharing clients should rely on
-  /// parallelFor's per-call completion instead.
-  void wait();
-
-  std::size_t numThreads() const { return Workers.size(); }
+  /// The worker count: 1 for a pool that runs everything inline.
+  std::size_t numThreads() const { return NumThreads; }
 
   /// Runs \p Fn(I) for every I in [0, N) across the pool and waits, under
   /// group 0. See parallelForIn.
@@ -117,6 +110,8 @@ public:
                      std::size_t Grain = 0);
 
 private:
+  /// Queues a task under fairness group \p G.
+  void enqueueIn(GroupId G, std::function<void()> Task);
   void workerLoop();
 
   /// One fairness class: a FIFO of tasks plus liveness (released group
@@ -126,14 +121,13 @@ private:
     bool Live = false;
   };
 
-  std::vector<std::thread> Workers;
+  const std::size_t NumThreads;
+  std::vector<std::thread> Workers; ///< Empty when NumThreads == 1.
   std::vector<Group> Groups;
   std::size_t RrCursor = 0;      ///< Last group a worker drew from.
   std::size_t PendingTasks = 0;  ///< Queued, not yet running (all groups).
   std::mutex Mutex;
   std::condition_variable WorkAvailable;
-  std::condition_variable AllDone;
-  std::size_t ActiveTasks = 0;
   bool ShuttingDown = false;
 };
 

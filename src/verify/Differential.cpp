@@ -120,13 +120,10 @@ verify::runDifferential(const workload::AppSpec &Spec,
     S.Oat = std::move(Build->Oat);
     S.Obs = std::move(*Run);
   };
-  if (Opts.LadderThreads > 1) {
-    ThreadPool Pool(std::min<std::size_t>(Opts.LadderThreads, Stages.size()));
-    Pool.parallelFor(Stages.size(), RunStage);
-  } else {
-    for (std::size_t I = 0; I < Stages.size(); ++I)
-      RunStage(I);
-  }
+  // At most one worker per stage; a one-worker pool runs the ladder inline.
+  ThreadPool Pool(
+      std::clamp<std::size_t>(Opts.LadderThreads, 1, Stages.size()));
+  Pool.parallelFor(Stages.size(), RunStage);
 
   for (const Stage &S : Stages)
     if (!S.Err.empty())
@@ -263,13 +260,9 @@ verify::runRandomDifferentialBatch(uint64_t FirstSeed, std::size_t Count,
     else
       Reports[I] = *R;
   };
-  if (Threads > 1 && Count > 1) {
-    ThreadPool Pool(std::min<std::size_t>(Threads, Count));
-    Pool.parallelFor(Count, RunOne);
-  } else {
-    for (std::size_t I = 0; I < Count; ++I)
-      RunOne(I);
-  }
+  ThreadPool Pool(
+      std::clamp<std::size_t>(Threads, 1, std::max<std::size_t>(Count, 1)));
+  Pool.parallelFor(Count, RunOne);
   for (const std::string &E : Errors)
     if (!E.empty())
       return makeError(E);

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Malformed numeric values and unknown flags must make every tool print
 # usage and exit 2, before any app is built or any file is read, and
-# auditing a missing cache directory must fail without creating it:
+# auditing a missing cache directory must fail without creating it. A
+# daemon whose global memory budget leaves a job less than one byte must
+# not start, and calibro-run must pass a negative --args value through:
 #
 #   tests/cli_flags.sh <calibro-dex2oat> <calibro-compiled> \
 #                      <calibro-oatdump> <calibro-run> <scratch dir>
@@ -11,6 +13,7 @@ COMPILED=$2
 OATDUMP=$3
 RUN=$4
 OUT=$5/cli_flags.oat
+GOOD=$5/cli_flags_good.oat
 MISSING=$5/cli_flags_no_cache
 FAILED=0
 
@@ -48,6 +51,23 @@ expect2 "oatdump --disasmm" "$OATDUMP" --disasmm "$OUT"
 expect2 "run --method x" "$RUN" "$OUT" --method x
 expect2 "run --args 5x" "$RUN" "$OUT" --args 5x
 expect2 "run --trcae" "$RUN" "$OUT" --trcae
+
+if ! "$DEX2OAT" --app Toutiao --scale 0.1 -o "$GOOD" >/dev/null 2>&1; then
+  echo "FAIL: building $GOOD failed"
+  FAILED=1
+fi
+if ! "$RUN" "$GOOD" --method 0 --args -5 >/dev/null 2>&1; then
+  echo "FAIL: run --args -5 failed"
+  FAILED=1
+fi
+expect2 "run --args -5x" "$RUN" "$GOOD" --method 0 --args -5x
+rm -f "$GOOD"
+
+if "$COMPILED" --jobs 2 --global-memory-budget 1 </dev/null >/dev/null 2>&1
+then
+  echo "FAIL: daemon --jobs 2 --global-memory-budget 1 exited 0"
+  FAILED=1
+fi
 
 rm -rf "$MISSING"
 "$OATDUMP" --cache-audit "$MISSING" >/dev/null 2>&1

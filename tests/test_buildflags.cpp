@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The flag parser calibro-dex2oat and calibro-compiled share: numeric
-/// values are whole numbers in range (or positive finite scales), anything
-/// else prints usage and exits 2; the shared build flags land in
+/// values are whole numbers in range (or positive finite scales, or, for
+/// calibro-run --args, signed whole numbers), anything else prints usage
+/// and exits 2; the shared build flags land in
 /// CalibroOptions; a memory budget without --partitions means automatic K.
 ///
 //===----------------------------------------------------------------------===//
@@ -34,6 +35,35 @@ TEST(BuildFlags, WholeNumbers) {
                           "4294967296", "18446744073709551616"})
     EXPECT_FALSE(parseWhole(Bad, UINT32_MAX)) << "'" << Bad << "'";
   EXPECT_FALSE(parseWhole("11", 10));
+}
+
+TEST(BuildFlags, SignedNumbers) {
+  EXPECT_EQ(parseSigned("7"), 7);
+  EXPECT_EQ(parseSigned("-5"), -5);
+  EXPECT_EQ(parseSigned("-0"), 0);
+  EXPECT_EQ(parseSigned("-0x10"), -16);
+  EXPECT_EQ(parseSigned("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parseSigned("-9223372036854775808"), INT64_MIN);
+  for (const char *Bad : {"", "-", "--5", "+5", "-5x", "5x", "- 5", "1.5",
+                          "--args", "9223372036854775808",
+                          "-9223372036854775809"})
+    EXPECT_FALSE(parseSigned(Bad)) << "'" << Bad << "'";
+}
+
+TEST(BuildFlags, SignedNextStopsAtTheFirstNonNumber) {
+  std::vector<std::string> Args = {"tool", "--args", "-5", "7", "-5x", "9"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  FlagParser P(static_cast<int>(Argv.size()), Argv.data(), "usage: tool\n");
+  EXPECT_EQ(P.flag(), "--args");
+  EXPECT_EQ(P.signedNext(), -5);
+  EXPECT_EQ(P.signedNext(), 7);
+  EXPECT_FALSE(P.signedNext());
+  EXPECT_EQ(P.flag(), "-5x");
+  EXPECT_EQ(P.signedNext(), 9);
+  EXPECT_FALSE(P.signedNext());
+  EXPECT_FALSE(P.more());
 }
 
 TEST(BuildFlags, Scales) {

@@ -7,13 +7,13 @@
 /// \file
 /// The compile-service contract (ISSUE 9): every job a CompileService runs
 /// concurrently — over one shared pool, one shared build cache, one
-/// arbitrated memory budget — produces an OAT byte-identical to the same
+/// split memory budget — produces an OAT byte-identical to the same
 /// build run serially in isolation; shared-cache counters are deterministic
 /// across pool sizes; a full queue rejects with ErrCat::Service without
 /// corrupting any in-flight job; and a corrupted job degrades alone while
-/// its neighbors stay byte-identical. Plus the MemoryArbiter unit contract:
-/// deterministic grants whose outstanding sum never exceeds the global
-/// budget.
+/// its neighbors stay byte-identical. Under a global memory budget every
+/// grant is the request clamped to the fair share, and the in-flight sum
+/// never exceeds the global budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,15 +23,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -76,7 +73,7 @@ core::CalibroOptions buildOpts() {
 
 /// The serial oracle: the job's effective configuration run in isolation
 /// through the plain library pipeline — no pool, no shared cache, no
-/// daemon. GrantedBudget reproduces the arbiter's (deterministic) lease.
+/// daemon. GrantedBudget reproduces the service's (deterministic) grant.
 std::vector<uint8_t> serialImage(const dex::App &App,
                                  core::CalibroOptions Opts,
                                  uint64_t GrantedBudget) {
@@ -406,72 +403,63 @@ TEST(ServiceFaults, MutatedJobDegradesAloneInEverySweepPosition) {
 }
 
 //===----------------------------------------------------------------------===//
-// MemoryArbiter unit contract
+// The global memory budget: a static fair-share split
 //===----------------------------------------------------------------------===//
 
-TEST(MemoryArbiter, GrantsAreDeterministicAndClamped) {
-  { // No global budget: requests pass through verbatim, including zero.
-    MemoryArbiter A(0, 4);
-    EXPECT_EQ(A.acquire(0).bytes(), 0u);
-    EXPECT_EQ(A.acquire(12345).bytes(), 12345u);
-    EXPECT_EQ(A.fairShareBytes(), 0u);
+TEST(ServiceBudget, GrantsFollowTheFairShareRule) {
+  // Under a global budget every job gets its request clamped to the fair
+  // share Global / JobSlots, and an unbudgeted job gets the fair share. The
+  // jobs run concurrently, so the in-flight sum reaches its worst case, and
+  // it never exceeds the global budget.
+  const uint64_t Global = 1 << 18;
+  dex::App App = workload::makeApp(jobSpec(80));
+  for (uint32_t Slots : {1u, 2u, 4u}) {
+    const uint64_t Fair = Global / Slots;
+    const uint64_t Requests[] = {0, Fair / 2, Fair * 2};
+    const uint64_t Expected[] = {Fair, Fair / 2, Fair};
+    ServiceOptions SOpts;
+    SOpts.JobSlots = Slots;
+    SOpts.Threads = 2;
+    SOpts.GlobalMemoryBudgetBytes = Global;
+    auto Svc = CompileService::create(SOpts);
+    ASSERT_TRUE(bool(Svc)) << Svc.message();
+
+    std::vector<std::shared_ptr<JobHandle>> Handles;
+    for (uint64_t Request : Requests) {
+      JobSpec Job;
+      Job.Name = "req" + std::to_string(Request);
+      Job.App = &App;
+      Job.Build = buildOpts();
+      Job.MemoryBudgetBytes = Request;
+      auto H = (*Svc)->submit(std::move(Job));
+      ASSERT_TRUE(bool(H)) << H.message();
+      Handles.push_back(std::move(*H));
+    }
+    for (std::size_t I = 0; I < Handles.size(); ++I) {
+      const JobRecord &R = Handles[I]->wait();
+      ASSERT_TRUE(R.Ok) << "slots=" << Slots << " job " << I << ": "
+                        << R.ErrorMessage;
+      EXPECT_EQ(R.GrantedBudgetBytes, Expected[I])
+          << "slots=" << Slots << " request " << Requests[I];
+    }
+    (*Svc)->shutdown();
+    ServiceStats St = (*Svc)->stats();
+    EXPECT_LE(St.ArbiterPeakBytes, Global) << "slots=" << Slots;
+    EXPECT_GE(St.ArbiterPeakBytes, Fair) << "slots=" << Slots;
   }
-  MemoryArbiter A(1000, 4);
-  EXPECT_EQ(A.fairShareBytes(), 250u);
-  // Under the fair share the request stands; above it, it clamps; an
-  // unbudgeted job is clamped outright (every job must be windowed or the
-  // global sum could not be bounded).
-  auto Under = A.acquire(100);
-  auto Over = A.acquire(9999);
-  auto None = A.acquire(0);
-  EXPECT_EQ(Under.bytes(), 100u);
-  EXPECT_EQ(Over.bytes(), 250u);
-  EXPECT_EQ(None.bytes(), 250u);
-  EXPECT_EQ(A.outstandingBytes(), 600u);
-  Under.release();
-  EXPECT_EQ(A.outstandingBytes(), 500u);
 }
 
-TEST(MemoryArbiter, OutstandingSumNeverExceedsGlobalBudget) {
-  const uint64_t Global = 1 << 20;
-  const uint32_t Slots = 4;
-  MemoryArbiter A(Global, Slots);
+TEST(ServiceBudget, FairShareBelowOneByteIsRejected) {
+  ServiceOptions SOpts;
+  SOpts.JobSlots = 2;
+  SOpts.Threads = 1;
+  SOpts.GlobalMemoryBudgetBytes = 1;
+  auto Svc = CompileService::create(SOpts);
+  ASSERT_FALSE(bool(Svc));
+  EXPECT_EQ(Svc.category(), ErrCat::Service) << Svc.message();
+  consumeError(Svc.takeError());
 
-  // 4 threads, 25 leases each, random-ish hold pattern. The arbiter's own
-  // peak accounting is exact (updated under its lock), so the assertion is
-  // race-free even though the holders are not synchronized.
-  std::vector<std::thread> Holders;
-  for (uint32_t T = 0; T < Slots; ++T)
-    Holders.emplace_back([&A, T] {
-      for (int I = 0; I < 25; ++I) {
-        auto L = A.acquire((T + 1) * 100000 + I);
-        std::this_thread::yield();
-      }
-    });
-  for (auto &T : Holders)
-    T.join();
-
-  EXPECT_LE(A.peakOutstandingBytes(), Global);
-  EXPECT_GT(A.peakOutstandingBytes(), 0u);
-  EXPECT_EQ(A.outstandingBytes(), 0u);
-}
-
-TEST(MemoryArbiter, BlocksUntilBytesReturn) {
-  // One slot: the fair share is the whole budget, so a second acquire must
-  // wait for the first lease to die.
-  MemoryArbiter A(500, 1);
-  std::atomic<bool> SecondGranted{false};
-
-  auto First = A.acquire(0);
-  EXPECT_EQ(First.bytes(), 500u);
-  std::thread Second([&] {
-    auto L = A.acquire(0);
-    SecondGranted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(SecondGranted.load());
-  First.release();
-  Second.join();
-  EXPECT_TRUE(SecondGranted.load());
-  EXPECT_LE(A.peakOutstandingBytes(), 500u);
+  SOpts.GlobalMemoryBudgetBytes = 2; // One byte each: accepted.
+  auto Ok = CompileService::create(SOpts);
+  EXPECT_TRUE(bool(Ok)) << Ok.message();
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Error.h"
+#include "support/Json.h"
 #include "support/MathExtras.h"
 #include "support/Memory.h"
 #include "support/Random.h"
@@ -18,6 +19,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace calibro;
@@ -168,13 +170,35 @@ TEST(ThreadPool, EffectiveThreadsClampsToMachine) {
   EXPECT_EQ(Pool.numThreads(), Hw);
 }
 
-TEST(ThreadPool, WaitDrainsQueue) {
-  ThreadPool Pool(2);
-  std::atomic<int> Done{0};
-  for (int I = 0; I < 64; ++I)
-    Pool.enqueue([&] { ++Done; });
-  Pool.wait();
-  EXPECT_EQ(Done.load(), 64);
+TEST(ThreadPool, OneWorkerRunsInlineOnTheCaller) {
+  // A one-worker pool starts no thread: every index runs on the caller, in
+  // order, and the first failure propagates from its own index.
+  ThreadPool Pool(1);
+  EXPECT_EQ(Pool.numThreads(), 1u);
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::size_t> Seen;
+  Pool.parallelFor(100, [&](std::size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Seen.push_back(I);
+  });
+  std::vector<std::size_t> Want(100);
+  std::iota(Want.begin(), Want.end(), 0);
+  EXPECT_EQ(Seen, Want);
+  EXPECT_THROW(Pool.parallelFor(10,
+                                [](std::size_t I) {
+                                  if (I == 3)
+                                    throw std::runtime_error("3");
+                                }),
+               std::runtime_error);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(jsonEscape("plain name"), "plain name");
+  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(jsonEscape("a\x01" "b\x1f"), "a\\u0001b\\u001f");
 }
 
 TEST(Timer, Monotonic) {

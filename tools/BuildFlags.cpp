@@ -56,6 +56,17 @@ std::optional<uint64_t> tools::parseWhole(std::string_view Text,
   return V;
 }
 
+std::optional<int64_t> tools::parseSigned(std::string_view Text) {
+  const bool Negative = Text.starts_with('-');
+  if (Negative)
+    Text.remove_prefix(1);
+  const uint64_t Max = uint64_t(INT64_MAX) + (Negative ? 1 : 0);
+  auto V = parseWhole(Text, Max);
+  if (!V)
+    return std::nullopt;
+  return static_cast<int64_t>(Negative ? 0 - *V : *V);
+}
+
 std::optional<double> tools::parseScale(std::string_view Text) {
   double V = 0;
   const char *End = Text.data() + Text.size();
@@ -77,6 +88,15 @@ const char *FlagParser::value() {
   if (!more())
     usage();
   return Argv[++I];
+}
+
+std::optional<int64_t> FlagParser::signedNext() {
+  if (!more())
+    return std::nullopt;
+  auto V = parseSigned(Argv[I + 1]);
+  if (V)
+    ++I;
+  return V;
 }
 
 uint64_t FlagParser::whole(uint64_t Max) {

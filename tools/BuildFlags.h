@@ -43,6 +43,10 @@ inline constexpr uint64_t MaxWorkers = 1024;
 /// [0, Max]. Rejects empty, signed, fractional and overflowing text.
 std::optional<uint64_t> parseWhole(std::string_view Text, uint64_t Max);
 
+/// Parses a whole signed number: parseWhole's syntax after an optional
+/// '-', in the int64_t range.
+std::optional<int64_t> parseSigned(std::string_view Text);
+
 /// Parses a workload scale: a finite number > 0, nothing after it.
 std::optional<double> parseScale(std::string_view Text);
 
@@ -69,8 +73,9 @@ public:
 
   /// True while flags remain.
   bool more() const { return I + 1 < Argc; }
-  /// True when the next argument is there and does not start with '-'.
-  bool valueNext() const { return more() && Argv[I + 1][0] != '-'; }
+  /// Consumes the next argument and returns it when it is a whole signed
+  /// number (parseSigned); leaves it for flag() otherwise.
+  std::optional<int64_t> signedNext();
   /// The next flag.
   std::string_view flag() { return Argv[++I]; }
   /// The value of the current flag.

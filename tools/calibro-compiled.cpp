@@ -56,8 +56,9 @@ const char Usage[] =
     "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
     "unbounded)\n"
     "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
-    "                         detect budgets; each job gets a fair-share\n"
-    "                         lease (output stays byte-identical)\n"
+    "                         detect budgets; each job gets at most\n"
+    "                         bytes / --jobs, which must be >= 1 (output\n"
+    "                         stays byte-identical)\n"
     "  --job-log <file>       machine-readable JSONL job log\n"
     "the build options below apply to every job\n";
 

@@ -30,7 +30,7 @@ const char Usage[] =
     "Wechat)\n"
     "  --scale <s>        workload scale (default 0.5)\n"
     "  --seed <n>         override the app seed\n"
-    "  --threads <n>      LTBO worker threads\n"
+    "  --threads <n>      LTBO worker threads (0 = all cores; default 1)\n"
     "  --memory-budget <bytes>  bound LTBO's peak detection working set:\n"
     "                     detection runs in budget-sized windows of\n"
     "                     groups; output is byte-identical to an\n"

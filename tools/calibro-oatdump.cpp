@@ -31,6 +31,7 @@
 #include "core/Calibro.h"
 #include "oat/Dump.h"
 #include "oat/Serialize.h"
+#include "support/Json.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
@@ -97,19 +98,6 @@ int checkSideInfo(const oat::OatFile &O) {
               "(native/indirect/merged), %d faulty\n",
               Audited, Skipped, Bad);
   return Bad;
-}
-
-/// Escapes \p S for a JSON string literal (method names are plain ASCII,
-/// but quote/backslash safety costs nothing).
-std::string jsonEscape(const std::string &S) {
-  std::string R;
-  R.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      R.push_back('\\');
-    R.push_back(C);
-  }
-  return R;
 }
 
 /// Compiles the app spec, builds + binds its call graph, and prints it as

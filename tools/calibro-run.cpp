@@ -46,10 +46,10 @@ int main(int argc, char **argv) {
     else if (A == "--verify")
       Verify = true;
     else if (A == "--args") {
-      // Arguments run up to the next flag, so none can be negative.
-      while (Flags.valueNext())
-        Args.push_back(static_cast<int64_t>(Flags.whole(INT64_MAX)));
-    } else if (A.starts_with("-"))
+      // Arguments run up to the first word that is not a whole number.
+      while (auto V = Flags.signedNext())
+        Args.push_back(*V);
+    } else if (A.starts_with("-") || Path)
       Flags.usage();
     else
       Path = A.data();
