@@ -23,6 +23,9 @@ using namespace calibro;
 
 namespace {
 
+/// LTBO's default MaxSeqLen: the depth every array here is sorted to.
+constexpr uint32_t MaxLen = 64;
+
 /// Synthesizes an instruction-stream-like symbol sequence: Zipf-skewed
 /// idiom reuse over a small alphabet plus unique separators, mimicking what
 /// LTBO feeds the detector.
@@ -47,7 +50,7 @@ void BM_BuildSuffixArray(benchmark::State &State) {
   auto Seq = makeSequence(N, 42);
   for (auto _ : State) {
     std::vector<st::Symbol> Copy = Seq;
-    st::SuffixArray Arr(std::move(Copy));
+    st::SuffixArray Arr(std::move(Copy), MaxLen);
     benchmark::DoNotOptimize(Arr.numNodes());
   }
   State.SetItemsProcessed(State.iterations() * N);
@@ -65,7 +68,7 @@ void BM_BuildPartitioned(benchmark::State &State) {
     for (std::size_t P = 0; P < K; ++P) {
       std::size_t Lo = N * P / K, Hi = N * (P + 1) / K;
       st::SuffixArray Arr(
-          std::vector<st::Symbol>(Seq.begin() + Lo, Seq.begin() + Hi));
+          std::vector<st::Symbol>(Seq.begin() + Lo, Seq.begin() + Hi), MaxLen);
       Nodes += Arr.numNodes();
     }
     benchmark::DoNotOptimize(Nodes);
@@ -76,11 +79,10 @@ BENCHMARK(BM_BuildPartitioned)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_EnumerateRepeats(benchmark::State &State) {
   auto Seq = makeSequence(1 << 16, 7);
-  st::SuffixArray Arr(std::move(Seq));
+  st::SuffixArray Arr(std::move(Seq), MaxLen);
   for (auto _ : State) {
     std::size_t Count = 0;
-    Arr.forEachRepeat(2, 64, 2,
-                      [&](const st::SuffixArray::RepeatInfo &) { ++Count; });
+    Arr.forEachRepeat(2, [&](const st::SuffixArray::RepeatInfo &) { ++Count; });
     benchmark::DoNotOptimize(Count);
   }
 }
@@ -88,9 +90,9 @@ BENCHMARK(BM_EnumerateRepeats);
 
 void BM_GreedyBenefitSelection(benchmark::State &State) {
   auto Seq = makeSequence(1 << 16, 9);
-  st::SuffixArray Arr(std::move(Seq));
+  st::SuffixArray Arr(std::move(Seq), MaxLen);
   for (auto _ : State) {
-    auto Sel = core::claimRepeats(Arr, core::rankRepeats(Arr, 2, 64),
+    auto Sel = core::claimRepeats(Arr, core::rankRepeats(Arr, 2),
                                   [](uint32_t, uint32_t) { return true; });
     benchmark::DoNotOptimize(Sel.Funcs.size());
   }

@@ -258,8 +258,9 @@ int main(int argc, char **argv) {
   // Suffix-array construction alone: the seed's comparison-sorted prefix
   // doubling vs. the shipping radix-sorted doubling, on the app's linked
   // .text as the symbol sequence. The radix leg is timed as the detect
-  // phase runs it: the full constructor (array + LCP + interval sweep), so
-  // against the array-only seed it is conservative.
+  // phase runs it: the full constructor (array + capped LCP + interval
+  // sweep) bounded at LTBO's default MaxSeqLen, against the seed's
+  // unbounded array-only sort.
   std::vector<uint64_t> SaText;
   {
     auto Full = build(App, ctoOpts());
@@ -278,7 +279,8 @@ int main(int argc, char **argv) {
           std::printf("unreachable\n");
       }
       Timer TR;
-      st::SuffixArray A{std::vector<uint64_t>(Text)};
+      st::SuffixArray A{std::vector<uint64_t>(Text),
+                        core::OutlinerOptions{}.MaxSeqLen};
       RadixTimes.push_back(TR.seconds());
       if (A.textSize() != Text.size())
         std::printf("unreachable\n");
@@ -295,10 +297,11 @@ int main(int argc, char **argv) {
               SaText.size(), fmtSec(LegacySec).c_str(),
               fmtSec(RadixSec).c_str(), LegacySec / RadixSec);
 
-  // Doubling's round count is log2 of the longest repeat, so typical app
-  // text (shallow repeats) exits after a few rounds. Record a scale >= 8
-  // corpus as is and duplicated in tandem (longest repeat = n/2, the
-  // worst case for the round count).
+  // Doubling's round count is log2 of the longest repeat, capped at
+  // log2(MaxSeqLen) by the bound, so typical app text (shallow repeats)
+  // exits after a few rounds. Record a scale >= 8 corpus as is and
+  // duplicated in tandem (longest repeat = n/2, the unbounded sort's worst
+  // case, and the one that ties most rows at the bound).
   double Scale8 = std::max(Scale, 8.0);
   std::vector<uint64_t> SaText8;
   {

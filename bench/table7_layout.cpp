@@ -35,10 +35,9 @@ using namespace calibro::bench;
 
 namespace {
 
-/// Layout page granularity, matched to the simulator's 256-byte residency
-/// pages (SimOptions::PageShift = 8) — the simulated apps are ~1000x
-/// smaller than the commercial OAT files, so 4 KiB pages would blur every
-/// placement decision into one page.
+/// The simulator's residency page (SimOptions::PageShift = 8) — the
+/// simulated apps are ~1000x smaller than the commercial OAT files, so
+/// 4 KiB pages would blur every placement decision into one page.
 constexpr uint32_t PageSize = 256;
 
 /// Distinct .text pages the script touches — the startup page-fault proxy.
@@ -63,7 +62,6 @@ core::CalibroOptions layoutOpts(const profile::Profile *Prof, bool Layout,
   O.LtboPartitions = 4;
   O.Profile = Prof;
   O.EnableLayout = Layout;
-  O.LayoutPageSize = PageSize;
   return O;
 }
 
@@ -78,8 +76,7 @@ int main(int argc, char **argv) {
   struct AppRow {
     std::string Name;
     uint64_t TextBytes = 0;
-    std::size_t Nodes = 0, Edges = 0, WarmNodes = 0;
-    uint64_t CutBefore = 0, CutAfter = 0;
+    std::size_t Nodes = 0, WarmNodes = 0;
     std::size_t PagesOutline = 0, PagesLayout = 0;
     std::size_t HeldOutline = 0, HeldLayout = 0; ///< Held-out script.
   };
@@ -113,10 +110,7 @@ int main(int argc, char **argv) {
     R.Name = Spec.Name;
     R.TextBytes = Laid.Oat.textBytes();
     R.Nodes = Laid.Stats.LayoutNodes;
-    R.Edges = Laid.Stats.LayoutEdges;
     R.WarmNodes = Laid.Stats.LayoutWarmNodes;
-    R.CutBefore = Laid.Stats.LayoutCutBefore;
-    R.CutAfter = Laid.Stats.LayoutCutAfter;
     R.PagesOutline = startupPages(Outline.Oat, Script);
     R.PagesLayout = startupPages(Laid.Oat, Script);
     R.HeldOutline = startupPages(Outline.Oat, HeldOut);
@@ -149,7 +143,7 @@ int main(int argc, char **argv) {
                                      static_cast<double>(Outline)));
   };
   std::vector<std::string> Names, OutlineRow, LayoutRow, SavedRow,
-      HeldOutlineRow, HeldLayoutRow, HeldSavedRow, CutRow;
+      HeldOutlineRow, HeldLayoutRow, HeldSavedRow;
   for (const AppRow &R : Rows) {
     Names.push_back(R.Name);
     OutlineRow.push_back(fmtU64(R.PagesOutline));
@@ -158,10 +152,6 @@ int main(int argc, char **argv) {
     HeldOutlineRow.push_back(fmtU64(R.HeldOutline));
     HeldLayoutRow.push_back(fmtU64(R.HeldLayout));
     HeldSavedRow.push_back(SavedPct(R.HeldOutline, R.HeldLayout));
-    CutRow.push_back(fmtPct(
-        100.0 * (1.0 - static_cast<double>(R.CutAfter) /
-                           static_cast<double>(R.CutBefore ? R.CutBefore
-                                                           : 1))));
   }
   printRow("", Names);
   printRow("startup pages, outline", OutlineRow);
@@ -170,7 +160,6 @@ int main(int argc, char **argv) {
   printRow("held-out pages, outline", HeldOutlineRow);
   printRow("+layout", HeldLayoutRow);
   printRow("held-out pages saved", HeldSavedRow);
-  printRow("affinity cut reduced", CutRow);
 
   const bool FewerPages = TotalLayout < TotalOutline && PerAppNeverWorse;
   std::printf("\ncorpus startup pages: %zu -> %zu (held-out %zu -> %zu)\n",
@@ -195,15 +184,13 @@ int main(int argc, char **argv) {
     std::fprintf(
         J,
         "%s\n    {\"name\": \"%s\", \"text_bytes\": %llu, "
-        "\"layout_nodes\": %zu, \"layout_edges\": %zu, "
-        "\"warm_nodes\": %zu,\n     \"cut_before\": %llu, \"cut_after\": "
-        "%llu, \"startup_pages_outline\": %zu, \"startup_pages_layout\": "
+        "\"layout_nodes\": %zu, \"warm_nodes\": %zu,\n"
+        "     \"startup_pages_outline\": %zu, \"startup_pages_layout\": "
         "%zu,\n     \"startup_pages_outline_heldout\": %zu, "
         "\"startup_pages_layout_heldout\": %zu}",
         I ? "," : "", R.Name.c_str(), (unsigned long long)R.TextBytes,
-        R.Nodes, R.Edges, R.WarmNodes, (unsigned long long)R.CutBefore,
-        (unsigned long long)R.CutAfter, R.PagesOutline, R.PagesLayout,
-        R.HeldOutline, R.HeldLayout);
+        R.Nodes, R.WarmNodes, R.PagesOutline, R.PagesLayout, R.HeldOutline,
+        R.HeldLayout);
   }
   std::fprintf(J,
                "\n  ],\n  \"total_pages_outline\": %zu,\n"

@@ -19,9 +19,11 @@
 /// The model drives one selection procedure, used by LTBO step 3 (§3.3.3)
 /// and by the §2.2 redundancy estimate (analyzeRedundancy): rank the suffix
 /// array's repeats by benefit, then claim non-overlapping occurrences
-/// greedily, best repeat first. The two users differ only in which
-/// occurrences are admissible: LTBO rejects interior branch targets, the
-/// estimate nothing.
+/// greedily, best repeat first. Each user builds its array for its own
+/// longest sequence (MaxSeqLen), so every repeat the array reports is
+/// already within bounds and ranking takes only a minimum length. The two
+/// users differ only in which occurrences are admissible: LTBO rejects
+/// interior branch targets, the estimate nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,19 +81,18 @@ struct RankedRepeat {
 };
 static_assert(sizeof(RankedRepeat) == 24, "DetectPeakBytes assumes 24 bytes");
 
-/// Every repeat of length [MinLen, MaxLen] with positive benefit, best
-/// first. The tie-break is content-based ((first occurrence, length) names
-/// the sequence uniquely), so the order never depends on how the array
-/// numbers its intervals.
+/// Every repeat of length >= MinLen with positive benefit, best first; the
+/// array's own bound caps the length. The tie-break is content-based
+/// ((first occurrence, length) names the sequence uniquely), so the order
+/// never depends on how the array numbers its intervals.
 inline std::vector<RankedRepeat> rankRepeats(const st::SuffixArray &Array,
-                                             uint32_t MinLen, uint32_t MaxLen) {
+                                             uint32_t MinLen) {
   std::vector<RankedRepeat> Ranked;
-  Array.forEachRepeat(MinLen, MaxLen, 2,
-                      [&](const st::SuffixArray::RepeatInfo &R) {
-                        int64_t Ben = benefit(R.Length, R.Count);
-                        if (Ben > 0)
-                          Ranked.push_back({R.Node, R.Length, 0, Ben});
-                      });
+  Array.forEachRepeat(MinLen, [&](const st::SuffixArray::RepeatInfo &R) {
+    int64_t Ben = benefit(R.Length, R.Count);
+    if (Ben > 0)
+      Ranked.push_back({R.Node, R.Length, 0, Ben});
+  });
   // One O(count) scan per repeat — no occurrence copy, no sort: copying
   // and sorting every occurrence list just to read its minimum made
   // ranking superlinear in the repeat count.

@@ -300,24 +300,18 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
   In.MergeThunks = std::move(MergeThunks);
   Stats.CtoStubCount = In.Stubs.size();
 
-  // Profile-driven layout: reorder .text by co-execution affinity. Armed
-  // only with a profile AND a closed world — without either there is no
-  // affinity signal worth moving code for, and the build must stay
-  // byte-identical to a stage-less one (In.Layout stays empty, which the
-  // linker treats as the legacy order).
+  // Profile-driven layout: put warm code first in .text. Armed only with
+  // a profile AND a closed world — without either there is no warm set
+  // worth moving code for, and the build must stay byte-identical to a
+  // stage-less one (In.Layout stays empty, which the linker treats as the
+  // legacy order).
   if (Opts.EnableLayout && Opts.Profile && ClosedWorld) {
     Timer LayoutTimer;
-    layout::LayoutOptions LOpts;
-    LOpts.PageSize = Opts.LayoutPageSize;
-    layout::AffinityGraph AG =
-        layout::buildAffinityGraph(In, App.Graph, *Opts.Profile);
-    layout::LayoutResult LR = layout::computeLayout(AG, LOpts);
+    layout::LayoutResult LR = layout::computeLayout(
+        layout::buildAffinityGraph(In, App.Graph, *Opts.Profile), {});
     Stats.LayoutApplied = true;
     Stats.LayoutNodes = LR.Nodes;
-    Stats.LayoutEdges = LR.Edges;
     Stats.LayoutWarmNodes = LR.WarmNodes;
-    Stats.LayoutCutBefore = LR.CutBefore;
-    Stats.LayoutCutAfter = LR.CutAfter;
     In.Layout = std::move(LR.Plan);
     Stats.LayoutSeconds = LayoutTimer.seconds();
   }

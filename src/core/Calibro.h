@@ -108,17 +108,16 @@ struct CalibroOptions {
   /// only: an app without entrypoints builds no call graph.
   bool StrictCallGraph = false;
   /// Profile-driven function layout (`--no-layout` clears it): after GC,
-  /// merge and outlining, reorder the .text section by co-execution
-  /// affinity (warm code first, cold code after it in its original order)
-  /// so profiled startups touch fewer code pages. Self-gating: the stage
+  /// merge and outlining, place warm code (methods with profile heat and
+  /// the code a call edge or relocation joins to them) first in the .text
+  /// section and cold code after it, each in its original order, so
+  /// profiled startups touch fewer code pages. Self-gating: the stage
   /// only arms when a Profile is set AND the app is closed-world (declared
   /// entrypoints); otherwise the build is byte-identical to one without
   /// the stage.
   bool EnableLayout = true;
-  /// Page granularity the layout stage reports its affinity cut at
-  /// (BuildStats::LayoutCutBefore/LayoutCutAfter). The default matches
-  /// ART's 4 KiB OAT text pages; benches shrink it to match the
-  /// simulator's page size at small scales.
+  /// Unused by the library (see layout::LayoutOptions): kept while
+  /// perfbench sets it.
   uint32_t LayoutPageSize = 4096;
   /// Externally-owned worker pool (the compile daemon's shared pool). When
   /// set, per-method compilation and the whole LTBO link stage fan out on
@@ -143,12 +142,9 @@ struct BuildStats {
   double LinkSeconds = 0;     ///< oat::link alone (layout excluded).
   /// Layout-stage outputs (all zero when the stage did not arm).
   bool LayoutApplied = false;   ///< A reordering plan reached the linker.
-  double LayoutSeconds = 0;     ///< Affinity graph + warm-first wall time.
-  std::size_t LayoutNodes = 0;  ///< Placeable items in the affinity graph.
-  std::size_t LayoutEdges = 0;  ///< Distinct affinity edges.
+  double LayoutSeconds = 0;     ///< Adjacency + warm-first wall time.
+  std::size_t LayoutNodes = 0;  ///< Placeable items in the plan.
   std::size_t LayoutWarmNodes = 0; ///< Nodes placed in the warm prefix.
-  uint64_t LayoutCutBefore = 0; ///< Page-crossing affinity, input order.
-  uint64_t LayoutCutAfter = 0;  ///< Same metric under the emitted plan.
   double TotalSeconds = 0;
   uint64_t TextBytes = 0;
   /// Compiled-method blob probes (both zero in an uncached build). The

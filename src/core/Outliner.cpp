@@ -220,8 +220,9 @@ cache::GroupSelections runGroup(const std::vector<CompiledMethod> &Methods,
   }
 
   // The sequence moves into the array, so no second text copy ever
-  // exists; releaseWorkingSet() below frees it.
-  st::SuffixArray Array(std::move(Seq));
+  // exists; releaseWorkingSet() below frees it. The array sorts no deeper
+  // than the longest sequence that may be outlined.
+  st::SuffixArray Array(std::move(Seq), Opts.MaxSeqLen);
   Stats.LcpIntervals += Array.numNodes();
   Stats.DetectBuildSeconds += BuildTimer.seconds();
   ++Stats.GroupsPrefixDoubling;
@@ -229,8 +230,7 @@ cache::GroupSelections runGroup(const std::vector<CompiledMethod> &Methods,
   // Step 3 (paper §3.3.3): rank candidates by the Fig. 2 benefit model and
   // claim occurrences greedily.
   Timer RankTimer;
-  std::vector<RankedRepeat> Ranked =
-      rankRepeats(Array, Opts.MinSeqLen, Opts.MaxSeqLen);
+  std::vector<RankedRepeat> Ranked = rankRepeats(Array, Opts.MinSeqLen);
   Stats.CandidatesEvaluated += Ranked.size();
   const double RankSeconds = RankTimer.seconds();
 
@@ -338,6 +338,7 @@ void emitSelections(const std::vector<CompiledMethod> &Methods,
                     std::vector<OutlinedFunc> &FuncsOut,
                     std::vector<RewriteWork> &WorkOut, OutlineStats &Stats) {
   assert(Sel.Funcs.size() < (1u << 20) && "too many outlined functions");
+  assert(GroupIdx < MaxPartitions && "group index overflows the id");
   Timer EmitTimer;
   const uint32_t RetWord =
       a64::encode(a64::Insn{.Op = a64::Opcode::Br, .Rn = a64::LR});
@@ -379,7 +380,8 @@ void emitSelections(const std::vector<CompiledMethod> &Methods,
 Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
                                       const OutlinerOptions &Opts) {
   const bool Windowed = Opts.MemoryBudgetBytes > 0;
-  if ((Opts.Partitions == 0 && !Windowed) || Opts.MinSeqLen < 2 ||
+  if ((Opts.Partitions == 0 && !Windowed) ||
+      Opts.Partitions > MaxPartitions || Opts.MinSeqLen < 2 ||
       Opts.MaxSeqLen < Opts.MinSeqLen)
     return makeError("runLtbo: invalid options");
 
@@ -493,7 +495,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // output. Partitions == 0 (auto, budget required) derives the smallest K
   // whose estimated per-group detect working set fits the budget — the
   // round-robin split is near-even in words, so TotalWords / K estimates a
-  // group. Capped at 2^12: group index occupies the FuncId bits above 20.
+  // group. Capped at MaxPartitions, like an explicit K.
   uint32_t K = Opts.Partitions;
   if (K == 0) {
     uint64_t TotalWords = 0;
@@ -502,7 +504,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     uint64_t Need =
         (TotalWords * DetectBytesPerWord + Opts.MemoryBudgetBytes - 1) /
         Opts.MemoryBudgetBytes;
-    K = static_cast<uint32_t>(std::clamp<uint64_t>(Need, 1, 1u << 12));
+    K = static_cast<uint32_t>(std::clamp<uint64_t>(Need, 1, MaxPartitions));
   }
   Result.Stats.PartitionsUsed = K;
   std::vector<std::vector<std::size_t>> Groups(K);

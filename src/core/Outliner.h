@@ -73,6 +73,10 @@
 namespace calibro {
 namespace core {
 
+/// Most detection groups runLtbo accepts. An outlined function's id is
+/// GroupIdx << 20 | F, so a 4097th group would wrap onto group 0's ids.
+inline constexpr uint32_t MaxPartitions = 1u << 12;
+
 /// LTBO's repeat detector. The suffix array is the only one; the library
 /// never reads this enum. It survives, with OutlinerOptions::Detector and
 /// CalibroOptions::LtboDetector, only because perfbench
@@ -91,9 +95,10 @@ struct PriorFacts {
 struct OutlinerOptions {
   uint32_t MinSeqLen = 2;  ///< Minimum candidate length (instructions).
   uint32_t MaxSeqLen = 64; ///< Maximum candidate length (instructions).
-  /// K detection groups (PlOpti when > 1). 0 = choose K automatically from
-  /// MemoryBudgetBytes (legal only when a budget is set): the smallest K
-  /// whose estimated per-group detect working set fits the budget.
+  /// K detection groups (PlOpti when > 1), at most MaxPartitions. 0 =
+  /// choose K automatically from MemoryBudgetBytes (legal only when a
+  /// budget is set): the smallest K whose estimated per-group detect
+  /// working set fits the budget.
   uint32_t Partitions = 1;
   /// Worker threads for the whole link stage: preprocessing, per-group
   /// detection/selection, and the rewrite fan-out all run on one pool of
@@ -161,13 +166,16 @@ struct OutlineStats {
   std::size_t SequencesOutlined = 0;
   std::size_t OccurrencesReplaced = 0;
   /// Profitable candidates ranked by the selection loop. Sensitive to
-  /// detector-side duplicate suppression (clamped-candidate dedup), so it
-  /// is the regression metric for that fix: the selected outcome must be
-  /// identical while this count stays minimal.
+  /// the detector reporting each sequence once (everything deeper than
+  /// MaxSeqLen is one interval), so it is the regression metric for that:
+  /// the selected outcome must be identical while this count stays
+  /// minimal.
   std::size_t CandidatesEvaluated = 0;
   uint64_t InsnsRemoved = 0;       ///< Net instruction-count saving.
   uint64_t SymbolCount = 0;  ///< Total sequence length fed to detection.
-  uint64_t LcpIntervals = 0; ///< Sum of LCP-interval counts over groups.
+  /// Sum of LCP-interval counts over groups (suffix trees cut at
+  /// MaxSeqLen).
+  uint64_t LcpIntervals = 0;
   /// Phase A: validation + facts (analyzeSideInfo) of each candidate not
   /// covered by reused facts, its content digest when a cache is set, and
   /// the hot-method mask.

@@ -67,8 +67,8 @@ RedundancyReport core::analyzeRedundancy(
 
   // Steps 2+3 (§2.2): suffix array (one LCP interval per suffix-tree
   // internal node) and repetitive-sequence detection, ranked by benefit.
-  st::SuffixArray Array(std::move(Seq));
-  std::vector<RankedRepeat> Ranked = rankRepeats(Array, 2, Opts.MaxSeqLen);
+  st::SuffixArray Array(std::move(Seq), Opts.MaxSeqLen);
+  std::vector<RankedRepeat> Ranked = rankRepeats(Array, 2);
 
   // Step 4 (§2.2): estimate the saving with the Fig. 2 model, greedily and
   // without double counting (non-overlapping occurrences only). LTBO's

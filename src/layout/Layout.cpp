@@ -6,23 +6,12 @@
 
 #include "layout/Layout.h"
 
-#include "support/MathExtras.h"
-
 #include <algorithm>
 #include <numeric>
 #include <unordered_map>
 
 using namespace calibro;
 using namespace calibro::layout;
-
-namespace {
-
-/// Alignment the linker will place \p Kind at (Linker.cpp's rules).
-uint32_t alignOf(oat::LayoutItemKind Kind) {
-  return Kind == oat::LayoutItemKind::Method ? 16 : 4;
-}
-
-} // namespace
 
 AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
                                          const analysis::CallGraph &G,
@@ -32,7 +21,7 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
 
   // Node order mirrors the legacy plan: methods, stubs, outlined. That
   // makes "node index" and "pre-layout placement position" the same thing,
-  // which is what the deterministic tie-breaks key on. Method indices are
+  // which is what both blocks of the plan keep. Method indices are
   // dense (dex::verifyApp), so MethodIdx -> node is a flat table; the
   // first method with an index wins.
   constexpr uint32_t NoNode = UINT32_MAX;
@@ -47,7 +36,6 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
     const auto &M = In.Methods[I];
     AffinityNode N;
     N.Item = {oat::LayoutItemKind::Method, I};
-    N.SizeBytes = static_cast<uint32_t>(M.codeSizeBytes());
     auto It = P.CyclesByMethod.find(M.MethodIdx);
     N.Heat = It == P.CyclesByMethod.end() ? 0 : It->second;
     if (MethodNode[M.MethodIdx] == NoNode)
@@ -58,7 +46,6 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
   for (uint32_t I = 0; I < In.Stubs.size(); ++I) {
     AffinityNode N;
     N.Item = {oat::LayoutItemKind::Stub, I};
-    N.SizeBytes = static_cast<uint32_t>(In.Stubs[I].Code.size() * 4);
     AG.Nodes.push_back(N);
   }
   std::unordered_map<uint32_t, uint32_t> OutNodeById; // OutlinedFunc id
@@ -66,54 +53,36 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
   for (uint32_t I = 0; I < In.Outlined.size(); ++I) {
     AffinityNode N;
     N.Item = {oat::LayoutItemKind::Outlined, I};
-    N.SizeBytes = static_cast<uint32_t>(In.Outlined[I].Code.size() * 4);
     OutNodeById.emplace(In.Outlined[I].Id,
                         static_cast<uint32_t>(AG.Nodes.size()));
     AG.Nodes.push_back(N);
   }
 
-  // Every edge site lands in one flat list; sorting it by (A, B) and
-  // summing equal neighbours yields the unique, ordered edge list.
-  std::vector<AffinityEdge> Sites;
-  auto AddEdge = [&](uint32_t A, uint32_t B, uint64_t Weight) {
-    if (A == B)
-      return;
-    if (A > B)
-      std::swap(A, B);
-    Sites.push_back({A, B, Weight});
-  };
-
   // Static call-graph adjacency: callers and callees that survived GC and
-  // merge. Weight scales with how hot the colder endpoint is — a call pair
-  // only co-executes as often as its less-frequent side.
+  // merge.
   for (uint32_t I = 0; I < In.Methods.size(); ++I) {
     uint32_t Idx = In.Methods[I].MethodIdx;
     if (Idx >= G.Succ.size())
       continue;
-    for (uint32_t Callee : G.Succ[Idx]) {
-      uint32_t To = nodeOfMethod(Callee);
-      if (To == NoNode)
-        continue;
-      AddEdge(I, To, 1 + std::min(AG.Nodes[I].Heat, AG.Nodes[To].Heat));
-    }
+    for (uint32_t Callee : G.Succ[Idx])
+      if (uint32_t To = nodeOfMethod(Callee); To != NoNode)
+        AG.Edges.push_back({I, To});
   }
 
   // Symbolic relocation sites: each `bl` to a stub / outlined function /
-  // merge canonical is a co-execution certainty whenever the caller runs,
-  // so it carries the caller's full heat.
+  // merge canonical runs whenever the caller does.
   auto AddRelocEdges = [&](uint32_t FromNode,
                            const std::vector<codegen::Relocation> &Relocs) {
     for (const auto &R : Relocs) {
       switch (R.Kind) {
       case codegen::RelocKind::CtoStub:
         if (R.TargetId < In.Stubs.size())
-          AddEdge(FromNode, StubBase + R.TargetId,
-                  1 + AG.Nodes[FromNode].Heat);
+          AG.Edges.push_back({FromNode, StubBase + R.TargetId});
         break;
       case codegen::RelocKind::OutlinedFunc: {
         auto It = OutNodeById.find(R.TargetId);
         if (It != OutNodeById.end())
-          AddEdge(FromNode, It->second, 1 + AG.Nodes[FromNode].Heat);
+          AG.Edges.push_back({FromNode, It->second});
         break;
       }
       case codegen::RelocKind::MergedBody: {
@@ -121,7 +90,7 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
           break;
         uint32_t To = nodeOfMethod(In.MergeThunks[R.TargetId].CanonMethodIdx);
         if (To != NoNode)
-          AddEdge(FromNode, To, 1 + AG.Nodes[FromNode].Heat);
+          AG.Edges.push_back({FromNode, To});
         break;
       }
       default:
@@ -134,43 +103,11 @@ AffinityGraph layout::buildAffinityGraph(const oat::LinkInput &In,
   for (uint32_t I = 0; I < In.Outlined.size(); ++I)
     AddRelocEdges(OutNodeById[In.Outlined[I].Id], In.Outlined[I].Relocs);
 
-  std::sort(Sites.begin(), Sites.end(),
-            [](const AffinityEdge &X, const AffinityEdge &Y) {
-              return X.A != Y.A ? X.A < Y.A : X.B < Y.B;
-            });
-  for (const AffinityEdge &E : Sites) {
-    if (!AG.Edges.empty() && AG.Edges.back().A == E.A &&
-        AG.Edges.back().B == E.B)
-      AG.Edges.back().Weight += E.Weight;
-    else
-      AG.Edges.push_back(E);
-  }
   return AG;
 }
 
-uint64_t layout::affinityCut(const AffinityGraph &G,
-                             const std::vector<uint32_t> &Order,
-                             uint32_t PageSize) {
-  if (PageSize == 0 || G.Nodes.empty())
-    return 0;
-  // Simulate the linker's placement over Order and record each node's
-  // starting page.
-  std::vector<uint64_t> Page(G.Nodes.size(), 0);
-  uint64_t Off = 0;
-  for (uint32_t N : Order) {
-    Off = alignTo(Off, alignOf(G.Nodes[N].Item.Kind));
-    Page[N] = Off / PageSize;
-    Off += G.Nodes[N].SizeBytes;
-  }
-  uint64_t Cut = 0;
-  for (const AffinityEdge &E : G.Edges)
-    if (Page[E.A] != Page[E.B])
-      Cut += E.Weight;
-  return Cut;
-}
-
 LayoutResult layout::computeLayout(const AffinityGraph &G,
-                                   const LayoutOptions &Opts) {
+                                   const LayoutOptions &) {
   LayoutResult R;
   R.Nodes = G.Nodes.size();
   R.Edges = G.Edges.size();
@@ -193,11 +130,9 @@ LayoutResult layout::computeLayout(const AffinityGraph &G,
 
   std::vector<uint32_t> Order(N);
   std::iota(Order.begin(), Order.end(), 0u);
-  R.CutBefore = affinityCut(G, Order, Opts.PageSize);
   auto ColdBegin = std::stable_partition(
       Order.begin(), Order.end(), [&](uint32_t I) { return Warm[I] != 0; });
   R.WarmNodes = static_cast<std::size_t>(ColdBegin - Order.begin());
-  R.CutAfter = affinityCut(G, Order, Opts.PageSize);
 
   R.Plan.reserve(N);
   for (uint32_t I : Order)

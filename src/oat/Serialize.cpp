@@ -37,15 +37,6 @@ constexpr uint64_t ShfExecinstr = 0x4;
 constexpr std::size_t ElfHeaderSize = 64;
 constexpr std::size_t SectionHeaderSize = 64;
 
-struct SectionSpec {
-  std::string Name;
-  uint32_t Type = ShtProgbits;
-  uint64_t Flags = 0;
-  uint64_t Addr = 0;
-  uint64_t Align = 4;
-  std::vector<uint8_t> Payload;
-};
-
 //===----------------------------------------------------------------------===//
 // Payload encoding
 //===----------------------------------------------------------------------===//

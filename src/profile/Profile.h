@@ -25,9 +25,9 @@ namespace calibro {
 namespace profile {
 
 /// Per-method cycle counts from one profiled run. The map is ordered on
-/// purpose: consumers iterate it (hot-set selection, the layout stage's
-/// affinity weights), and an unordered container would make their output
-/// depend on hash-table iteration order.
+/// purpose: consumers iterate it (hot-set selection), and an unordered
+/// container would make their output depend on hash-table iteration
+/// order.
 struct Profile {
   std::map<uint32_t, uint64_t> CyclesByMethod;
 

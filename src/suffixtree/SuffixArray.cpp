@@ -73,20 +73,24 @@ std::vector<uint32_t> compactRanks(std::span<const Symbol> Txt,
   return Rank;
 }
 
-/// Prefix doubling over already-compacted dense ranks, writing the full
-/// N-entry suffix array into \p Sa: counting-sort doubling, O(n) per
-/// round, early exit once every rank is unique. \p Rank0 is read-only (the
-/// constructor still needs it for Kasai); the workspace is local and freed
-/// on return.
-void prefixDoubleFromRanks(const std::vector<uint32_t> &Rank0,
-                           uint32_t Alphabet, std::vector<uint32_t> &Sa) {
-  const uint32_t N = static_cast<uint32_t>(Rank0.size());
-  std::vector<uint32_t> Rank(Rank0), Tmp(N), NewRank(N);
+/// Bounded prefix doubling over already-compacted dense ranks: orders the
+/// suffixes by their first \p MaxLen symbols, ties in text order, writing
+/// the N-entry array into \p Sa. Counting-sort doubling, O(n) per round;
+/// each round extends the ordered prefix length Len by min(Len, MaxLen -
+/// Len), so it lands on MaxLen exactly, and the loop exits early once
+/// every rank is unique. Returns the final ranks: two rows share a rank
+/// only if their MaxLen-prefixes are equal.
+std::vector<uint32_t> sortPrefixes(std::vector<uint32_t> Rank,
+                                   uint32_t Alphabet, uint32_t MaxLen,
+                                   std::vector<uint32_t> &Sa) {
+  const uint32_t N = static_cast<uint32_t>(Rank.size());
+  std::vector<uint32_t> Tmp(N), NewRank(N);
   // Re-ranking can widen the alphabet up to N + 1, so size the histogram
   // for the worst round once instead of per round.
   std::vector<uint32_t> Cnt(N + 2);
 
-  // Seed: counting sort of the single-symbol ranks.
+  // Seed: counting sort of the single-symbol ranks, stable, so equal
+  // symbols stay in text order.
   std::fill(Cnt.begin(), Cnt.begin() + Alphabet, 0);
   for (uint32_t I = 0; I < N; ++I)
     ++Cnt[Rank[I]];
@@ -99,12 +103,17 @@ void prefixDoubleFromRanks(const std::vector<uint32_t> &Rank0,
   for (uint32_t I = 0; I < N; ++I)
     Sa[Cnt[Rank[I]]++] = I;
 
-  for (uint32_t K = 1; K < N; K *= 2) {
+  uint32_t K = 0;
+  for (uint32_t Len = 1; Len < MaxLen; Len += K) {
+    // The ranks order Len-prefixes; (Rank[I], Rank[I + K]) orders the
+    // (Len + K)-prefix of suffix I for any K <= Len.
+    K = std::min(Len, MaxLen - Len);
     // Order by the second key (Rank[I + K], out-of-range smallest):
     // positions I >= N - K have no second key and come first; the rest
     // follow in the current suffix-array order, shifted by K. This keeps
     // the sort stable in the second key, so the subsequent counting sort
-    // by the first key yields the (first, second) lexicographic order.
+    // by the first key yields the (first, second) lexicographic order,
+    // with equal pairs still in text order.
     uint32_t P = 0;
     for (uint32_t I = N - K; I < N; ++I)
       Tmp[P++] = I;
@@ -137,48 +146,39 @@ void prefixDoubleFromRanks(const std::vector<uint32_t> &Rank0,
     if (R == N - 1)
       break;
   }
+  return Rank;
 }
 
 } // namespace
 
-SuffixArray::SuffixArray(std::vector<Symbol> Txt)
+SuffixArray::SuffixArray(std::vector<Symbol> Txt, uint32_t MaxLen)
     : Text(std::move(Txt)), TextLen(Text.size()) {
+  assert(MaxLen >= 1 && "the bounded order needs a prefix to sort by");
   const uint32_t n = static_cast<uint32_t>(TextLen);
   const uint32_t N = n + 1; // Plus the virtual sentinel position n.
 
-  // Construction over the dense ranks. prefixDoubleFromRanks does not
-  // write Rank, so Kasai below reads the initial ranks.
   uint32_t Alphabet = 0;
-  std::vector<uint32_t> Rank = compactRanks(Text, Alphabet);
+  std::vector<uint32_t> Rank0 = compactRanks(Text, Alphabet);
   Sa.resize(N);
-  prefixDoubleFromRanks(Rank, Alphabet, Sa);
+  const std::vector<uint32_t> Rank =
+      sortPrefixes(std::move(Rank0), Alphabet, MaxLen, Sa);
 
-  // Kasai's LCP: Lcp[I] = lcp(SA[I-1], SA[I]); Lcp[0] = 0. Comparing the
-  // initial dense ranks is exact: equal ranks iff equal symbols, and both
-  // positions are < n (the sentinel suffix never has a positive LCP with
-  // any neighbour — its rank is unique), so half the working set of a raw
-  // 64-bit symbol scan. The array is construction scratch only: intervals
-  // are enumerated right below and it is freed when the constructor
-  // returns.
-  std::vector<uint32_t> Lcp(N);
-  {
-    std::vector<uint32_t> Inv(N);
-    for (uint32_t I = 0; I < N; ++I)
-      Inv[Sa[I]] = I;
+  // Capped LCP of rows I-1 and I. Equal final ranks mean equal
+  // MaxLen-prefixes (the ranks are all distinct when doubling exited
+  // early); otherwise the rows differ within MaxLen symbols, and a direct
+  // comparison finds where. Kasai's carry-over (lcp of the next suffix is
+  // at least this one's minus 1) does not hold here: rows that tie at
+  // MaxLen are in text order, not in the order of their longer prefixes.
+  auto CappedLcp = [&](uint32_t I) {
+    const uint32_t A = Sa[I - 1], B = Sa[I];
+    if (Rank[A] == Rank[B])
+      return MaxLen;
     uint32_t H = 0;
-    for (uint32_t S = 0; S < N; ++S) {
-      if (Inv[S] == 0) {
-        H = 0;
-        continue;
-      }
-      uint32_t Prev = Sa[Inv[S] - 1];
-      while (S + H < n && Prev + H < n && Rank[S + H] == Rank[Prev + H])
-        ++H;
-      Lcp[Inv[S]] = H;
-      if (H)
-        --H;
-    }
-  }
+    while (A + H < n && B + H < n && Text[A + H] == Text[B + H])
+      ++H;
+    assert(H < MaxLen && "rows with distinct ranks differ within MaxLen");
+    return H;
+  };
 
   // Enumerate LCP intervals (a suffix tree's internal nodes) with the
   // classic stack sweep (Abouelhoda et al.).
@@ -189,16 +189,12 @@ SuffixArray::SuffixArray(std::vector<Symbol> Txt)
   std::vector<Open> Stack;
   Stack.push_back({0, 0});
   for (uint32_t I = 1; I <= N; ++I) {
-    uint32_t Cur = I < N ? Lcp[I] : 0;
+    uint32_t Cur = I < N ? CappedLcp(I) : 0;
     uint32_t Lo = I - 1;
     while (Stack.back().LcpVal > Cur) {
       Open Top = Stack.back();
       Stack.pop_back();
-      // Interval [Top.Lo, I-1] with repeat length Top.LcpVal. Its parent
-      // is either the enclosing interval still on the stack or the one
-      // about to be opened with LCP value Cur, whichever is deeper.
-      uint32_t ParentLen = std::max(Cur, Stack.back().LcpVal);
-      Intervals.push_back({Top.Lo, I - 1, Top.LcpVal, ParentLen});
+      Intervals.push_back({Top.Lo, I - 1, Top.LcpVal});
       Lo = Top.Lo;
     }
     if (Cur > Stack.back().LcpVal)
@@ -207,24 +203,12 @@ SuffixArray::SuffixArray(std::vector<Symbol> Txt)
 }
 
 void SuffixArray::forEachRepeat(
-    uint32_t MinLen, uint32_t MaxLen, uint32_t MinCount,
-    const std::function<void(const RepeatInfo &)> &Fn) const {
-  assert(MinCount >= 2 && "a repeat needs at least two occurrences");
+    uint32_t MinLen, const std::function<void(const RepeatInfo &)> &Fn) const {
   for (std::size_t K = 0; K < Intervals.size(); ++K) {
     const Interval &IV = Intervals[K];
-    uint32_t Count = IV.Hi - IV.Lo + 1;
-    if (Count < MinCount || IV.Len < MinLen)
+    if (IV.Len < MinLen)
       continue;
-    // Clamped-candidate dedup: the parent interval reports the same
-    // length-MaxLen prefix over a superset of rows, so this interval would
-    // be a duplicate.
-    if (IV.ParentLen >= MaxLen)
-      continue;
-    RepeatInfo R;
-    R.Node = static_cast<int32_t>(K);
-    R.Length = IV.Len < MaxLen ? IV.Len : MaxLen;
-    R.Count = Count;
-    Fn(R);
+    Fn({static_cast<int32_t>(K), IV.Len, IV.Hi - IV.Lo + 1});
   }
 }
 

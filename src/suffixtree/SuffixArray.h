@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// LTBO's repeat detector: a suffix array with Kasai's LCP array,
-/// enumerating repeated sequences as LCP intervals.
+/// LTBO's repeat detector: a suffix array sorted only as deep as the
+/// longest sequence LTBO may outline, enumerating repeated sequences as
+/// LCP intervals.
 ///
 /// This is the redundancy-detection substrate of the paper (§2.1.2,
 /// §3.3.2): the whole program's instruction stream is mapped to a symbol
@@ -19,14 +20,23 @@
 /// The paper builds a suffix tree; LCP intervals correspond one-to-one to
 /// the tree's internal nodes, so the repeat set is the same.
 ///
+/// LTBO never outlines more than MaxSeqLen words (§3.3.3), so the array is
+/// built for a bound MaxLen: suffixes are ordered by their first MaxLen
+/// symbols only, suffixes with equal MaxLen-prefixes stay in text order,
+/// and adjacent-row LCPs are capped at MaxLen. That is the suffix tree cut
+/// at depth MaxLen: above the cut its nodes, their post-order and their
+/// occurrence sets are those of the full tree, and each subtree below the
+/// cut collapses into one interval of length MaxLen that carries all of
+/// its occurrences.
+///
 /// Construction compacts the sparse 64-bit alphabet to dense uint32 ranks
 /// (LSD radix sort of the symbols), then sorts the suffixes by radix prefix
-/// doubling: O(n) per round, one round per doubling of the longest repeat,
-/// with an early exit once every rank is unique. The sentinel is a
-/// *virtual* position with a by-construction unique smallest rank — no
-/// symbol value is reserved, so any uint64 sequence is legal input. The
-/// suffix array of such a text is unique, so any correct construction
-/// yields the same array; the tests check it against a naive suffix sort.
+/// doubling: O(n) per round, about log2(MaxLen) rounds, with an early exit
+/// once every rank is unique. The sentinel is a *virtual* position with a
+/// by-construction unique smallest rank — no symbol value is reserved, so
+/// any uint64 sequence is legal input. The bounded order is unique (ties
+/// are broken by position), so any correct construction yields the same
+/// array; the tests check it against a naive stable sort by MaxLen-prefix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,12 +64,13 @@ inline constexpr Symbol SeparatorBase = uint64_t(1) << 32;
 /// over its LCP intervals.
 class SuffixArray {
 public:
-  /// Builds the array (rank compaction + prefix doubling), then Kasai's
-  /// LCP and the LCP-interval sweep. Accepts any symbol values — the
-  /// sentinel is virtual, nothing is reserved. The construction workspace
-  /// (rank arrays, doubling buffers, LCP scratch) is freed before the
-  /// constructor returns.
-  explicit SuffixArray(std::vector<Symbol> Text);
+  /// Builds the array ordered by \p MaxLen-prefixes (rank compaction +
+  /// bounded prefix doubling), then the LCP-interval sweep over adjacent-row
+  /// LCPs capped at \p MaxLen, so no repeat is longer than MaxLen.
+  /// \p MaxLen must be at least 1. Accepts any symbol values — the sentinel
+  /// is virtual, nothing is reserved. The construction workspace (rank
+  /// arrays, doubling buffers) is freed before the constructor returns.
+  SuffixArray(std::vector<Symbol> Text, uint32_t MaxLen);
 
   /// Length of the original sequence. Valid even after
   /// releaseWorkingSet().
@@ -71,7 +82,7 @@ public:
   /// A repeated sequence discovered in the array.
   struct RepeatInfo {
     int32_t Node;    ///< LCP-interval handle, usable with positionsOf().
-    uint32_t Length; ///< Repeated-sequence length (clamped to MaxLen).
+    uint32_t Length; ///< Repeated-sequence length, at most MaxLen.
     uint32_t Count;  ///< Number of (possibly overlapping) occurrences.
   };
 
@@ -79,14 +90,11 @@ public:
   /// suffix tree (leaves are implicit in the array itself).
   std::size_t numNodes() const { return Intervals.size(); }
 
-  /// Visits every LCP interval whose repeat length is >= \p MinLen
-  /// (clamped to \p MaxLen) with >= \p MinCount occurrences. The Node
-  /// handle indexes the internal interval table. Clamped candidates are
-  /// deduplicated: an interval whose parent interval's LCP value is
-  /// already >= MaxLen is skipped, because the parent reports the
-  /// identical length-MaxLen prefix with a superset of the occurrence
-  /// positions. Visit order is deterministic.
-  void forEachRepeat(uint32_t MinLen, uint32_t MaxLen, uint32_t MinCount,
+  /// Visits every LCP interval whose repeat length is >= \p MinLen. Every
+  /// interval has at least two occurrences, and no two intervals name the
+  /// same sequence. The Node handle indexes the internal interval table.
+  /// Visit order is deterministic (post-order of the cut suffix tree).
+  void forEachRepeat(uint32_t MinLen,
                      const std::function<void(const RepeatInfo &)> &Fn) const;
 
   /// Start positions of the repeat named by \p Interval, ascending.
@@ -102,9 +110,9 @@ public:
   /// only this one value per candidate.
   uint32_t firstPositionOf(int32_t Interval) const;
 
-  /// The raw suffix array, including the virtual-sentinel row: textSize()+1
-  /// entries, the first of which is always textSize() (the sentinel suffix
-  /// sorts strictly smallest). Exposed for the construction tests and the
+  /// The raw suffix array in the bounded order, including the
+  /// virtual-sentinel row: textSize()+1 entries, the first of which is
+  /// always textSize() (the sentinel suffix sorts strictly smallest). Exposed for the construction tests and the
   /// build-time bench.
   std::span<const uint32_t> suffixArray() const {
     return std::span<const uint32_t>(Sa.data(), Sa.size());
@@ -123,10 +131,9 @@ public:
 
 private:
   struct Interval {
-    uint32_t Lo;        ///< First suffix-array row (inclusive).
-    uint32_t Hi;        ///< Last suffix-array row (inclusive).
-    uint32_t Len;       ///< Repeat length (the interval's LCP value).
-    uint32_t ParentLen; ///< LCP value of the enclosing (parent) interval.
+    uint32_t Lo;  ///< First suffix-array row (inclusive).
+    uint32_t Hi;  ///< Last suffix-array row (inclusive).
+    uint32_t Len; ///< Repeat length (the interval's capped LCP value).
   };
 
   std::vector<Symbol> Text;

@@ -33,12 +33,14 @@ job() {
 }
 
 expect2 "--partitions -1" "$DEX2OAT" --cto --ltbo --partitions -1 -o "$OUT"
+expect2 "--partitions 4097" "$DEX2OAT" --cto --ltbo --partitions 4097 -o "$OUT"
 expect2 "--scale abc" "$DEX2OAT" --scale abc -o "$OUT"
 expect2 "--seed 12x" "$DEX2OAT" --seed 12x -o "$OUT"
 expect2 "--memory-budget 99999999999999999999" \
   "$DEX2OAT" --memory-budget 99999999999999999999 -o "$OUT"
 expect2 "--threads -4" "$DEX2OAT" --threads -4 -o "$OUT"
 expect2 "daemon --partitions -1" "$COMPILED" --partitions -1
+expect2 "daemon --partitions 4097" "$COMPILED" --partitions 4097
 expect2 "daemon --jobs x" "$COMPILED" --jobs x
 expect2 "job scale=abc" job "app=Wechat scale=abc out=$OUT"
 expect2 "job seed=-1" job "app=Wechat scale=0.3 seed=-1 out=$OUT"

@@ -122,6 +122,13 @@ TEST(BuildFlags, BudgetWithoutPartitionsIsAutoK) {
   EXPECT_EQ(Explicit.optionsFor(true).LtboPartitions, 4u);
 }
 
+TEST(BuildFlags, PartitionsUpToTheLtboCap) {
+  // 4096 groups is the most whose outlined-function ids cannot wrap.
+  EXPECT_EQ(parse({"--partitions", "4096"}).Opts.LtboPartitions,
+            core::MaxPartitions);
+  EXPECT_EQ(MaxSplits, core::MaxPartitions);
+}
+
 TEST(BuildFlagsDeathTest, MalformedValuesPrintUsageAndExit2) {
   // A negative partition count read as unsigned asks for ~4e9 groups, and
   // a non-numeric scale read as 0 builds an empty app: both must stop here.
@@ -129,6 +136,7 @@ TEST(BuildFlagsDeathTest, MalformedValuesPrintUsageAndExit2) {
        {std::vector<std::string>{"--partitions", "-1"},
         {"--partitions", "99999999999"},
         {"--partitions", "70000"},
+        {"--partitions", "4097"},
         {"--min-len", "two"},
         {"--max-len", "-5"},
         {"--scale", "abc"},

@@ -11,8 +11,9 @@
 ///    exactly once, validateOat clean, behaviour unchanged;
 ///  * the plan is byte-deterministic for any thread count;
 ///  * the plan puts warm nodes first and keeps both blocks in node order;
-///  * the affinity graph sums repeated edge sites exactly as an ordered-map
-///    reference does;
+///  * the unweighted warm set plans exactly what the weighted affinity
+///    graph it replaced planned, on hand-built sites, the paper apps and
+///    the fuzz corpus;
 ///  * without a profile, or on an open-world app, the stage is a
 ///    byte-identical no-op;
 ///  * the simulated startup working set never grows, and shrinks on the
@@ -21,11 +22,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/CallGraph.h"
 #include "core/Calibro.h"
 #include "layout/Layout.h"
 #include "oat/Linker.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
+#include "verify/Differential.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
@@ -54,7 +57,6 @@ core::CalibroOptions plOpts() {
   O.EnableLtbo = true;
   O.LtboPartitions = 4;
   O.LtboThreads = 2;
-  O.LayoutPageSize = 256; // Match the small simulated pages below.
   return O;
 }
 
@@ -197,8 +199,8 @@ TEST(Layout, StartupWorkingSetDoesNotGrow) {
   core::BuildResult Laid = buildLaid(P, 2);
   RunResult Before = runScript(P.Unlaid.Oat, P.Script);
   RunResult After = runScript(Laid.Oat, P.Script);
-  // Not a guarantee of computeLayout, which reports the affinity cut but
-  // optimizes nothing; warm-first holds it on this input, and the bench
+  // Not a guarantee of computeLayout, which optimizes no page metric;
+  // warm-first holds it on this input, and the bench
   // gates the strict improvement on the full corpus.
   EXPECT_LE(After.Pages, Before.Pages);
 }
@@ -292,10 +294,9 @@ TEST(Layout, BuildProfiledMatchesTwoBuilds) {
 // --- Direct warm-first unit coverage ------------------------------------
 
 layout::AffinityNode node(oat::LayoutItemKind Kind, uint32_t Index,
-                          uint64_t Heat, uint32_t SizeBytes = 64) {
+                          uint64_t Heat) {
   layout::AffinityNode N;
   N.Item = {Kind, Index};
-  N.SizeBytes = SizeBytes;
   N.Heat = Heat;
   return N;
 }
@@ -304,22 +305,26 @@ layout::AffinityGraph chainGraph(uint32_t N) {
   layout::AffinityGraph G;
   for (uint32_t I = 0; I < N; ++I)
     G.Nodes.push_back(node(oat::LayoutItemKind::Method, I, 100 + I));
-  // A chain with one heavy long-range edge.
+  // A chain with one long-range edge.
   for (uint32_t I = 0; I + 1 < N; ++I)
-    G.Edges.push_back({I, I + 1, 10});
+    G.Edges.push_back({I, I + 1});
   if (N > 8)
-    G.Edges.push_back({0, N - 1, 1000});
+    G.Edges.push_back({0, N - 1});
   return G;
 }
 
-/// Small nodes ahead of one node larger than a page.
-layout::AffinityGraph dominantTrailingGraph() {
+/// Every fifth node hot and every even node joined to the next one, plus
+/// a repeated site and one whose hot end is B: warm and cold nodes
+/// interleave in node order.
+layout::AffinityGraph sparseHeatGraph() {
   layout::AffinityGraph G;
-  for (uint32_t I = 0; I < 9; ++I)
+  for (uint32_t I = 0; I < 20; ++I)
     G.Nodes.push_back(
-        node(oat::LayoutItemKind::Method, I, 50, I + 1 == 9 ? 4096 : 32));
-  for (uint32_t I = 0; I + 1 < 9; ++I)
-    G.Edges.push_back({I, I + 1, 5});
+        node(oat::LayoutItemKind::Method, I, I % 5 == 0 ? 10 : 0));
+  for (uint32_t I = 0; I + 1 < 20; I += 2)
+    G.Edges.push_back({I, I + 1});
+  G.Edges.push_back({0, 1});
+  G.Edges.push_back({17, 15});
   return G;
 }
 
@@ -364,13 +369,13 @@ void expectWarmPrefix(const layout::AffinityGraph &G,
 }
 
 TEST(LayoutWarmFirst, PlanCoversEveryNodeOnce) {
-  layout::LayoutOptions Opts;
-  Opts.PageSize = 256;
-  for (const auto &G : {chainGraph(33), dominantTrailingGraph()}) {
-    auto R = layout::computeLayout(G, Opts);
+  for (const auto &G : {chainGraph(33), sparseHeatGraph()}) {
+    auto R = layout::computeLayout(G, {});
     expectPermutation(G, R);
     expectWarmPrefix(G, R);
   }
+  // 0, 5, 10, 15 and their partners 1, 4, 11, 14, plus 17 through {17, 15}.
+  EXPECT_EQ(layout::computeLayout(sparseHeatGraph(), {}).WarmNodes, 9u);
 }
 
 TEST(LayoutWarmFirst, ExactPlanOnMixedGraph) {
@@ -390,11 +395,8 @@ TEST(LayoutWarmFirst, ExactPlanOnMixedGraph) {
       node(K::Outlined, 0, 0),   // 9: outlined fn called by hot 1
       node(K::Outlined, 1, 0),   // 10: outlined fn called by cold 6
   };
-  G.Edges = {{1, 2, 501}, {1, 9, 501}, {2, 3, 1}, {3, 8, 1},
-             {4, 5, 1},   {4, 7, 71},  {6, 10, 1}};
-  layout::LayoutOptions Opts;
-  Opts.PageSize = 256;
-  auto R = layout::computeLayout(G, Opts);
+  G.Edges = {{1, 2}, {1, 9}, {2, 3}, {3, 8}, {4, 5}, {4, 7}, {6, 10}};
+  auto R = layout::computeLayout(G, {});
 
   const std::vector<oat::LayoutItem> Expect = {
       // Warm block: hot nodes, their neighbours, in node order.
@@ -415,39 +417,31 @@ TEST(LayoutWarmFirst, ZeroHeatGraphKeepsIdentityOrder) {
   auto G = chainGraph(40);
   for (auto &N : G.Nodes)
     N.Heat = 0;
-  layout::LayoutOptions Opts;
-  Opts.PageSize = 256;
-  auto R = layout::computeLayout(G, Opts);
+  auto R = layout::computeLayout(G, {});
   ASSERT_EQ(R.Plan.size(), G.Nodes.size());
   for (std::size_t I = 0; I < G.Nodes.size(); ++I)
     EXPECT_TRUE(R.Plan[I] == G.Nodes[I].Item) << "moved slot " << I;
   EXPECT_EQ(R.WarmNodes, 0u);
-  EXPECT_EQ(R.CutAfter, R.CutBefore);
 }
 
-TEST(LayoutWarmFirst, SaturatedHeatsAndWeightsStayValid) {
-  // A corrupt profile can carry any cycle count; the plan must still be a
-  // valid permutation, with no arithmetic on the heats or weights that a
-  // sanitizer would flag.
-  auto G = chainGraph(50);
-  for (uint32_t I = 0; I < G.Nodes.size(); ++I)
-    G.Nodes[I].Heat = I % 3 == 0 ? UINT64_MAX : 0;
-  for (auto &E : G.Edges)
-    E.Weight = UINT64_MAX;
-  layout::LayoutOptions Opts;
-  Opts.PageSize = 256;
-  auto R = layout::computeLayout(G, Opts);
-  expectPermutation(G, R);
-  expectWarmPrefix(G, R);
-}
+// --- The weighted planner the warm set replaced -------------------------
 
-// --- Affinity graph construction ----------------------------------------
+/// The weighted affinity graph plus warm rule that planned layouts before
+/// the weights went, kept as the reference the unweighted warm set must
+/// reproduce: nodes carry heats, call edges weigh 1 + min of the endpoint
+/// heats, relocation sites 1 + caller heat, and repeated pairs sum in an
+/// ordered map. A node is warm when it has heat or a weighted edge to a
+/// node with heat.
+namespace ref {
 
-/// The affinity graph by its documented rules, accumulated in an ordered
-/// map: the reference the flat sort-and-reduce build must reproduce.
-std::vector<layout::AffinityEdge>
-referenceEdges(const oat::LinkInput &In, const analysis::CallGraph &G,
-               const std::vector<layout::AffinityNode> &Nodes) {
+struct Edge {
+  uint32_t A, B;
+  uint64_t Weight;
+};
+
+std::vector<Edge> weightedEdges(const oat::LinkInput &In,
+                                const analysis::CallGraph &G,
+                                const std::vector<uint64_t> &Heat) {
   std::map<uint32_t, uint32_t> MethodNode, OutNode; // First wins.
   for (uint32_t I = 0; I < In.Methods.size(); ++I)
     MethodNode.emplace(In.Methods[I].MethodIdx, I);
@@ -466,12 +460,11 @@ referenceEdges(const oat::LinkInput &In, const analysis::CallGraph &G,
       continue;
     for (uint32_t Callee : G.Succ[Idx])
       if (auto It = MethodNode.find(Callee); It != MethodNode.end())
-        Add(I, It->second,
-            1 + std::min(Nodes[I].Heat, Nodes[It->second].Heat));
+        Add(I, It->second, 1 + std::min(Heat[I], Heat[It->second]));
   }
   auto Relocs = [&](uint32_t From, const std::vector<codegen::Relocation> &Rs) {
     for (const auto &R : Rs) {
-      uint64_t Weight = 1 + Nodes[From].Heat;
+      uint64_t Weight = 1 + Heat[From];
       if (R.Kind == codegen::RelocKind::CtoStub && R.TargetId < In.Stubs.size())
         Add(From, StubBase + R.TargetId, Weight);
       if (R.Kind == codegen::RelocKind::OutlinedFunc)
@@ -488,13 +481,56 @@ referenceEdges(const oat::LinkInput &In, const analysis::CallGraph &G,
     Relocs(I, In.Methods[I].Relocs);
   for (uint32_t I = 0; I < In.Outlined.size(); ++I)
     Relocs(OutNode[In.Outlined[I].Id], In.Outlined[I].Relocs);
-  std::vector<layout::AffinityEdge> Out;
+  std::vector<Edge> Out;
   for (const auto &[Key, Weight] : W)
     Out.push_back({Key.first, Key.second, Weight});
   return Out;
 }
 
-TEST(AffinityGraph, RepeatedSitesSumLikeAnOrderedMapReference) {
+/// The reference plan for \p In: warm nodes first, then cold, each in
+/// node order (methods, stubs, outlined).
+std::vector<oat::LayoutItem> plan(const oat::LinkInput &In,
+                                  const analysis::CallGraph &G,
+                                  const profile::Profile &P) {
+  std::vector<oat::LayoutItem> Items;
+  std::vector<uint64_t> Heat;
+  for (uint32_t I = 0; I < In.Methods.size(); ++I) {
+    Items.push_back({oat::LayoutItemKind::Method, I});
+    auto It = P.CyclesByMethod.find(In.Methods[I].MethodIdx);
+    Heat.push_back(It == P.CyclesByMethod.end() ? 0 : It->second);
+  }
+  for (uint32_t I = 0; I < In.Stubs.size(); ++I)
+    Items.push_back({oat::LayoutItemKind::Stub, I});
+  for (uint32_t I = 0; I < In.Outlined.size(); ++I)
+    Items.push_back({oat::LayoutItemKind::Outlined, I});
+  Heat.resize(Items.size(), 0);
+  std::vector<bool> Warm(Items.size());
+  for (std::size_t I = 0; I < Items.size(); ++I)
+    Warm[I] = Heat[I] > 0;
+  for (const Edge &E : weightedEdges(In, G, Heat)) {
+    if (Heat[E.A] > 0)
+      Warm[E.B] = true;
+    if (Heat[E.B] > 0)
+      Warm[E.A] = true;
+  }
+  std::vector<oat::LayoutItem> Plan;
+  for (bool Pass : {true, false})
+    for (std::size_t I = 0; I < Items.size(); ++I)
+      if (Warm[I] == Pass)
+        Plan.push_back(Items[I]);
+  return Plan;
+}
+
+} // namespace ref
+
+void expectSamePlan(const std::vector<oat::LayoutItem> &Got,
+                    const std::vector<oat::LayoutItem> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (std::size_t I = 0; I < Want.size(); ++I)
+    ASSERT_TRUE(Got[I] == Want[I]) << "diverged at slot " << I;
+}
+
+TEST(LayoutRef, HandBuiltSitesPlanLikeTheWeightedReference) {
   using RK = codegen::RelocKind;
   auto Method = [](uint32_t Idx, std::size_t Words,
                    std::vector<codegen::Relocation> Relocs) {
@@ -505,8 +541,8 @@ TEST(AffinityGraph, RepeatedSitesSumLikeAnOrderedMapReference) {
     return M;
   };
   // Sparse method indices in non-index order. Call-graph edges run both
-  // ways between 4 and 0, and relocations repeat stub and outlined sites,
-  // so several pairs collect more than one contribution.
+  // ways between 4 and 0, relocations repeat stub and outlined sites, and
+  // some sites dangle.
   oat::LinkInput In;
   In.Methods = {
       Method(4, 3, {{0, RK::CtoStub, 1}, {4, RK::CtoStub, 1},
@@ -537,34 +573,65 @@ TEST(AffinityGraph, RepeatedSitesSumLikeAnOrderedMapReference) {
   G.Succ[9] = {4};
   G.Succ[2] = {3, 7}; // Method 3 is absent from the link input.
   G.Succ[7] = {2};
-  profile::Profile P;
-  P.CyclesByMethod = {{4, 100}, {9, 7}, {2, 30}};
 
-  layout::AffinityGraph AG = layout::buildAffinityGraph(In, G, P);
-  ASSERT_EQ(AG.Nodes.size(), 9u);
-  EXPECT_EQ(AG.Nodes[0].Heat, 100u);
-  EXPECT_EQ(AG.Nodes[1].Heat, 0u);
-  auto Want = referenceEdges(In, G, AG.Nodes);
-  ASSERT_EQ(AG.Edges.size(), Want.size());
-  for (std::size_t I = 0; I < Want.size(); ++I) {
-    EXPECT_EQ(AG.Edges[I].A, Want[I].A) << "edge " << I;
-    EXPECT_EQ(AG.Edges[I].B, Want[I].B) << "edge " << I;
-    EXPECT_EQ(AG.Edges[I].Weight, Want[I].Weight) << "edge " << I;
+  // Each method alone hot, then all of them, then none.
+  std::vector<profile::Profile> Profiles(1);
+  for (uint32_t Idx : {4u, 0u, 9u, 2u, 7u}) {
+    Profiles.emplace_back();
+    Profiles.back().CyclesByMethod = {{Idx, 5}};
+    Profiles.front().CyclesByMethod[Idx] = 1;
   }
-  // Spot-check the sums: 4 <-> 0 is two call edges of weight 1 + min(100,
-  // 0); 4 -> stub 1 (node 6) is two sites of weight 1 + 100; 0 -> 9 is a
-  // call edge (1 + 0) plus the merge-canonical site (1 + 0); outlined 3
-  // (node 8) -> outlined 7 (node 7) is two sites of weight 1.
-  auto WeightOf = [&](uint32_t A, uint32_t B) -> uint64_t {
-    for (const auto &E : AG.Edges)
-      if (E.A == A && E.B == B)
-        return E.Weight;
-    return 0;
-  };
-  EXPECT_EQ(WeightOf(0, 1), 2u);
-  EXPECT_EQ(WeightOf(0, 6), 202u);
-  EXPECT_EQ(WeightOf(1, 2), 2u);
-  EXPECT_EQ(WeightOf(7, 8), 2u);
+  Profiles.emplace_back();
+  for (const profile::Profile &P : Profiles) {
+    layout::AffinityGraph AG = layout::buildAffinityGraph(In, G, P);
+    ASSERT_EQ(AG.Nodes.size(), 9u);
+    expectSamePlan(layout::computeLayout(AG, {}).Plan, ref::plan(In, G, P));
+  }
+}
+
+/// Compiles \p App, profiles it with \p Script, and links it with layout;
+/// requires the library's plan to equal the weighted reference planned
+/// over the same link input and bound call graph.
+void expectPlanLikeTheWeightedReference(
+    const dex::App &App, const std::vector<workload::Invocation> &Script) {
+  auto Opts = plOpts();
+  auto Profiled = core::buildProfiled(App, Opts, Script);
+  ASSERT_TRUE(bool(Profiled)) << Profiled.message();
+  Opts.Profile = &Profiled->Profile;
+
+  auto Compiled = core::compileApp(App, Opts, nullptr);
+  ASSERT_TRUE(bool(Compiled)) << Compiled.message();
+  // prepareLink binds the binary call edges into the graph it lays out.
+  analysis::CallGraph Bound = Compiled->Graph;
+  ASSERT_TRUE(Compiled->HasAnalysis && !Bound.Entrypoints.empty());
+  auto B = analysis::bindBinaryEdges(Bound, Compiled->Methods, false);
+  ASSERT_TRUE(bool(B)) << B.message();
+
+  core::BuildStats Stats;
+  auto In = core::prepareLink(std::move(*Compiled), Opts, Stats, nullptr);
+  ASSERT_TRUE(bool(In)) << In.message();
+  ASSERT_TRUE(Stats.LayoutApplied);
+  EXPECT_GT(Stats.LayoutWarmNodes, 0u);
+  expectSamePlan(In->Layout, ref::plan(*In, Bound, Profiled->Profile));
+}
+
+TEST(LayoutRef, PaperAppsPlanLikeTheWeightedReference) {
+  for (auto Spec : workload::paperApps(0.5)) {
+    SCOPED_TRACE(Spec.Name);
+    workload::enableDeadCode(Spec);
+    expectPlanLikeTheWeightedReference(workload::makeApp(Spec),
+                                       workload::makeScript(Spec, 20, 2024));
+  }
+}
+
+TEST(LayoutRef, FuzzCorpusPlansLikeTheWeightedReference) {
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    workload::AppSpec Spec = verify::randomAppSpec(Seed);
+    workload::enableDeadCode(Spec); // Closed world: the stage arms.
+    expectPlanLikeTheWeightedReference(workload::makeApp(Spec),
+                                       workload::makeScript(Spec, 6, Seed + 13));
+  }
 }
 
 // --- Linker-side plan validation ----------------------------------------

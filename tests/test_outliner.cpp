@@ -637,10 +637,10 @@ CompiledMethod flatRunMethod(uint32_t Idx, std::size_t N) {
 }
 
 TEST(Outliner, ClampedCandidatesAreDeduplicated) {
-  // Two 40-word runs of one repeated instruction. Every LCP interval
-  // deeper than MaxSeqLen describes the same clamped 8-word content, so
-  // without dedup the selection loop would rank 39 candidates; with it,
-  // exactly one per distinct content survives: lengths 2..8, i.e. 7.
+  // Two 40-word runs of one repeated instruction. The detector sorts only
+  // MaxSeqLen deep, so every run deeper than that is one 8-word content:
+  // where a full sort would rank 39 candidates, exactly one per distinct
+  // content survives, lengths 2..8, i.e. 7.
   OutlinerOptions Opts;
   Opts.MaxSeqLen = 8;
   std::vector<CompiledMethod> Methods = {flatRunMethod(0, 40),
@@ -651,6 +651,40 @@ TEST(Outliner, ClampedCandidatesAreDeduplicated) {
   EXPECT_GT(R->Stats.SequencesOutlined, 0u);
   EXPECT_EQ(R->Stats.CandidatesEvaluated,
             static_cast<std::size_t>(Opts.MaxSeqLen - Opts.MinSeqLen + 1));
+}
+
+TEST(Outliner, PartitionCapKeepsOutlinedIdsUnique) {
+  // An outlined function's id is GroupIdx << 20 | F, so MaxPartitions is
+  // the most groups whose ids cannot wrap. Two identical methods per
+  // group, so every group outlines, the last one included.
+  auto Methods = [] {
+    std::vector<CompiledMethod> Ms;
+    for (uint32_t I = 0; I < 2 * MaxPartitions; ++I)
+      Ms.push_back(flatRunMethod(I, 6));
+    return Ms;
+  };
+  OutlinerOptions Opts;
+  Opts.Partitions = MaxPartitions;
+  std::vector<CompiledMethod> AtCap = Methods();
+  auto R = runLtbo(AtCap, Opts);
+  ASSERT_TRUE(bool(R)) << R.message();
+  EXPECT_EQ(R->Stats.PartitionsUsed, MaxPartitions);
+  EXPECT_TRUE(std::any_of(R->Funcs.begin(), R->Funcs.end(), [](auto &F) {
+    return F.Id >> 20 == MaxPartitions - 1;
+  }));
+  oat::LinkInput In;
+  In.AppName = "partition-cap";
+  In.Methods = std::move(AtCap);
+  In.Outlined = std::move(R->Funcs);
+  auto O = oat::link(In);
+  ASSERT_TRUE(bool(O)) << O.message();
+  EXPECT_FALSE(bool(oat::validateOat(*O)));
+
+  Opts.Partitions = MaxPartitions + 1;
+  std::vector<CompiledMethod> OverCap = Methods();
+  auto Bad = runLtbo(OverCap, Opts);
+  EXPECT_FALSE(bool(Bad));
+  consumeError(Bad.takeError());
 }
 
 TEST(RedundancyAnalysis, FindsPlantedRedundancy) {

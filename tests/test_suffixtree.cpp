@@ -46,11 +46,11 @@ naiveRepeats(const std::vector<Symbol> &T, uint32_t MinLen, uint32_t MaxLen) {
 TEST(SuffixArray, Banana) {
   // The paper's §2.1.2 example: "banana" has repeats "a" (x3), "an"/"ana"
   // (x2), "n"/"na" (x2).
-  SuffixArray T(fromString("banana"));
+  SuffixArray T(fromString("banana"), 100);
   EXPECT_EQ(T.textSize(), 6u);
 
   std::map<std::vector<Symbol>, uint32_t> Found;
-  T.forEachRepeat(1, 100, 2, [&](const SuffixArray::RepeatInfo &R) {
+  T.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &R) {
     auto Pos = T.positionsOf(R.Node);
     EXPECT_EQ(Pos.size(), R.Count);
     std::vector<Symbol> Key(T.text().begin() + Pos[0],
@@ -71,31 +71,70 @@ TEST(SuffixArray, NoRepeatsInUniqueText) {
   std::vector<Symbol> T;
   for (uint32_t I = 0; I < 100; ++I)
     T.push_back(SeparatorBase + I);
-  SuffixArray Array(std::move(T));
+  SuffixArray Array(std::move(T), 100);
   std::size_t Count = 0;
-  Array.forEachRepeat(1, 100, 2,
-                      [&](const SuffixArray::RepeatInfo &) { ++Count; });
+  Array.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &) { ++Count; });
   EXPECT_EQ(Count, 0u);
 }
 
 TEST(SuffixArray, SeparatorsConfineRepeats) {
   // "abc | abc" with a unique separator: "abc" repeats, nothing longer.
   std::vector<Symbol> T = {'a', 'b', 'c', SeparatorBase, 'a', 'b', 'c'};
-  SuffixArray Array(std::move(T));
+  SuffixArray Array(std::move(T), 100);
   uint32_t MaxLen = 0;
-  Array.forEachRepeat(1, 100, 2, [&](const SuffixArray::RepeatInfo &R) {
+  Array.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &R) {
     MaxLen = std::max(MaxLen, R.Length);
   });
   EXPECT_EQ(MaxLen, 3u);
 }
 
+/// Property: every LCP interval the array bounded at \p MaxLen reports is
+/// a genuine repeat of length <= MaxLen with exactly the naive finder's
+/// positions, no sequence is reported twice, and every naive repeat of
+/// length <= MaxLen is covered by some reported interval (at interval
+/// granularity: for each repeated substring S, some interval's string has
+/// S as a prefix and its positions equal S's).
+void checkRepeatsMatchNaive(const std::vector<Symbol> &T, uint32_t MaxLen) {
+  auto Naive = naiveRepeats(T, 1, MaxLen);
+  SuffixArray Array{std::vector<Symbol>(T), MaxLen};
+
+  std::map<std::vector<Symbol>, std::vector<uint32_t>> Found;
+  Array.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &Rep) {
+    ASSERT_LE(Rep.Length, MaxLen);
+    auto Pos = Array.positionsOf(Rep.Node);
+    std::vector<Symbol> Key(T.begin() + Pos[0],
+                            T.begin() + Pos[0] + Rep.Length);
+    EXPECT_TRUE(Found.emplace(Key, Pos).second) << "repeat reported twice";
+  });
+
+  // Soundness: each reported interval is a naive repeat with equal
+  // positions.
+  for (const auto &[Key, Pos] : Found) {
+    auto It = Naive.find(Key);
+    ASSERT_NE(It, Naive.end()) << "array reported a non-repeat";
+    EXPECT_EQ(It->second, Pos);
+  }
+  // Completeness at interval granularity: every naive repeat's position
+  // set is reported by the interval it corresponds to (its shortest
+  // maximal extension, or its length-MaxLen extension).
+  for (const auto &[Key, Pos] : Naive) {
+    bool Covered = false;
+    for (const auto &[FKey, FPos] : Found) {
+      if (FKey.size() >= Key.size() &&
+          std::equal(Key.begin(), Key.end(), FKey.begin()) && FPos == Pos) {
+        Covered = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(Covered) << "naive repeat not covered by any interval";
+  }
+}
+
 class SuffixArrayRandom : public ::testing::TestWithParam<uint64_t> {};
 
-/// Property: every LCP interval the array reports is a genuine repeat with
-/// exactly the naive finder's positions; and every naive repeat is covered
-/// by some reported interval (at interval granularity: for each repeated
-/// substring S, some interval's string has S as a prefix and its positions
-/// equal S's). Odd rounds mix in unique separators, like LTBO's sequences.
+/// The naive-finder property over random texts at the bounds 2, 3, 64 and
+/// the text length (an unbounded sort). Odd rounds mix in unique
+/// separators, like LTBO's sequences.
 TEST_P(SuffixArrayRandom, MatchesNaiveFinder) {
   Rng R(GetParam());
   for (int Round = 0; Round < 20; ++Round) {
@@ -108,44 +147,8 @@ TEST_P(SuffixArrayRandom, MatchesNaiveFinder) {
       else
         T.push_back('a' + R.nextBelow(Alphabet));
     }
-
-    auto Naive = naiveRepeats(T, 1, static_cast<uint32_t>(N));
-    std::vector<Symbol> Copy = T;
-    SuffixArray Array(std::move(Copy));
-
-    std::map<std::vector<Symbol>, std::vector<uint32_t>> Found;
-    Array.forEachRepeat(1, static_cast<uint32_t>(N), 2,
-                        [&](const SuffixArray::RepeatInfo &Rep) {
-                          auto Pos = Array.positionsOf(Rep.Node);
-                          std::vector<Symbol> Key(T.begin() + Pos[0],
-                                                  T.begin() + Pos[0] +
-                                                      Rep.Length);
-                          EXPECT_TRUE(Found.emplace(Key, Pos).second)
-                              << "repeat reported twice";
-                        });
-
-    // Soundness: each reported interval is a naive repeat with equal
-    // positions.
-    for (const auto &[Key, Pos] : Found) {
-      auto It = Naive.find(Key);
-      ASSERT_NE(It, Naive.end()) << "array reported a non-repeat";
-      EXPECT_EQ(It->second, Pos);
-    }
-    // Completeness at interval granularity: every naive repeat's position
-    // set is reported by the interval it corresponds to (its shortest
-    // maximal extension).
-    for (const auto &[Key, Pos] : Naive) {
-      bool Covered = false;
-      for (const auto &[FKey, FPos] : Found) {
-        if (FKey.size() >= Key.size() &&
-            std::equal(Key.begin(), Key.end(), FKey.begin()) &&
-            FPos == Pos) {
-          Covered = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(Covered) << "naive repeat not covered by any interval";
-    }
+    for (uint32_t MaxLen : {2u, 3u, 64u, static_cast<uint32_t>(N)})
+      checkRepeatsMatchNaive(T, MaxLen);
   }
 }
 
@@ -153,62 +156,63 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SuffixArrayRandom,
                          ::testing::Values(7, 99, 1234, 0xabcdef, 31337));
 
 TEST(SuffixArray, LargePeriodicText) {
-  // Heavily periodic input: one deep chain of nested LCP intervals.
+  // Heavily periodic input: one deep chain of nested LCP intervals per
+  // residue, cut at the bound.
   std::vector<Symbol> T;
   for (int I = 0; I < 5000; ++I)
     T.push_back('a' + (I % 3));
-  SuffixArray Array(std::move(T));
+  SuffixArray Array(std::move(T), 200);
   // "abcabc...": the length-3 repeat "abc" occurs floor(n/3)-ish times
   // (overlapping suffix positions).
   bool FoundLong = false;
-  Array.forEachRepeat(100, 200, 2, [&](const SuffixArray::RepeatInfo &R) {
+  Array.forEachRepeat(100, [&](const SuffixArray::RepeatInfo &R) {
+    EXPECT_LE(R.Length, 200u);
     FoundLong |= R.Length >= 100 && R.Count >= 2;
   });
   EXPECT_TRUE(FoundLong);
-  // Nearly one nested interval per repeat length.
-  EXPECT_GT(Array.numNodes(), 4900u);
+  // One nested interval per repeat length up to the bound, the three
+  // chains together: about 200 intervals, where the unbounded array has
+  // one per repeat length up to n (about 5000).
+  EXPECT_GT(Array.numNodes(), 190u);
+  EXPECT_LT(Array.numNodes(), 210u);
 }
 
 TEST(SuffixArray, PositionsSorted) {
   std::vector<Symbol> T = fromString("xyxyxyxyxy");
-  SuffixArray Array(std::move(T));
-  Array.forEachRepeat(1, 10, 2, [&](const SuffixArray::RepeatInfo &R) {
+  SuffixArray Array(std::move(T), 10);
+  Array.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &R) {
     auto Pos = Array.positionsOf(R.Node);
     EXPECT_TRUE(std::is_sorted(Pos.begin(), Pos.end()));
     EXPECT_EQ(Pos.size(), R.Count);
   });
 }
 
-/// Clamped-candidate dedup property, checked against the naive finder:
+/// Clamped-candidate property of the bounded array, checked against the
+/// naive finder:
 ///  - no content (the length-R.Length prefix at the reported positions) is
-///    reported twice — deep intervals collapse onto the shallowest
-///    enclosing interval of length >= MaxLen;
-///  - every clamped report carries the FULL occurrence set of its
-///    length-MaxLen content (the deeper duplicates it replaced only held
-///    subsets);
-///  - every distinct length-MaxLen repeat is still reported (dedup loses
-///    no candidate).
+///    reported twice — everything deeper than MaxLen collapses into one
+///    interval of length MaxLen;
+///  - every length-MaxLen report carries the FULL occurrence set of its
+///    content;
+///  - every distinct length-MaxLen repeat is reported (the cut loses no
+///    candidate).
 void checkClampedDedup(const std::vector<Symbol> &T, uint32_t MaxLen) {
   std::vector<Symbol> Copy = T;
-  SuffixArray D(std::move(Copy));
+  SuffixArray D(std::move(Copy), MaxLen);
   auto Naive = naiveRepeats(T, MaxLen, MaxLen);
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Reported;
-  D.forEachRepeat(1, MaxLen, 2,
-                  [&](const SuffixArray::RepeatInfo &R) {
-                    ASSERT_LE(R.Length, MaxLen);
-                    auto Pos = D.positionsOf(R.Node);
-                    std::vector<Symbol> Key(T.begin() + Pos[0],
-                                            T.begin() + Pos[0] + R.Length);
-                    auto [It, Inserted] = Reported.emplace(Key, Pos);
-                    EXPECT_TRUE(Inserted)
-                        << "content reported twice (len " << R.Length << ")";
-                    if (R.Length == MaxLen) {
-                      auto NIt = Naive.find(Key);
-                      ASSERT_NE(NIt, Naive.end()) << "reported a non-repeat";
-                      EXPECT_EQ(NIt->second, Pos)
-                          << "clamped report lost occurrences";
-                    }
-                  });
+  D.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &R) {
+    ASSERT_LE(R.Length, MaxLen);
+    auto Pos = D.positionsOf(R.Node);
+    std::vector<Symbol> Key(T.begin() + Pos[0], T.begin() + Pos[0] + R.Length);
+    auto [It, Inserted] = Reported.emplace(Key, Pos);
+    EXPECT_TRUE(Inserted) << "content reported twice (len " << R.Length << ")";
+    if (R.Length == MaxLen) {
+      auto NIt = Naive.find(Key);
+      ASSERT_NE(NIt, Naive.end()) << "reported a non-repeat";
+      EXPECT_EQ(NIt->second, Pos) << "clamped report lost occurrences";
+    }
+  });
   for (const auto &[Key, Pos] : Naive) {
     auto It = Reported.find(Key);
     ASSERT_NE(It, Reported.end()) << "length-MaxLen repeat not reported";
@@ -244,36 +248,47 @@ TEST(ClampedDedup, RandomTexts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Construction against a naive suffix sort
+// Construction against a naive bounded sort
 //===----------------------------------------------------------------------===//
 
-/// The suffix array by definition: every suffix start, the empty suffix
-/// (the virtual sentinel, position n) included, sorted lexicographically.
-/// A proper prefix sorts first, which is exactly the unique smallest
-/// sentinel the construction assumes.
-std::vector<uint32_t> naiveSuffixArray(const std::vector<Symbol> &T) {
+/// The bounded suffix array by definition: every suffix start, the empty
+/// suffix (the virtual sentinel, position n) included, stably sorted by its
+/// first \p MaxLen symbols, so suffixes with equal MaxLen-prefixes keep
+/// text order. A proper prefix sorts first, which is exactly the unique
+/// smallest sentinel the construction assumes.
+std::vector<uint32_t> naiveBoundedSort(const std::vector<Symbol> &T,
+                                       uint32_t MaxLen) {
   std::vector<uint32_t> Sa(T.size() + 1);
   for (uint32_t I = 0; I < Sa.size(); ++I)
     Sa[I] = I;
-  std::sort(Sa.begin(), Sa.end(), [&](uint32_t A, uint32_t B) {
-    return std::lexicographical_compare(T.begin() + A, T.end(),
-                                        T.begin() + B, T.end());
+  auto PrefixEnd = [&](uint32_t S) {
+    return T.begin() + S + std::min<std::size_t>(MaxLen, T.size() - S);
+  };
+  std::stable_sort(Sa.begin(), Sa.end(), [&](uint32_t A, uint32_t B) {
+    return std::lexicographical_compare(T.begin() + A, PrefixEnd(A),
+                                        T.begin() + B, PrefixEnd(B));
   });
   return Sa;
 }
 
-// The SA of a text with a unique smallest (virtual) sentinel is unique, so
-// the construction must match the naive sort ELEMENT FOR ELEMENT — not
-// merely produce equivalent repeat sets.
+/// The bounded order is unique (ties are broken by position), so the
+/// construction must match the naive sort ELEMENT FOR ELEMENT — not
+/// merely produce equivalent repeat sets — at the bounds 2, 3, 64 and one
+/// past the text length (the full suffix order).
 void checkMatchesNaiveSort(const std::vector<Symbol> &T) {
-  SuffixArray A{std::vector<Symbol>(T)};
-  std::vector<uint32_t> Oracle = naiveSuffixArray(T);
-  auto Got = A.suffixArray();
-  ASSERT_EQ(Got.size(), Oracle.size()) << "n=" << T.size();
-  EXPECT_EQ(Got.front(), static_cast<uint32_t>(T.size()))
-      << "sentinel suffix must sort first";
-  for (std::size_t I = 0; I < Oracle.size(); ++I)
-    ASSERT_EQ(Got[I], Oracle[I]) << "row " << I << " (n=" << T.size() << ")";
+  for (uint32_t MaxLen :
+       {2u, 3u, 64u, static_cast<uint32_t>(T.size()) + 1}) {
+    SuffixArray A{std::vector<Symbol>(T), MaxLen};
+    std::vector<uint32_t> Oracle = naiveBoundedSort(T, MaxLen);
+    auto Got = A.suffixArray();
+    ASSERT_EQ(Got.size(), Oracle.size()) << "n=" << T.size();
+    EXPECT_EQ(Got.front(), static_cast<uint32_t>(T.size()))
+        << "sentinel suffix must sort first";
+    for (std::size_t I = 0; I < Oracle.size(); ++I)
+      ASSERT_EQ(Got[I], Oracle[I])
+          << "row " << I << " (n=" << T.size() << ", MaxLen=" << MaxLen
+          << ")";
+  }
 }
 
 /// \p Reps copies of a random block over a 3-letter alphabet, with unique
@@ -349,6 +364,30 @@ TEST(SuffixArrayOracle, SeededRepeatAndTandemTexts) {
     checkMatchesNaiveSort(tandemText(S, 10, 3, 25, 4));
 }
 
+// Adjacent rows that share exactly MaxLen symbols and then differ: there
+// the tie order (text order) and the order of the longer prefixes part, so
+// an LCP carried over from the previous suffix (Kasai) over-reports. The
+// construction, the repeats and the clamp must all hold on them.
+TEST(SuffixArrayOracle, RowsSharingExactlyMaxLen) {
+  const std::vector<Symbol> T = {1, 0, 0, 0, 1, 0, 0, 1, 1, 0,
+                                 0, 0, 1, 1, 0, 0, 0, 1, 1};
+  checkMatchesNaiveSort(T);
+  checkRepeatsMatchNaive(T, 6);
+  checkClampedDedup(T, 6);
+  // Small binary texts at small bounds tie rows at the bound most often.
+  Rng R(0x6a5e);
+  for (int Case = 0; Case < 300; ++Case) {
+    std::vector<Symbol> U;
+    std::size_t N = 8 + R.nextBelow(40);
+    for (std::size_t I = 0; I < N; ++I)
+      U.push_back(R.nextBelow(2));
+    uint32_t MaxLen = 2 + static_cast<uint32_t>(R.nextBelow(7));
+    checkMatchesNaiveSort(U);
+    checkRepeatsMatchNaive(U, MaxLen);
+    checkClampedDedup(U, MaxLen);
+  }
+}
+
 TEST(SuffixArrayOracle, LargeTexts) {
   // One long run (the deepest doubling), a large text over a tiny
   // alphabet, and a large all-distinct text (one round).
@@ -370,8 +409,8 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
     std::size_t N = 20 + R.nextBelow(200);
     for (std::size_t I = 0; I < N; ++I)
       T.push_back('a' + R.nextBelow(4));
-    SuffixArray Array(std::move(T));
-    Array.forEachRepeat(1, 64, 2, [&](const SuffixArray::RepeatInfo &Rep) {
+    SuffixArray Array(std::move(T), 64);
+    Array.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &Rep) {
       EXPECT_EQ(Array.firstPositionOf(Rep.Node),
                 Array.positionsOf(Rep.Node).front());
     });
@@ -379,15 +418,12 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
 }
 
 std::map<std::vector<Symbol>, std::vector<uint32_t>>
-enumerateRepeats(const SuffixArray &D, const std::vector<Symbol> &T,
-                 uint32_t MaxLen) {
+enumerateRepeats(const SuffixArray &D, const std::vector<Symbol> &T) {
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Out;
-  D.forEachRepeat(1, MaxLen, 2,
-                  [&](const SuffixArray::RepeatInfo &R) {
-                    auto Pos = D.positionsOf(R.Node);
-                    Out[{T.begin() + Pos[0], T.begin() + Pos[0] + R.Length}] =
-                        Pos;
-                  });
+  D.forEachRepeat(1, [&](const SuffixArray::RepeatInfo &R) {
+    auto Pos = D.positionsOf(R.Node);
+    Out[{T.begin() + Pos[0], T.begin() + Pos[0] + R.Length}] = Pos;
+  });
   return Out;
 }
 
@@ -397,8 +433,8 @@ TEST(SuffixArray, ReleaseWorkingSetAccounting) {
   for (std::size_t I = 0; I < 300; ++I)
     T.push_back('a' + R.nextBelow(3));
   const std::size_t TextBytes = T.size() * sizeof(Symbol);
-  SuffixArray Array{std::vector<Symbol>(T)};
-  auto Repeats = enumerateRepeats(Array, T, 16);
+  SuffixArray Array{std::vector<Symbol>(T), 16};
+  auto Repeats = enumerateRepeats(Array, T);
 
   const std::size_t Before = Array.workingSetBytes();
   ASSERT_GE(Before, TextBytes);
@@ -407,7 +443,7 @@ TEST(SuffixArray, ReleaseWorkingSetAccounting) {
   EXPECT_LE(Array.workingSetBytes(), Before - TextBytes);
   EXPECT_TRUE(Array.text().empty());
   // Enumeration survives release (it reads only the retained structure).
-  EXPECT_EQ(enumerateRepeats(Array, T, 16), Repeats);
+  EXPECT_EQ(enumerateRepeats(Array, T), Repeats);
 }
 
 } // namespace

@@ -20,13 +20,15 @@ const char SharedUsage[] =
     "build options:\n"
     "  --cto              enable compilation-time outlining (paper 3.1)\n"
     "  --ltbo             enable link-time binary outlining (paper 3.3)\n"
-    "  --partitions <k>   detection groups, PlOpti (paper 3.4.1). Without\n"
-    "                     it, a memory budget derives K from the budget\n"
+    "  --partitions <k>   detection groups, PlOpti (paper 3.4.1), at most\n"
+    "                     4096. Without it, a memory budget derives K\n"
+    "                     from the budget\n"
     "  --min-len/--max-len <n>  candidate length bounds\n"
     "  --layout           profile-driven function layout (default on):\n"
-    "                     reorder .text by co-execution affinity so\n"
-    "                     profiled startups touch fewer code pages; arms\n"
-    "                     only with a profile and a closed world\n"
+    "                     place profiled code and what it calls or is\n"
+    "                     called by first in .text, so profiled startups\n"
+    "                     touch fewer code pages; arms only with a\n"
+    "                     profile and a closed world\n"
     "  --no-layout        disable the layout stage\n"
     "  --verify           statically verify the linked image before\n"
     "                     writing it (whole-text decode + branch targets)\n"

@@ -33,9 +33,8 @@
 namespace calibro {
 namespace tools {
 
-/// Largest partition count a flag may ask for. Each partition is allocated
-/// up front, so a wrapped negative number must not get through.
-inline constexpr uint64_t MaxSplits = 1u << 16;
+/// Largest partition count a flag may ask for: the most LTBO accepts.
+inline constexpr uint64_t MaxSplits = core::MaxPartitions;
 /// Largest worker or job-slot count a flag may ask for.
 inline constexpr uint64_t MaxWorkers = 1024;
 

@@ -159,11 +159,8 @@ int main(int argc, char **argv) {
                  St.AnalysisSeconds);
   if (St.LayoutApplied)
     std::fprintf(stderr,
-                 "  layout: %zu nodes (%zu warm), %zu edges, page-crossing "
-                 "affinity %llu -> %llu, %.3fs\n",
-                 St.LayoutNodes, St.LayoutWarmNodes, St.LayoutEdges,
-                 (unsigned long long)St.LayoutCutBefore,
-                 (unsigned long long)St.LayoutCutAfter, St.LayoutSeconds);
+                 "  layout: %zu nodes (%zu warm first), %.3fs\n",
+                 St.LayoutNodes, St.LayoutWarmNodes, St.LayoutSeconds);
   if (St.Ltbo.MethodsRejected) {
     std::fprintf(stderr,
                  "  degraded: %zu methods excluded from outlining "
