@@ -25,16 +25,15 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
                                        const CalibroOptions &Opts,
                                        cache::BuildCache *Cache) {
   // One pool serves dex verification and the compile fan-out. Daemon mode
-  // uses the shared pool under this job's fairness group, so concurrent
-  // jobs interleave instead of serializing; a one-worker pool runs inline.
+  // uses the shared pool, so concurrent jobs interleave instead of
+  // serializing; a one-worker pool runs inline.
   std::unique_ptr<ThreadPool> OwnedPool;
   ThreadPool *Pool = Opts.Pool;
-  const ThreadPool::GroupId PoolGroup = Pool ? Opts.PoolGroup : 0;
   if (!Pool) {
     OwnedPool = std::make_unique<ThreadPool>(Opts.CompileThreads);
     Pool = OwnedPool.get();
   }
-  if (auto E = dex::verifyApp(App, Pool, PoolGroup))
+  if (auto E = dex::verifyApp(App, Pool))
     return E;
 
   CompiledApp Result;
@@ -102,7 +101,7 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
     }
   };
 
-  Pool->parallelForIn(PoolGroup, Order.size(), CompileOne);
+  Pool->parallelFor(Order.size(), CompileOne);
   OwnedPool.reset();
   if (Cache)
     Cache->flush();
@@ -111,7 +110,6 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
     if (!Errors[I].empty())
       return makeError(Errors[I]);
     Stats.HirInsnsSimplified += Simplified[I];
-    Stats.NumNativeMethods += Methods[I].Side.IsNative;
     if (Cache) {
       Stats.CacheHits += CacheHit[I];
       Stats.CacheMisses += !CacheHit[I];
@@ -260,7 +258,6 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
     OOpts.MemoryBudgetBytes = Opts.MemoryBudgetBytes;
     OOpts.Strict = Opts.StrictSideInfo;
     OOpts.Pool = Opts.Pool;
-    OOpts.PoolGroup = Opts.PoolGroup;
     OOpts.Cache = Cache;
     if (Opts.Profile) {
       Hot = profile::selectHotMethods(*Opts.Profile, Opts.HotCoverage);
@@ -298,7 +295,6 @@ Expected<oat::LinkInput> core::prepareLink(CompiledApp App,
   In.Outlined = std::move(Outlined);
   In.Aliases = std::move(Aliases);
   In.MergeThunks = std::move(MergeThunks);
-  Stats.CtoStubCount = In.Stubs.size();
 
   // Profile-driven layout: put warm code first in .text. Armed only with
   // a profile AND a closed world — without either there is no warm set

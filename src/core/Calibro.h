@@ -121,19 +121,15 @@ struct CalibroOptions {
   uint32_t LayoutPageSize = 4096;
   /// Externally-owned worker pool (the compile daemon's shared pool). When
   /// set, per-method compilation and the whole LTBO link stage fan out on
-  /// it under fairness group PoolGroup instead of constructing private
-  /// pools, and CompileThreads / LtboThreads are ignored. Output is
-  /// byte-identical either way.
+  /// it instead of constructing private pools, and CompileThreads /
+  /// LtboThreads are ignored. Output is byte-identical either way.
   ThreadPool *Pool = nullptr;
-  ThreadPool::GroupId PoolGroup = 0;
 };
 
 /// Statistics of one build.
 struct BuildStats {
   std::size_t NumMethods = 0;
-  std::size_t NumNativeMethods = 0;
   std::size_t HirInsnsSimplified = 0; ///< By the HGraph pass pipeline.
-  std::size_t CtoStubCount = 0;
   std::size_t CtoCallSites = 0;
   OutlineStats Ltbo;
   double CompileSeconds = 0; ///< dex -> HGraph -> opt -> binary.

@@ -333,12 +333,12 @@ bool replayable(const std::vector<CompiledMethod> &Methods,
 /// replayable().
 void emitSelections(const std::vector<CompiledMethod> &Methods,
                     const std::vector<std::size_t> &Rows,
-                    const std::vector<PosInfo> &Pos, uint32_t GroupIdx,
+                    const std::vector<PosInfo> &Pos, uint32_t GroupIndex,
                     const cache::GroupSelections &Sel,
                     std::vector<OutlinedFunc> &FuncsOut,
                     std::vector<RewriteWork> &WorkOut, OutlineStats &Stats) {
   assert(Sel.Funcs.size() < (1u << 20) && "too many outlined functions");
-  assert(GroupIdx < MaxPartitions && "group index overflows the id");
+  assert(GroupIndex < MaxPartitions && "group index overflows the id");
   Timer EmitTimer;
   const uint32_t RetWord =
       a64::encode(a64::Insn{.Op = a64::Opcode::Br, .Rn = a64::LR});
@@ -346,7 +346,7 @@ void emitSelections(const std::vector<CompiledMethod> &Methods,
   std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
   for (uint32_t F = 0; F < Sel.Funcs.size(); ++F) {
     const cache::CachedSelection &S = Sel.Funcs[F];
-    const uint32_t FuncId = (GroupIdx << 20) | F;
+    const uint32_t FuncId = (GroupIndex << 20) | F;
     // The preserved copy comes from the first occurrence's method words.
     // Each word emitted exactly one sequence position, so the occurrence
     // maps to contiguous words of one method.
@@ -399,10 +399,8 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
       ++Result.Stats.ExcludedIndirectJump;
       continue;
     }
-    if (Opts.PinnedMethods && Opts.PinnedMethods->count(M.MethodIdx)) {
-      ++Result.Stats.ExcludedMergePinned;
+    if (Opts.PinnedMethods && Opts.PinnedMethods->count(M.MethodIdx))
       continue;
-    }
     Candidates.push_back(Row);
   }
   Result.Stats.CandidateMethods = Candidates.size();
@@ -411,11 +409,10 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // there is no nested-wait deadlock. A pool of one worker — Threads == 1,
   // or any request on a single-core machine — starts no thread and runs
   // every phase inline on the calling thread. A daemon job instead injects
-  // the service-wide pool (Opts.Pool) and its fairness group, so
-  // concurrent links share one set of workers round-robin.
+  // the service-wide pool (Opts.Pool), so concurrent links share one set
+  // of workers.
   std::unique_ptr<ThreadPool> OwnedPool;
   ThreadPool *Pool = Opts.Pool;
-  const ThreadPool::GroupId PoolGroup = Pool ? Opts.PoolGroup : 0;
   if (!Pool) {
     OwnedPool = std::make_unique<ThreadPool>(Opts.Threads);
     Pool = OwnedPool.get();
@@ -460,7 +457,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     if (Opts.HotMethods && Opts.HotMethods->count(M.MethodIdx))
       P.Facts.keepOnlySlowPaths(M.Side);
   };
-  Pool->parallelForIn(PoolGroup, Candidates.size(), PrepOne);
+  Pool->parallelFor(Candidates.size(), PrepOne);
   Prior = {};
   // Graceful degradation (or strict fail-fast) over the validation
   // outcomes. Accepted keeps the surviving candidate indices in input
@@ -539,80 +536,102 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     }
   }
 
-  // Phase B: detection + selection per group, window by window. The
-  // non-empty groups are packed, in ascending index order, into windows:
-  // unbudgeted, one window holds them all; with a budget, each window's
-  // summed estimated working set fits it (greedy first-fit-in-order, so the
-  // packing is a pure function of groups + budget, never of scheduling). A
-  // single group that alone exceeds the budget still runs, by itself, and
-  // is counted as an overrun instead of failing the link. Windows run one
-  // after another; the groups of one window run concurrently, and each task
-  // touches only its own output slots, so results are identical for any
-  // thread count. Finished groups keep their outputs in memory: Phase C
-  // needs every group's functions and rewrite work at once anyway.
+  // Phase B: selection per group, by replay or by detection. Each task
+  // touches only its own group's output slots, so results are identical
+  // for any thread count. Finished groups keep their outputs in memory:
+  // Phase C needs every group's functions and rewrite work at once anyway.
   std::vector<OutlineStats> GroupStats(K);
   std::vector<std::vector<OutlinedFunc>> GroupFuncs(K);
   std::vector<std::vector<RewriteWork>> GroupWork(K);
 
+  // A group's member rows, their Phase A output and its assembled
+  // sequence positions.
+  struct GroupInput {
+    std::vector<std::size_t> Rows;
+    std::vector<const MethodPrep *> Preps;
+    std::vector<PosInfo> Pos;
+    double PosSeconds = 0;
+  };
+  auto InputOf = [&](std::size_t G) {
+    Timer PosTimer;
+    GroupInput In;
+    In.Rows.reserve(Groups[G].size());
+    In.Preps.reserve(Groups[G].size());
+    for (std::size_t I : Groups[G]) {
+      In.Rows.push_back(Candidates[I]);
+      In.Preps.push_back(&Preps[I]);
+    }
+    In.Pos = groupPositions(Methods, In.Rows);
+    In.PosSeconds = PosTimer.seconds();
+    return In;
+  };
+  auto Detect = [&](std::size_t G, const GroupInput &In) {
+    ++GroupStats[G].GroupsDetected;
+    const cache::GroupSelections Detected =
+        runGroup(Methods, In.Rows, In.Preps, In.Pos, Opts, GroupStats[G]);
+    GroupStats[G].DetectBuildSeconds += In.PosSeconds; // Sequence assembly.
+    // Store even an empty selection: "this group outlines nothing" is as
+    // reusable as any other result.
+    if (Opts.Cache)
+      Opts.Cache->storeGroup(GroupKeys[G], Detected);
+    emitSelections(Methods, In.Rows, In.Pos, static_cast<uint32_t>(G),
+                   Detected, GroupFuncs[G], GroupWork[G], GroupStats[G]);
+  };
+
+  // Replay first: a prefetched selection that passes replayable() is
+  // emitted at once, outside any window — it builds no suffix array, so
+  // there is nothing for the budget to bound. Which groups replay depends
+  // on the prefetched cache state alone. Unbudgeted, every other non-empty
+  // group detects in the same pass, as the one window that would hold them
+  // all.
+  std::vector<uint8_t> Replayed(K, 0);
+  Pool->parallelFor(K, [&](std::size_t G) {
+    const bool Cached = Opts.Cache && GroupCached[G];
+    if (Groups[G].empty() || (Windowed && !Cached))
+      return;
+    const GroupInput In = InputOf(G);
+    if (Cached &&
+        replayable(Methods, In.Rows, In.Preps, In.Pos, Opts, *GroupCached[G])) {
+      Replayed[G] = 1;
+      ++GroupStats[G].GroupsReused;
+      emitSelections(Methods, In.Rows, In.Pos, static_cast<uint32_t>(G),
+                     *GroupCached[G], GroupFuncs[G], GroupWork[G],
+                     GroupStats[G]);
+    } else if (!Windowed) {
+      Detect(G, In);
+    }
+  });
+
+  // Budgeted detection, window by window. The non-empty groups that did
+  // not replay are packed, in ascending index order, into windows whose
+  // summed estimated working set fits the budget (greedy
+  // first-fit-in-order, so the packing is a pure function of groups, cache
+  // state and budget, never of scheduling). A single group that alone
+  // exceeds the budget still runs, by itself, and is counted as an overrun
+  // instead of failing the link. Windows run one after another; the groups
+  // of one window run concurrently.
   std::vector<std::vector<std::size_t>> Windows;
   uint64_t CurBytes = 0;
-  std::size_t MaxWindowGroups = 0;
-  for (uint32_t G = 0; G < K; ++G) {
-    if (Groups[G].empty())
+  for (uint32_t G = 0; Windowed && G < K; ++G) {
+    if (Groups[G].empty() || Replayed[G])
       continue;
     uint64_t Words = 0;
     for (std::size_t I : Groups[G])
       Words += Methods[Candidates[I]].Code.size() + 1;
     uint64_t Est = Words * DetectBytesPerWord;
-    if (!Windows.empty() &&
-        (!Windowed || CurBytes + Est <= Opts.MemoryBudgetBytes)) {
+    if (!Windows.empty() && CurBytes + Est <= Opts.MemoryBudgetBytes) {
       Windows.back().push_back(G);
       CurBytes += Est;
     } else {
       Windows.push_back({G});
       CurBytes = Est;
-      if (Windowed && Est > Opts.MemoryBudgetBytes)
+      if (Est > Opts.MemoryBudgetBytes)
         ++Result.Stats.DetectBudgetOverruns;
     }
-    MaxWindowGroups = std::max(MaxWindowGroups, Windows.back().size());
   }
-
-  auto RunOne = [&](std::size_t G) {
-    std::vector<std::size_t> Rows;
-    std::vector<const MethodPrep *> GroupPreps;
-    Rows.reserve(Groups[G].size());
-    GroupPreps.reserve(Groups[G].size());
-    for (std::size_t I : Groups[G]) {
-      Rows.push_back(Candidates[I]);
-      GroupPreps.push_back(&Preps[I]);
-    }
-    Timer PosTimer;
-    const std::vector<PosInfo> Pos = groupPositions(Methods, Rows);
-    const double PosSeconds = PosTimer.seconds();
-    const cache::GroupSelections *Sel =
-        Opts.Cache && GroupCached[G] ? &*GroupCached[G] : nullptr;
-    cache::GroupSelections Detected;
-    if (Sel && replayable(Methods, Rows, GroupPreps, Pos, Opts, *Sel)) {
-      ++GroupStats[G].GroupsReused;
-    } else {
-      ++GroupStats[G].GroupsDetected;
-      Detected = runGroup(Methods, Rows, GroupPreps, Pos, Opts, GroupStats[G]);
-      GroupStats[G].DetectBuildSeconds += PosSeconds; // Sequence assembly.
-      // Store even an empty selection: "this group outlines nothing" is as
-      // reusable as any other result.
-      if (Opts.Cache)
-        Opts.Cache->storeGroup(GroupKeys[G], Detected);
-      Sel = &Detected;
-    }
-    emitSelections(Methods, Rows, Pos, static_cast<uint32_t>(G), *Sel,
-                   GroupFuncs[G], GroupWork[G], GroupStats[G]);
-  };
-
   for (const std::vector<std::size_t> &W : Windows) {
-    Pool->parallelForIn(PoolGroup, W.size(),
-                        [&](std::size_t I) { RunOne(W[I]); });
-    if (!Windowed)
-      continue;
+    Pool->parallelFor(W.size(),
+                      [&](std::size_t I) { Detect(W[I], InputOf(W[I])); });
     // Summed member peaks bound what this window held at once (groups in
     // one window run concurrently).
     std::size_t WindowPeak = 0;
@@ -621,9 +640,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Result.Stats.DetectWindowPeakBytes =
         std::max(Result.Stats.DetectWindowPeakBytes, WindowPeak);
   }
-  Result.Stats.DetectWindows = Windowed ? Windows.size() : 0;
-  Result.Stats.DetectThreads = std::min<std::size_t>(
-      Pool->numThreads(), std::max<std::size_t>(MaxWindowGroups, 1));
+  Result.Stats.DetectWindows = Windows.size();
 
   for (std::size_t G = 0; G < K; ++G) {
     auto &S = GroupStats[G];
@@ -666,7 +683,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     if (auto E = rewriteMethod(Methods[Work[I].Row], std::move(Work[I].Occs)))
       RewriteErrors[I] = E.message();
   };
-  Pool->parallelForIn(PoolGroup, Work.size(), RewriteOne);
+  Pool->parallelFor(Work.size(), RewriteOne);
   for (const std::string &E : RewriteErrors)
     if (!E.empty())
       return makeError(E);

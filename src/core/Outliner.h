@@ -74,7 +74,7 @@ namespace calibro {
 namespace core {
 
 /// Most detection groups runLtbo accepts. An outlined function's id is
-/// GroupIdx << 20 | F, so a 4097th group would wrap onto group 0's ids.
+/// GroupIndex << 20 | F, so a 4097th group would wrap onto group 0's ids.
 inline constexpr uint32_t MaxPartitions = 1u << 12;
 
 /// LTBO's repeat detector. The suffix array is the only one; the library
@@ -139,22 +139,22 @@ struct OutlinerOptions {
   /// method runs analyzeSideInfo.
   std::vector<PriorFacts> *Facts = nullptr;
   /// Peak detect-phase memory budget in bytes; 0 = unbudgeted (all K
-  /// groups run in one Phase B window). When set, the K groups are packed
-  /// into windows whose summed estimated detect working set fits the
-  /// budget, and windows run one after another (groups within a window
-  /// still run on the pool), so the suffix arrays alive at once track the
-  /// budget, not the image size. Each finished group keeps its selection
-  /// in memory, because Phase C rewrites every group's methods at once.
+  /// groups detect in one Phase B window). When set, the groups that
+  /// detect (every group not replayed from the cache) are packed into
+  /// windows whose summed estimated detect working set fits the budget,
+  /// and windows run one after another (groups within a window still run
+  /// on the pool), so the suffix arrays alive at once track the budget,
+  /// not the image size. Each finished group keeps its selection in
+  /// memory, because Phase C rewrites every group's methods at once.
   /// Window packing never reaches the output: the OutlineResult is
   /// byte-identical to the unbudgeted pipeline for any budget and thread
   /// count.
   uint64_t MemoryBudgetBytes = 0;
   /// Externally-owned worker pool (the compile daemon's shared pool). When
-  /// set, every phase fans out on it — under fairness group PoolGroup —
-  /// instead of constructing a private pool, and Threads is ignored. The
-  /// result stays byte-identical: scheduling never reaches the output.
+  /// set, every phase fans out on it instead of constructing a private
+  /// pool, and Threads is ignored. The result stays byte-identical:
+  /// scheduling never reaches the output.
   ThreadPool *Pool = nullptr;
-  ThreadPool::GroupId PoolGroup = 0;
 };
 
 /// What LTBO.2 did, for the build-time and ablation experiments.
@@ -187,7 +187,6 @@ struct OutlineStats {
   /// the calling thread). Scheduling metadata, NOT part of the deterministic
   /// result — determinism tests must ignore these.
   std::size_t PreprocessThreads = 1;
-  std::size_t DetectThreads = 1;
   std::size_t RewriteThreads = 1;
   /// Non-empty partition groups whose selection was replayed from the
   /// cache (no suffix array built). Decided purely by pre-existing
@@ -213,10 +212,12 @@ struct OutlineStats {
   /// Partition-group count actually used: Opts.Partitions, or the
   /// budget-derived K when Partitions == 0. Deterministic.
   std::size_t PartitionsUsed = 0;
-  /// Memory-budgeted streaming (MemoryBudgetBytes > 0). All deterministic
-  /// for any Threads: the window packing is a pure function of the groups
-  /// and the budget. Zero when unbudgeted.
-  std::size_t DetectWindows = 0; ///< Windows Phase B ran in (0 = unbudgeted).
+  /// Memory-budgeted streaming (MemoryBudgetBytes > 0). Only groups that
+  /// detect are packed into windows: replayed groups build no suffix array
+  /// and open none. All deterministic for any Threads: the packing is a
+  /// pure function of the groups, the prefetched cache state and the
+  /// budget. Zero when unbudgeted.
+  std::size_t DetectWindows = 0; ///< Windows Phase B detected in.
   /// Largest window working set: max over windows of the summed member
   /// DetectPeakBytes. This is what the budget bounds (one overrun group
   /// excepted — see DetectBudgetOverruns).
@@ -234,8 +235,6 @@ struct OutlineStats {
   /// MethodsRejected bucketed by the first fault found per method, indexed
   /// by codegen::SideInfoFault.
   std::array<std::size_t, codegen::NumSideInfoFaults> RejectedByFault{};
-  /// Methods excluded from outlining because the merger pinned them.
-  std::size_t ExcludedMergePinned = 0;
 
   // --- Analysis front-end (GC + merge) counters. Filled by linkApp, not
   // by runLtbo; they live here so every size experiment reads one struct.

@@ -268,8 +268,7 @@ Error dex::verifyMethod(const Method &M, std::size_t TotalMethods) {
   return Error::success();
 }
 
-Error dex::verifyApp(const App &A, ThreadPool *Pool,
-                     ThreadPool::GroupId Group) {
+Error dex::verifyApp(const App &A, ThreadPool *Pool) {
   std::vector<const Method *> Order;
   Order.reserve(A.numMethods());
   A.forEachMethod([&](const Method &M) { Order.push_back(&M); });
@@ -300,7 +299,7 @@ Error dex::verifyApp(const App &A, ThreadPool *Pool,
       Errors[I] = E.message();
   };
   if (Pool) {
-    Pool->parallelForIn(Group, FirstBad, VerifyOne);
+    Pool->parallelFor(FirstBad, VerifyOne);
   } else {
     for (std::size_t I = 0; I < FirstBad; ++I)
       VerifyOne(I);

@@ -170,11 +170,10 @@ struct App {
 Error verifyMethod(const Method &M, std::size_t TotalMethods);
 
 /// Verifies every method of \p A, the global-index numbering and the
-/// entrypoints. The per-method checks fan out on \p Pool (under fairness
-/// group \p Group) when one is given. The error is the one a serial scan
-/// in file order meets first, for any scheduling: the lowest method's.
-Error verifyApp(const App &A, ThreadPool *Pool = nullptr,
-                ThreadPool::GroupId Group = 0);
+/// entrypoints. The per-method checks fan out on \p Pool when one is
+/// given. The error is the one a serial scan in file order meets first,
+/// for any scheduling: the lowest method's.
+Error verifyApp(const App &A, ThreadPool *Pool = nullptr);
 
 } // namespace dex
 } // namespace calibro

@@ -8,7 +8,8 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <iomanip>
+#include <sstream>
 #include <utility>
 
 using namespace calibro;
@@ -104,14 +105,13 @@ void CompileService::runJob(QueuedJob Job) {
   R.QueueSeconds = Job.Queued.seconds();
   Timer BuildTimer;
 
-  // The job's slice of the shared machinery: its own fairness group on the
-  // one pool, its detect budget, the shared cache. Under a global budget
-  // the grant is the request clamped to the fair share Global / JobSlots,
-  // and an unbudgeted job gets the whole fair share, so the JobSlots jobs
-  // in flight never hold more than Global together. The grant depends on
+  // The job's slice of the shared machinery: the one pool, its detect
+  // budget, the shared cache. Under a global budget the grant is the
+  // request clamped to the fair share Global / JobSlots, and an unbudgeted
+  // job gets the whole fair share, so the JobSlots jobs in flight never
+  // hold more than Global together. The grant depends on
   // nothing but the request and the options, so the job's windowing — and
   // with it every cache key it derives — cannot vary run to run.
-  ThreadPool::GroupId Group = Pool->createGroup();
   const uint64_t Global = Opts.GlobalMemoryBudgetBytes;
   const uint64_t Fair = Global / Opts.JobSlots;
   const uint64_t Request = Job.Spec.MemoryBudgetBytes;
@@ -125,7 +125,6 @@ void CompileService::runJob(QueuedJob Job) {
 
   core::CalibroOptions Build = Job.Spec.Build;
   Build.Pool = Pool.get();
-  Build.PoolGroup = Group;
   Build.MemoryBudgetBytes = R.GrantedBudgetBytes;
 
   core::BuildResult Result;
@@ -147,10 +146,6 @@ void CompileService::runJob(QueuedJob Job) {
     R.ErrorCategory = Compiled.category();
   }
   R.BuildSeconds = BuildTimer.seconds();
-
-  // The group's tasks are fully drained (compileApp/linkApp only return
-  // after their parallelForIn calls complete), so the slot can be recycled.
-  Pool->releaseGroup(Group);
 
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
@@ -175,25 +170,28 @@ void CompileService::finish(JobHandle &H, JobRecord R,
 void CompileService::logRecord(const JobRecord &R) {
   if (!Log.is_open())
     return;
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"job\":\"%s\",\"ok\":%s,\"error_cat\":\"%s\",\"queue_wait_seconds\":"
-      "%.6f,\"build_seconds\":%.6f,\"compile_seconds\":%.6f,\"ltbo_seconds\":"
-      "%.6f,\"link_seconds\":%.6f,\"granted_budget_bytes\":%llu,"
-      "\"cache_hits\":%zu,\"cache_misses\":%zu,\"groups_reused\":%zu,"
-      "\"text_bytes\":%llu,\"methods_rejected\":%zu",
-      jsonEscape(R.Name).c_str(), R.Ok ? "true" : "false",
-      R.Ok ? "" : errCatName(R.ErrorCategory), R.QueueSeconds, R.BuildSeconds,
-      R.Stats.CompileSeconds, R.Stats.LtboSeconds, R.Stats.LinkSeconds,
-      (unsigned long long)R.GrantedBudgetBytes, R.Stats.CacheHits,
-      R.Stats.CacheMisses, R.Stats.Ltbo.GroupsReused,
-      (unsigned long long)R.Stats.TextBytes, R.Stats.Ltbo.MethodsRejected);
-  std::lock_guard<std::mutex> Lock(LogMutex);
-  Log << Buf;
+  // Built as a string: the job name (an output path, for calibro-compiled)
+  // has no length bound.
+  std::ostringstream L;
+  L << std::fixed << std::setprecision(6) << "{\"job\":\""
+    << jsonEscape(R.Name) << "\",\"ok\":" << (R.Ok ? "true" : "false")
+    << ",\"error_cat\":\"" << (R.Ok ? "" : errCatName(R.ErrorCategory))
+    << "\",\"queue_wait_seconds\":" << R.QueueSeconds
+    << ",\"build_seconds\":" << R.BuildSeconds
+    << ",\"compile_seconds\":" << R.Stats.CompileSeconds
+    << ",\"ltbo_seconds\":" << R.Stats.LtboSeconds
+    << ",\"link_seconds\":" << R.Stats.LinkSeconds
+    << ",\"granted_budget_bytes\":" << R.GrantedBudgetBytes
+    << ",\"cache_hits\":" << R.Stats.CacheHits
+    << ",\"cache_misses\":" << R.Stats.CacheMisses
+    << ",\"groups_reused\":" << R.Stats.Ltbo.GroupsReused
+    << ",\"text_bytes\":" << R.Stats.TextBytes
+    << ",\"methods_rejected\":" << R.Stats.Ltbo.MethodsRejected;
   if (!R.Ok)
-    Log << ",\"error\":\"" << jsonEscape(R.ErrorMessage) << "\"";
-  Log << "}\n";
+    L << ",\"error\":\"" << jsonEscape(R.ErrorMessage) << "\"";
+  L << "}\n";
+  std::lock_guard<std::mutex> Lock(LogMutex);
+  Log << L.str();
   Log.flush();
 }
 

@@ -14,9 +14,9 @@
 ///  * JobSlots runner threads, each driving one job end to end through the
 ///    library pipeline (compileApp -> linkApp) on the service's store;
 ///  * ONE shared ThreadPool. Every job fans its per-method compilation and
-///    its whole LTBO link stage onto this pool under its own fairness group
-///    (ThreadPool::createGroup), so a huge job cannot starve a small one and
-///    no job ever waits on another job's queued tasks;
+///    its whole LTBO link stage onto this pool's one FIFO queue. Completion
+///    is per parallelFor call: a call returns once its own chunks ran, so
+///    a job waits at most behind the chunks other jobs queued before it;
 ///  * a static split of --global-memory-budget: each job's detect budget
 ///    is its request clamped to the fair share (global / JobSlots), so the
 ///    JobSlots jobs in flight never hold more than the global bound
@@ -88,8 +88,8 @@ struct JobSpec {
   std::string Name;
   /// The app to build; caller-owned, must outlive the job.
   const dex::App *App = nullptr;
-  /// Build configuration. The service overrides Pool / PoolGroup /
-  /// MemoryBudgetBytes and ignores CacheDir; the rest is the caller's.
+  /// Build configuration. The service overrides Pool and MemoryBudgetBytes
+  /// and ignores CacheDir; the rest is the caller's.
   core::CalibroOptions Build;
   /// Per-job detect-budget request in bytes (0 = unbudgeted). Under a
   /// global budget the grant is min(request, fair share), and an

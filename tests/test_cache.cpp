@@ -1784,6 +1784,9 @@ TEST(CacheReplay, ColdWindowedBuildNeverReloadsItsOwnGroups) {
   ASSERT_TRUE(bool(Warm)) << Warm.message();
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NonEmpty);
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsDetected, 0u);
+  // Replayed groups detect nothing, so they open no window.
+  EXPECT_EQ(Warm->Stats.Ltbo.DetectWindows, 0u);
+  EXPECT_EQ(Warm->Stats.Ltbo.DetectBudgetOverruns, 0u);
   EXPECT_EQ((*Shared)->stats().GroupHits, NonEmpty);
 
   auto Unbudgeted = core::buildApp(App, cacheOpts(""));

@@ -288,10 +288,6 @@ TEST(DexApp, PooledVerificationMatchesTheSerialScan) {
       ThreadPool Pool(Threads);
       EXPECT_EQ(outcome(verifyApp(A, &Pool)), Want)
           << Name << ", threads " << Threads;
-      ThreadPool::GroupId G = Pool.createGroup();
-      EXPECT_EQ(outcome(verifyApp(A, &Pool, G)), Want)
-          << Name << ", threads " << Threads << ", group";
-      Pool.releaseGroup(G);
     }
   }
 }

@@ -654,7 +654,7 @@ TEST(Outliner, ClampedCandidatesAreDeduplicated) {
 }
 
 TEST(Outliner, PartitionCapKeepsOutlinedIdsUnique) {
-  // An outlined function's id is GroupIdx << 20 | F, so MaxPartitions is
+  // An outlined function's id is GroupIndex << 20 | F, so MaxPartitions is
   // the most groups whose ids cannot wrap. Two identical methods per
   // group, so every group outlines, the last one included.
   auto Methods = [] {

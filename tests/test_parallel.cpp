@@ -286,28 +286,14 @@ TEST(ParallelDifferential, LadderReportIndependentOfLadderThreads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-pool fairness groups (the compile daemon's scheduling hook)
+// One pool shared by concurrent clients (the compile daemon's shape)
 //===----------------------------------------------------------------------===//
 
-TEST(ThreadPoolGroups, ReleasedGroupSlotsAreRecycled) {
-  ThreadPool Pool(2);
-  ThreadPool::GroupId A = Pool.createGroup();
-  ThreadPool::GroupId B = Pool.createGroup();
-  EXPECT_NE(A, 0u);
-  EXPECT_NE(B, 0u);
-  EXPECT_NE(A, B);
-  Pool.releaseGroup(A);
-  // A daemon creates one group per job; the table must not grow per job.
-  EXPECT_EQ(Pool.createGroup(), A);
-  Pool.releaseGroup(A);
-  Pool.releaseGroup(B);
-}
-
-TEST(ThreadPoolGroups, ConcurrentParallelForCallsAreIsolatedPerCall) {
-  // Several clients share ONE pool, each fanning out under its own group —
-  // the daemon's exact shape. Every call must return with exactly its own
-  // work done (per-call completion, not the global queue barrier), no
-  // matter how the groups' chunks interleave on the workers.
+TEST(ThreadPoolShared, ConcurrentParallelForCallsAreIsolatedPerCall) {
+  // Several clients share ONE pool and fan out on it at once — the
+  // daemon's exact shape. Every call must return with exactly its own
+  // work done (per-call completion, not a global queue barrier), no matter
+  // how the calls' chunks interleave on the workers.
   ThreadPool Pool(4);
   constexpr std::size_t NumClients = 4, N = 20000, Rounds = 8;
   std::vector<std::thread> Clients;
@@ -315,9 +301,8 @@ TEST(ThreadPoolGroups, ConcurrentParallelForCallsAreIsolatedPerCall) {
   for (std::size_t C = 0; C < NumClients; ++C)
     Clients.emplace_back([&Pool, &Sums, C] {
       for (std::size_t Round = 0; Round < Rounds; ++Round) {
-        ThreadPool::GroupId G = Pool.createGroup();
         std::vector<uint32_t> Out(N, 0);
-        Pool.parallelForIn(G, N, [&Out, C](std::size_t I) {
+        Pool.parallelFor(N, [&Out, C](std::size_t I) {
           Out[I] = static_cast<uint32_t>(I * (C + 1));
         });
         // The call returned, so every one of ITS iterations ran.
@@ -325,7 +310,6 @@ TEST(ThreadPoolGroups, ConcurrentParallelForCallsAreIsolatedPerCall) {
         for (uint32_t V : Out)
           Sum += V;
         Sums[C] = Sum;
-        Pool.releaseGroup(G);
       }
     });
   for (auto &T : Clients)
@@ -335,23 +319,20 @@ TEST(ThreadPoolGroups, ConcurrentParallelForCallsAreIsolatedPerCall) {
     EXPECT_EQ(Sums[C], Base * (C + 1)) << "client " << C;
 }
 
-TEST(ThreadPoolGroups, ExceptionInOneGroupLeavesOthersUnharmed) {
+TEST(ThreadPoolShared, ExceptionInOneCallLeavesOthersUnharmed) {
   ThreadPool Pool(4);
-  ThreadPool::GroupId Faulty = Pool.createGroup();
-  ThreadPool::GroupId Healthy = Pool.createGroup();
 
   std::thread Neighbor([&] {
     std::atomic<std::size_t> Ran{0};
-    Pool.parallelForIn(Healthy, 5000,
-                       [&Ran](std::size_t) { Ran.fetch_add(1); });
+    Pool.parallelFor(5000, [&Ran](std::size_t) { Ran.fetch_add(1); });
     EXPECT_EQ(Ran.load(), 5000u);
   });
 
   // The faulty client observes the LOWEST failing index's exception, same
-  // as the single-group contract; its neighbor completes untouched.
+  // as the single-client contract; its neighbor completes untouched.
   for (int Round = 0; Round < 3; ++Round) {
     try {
-      Pool.parallelForIn(Faulty, 1000, [](std::size_t I) {
+      Pool.parallelFor(1000, [](std::size_t I) {
         if (I >= 100)
           throw std::runtime_error("fail at " + std::to_string(I));
       });
@@ -362,8 +343,6 @@ TEST(ThreadPoolGroups, ExceptionInOneGroupLeavesOthersUnharmed) {
   }
 
   Neighbor.join();
-  Pool.releaseGroup(Faulty);
-  Pool.releaseGroup(Healthy);
 }
 
 TEST(ParallelDifferential, BatchMatchesSerialRuns) {

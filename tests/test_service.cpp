@@ -25,6 +25,8 @@
 
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -83,6 +85,48 @@ std::vector<uint8_t> serialImage(const dex::App &App,
   auto B = core::buildApp(App, Opts);
   EXPECT_TRUE(bool(B)) << B.message();
   return B ? oat::serializeOat(B->Oat) : std::vector<uint8_t>{};
+}
+
+/// Parses one job-log line: a flat JSON object whose values are strings,
+/// numbers or booleans. Returns each key's decoded string or literal text,
+/// or nullopt when the line is not such an object.
+std::optional<std::map<std::string, std::string>>
+parseFlatJson(const std::string &Line) {
+  std::size_t P = 0;
+  auto Str = [&](std::string &Out) {
+    if (P >= Line.size() || Line[P++] != '"')
+      return false;
+    while (P < Line.size() && Line[P] != '"') {
+      if (Line[P] == '\\' && ++P == Line.size())
+        return false;
+      Out += Line[P++];
+    }
+    return P++ < Line.size();
+  };
+  std::map<std::string, std::string> Fields;
+  if (Line.empty() || Line[P++] != '{')
+    return std::nullopt;
+  for (;;) {
+    std::string Key, Value;
+    if (!Str(Key) || P >= Line.size() || Line[P++] != ':')
+      return std::nullopt;
+    if (P < Line.size() && Line[P] == '"') {
+      if (!Str(Value))
+        return std::nullopt;
+    } else {
+      while (P < Line.size() && Line[P] != ',' && Line[P] != '}')
+        Value += Line[P++];
+      if (Value.empty())
+        return std::nullopt;
+    }
+    Fields[Key] = Value;
+    if (P >= Line.size())
+      return std::nullopt;
+    if (Line[P++] == '}')
+      return P == Line.size() ? std::optional(Fields) : std::nullopt;
+    if (Line[P - 1] != ',')
+      return std::nullopt;
+  }
 }
 
 } // namespace
@@ -462,4 +506,46 @@ TEST(ServiceBudget, FairShareBelowOneByteIsRejected) {
   SOpts.GlobalMemoryBudgetBytes = 2; // One byte each: accepted.
   auto Ok = CompileService::create(SOpts);
   EXPECT_TRUE(bool(Ok)) << Ok.message();
+}
+
+//===----------------------------------------------------------------------===//
+// The JSONL job log
+//===----------------------------------------------------------------------===//
+
+TEST(ServiceJobLog, LongJobNameStaysOneParsableRecord) {
+  // calibro-compiled names a job after its output path, which has no
+  // length bound: a long name must still give one well-formed record that
+  // carries the name verbatim.
+  TempDir Dir("joblog");
+  fs::create_directories(Dir.Path);
+  const std::string LogPath = (Dir.Path / "jobs.jsonl").string();
+  dex::App App = workload::makeApp(jobSpec(90));
+  const std::string Name = "svc90:" + std::string(587, 'p') + "\"q\\.oat";
+  ASSERT_EQ(Name.size(), 600u);
+  {
+    ServiceOptions SOpts;
+    SOpts.JobSlots = 1;
+    SOpts.Threads = 2;
+    SOpts.JobLogPath = LogPath;
+    auto Svc = CompileService::create(SOpts);
+    ASSERT_TRUE(bool(Svc)) << Svc.message();
+    JobSpec Job;
+    Job.Name = Name;
+    Job.App = &App;
+    Job.Build = buildOpts();
+    auto H = (*Svc)->submit(std::move(Job));
+    ASSERT_TRUE(bool(H)) << H.message();
+    ASSERT_TRUE((*H)->wait().Ok) << (*H)->wait().ErrorMessage;
+  }
+
+  std::ifstream In(LogPath);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  ASSERT_EQ(Lines.size(), 1u);
+  auto Record = parseFlatJson(Lines[0]);
+  ASSERT_TRUE(Record.has_value()) << Lines[0];
+  EXPECT_EQ((*Record)["job"], Name);
+  EXPECT_EQ((*Record)["ok"], "true");
+  EXPECT_EQ(Record->count("methods_rejected"), 1u);
 }

@@ -108,18 +108,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndex) {
     EXPECT_EQ(H.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForRespectsGrain) {
-  // With Grain = 256 over 1000 indices the pool may enqueue at most
-  // ceil(1000/256) = 4 chunk tasks; count distinct executing chunks by
-  // watching for index discontinuities per thread. The observable contract
-  // is simpler: every index still runs exactly once.
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Hits(1000);
-  Pool.parallelFor(1000, [&](std::size_t I) { ++Hits[I]; }, 256);
-  for (const auto &H : Hits)
-    EXPECT_EQ(H.load(), 1);
-}
-
 TEST(ThreadPool, ParallelForPropagatesLowestIndexException) {
   // Several indices throw; the rethrown exception must be the lowest
   // failing index's, for every thread count — the determinism contract the

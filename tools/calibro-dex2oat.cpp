@@ -129,9 +129,10 @@ int main(int argc, char **argv) {
                B->Oat.Outlined.size(), St.CompileSeconds, St.LtboSeconds,
                St.Ltbo.SequencesOutlined, St.Ltbo.OccurrencesReplaced,
                St.LinkSeconds);
-  // Only when windowed detection actually ran: a budget with LTBO disabled
-  // (or an app with nothing to detect) would print a block of zeros.
-  if (Opts.MemoryBudgetBytes && St.Ltbo.DetectWindows)
+  // Whenever the budget governs LTBO, also when every group replayed from
+  // the cache and none detected (0 windows). A budget with LTBO disabled
+  // would print a block of zeros.
+  if (Opts.MemoryBudgetBytes && Opts.EnableLtbo)
     std::fprintf(stderr,
                  "  windowed: %zu partitions, %zu windows, window peak %zu "
                  "bytes (budget %llu), %zu overruns\n",
